@@ -185,6 +185,15 @@ bool ParseFiniteDouble(std::string_view s, double* out) {
   return true;
 }
 
+bool ParseFlag(std::string_view arg, std::string_view name,
+               std::string* value) {
+  if (!StartsWith(arg, name)) return false;
+  std::string_view rest = arg.substr(name.size());
+  if (!rest.empty() && rest.front() != '=') return false;
+  value->assign(rest.empty() ? rest : rest.substr(1));
+  return true;
+}
+
 namespace {
 
 /// Length (1-4) of the well-formed UTF-8 sequence starting at `s[i]`, or

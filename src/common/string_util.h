@@ -52,6 +52,13 @@ bool ParseSize(std::string_view s, size_t* out);
 /// Finite decimal doubles only ("0.25", "1e-3"); rejects inf/nan.
 bool ParseFiniteDouble(std::string_view s, double* out);
 
+/// Matches one command-line argument against the flag `name` ("--seed").
+/// "--seed" matches with an empty value and "--seed=V" with value V;
+/// anything else, including a longer flag that only starts with `name`,
+/// does not match and leaves `*value` untouched.
+bool ParseFlag(std::string_view arg, std::string_view name,
+               std::string* value);
+
 /// True when `s` is well-formed UTF-8. Strict: truncated sequences,
 /// stray continuation bytes, overlong encodings, UTF-16 surrogates, and
 /// code points above U+10FFFF all fail. ASCII is trivially valid.

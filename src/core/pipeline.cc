@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <mutex>
 #include <thread>
 
 #include "common/failpoint.h"
@@ -62,9 +61,9 @@ ServeMetrics& Metrics() {
 }
 
 /// Bounded retriever-cache counters. Accounting is thread-count
-/// invariant: a miss is a *winning* insert, so when two requests race to
-/// build the same database's index, exactly one miss is recorded and the
-/// loser counts as a hit — the same totals a single-threaded run produces.
+/// invariant: a miss is a *winning* LeaseCache insert, so when two
+/// requests race to build the same database's index, exactly one miss is
+/// recorded and the loser counts as a hit.
 struct RetrieverCacheMetrics {
   Counter& hits =
       MetricsRegistry::Global().GetCounter("pipeline.retriever_cache.hits");
@@ -179,7 +178,10 @@ std::string ServeReport::ToString() const {
 }
 
 CodesPipeline::CodesPipeline(const PipelineConfig& config, const NgramLm* lm)
-    : config_(config), model_(config.size, lm) {
+    : config_(config),
+      model_(config.size, lm),
+      retriever_cache_({config.retriever_cache_max_entries,
+                        config.retriever_cache_max_bytes}) {
   model_.set_extra_noise(config.extra_model_noise);
 }
 
@@ -228,37 +230,11 @@ std::shared_ptr<const ValueRetriever> CodesPipeline::RetrieverFor(
 
 CodesPipeline::RetrieverCacheStats CodesPipeline::retriever_cache_stats()
     const {
-  std::shared_lock<std::shared_mutex> lock(retriever_mu_);
-  return RetrieverCacheStats{retriever_cache_.size(), retriever_cache_bytes_};
+  return RetrieverCacheStats{retriever_cache_.size(),
+                             retriever_cache_.bytes()};
 }
 
-void CodesPipeline::ClearRetrieverCache() const {
-  std::unique_lock<std::shared_mutex> lock(retriever_mu_);
-  retriever_cache_.clear();
-  retriever_cache_bytes_ = 0;
-}
-
-void CodesPipeline::EvictRetrieversLocked(const sql::Database* keep) const {
-  while (retriever_cache_.size() > 1 &&
-         (retriever_cache_.size() > config_.retriever_cache_max_entries ||
-          retriever_cache_bytes_ > config_.retriever_cache_max_bytes)) {
-    auto victim = retriever_cache_.end();
-    uint64_t oldest = ~0ULL;
-    for (auto it = retriever_cache_.begin(); it != retriever_cache_.end();
-         ++it) {
-      if (it->first == keep) continue;
-      uint64_t use = it->second->last_use.load(std::memory_order_relaxed);
-      if (use < oldest) {
-        oldest = use;
-        victim = it;
-      }
-    }
-    if (victim == retriever_cache_.end()) return;
-    retriever_cache_bytes_ -= victim->second->bytes;
-    retriever_cache_.erase(victim);
-    CacheMetrics().evictions.Increment();
-  }
-}
+void CodesPipeline::ClearRetrieverCache() const { retriever_cache_.Clear(); }
 
 std::shared_ptr<const ValueRetriever> CodesPipeline::RetrieverForGuarded(
     const sql::Database& db, ExecGuard* guard, ServeReport* report) const {
@@ -270,22 +246,14 @@ std::shared_ptr<const ValueRetriever> CodesPipeline::RetrieverForGuarded(
     if (report != nullptr) report->AddRung(ServeRung::kValueFallback);
     return nullptr;
   }
-  {
-    std::shared_lock<std::shared_mutex> lock(retriever_mu_);
-    auto it = retriever_cache_.find(&db);
-    if (it != retriever_cache_.end()) {
-      // LRU touch without the exclusive lock: stamp the entry with the
-      // next tick of a logical clock.
-      it->second->last_use.store(
-          retriever_use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-          std::memory_order_relaxed);
-      CacheMetrics().hits.Increment();
-      return it->second->retriever;
-    }
+  RetrieverCacheMetrics& m = CacheMetrics();
+  if (auto lease = retriever_cache_.Lookup(&db)) {
+    m.hits.Increment();
+    return lease;
   }
-  // Build outside the lock so concurrent misses on different databases
-  // index in parallel; on a same-database race the first insert wins and
-  // the loser's copy is discarded.
+  // Build outside the cache lock so concurrent misses on different
+  // databases index in parallel; on a same-database race the first insert
+  // wins and the loser's copy is discarded.
   auto retriever = std::make_shared<ValueRetriever>();
   Status built =
       retriever->TryBuildIndex(db, guard, /*check_failpoint=*/false);
@@ -296,31 +264,13 @@ std::shared_ptr<const ValueRetriever> CodesPipeline::RetrieverForGuarded(
     if (report != nullptr) report->AddRung(ServeRung::kValueFallback);
     return nullptr;
   }
-  std::unique_lock<std::shared_mutex> lock(retriever_mu_);
-  auto [it, inserted] = retriever_cache_.try_emplace(&db, nullptr);
-  if (inserted) {
-    auto entry = std::make_unique<RetrieverCacheEntry>();
-    entry->retriever = std::move(retriever);
-    entry->bytes = entry->retriever->ApproxBytes();
-    entry->last_use.store(
-        retriever_use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-        std::memory_order_relaxed);
-    retriever_cache_bytes_ += entry->bytes;
-    it->second = std::move(entry);
-    CacheMetrics().misses.Increment();
-    EvictRetrieversLocked(&db);
-    // `it` may have been invalidated only for *other* keys; the inserted
-    // entry is exempt from eviction, so re-find is unnecessary —
-    // unordered_map::erase never invalidates other iterators.
-    return retriever_cache_.find(&db)->second->retriever;
-  }
-  // Lost the build race: the winner's entry is the cache's copy. Counts
-  // as a hit so totals match a single-threaded run.
-  it->second->last_use.store(
-      retriever_use_clock_.fetch_add(1, std::memory_order_relaxed) + 1,
-      std::memory_order_relaxed);
-  CacheMetrics().hits.Increment();
-  return it->second->retriever;
+  size_t bytes = retriever->ApproxBytes();
+  auto result = retriever_cache_.Insert(&db, std::move(retriever), bytes);
+  // A lost build race counts as a hit, so totals match a single-threaded
+  // run.
+  (result.inserted ? m.misses : m.hits).Increment();
+  m.evictions.Increment(result.evicted);
+  return result.lease;
 }
 
 std::string CodesPipeline::QuestionWithEk(

@@ -1,14 +1,12 @@
 #ifndef CODES_CORE_PIPELINE_H_
 #define CODES_CORE_PIPELINE_H_
 
-#include <atomic>
 #include <memory>
-#include <shared_mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/exec_guard.h"
+#include "common/lease_cache.h"
 #include "dataset/sample.h"
 #include "eval/metrics.h"
 #include "generator/codes_model.h"
@@ -36,12 +34,12 @@ struct PipelineConfig {
   double extra_model_noise = 0.0;
   uint64_t seed = 99;
 
-  /// Bounds on the lazily built per-database value-retriever cache.
-  /// Sustained traffic over many databases used to grow the cache without
-  /// bound (the ISSUE 9 memory bug); the cache now evicts its
-  /// least-recently-used entry once either cap is exceeded. Entries are
-  /// leased out as shared_ptrs, so an evicted retriever stays alive until
-  /// the last in-flight request using it finishes.
+  /// Bounds on the lazily built per-database value-retriever cache
+  /// (0 = no cap). Sustained traffic over many databases used to grow the
+  /// cache without bound; it now evicts its least-recently-used entry once
+  /// either cap is exceeded (LeaseCache). Entries are leased out as
+  /// shared_ptrs, so an evicted retriever stays alive until the last
+  /// in-flight request using it finishes.
   size_t retriever_cache_max_entries = 64;
   size_t retriever_cache_max_bytes = 512ull << 20;  // 512 MiB
 };
@@ -202,7 +200,7 @@ struct ServeReport {
 /// finished, every `const` method — Predict, BuildPrompt, PredictorFor —
 /// is safe to call concurrently from any number of threads. The only
 /// mutable state on that path, the lazily built per-database value
-/// retriever cache, is guarded internally by a shared mutex; everything
+/// retriever cache, is a thread-safe LeaseCache; everything
 /// else (model, classifier, demonstration retriever) is read-only at
 /// inference time. Setup methods themselves are NOT thread-safe and must
 /// happen-before any concurrent use. This is what lets
@@ -319,25 +317,9 @@ class CodesPipeline {
   /// SetDemonstrationPool time (budgeting per-call on demo_pool_[0] alone
   /// let one unusually short first demo blow the token budget).
   int mean_demo_cost_ = 0;
-  /// One bounded-cache slot. `last_use` is a logical-clock stamp bumped
-  /// under the shared lock on every hit (atomic, so hits never take the
-  /// exclusive lock); the evictor removes the smallest stamp.
-  struct RetrieverCacheEntry {
-    std::shared_ptr<const ValueRetriever> retriever;
-    size_t bytes = 0;
-    std::atomic<uint64_t> last_use{0};
-  };
-
-  /// Evicts LRU entries until both caps hold. Requires the exclusive lock;
-  /// never evicts `keep` (the entry the current request just inserted).
-  void EvictRetrieversLocked(const sql::Database* keep) const;
-
-  mutable std::shared_mutex retriever_mu_;
-  mutable std::unordered_map<const sql::Database*,
-                             std::unique_ptr<RetrieverCacheEntry>>
-      retriever_cache_;
-  mutable size_t retriever_cache_bytes_ = 0;
-  mutable std::atomic<uint64_t> retriever_use_clock_{0};
+  /// Per-database value indexes, priced by ApproxBytes and bounded by the
+  /// config's retriever_cache_max_{entries,bytes}.
+  mutable LeaseCache<const sql::Database*, ValueRetriever> retriever_cache_;
 };
 
 }  // namespace codes

@@ -1,6 +1,5 @@
 #include "embed/sentence_encoder.h"
 
-#include <algorithm>
 #include <cmath>
 #include <unordered_set>
 
@@ -37,72 +36,6 @@ void SentenceEncoder::FitIdf(const std::vector<std::string>& corpus) {
     }
     for (const auto& token : seen) doc_freq_[token] += 1;
   }
-}
-
-size_t SentenceEncoder::ApproxBytes() const {
-  size_t bytes = sizeof(*this);
-  for (const auto& [token, count] : doc_freq_) {
-    // Hash node + key bytes + value; the bucket array is charged as one
-    // pointer per element (the usual libstdc++ layout, close enough for a
-    // budget figure).
-    bytes += sizeof(void*) * 2 + sizeof(int) + token.size() +
-             sizeof(std::string);
-  }
-  return bytes;
-}
-
-namespace {
-constexpr uint32_t kEncoderMagic = 0x53454E43;  // "SENC"
-constexpr uint32_t kEncoderVersion = 1;
-}  // namespace
-
-void SentenceEncoder::SaveTo(std::string* out) const {
-  serial::PutMagic(out, kEncoderMagic, kEncoderVersion);
-  serial::PutU32(out, static_cast<uint32_t>(dim_));
-  serial::PutU64(out, corpus_size_);
-  std::vector<const std::pair<const std::string, int>*> items;
-  items.reserve(doc_freq_.size());
-  for (const auto& item : doc_freq_) items.push_back(&item);
-  std::sort(items.begin(), items.end(),
-            [](const auto* a, const auto* b) { return a->first < b->first; });
-  serial::PutU64(out, items.size());
-  for (const auto* item : items) {
-    serial::PutString(out, item->first);
-    serial::PutI32(out, item->second);
-  }
-}
-
-Status SentenceEncoder::LoadFrom(serial::Reader* reader) {
-  corpus_size_ = 0;
-  doc_freq_.clear();
-  auto corrupt = [this](const char* what) {
-    corpus_size_ = 0;
-    doc_freq_.clear();
-    return Status::DataLoss(std::string("encoder snapshot: ") + what);
-  };
-  if (!serial::ReadMagic(reader, kEncoderMagic, kEncoderVersion)) {
-    return corrupt("bad magic");
-  }
-  uint32_t dim = 0;
-  if (!reader->ReadU32(&dim) || static_cast<int>(dim) != dim_) {
-    return corrupt("dim mismatch");
-  }
-  uint64_t corpus_size = 0, n = 0;
-  if (!reader->ReadU64(&corpus_size) || !reader->ReadU64(&n) ||
-      n > reader->remaining()) {
-    return corrupt("bad table size");
-  }
-  doc_freq_.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string token;
-    int32_t count = 0;
-    if (!reader->ReadString(&token) || !reader->ReadI32(&count) || count < 1) {
-      return corrupt("bad frequency entry");
-    }
-    doc_freq_[std::move(token)] = count;
-  }
-  corpus_size_ = corpus_size;
-  return Status::Ok();
 }
 
 double SentenceEncoder::IdfOf(const std::string& token) const {

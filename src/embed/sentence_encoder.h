@@ -6,9 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/serial.h"
-#include "common/status.h"
-
 namespace codes {
 
 /// Dense sentence embedding built from hashed TF-IDF token features.
@@ -33,19 +30,6 @@ class SentenceEncoder {
   std::vector<float> Encode(std::string_view text) const;
 
   int dim() const { return dim_; }
-
-  /// Resident cost in bytes (IDF table) for fleet memory accounting.
-  size_t ApproxBytes() const;
-
-  /// Appends the fitted IDF state (dim, corpus size, document
-  /// frequencies in sorted token order, so identical encoders produce
-  /// identical bytes) to `out`.
-  void SaveTo(std::string* out) const;
-
-  /// Restores from SaveTo bytes. Returns kDataLoss (encoder reset to
-  /// unfitted) on malformation; on success Encode output is
-  /// byte-identical to the encoder that was saved.
-  Status LoadFrom(serial::Reader* reader);
 
  private:
   double IdfOf(const std::string& token) const;

@@ -1,9 +1,11 @@
 #include "fleet/fleet_manager.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <utility>
 
+#include "common/crc32.h"
 #include "common/metrics.h"
 #include "common/serial.h"
 #include "common/status.h"
@@ -37,68 +39,25 @@ FleetMetrics& Metrics() {
   return *metrics;
 }
 
+// Version 2 holds the value index only, followed by a CRC-32 of every
+// byte before it. A version-1 file (which also carried a classifier and a
+// demonstration pool) fails the version check and is rebuilt from source.
 constexpr uint32_t kTenantMagic = 0x544E4E54;  // "TNNT"
-constexpr uint32_t kTenantVersion = 1;
+constexpr uint32_t kTenantVersion = 2;
 
-size_t SampleBytes(const Text2SqlSample& sample) {
-  size_t bytes = sizeof(sample) + sample.question.size() +
-                 sample.sql.size() + sample.external_knowledge.size();
-  for (const UsedSchemaItem& item : sample.used_items) {
-    bytes += sizeof(item) + item.table.size() + item.column.size();
-  }
-  return bytes;
-}
-
-void SaveSample(std::string* out, const Text2SqlSample& sample) {
-  serial::PutI32(out, sample.db_index);
-  serial::PutString(out, sample.question);
-  serial::PutString(out, sample.sql);
-  serial::PutI32(out, sample.template_id);
-  serial::PutString(out, sample.external_knowledge);
-  serial::PutU64(out, sample.used_items.size());
-  for (const UsedSchemaItem& item : sample.used_items) {
-    serial::PutString(out, item.table);
-    serial::PutString(out, item.column);
-  }
-}
-
-bool LoadSample(serial::Reader* reader, Text2SqlSample* sample) {
-  uint64_t n_items = 0;
-  if (!reader->ReadI32(&sample->db_index) ||
-      !reader->ReadString(&sample->question) ||
-      !reader->ReadString(&sample->sql) ||
-      !reader->ReadI32(&sample->template_id) ||
-      !reader->ReadString(&sample->external_knowledge) ||
-      !reader->ReadU64(&n_items) || n_items > reader->remaining()) {
-    return false;
-  }
-  sample->used_items.resize(n_items);
-  for (UsedSchemaItem& item : sample->used_items) {
-    if (!reader->ReadString(&item.table) ||
-        !reader->ReadString(&item.column)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-/// Sums the bundle's byte cost from its parts.
-size_t BundleBytes(const TenantArtifacts& artifacts) {
-  size_t bytes = sizeof(artifacts);
-  if (artifacts.retriever != nullptr) bytes += artifacts.retriever->ApproxBytes();
-  if (artifacts.classifier != nullptr) {
-    bytes += artifacts.classifier->ApproxBytes();
-  }
-  if (artifacts.demos != nullptr) bytes += artifacts.demos->ApproxBytes();
-  for (const Text2SqlSample& sample : artifacts.demo_pool) {
-    bytes += SampleBytes(sample);
-  }
-  return bytes;
+/// Wraps a value index as a tenant bundle priced at its resident cost.
+std::shared_ptr<const TenantArtifacts> Bundle(
+    std::shared_ptr<const ValueRetriever> retriever) {
+  auto artifacts = std::make_shared<TenantArtifacts>();
+  artifacts->bytes = sizeof(TenantArtifacts) + retriever->ApproxBytes();
+  artifacts->retriever = std::move(retriever);
+  return artifacts;
 }
 
 }  // namespace
 
-FleetManager::FleetManager(const Options& options) : options_(options) {
+FleetManager::FleetManager(const Options& options)
+    : options_(options), resident_({0, options.memory_budget_bytes}) {
   if (!options_.snapshot_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(options_.snapshot_dir, ec);
@@ -114,106 +73,59 @@ int FleetManager::AddTenant(TenantDesc desc) {
               "duplicate fleet tenant name");
   int id = static_cast<int>(tenants_.size());
   tenant_ids_.emplace(desc.name, id);
-  tenants_.push_back(TenantState{std::move(desc), nullptr, 0});
+  tenants_.push_back(std::move(desc));
   return id;
 }
 
 std::string FleetManager::SnapshotPath(int tenant) const {
   if (options_.snapshot_dir.empty()) return "";
   return options_.snapshot_dir + "/" +
-         tenants_[static_cast<size_t>(tenant)].desc.name + ".tenant";
+         tenants_[static_cast<size_t>(tenant)].name + ".tenant";
 }
 
 std::shared_ptr<const TenantArtifacts> FleetManager::BuildFromSource(
-    const TenantState& state) const {
-  auto artifacts = std::make_shared<TenantArtifacts>();
+    const TenantDesc& desc) const {
   auto retriever = std::make_shared<ValueRetriever>();
-  retriever->BuildIndex(*state.desc.db);
-  artifacts->retriever = std::move(retriever);
-  if (state.desc.classifier_source != nullptr) {
-    auto classifier = std::make_shared<SchemaItemClassifier>();
-    SchemaItemClassifier::TrainOptions train;
-    train.seed = options_.classifier_seed;
-    classifier->Train(*state.desc.classifier_source, train);
-    artifacts->classifier = std::move(classifier);
-  }
-  artifacts->demo_pool = state.desc.demo_pool;
-  if (!artifacts->demo_pool.empty()) {
-    DemonstrationRetriever::Options demo_options;
-    demo_options.embedding_dim = options_.demo_embedding_dim;
-    artifacts->demos = std::make_shared<DemonstrationRetriever>(
-        artifacts->demo_pool, demo_options);
-  }
-  artifacts->bytes = BundleBytes(*artifacts);
-  return artifacts;
+  retriever->BuildIndex(*desc.db);
+  return Bundle(std::move(retriever));
 }
 
 std::shared_ptr<const TenantArtifacts> FleetManager::LoadSnapshot(
-    const TenantState& state) const {
+    const TenantDesc& desc) const {
   if (options_.snapshot_dir.empty()) return nullptr;
-  std::string path = options_.snapshot_dir + "/" + state.desc.name + ".tenant";
+  std::string path = options_.snapshot_dir + "/" + desc.name + ".tenant";
   std::ifstream in(path, std::ios::binary);
   if (!in) return nullptr;
   std::string data((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
-  serial::Reader reader(data);
+  // Any flipped byte fails the trailer check; a torn or truncated file is
+  // rebuilt from source rather than half-trusted.
+  if (data.size() < sizeof(uint32_t)) return nullptr;
+  size_t body = data.size() - sizeof(uint32_t);
+  serial::Reader trailer(std::string_view(data).substr(body));
+  uint32_t crc = 0;
+  if (!trailer.ReadU32(&crc) || crc != Crc32(data.data(), body)) {
+    return nullptr;
+  }
+  serial::Reader reader(std::string_view(data).substr(0, body));
   if (!serial::ReadMagic(&reader, kTenantMagic, kTenantVersion)) {
     return nullptr;
   }
-  auto artifacts = std::make_shared<TenantArtifacts>();
-  uint32_t has_retriever = 0, has_classifier = 0;
-  if (!reader.ReadU32(&has_retriever)) return nullptr;
-  if (has_retriever != 0) {
-    auto retriever = std::make_shared<ValueRetriever>();
-    if (!retriever->LoadFrom(&reader).ok()) return nullptr;
-    artifacts->retriever = std::move(retriever);
-  }
-  if (!reader.ReadU32(&has_classifier)) return nullptr;
-  if (has_classifier != 0) {
-    auto classifier = std::make_shared<SchemaItemClassifier>();
-    if (!classifier->LoadFrom(&reader).ok()) return nullptr;
-    artifacts->classifier = std::move(classifier);
-  }
-  uint64_t n_demos = 0;
-  if (!reader.ReadU64(&n_demos) || n_demos > reader.remaining()) {
-    return nullptr;
-  }
-  artifacts->demo_pool.resize(n_demos);
-  for (Text2SqlSample& sample : artifacts->demo_pool) {
-    if (!LoadSample(&reader, &sample)) return nullptr;
-  }
-  // Trailing bytes mean the file is not what SaveTo wrote — treat like
-  // any other malformation and rebuild from source.
-  if (!reader.Done()) return nullptr;
-  if (!artifacts->demo_pool.empty()) {
-    // The demonstration retriever is derived deterministically from the
-    // pool; rebuilding it from the reloaded samples is byte-identical to
-    // the one built from source.
-    DemonstrationRetriever::Options demo_options;
-    demo_options.embedding_dim = options_.demo_embedding_dim;
-    artifacts->demos = std::make_shared<DemonstrationRetriever>(
-        artifacts->demo_pool, demo_options);
-  }
-  artifacts->bytes = BundleBytes(*artifacts);
-  return artifacts;
+  auto retriever = std::make_shared<ValueRetriever>();
+  if (!retriever->LoadFrom(&reader).ok() || !reader.Done()) return nullptr;
+  return Bundle(std::move(retriever));
 }
 
-void FleetManager::PersistSnapshot(const TenantState& state,
+void FleetManager::PersistSnapshot(const TenantDesc& desc,
                                    const TenantArtifacts& artifacts) const {
   if (options_.snapshot_dir.empty()) return;
   std::string data;
   serial::PutMagic(&data, kTenantMagic, kTenantVersion);
-  serial::PutU32(&data, artifacts.retriever != nullptr ? 1 : 0);
-  if (artifacts.retriever != nullptr) artifacts.retriever->SaveTo(&data);
-  serial::PutU32(&data, artifacts.classifier != nullptr ? 1 : 0);
-  if (artifacts.classifier != nullptr) artifacts.classifier->SaveTo(&data);
-  serial::PutU64(&data, artifacts.demo_pool.size());
-  for (const Text2SqlSample& sample : artifacts.demo_pool) {
-    SaveSample(&data, sample);
-  }
+  artifacts.retriever->SaveTo(&data);
+  serial::PutU32(&data, Crc32(data.data(), data.size()));
   // Write-then-rename so a crash mid-write leaves either the old snapshot
   // or none — a torn file would just be rebuilt, but never half-trusted.
-  std::string path = options_.snapshot_dir + "/" + state.desc.name + ".tenant";
+  std::string path = options_.snapshot_dir + "/" + desc.name + ".tenant";
   std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -227,37 +139,13 @@ void FleetManager::PersistSnapshot(const TenantState& state,
 
 void FleetManager::UpdateResidencyGaugesLocked() {
   FleetMetrics& m = Metrics();
-  m.resident_bytes.Set(static_cast<int64_t>(resident_bytes_));
-  size_t resident = 0;
-  for (const TenantState& state : tenants_) {
-    if (state.resident != nullptr) ++resident;
-  }
-  m.resident_tenants.Set(static_cast<int64_t>(resident));
-  if (resident_bytes_ > peak_resident_bytes_) {
-    peak_resident_bytes_ = resident_bytes_;
-    m.resident_bytes_peak.Set(static_cast<int64_t>(peak_resident_bytes_));
-  }
-}
-
-void FleetManager::EvictOverBudgetLocked(int keep) {
-  if (options_.memory_budget_bytes == 0) return;
-  while (resident_bytes_ > options_.memory_budget_bytes) {
-    int victim = -1;
-    uint64_t oldest = ~0ULL;
-    for (size_t i = 0; i < tenants_.size(); ++i) {
-      if (static_cast<int>(i) == keep) continue;
-      if (tenants_[i].resident == nullptr) continue;
-      if (tenants_[i].last_use < oldest) {
-        oldest = tenants_[i].last_use;
-        victim = static_cast<int>(i);
-      }
-    }
-    if (victim < 0) return;  // only `keep` is resident: keep serving it
-    TenantState& state = tenants_[static_cast<size_t>(victim)];
-    resident_bytes_ -= state.resident->bytes;
-    state.resident = nullptr;  // outstanding leases stay alive
-    Metrics().evict.Increment();
-  }
+  size_t bytes = resident_.bytes();
+  peak_resident_bytes_ = std::max(peak_resident_bytes_, bytes);
+  // Every gauge is re-set on every update, so after a registry Reset the
+  // next attach restores all three, the peak included.
+  m.resident_bytes.Set(static_cast<int64_t>(bytes));
+  m.resident_tenants.Set(static_cast<int64_t>(resident_.size()));
+  m.resident_bytes_peak.Set(static_cast<int64_t>(peak_resident_bytes_));
 }
 
 std::shared_ptr<const TenantArtifacts> FleetManager::Attach(int tenant) {
@@ -265,25 +153,24 @@ std::shared_ptr<const TenantArtifacts> FleetManager::Attach(int tenant) {
   if (tenant < 0 || static_cast<size_t>(tenant) >= tenants_.size()) {
     return nullptr;
   }
-  TenantState& state = tenants_[static_cast<size_t>(tenant)];
-  state.last_use = ++use_clock_;
-  if (state.resident != nullptr) return state.resident;
+  if (auto lease = resident_.Lookup(tenant)) return lease;
 
+  const TenantDesc& desc = tenants_[static_cast<size_t>(tenant)];
   FleetMetrics& m = Metrics();
-  std::shared_ptr<const TenantArtifacts> artifacts = LoadSnapshot(state);
+  std::shared_ptr<const TenantArtifacts> artifacts = LoadSnapshot(desc);
   if (artifacts != nullptr) {
     m.attach_snapshot.Increment();
   } else {
-    artifacts = BuildFromSource(state);
-    PersistSnapshot(state, *artifacts);
+    artifacts = BuildFromSource(desc);
+    PersistSnapshot(desc, *artifacts);
     m.attach_build.Increment();
   }
   m.attach.Increment();
-  state.resident = artifacts;
-  resident_bytes_ += artifacts->bytes;
-  EvictOverBudgetLocked(tenant);
+  size_t bytes = artifacts->bytes;
+  auto result = resident_.Insert(tenant, std::move(artifacts), bytes);
+  m.evict.Increment(result.evicted);
   UpdateResidencyGaugesLocked();
-  return artifacts;
+  return result.lease;
 }
 
 void FleetManager::WarmAll() {
@@ -295,27 +182,18 @@ void FleetManager::WarmAll() {
 
 void FleetManager::EvictAll() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (TenantState& state : tenants_) {
-    if (state.resident == nullptr) continue;
-    resident_bytes_ -= state.resident->bytes;
-    state.resident = nullptr;
-    Metrics().evict.Increment();
-  }
+  Metrics().evict.Increment(resident_.Clear());
   UpdateResidencyGaugesLocked();
 }
 
 size_t FleetManager::ResidentBytes() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return resident_bytes_;
+  return resident_.bytes();
 }
 
 size_t FleetManager::NumResident() const {
   std::lock_guard<std::mutex> lock(mu_);
-  size_t resident = 0;
-  for (const TenantState& state : tenants_) {
-    if (state.resident != nullptr) ++resident;
-  }
-  return resident;
+  return resident_.size();
 }
 
 size_t FleetManager::PeakResidentBytes() const {
@@ -328,9 +206,9 @@ FleetManager::AdmissionSpecs() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<serve::WeightedFairLimiter::TenantSpec> specs;
   specs.reserve(tenants_.size());
-  for (const TenantState& state : tenants_) {
+  for (const TenantDesc& desc : tenants_) {
     specs.push_back(serve::WeightedFairLimiter::TenantSpec{
-        state.desc.admission_weight, state.desc.admission_burst});
+        desc.admission_weight, desc.admission_burst});
   }
   return specs;
 }
@@ -339,9 +217,7 @@ std::vector<std::string> FleetManager::TenantNames() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
   names.reserve(tenants_.size());
-  for (const TenantState& state : tenants_) {
-    names.push_back(state.desc.name);
-  }
+  for (const TenantDesc& desc : tenants_) names.push_back(desc.name);
   return names;
 }
 

@@ -8,9 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dataset/sample.h"
-#include "linker/schema_classifier.h"
-#include "retrieval/demonstration_retriever.h"
+#include "common/lease_cache.h"
 #include "retrieval/value_retriever.h"
 #include "serve/admission.h"
 #include "sqlengine/database.h"
@@ -18,10 +16,11 @@
 namespace codes {
 namespace fleet {
 
-/// The resident artifact bundle of one attached tenant: everything the
-/// serving path needs that is derived from the tenant's database and
-/// training data, priced in bytes so the fleet can hold N tenants under
-/// one global memory budget.
+/// The resident artifact bundle of one attached tenant: the state the
+/// serving path derives from the tenant's database, priced in bytes so the
+/// fleet can hold N tenants under one global memory budget. Today that is
+/// the value index, the only per-tenant artifact a request reads
+/// (ServeOptions::value_retriever).
 ///
 /// Bundles are immutable once built and handed out as shared_ptr leases:
 /// eviction drops the fleet's reference, but an in-flight request keeps
@@ -30,25 +29,16 @@ namespace fleet {
 struct TenantArtifacts {
   /// BM25 value index over the tenant database (Section 6.2 coarse stage).
   std::shared_ptr<const ValueRetriever> retriever;
-  /// Schema item classifier state; null when the tenant registered no
-  /// training source (the serving pipeline's shared classifier is used).
-  std::shared_ptr<const SchemaItemClassifier> classifier;
-  /// Demonstration pool and its pattern-aware retriever; retriever is
-  /// null when the pool is empty.
-  std::vector<Text2SqlSample> demo_pool;
-  std::shared_ptr<const DemonstrationRetriever> demos;
-  /// Total resident cost (sum of the artifact ApproxBytes figures plus
-  /// the pool samples).
+  /// Resident cost: the index's ApproxBytes plus this struct.
   size_t bytes = 0;
 };
 
 /// A database fleet manager: owns N tenants in one process, attaching
-/// per-tenant artifacts lazily, persisting them so a cold re-attach skips
-/// the expensive build (tokenization, classifier training), and evicting
-/// least-recently-used bundles once the configured global memory budget
-/// is exceeded. This is ROADMAP item 1 — the step from "a pipeline" to
-/// "a service": per-database prompt state becomes a cacheable, evictable,
-/// reloadable serving asset (CodeS SIGMOD'24 §6).
+/// per-tenant bundles lazily, persisting them so a cold re-attach skips
+/// the index build, and evicting least-recently-used bundles (LeaseCache)
+/// once the configured global memory budget is exceeded. Per-database
+/// prompt state becomes a cacheable, evictable, reloadable serving asset
+/// (CodeS SIGMOD'24 §6).
 ///
 /// Metrics: fleet.attach / fleet.attach.build / fleet.attach.snapshot /
 /// fleet.evict counters, fleet.resident_bytes / fleet.resident_tenants /
@@ -69,10 +59,6 @@ class FleetManager {
     /// Directory for per-tenant snapshot files ("<name>.tenant"). Empty
     /// disables persistence: every cold attach rebuilds from source.
     std::string snapshot_dir;
-    /// Embedding width of per-tenant demonstration retrievers.
-    int demo_embedding_dim = 192;
-    /// Seed for per-tenant classifier training.
-    uint64_t classifier_seed = 11;
   };
 
   /// Registration-time description of a tenant. Pointers are borrowed and
@@ -81,10 +67,6 @@ class FleetManager {
   struct TenantDesc {
     std::string name;                 ///< unique; used in metrics + files
     const sql::Database* db = nullptr;  ///< value-index source (required)
-    /// Training source for a per-tenant classifier; null = no classifier.
-    const Text2SqlBenchmark* classifier_source = nullptr;
-    /// Few-shot demonstration pool (copied); may be empty.
-    std::vector<Text2SqlSample> demo_pool;
     /// Relative weight for weighted-fair admission.
     double admission_weight = 1.0;
     /// Per-tenant admission burst (tokens).
@@ -99,7 +81,7 @@ class FleetManager {
 
   int NumTenants() const { return static_cast<int>(tenants_.size()); }
   const std::string& TenantName(int tenant) const {
-    return tenants_[static_cast<size_t>(tenant)].desc.name;
+    return tenants_[static_cast<size_t>(tenant)].name;
   }
 
   /// The tenant's artifact bundle, building (or reloading from snapshot)
@@ -135,34 +117,26 @@ class FleetManager {
   std::string SnapshotPath(int tenant) const;
 
  private:
-  struct TenantState {
-    TenantDesc desc;
-    std::shared_ptr<const TenantArtifacts> resident;  ///< null = evicted
-    uint64_t last_use = 0;
-  };
-
-  /// Builds the bundle from source (db scan, classifier training, demo
-  /// encoding). Expensive; the path a snapshot load avoids.
+  /// Builds the bundle from source (db scan and BM25 indexing).
+  /// Expensive; the path a snapshot load avoids.
   std::shared_ptr<const TenantArtifacts> BuildFromSource(
-      const TenantState& state) const;
+      const TenantDesc& desc) const;
   /// Attempts a snapshot load; null when missing or malformed (the
   /// caller falls back to BuildFromSource — snapshots are a cache).
   std::shared_ptr<const TenantArtifacts> LoadSnapshot(
-      const TenantState& state) const;
+      const TenantDesc& desc) const;
   /// Serializes + atomically writes the bundle's snapshot file.
-  void PersistSnapshot(const TenantState& state,
+  void PersistSnapshot(const TenantDesc& desc,
                        const TenantArtifacts& artifacts) const;
-  /// Evicts LRU bundles until the budget holds; `keep` is exempt.
-  void EvictOverBudgetLocked(int keep);
   void UpdateResidencyGaugesLocked();
 
   Options options_;
   mutable std::mutex mu_;
-  std::vector<TenantState> tenants_;
+  std::vector<TenantDesc> tenants_;
   std::unordered_map<std::string, int> tenant_ids_;
-  size_t resident_bytes_ = 0;
+  /// Resident bundles by tenant id, under the byte budget.
+  LeaseCache<int, TenantArtifacts> resident_;
   size_t peak_resident_bytes_ = 0;
-  uint64_t use_clock_ = 0;
 };
 
 }  // namespace fleet

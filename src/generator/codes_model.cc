@@ -632,14 +632,4 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
   return beam;
 }
 
-std::string CodesModel::Generate(const GenerationInput& input,
-                                 uint64_t seed) const {
-  auto beam = GenerateBeam(input, seed);
-  for (const auto& cand : beam) {
-    if (cand.executable) return cand.sql;
-  }
-  if (!beam.empty()) return beam[0].sql;
-  return "SELECT 1";
-}
-
 }  // namespace codes

@@ -74,9 +74,6 @@ class CodesModel {
   void FineTune(const std::vector<Text2SqlSample>& train,
                 const Text2SqlBenchmark* bench, int max_samples = -1);
 
-  /// Generates the final SQL for `input` (first executable beam entry).
-  std::string Generate(const GenerationInput& input, uint64_t seed) const;
-
   /// Full beam, for diagnostics, tests, and guarded serving. When
   /// `mark_executable` is false the per-candidate execution probe is
   /// skipped (candidates keep `executable = false`); callers that execute

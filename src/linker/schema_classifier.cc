@@ -159,40 +159,6 @@ void SchemaItemClassifier::Train(const Text2SqlBenchmark& bench,
   }
 }
 
-size_t SchemaItemClassifier::ApproxBytes() const {
-  return sizeof(*this) + encoder_.ApproxBytes();
-}
-
-namespace {
-constexpr uint32_t kClassifierMagic = 0x53434C46;  // "SCLF"
-constexpr uint32_t kClassifierVersion = 1;
-}  // namespace
-
-void SchemaItemClassifier::SaveTo(std::string* out) const {
-  serial::PutMagic(out, kClassifierMagic, kClassifierVersion);
-  for (double w : weights_) serial::PutDouble(out, w);
-  serial::PutDouble(out, bias_);
-  encoder_.SaveTo(out);
-}
-
-Status SchemaItemClassifier::LoadFrom(serial::Reader* reader) {
-  auto corrupt = [this](const char* what) {
-    weights_ = LinkerFeatures{};
-    bias_ = 0.0;
-    return Status::DataLoss(std::string("classifier snapshot: ") + what);
-  };
-  if (!serial::ReadMagic(reader, kClassifierMagic, kClassifierVersion)) {
-    return corrupt("bad magic");
-  }
-  for (double& w : weights_) {
-    if (!reader->ReadDouble(&w)) return corrupt("truncated weights");
-  }
-  if (!reader->ReadDouble(&bias_)) return corrupt("truncated bias");
-  Status status = encoder_.LoadFrom(reader);
-  if (!status.ok()) return corrupt(status.message().c_str());
-  return Status::Ok();
-}
-
 double SchemaItemClassifier::ScoreColumn(const std::string& question,
                                          const sql::Database& db, int table,
                                          int column) const {

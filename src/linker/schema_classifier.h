@@ -60,18 +60,6 @@ class SchemaItemClassifier {
   const LinkerFeatures& weights() const { return weights_; }
   double bias() const { return bias_; }
 
-  /// Resident cost in bytes (weights plus encoder IDF table) for fleet
-  /// memory accounting.
-  size_t ApproxBytes() const;
-
-  /// Appends the trained state (weights, bias, encoder IDF) to `out`.
-  void SaveTo(std::string* out) const;
-
-  /// Restores from SaveTo bytes. Returns kDataLoss (classifier reset to
-  /// untrained) on malformation; on success scores are byte-identical to
-  /// the classifier that was saved.
-  Status LoadFrom(serial::Reader* reader);
-
  private:
   SentenceEncoder encoder_;
   LinkerFeatures weights_{};

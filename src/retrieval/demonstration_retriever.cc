@@ -24,20 +24,6 @@ DemonstrationRetriever::DemonstrationRetriever(
   }
 }
 
-size_t DemonstrationRetriever::ApproxBytes() const {
-  size_t bytes = sizeof(*this) + encoder_.ApproxBytes();
-  for (const std::string& question : questions_) {
-    bytes += sizeof(std::string) + question.size();
-  }
-  for (const auto& emb : question_embeddings_) {
-    bytes += sizeof(emb) + emb.size() * sizeof(float);
-  }
-  for (const auto& emb : pattern_embeddings_) {
-    bytes += sizeof(emb) + emb.size() * sizeof(float);
-  }
-  return bytes;
-}
-
 double DemonstrationRetriever::Similarity(const std::string& question,
                                           int index) const {
   std::vector<float> q_emb = encoder_.Encode(question);

@@ -36,10 +36,6 @@ class DemonstrationRetriever {
 
   size_t PoolSize() const { return questions_.size(); }
 
-  /// Resident cost in bytes (questions, embeddings, encoder IDF) — what
-  /// the fleet manager charges against its memory budget.
-  size_t ApproxBytes() const;
-
  private:
   Options options_;
   SentenceEncoder encoder_;

@@ -148,6 +148,26 @@ TEST(StringUtilTest, RepairUtf8ReplacesEachBadByteDeterministically) {
   EXPECT_EQ(RepairUtf8(once), once);
 }
 
+TEST(StringUtilTest, ParseFlagMatchesBareAndValuedFormsOnly) {
+  std::string value = "untouched";
+  EXPECT_TRUE(ParseFlag("--seed=42", "--seed", &value));
+  EXPECT_EQ(value, "42");
+  EXPECT_TRUE(ParseFlag("--seed", "--seed", &value));
+  EXPECT_EQ(value, "");
+  EXPECT_TRUE(ParseFlag("--seed=", "--seed", &value));
+  EXPECT_EQ(value, "");
+  EXPECT_TRUE(ParseFlag("--spec=a=b", "--spec", &value));
+  EXPECT_EQ(value, "a=b") << "only the first '=' separates";
+
+  value = "untouched";
+  EXPECT_FALSE(ParseFlag("--seeds=4", "--seed", &value))
+      << "a longer flag is not a match";
+  EXPECT_FALSE(ParseFlag("--see", "--seed", &value));
+  EXPECT_FALSE(ParseFlag("-seed=4", "--seed", &value));
+  EXPECT_FALSE(ParseFlag("", "--seed", &value));
+  EXPECT_EQ(value, "untouched");
+}
+
 TEST(RngTest, Deterministic) {
   Rng a(7);
   Rng b(7);

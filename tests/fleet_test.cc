@@ -1,8 +1,8 @@
-// Tier-1 coverage for multi-tenant serving (ISSUE 9): the bounded
-// per-database retriever cache inside CodesPipeline (the original
-// unbounded-growth bugfix), and the fleet manager that owns per-tenant
-// artifact bundles — lazy attach, snapshot persist/reload with
-// corruption fallback, LRU eviction under a global memory budget, and
+// Tier-1 coverage for multi-tenant serving: the bounded per-database
+// retriever cache inside CodesPipeline (the original unbounded-growth
+// bugfix), and the fleet manager that owns per-tenant value-index
+// bundles — lazy attach, snapshot persist/reload with corruption and
+// old-version fallback, LRU eviction under a global memory budget, and
 // the evict-then-reattach determinism contract at 1 and 8 threads.
 
 #include <gtest/gtest.h>
@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/metrics.h"
+#include "common/serial.h"
 #include "common/thread_pool.h"
 #include "core/model_zoo.h"
 #include "core/pipeline.h"
@@ -74,11 +75,6 @@ class FleetTest : public ::testing::Test {
       fleet::FleetManager::TenantDesc desc;
       desc.name = kNames[t];
       desc.db = &bench_->databases[static_cast<size_t>((*dev_dbs_)[t])];
-      desc.classifier_source = bench_;
-      for (int j = 0; j < 4; ++j) {
-        desc.demo_pool.push_back(bench_->train[static_cast<size_t>(
-            (t * 4 + j) % static_cast<int>(bench_->train.size()))]);
-      }
       fleet->AddTenant(std::move(desc));
     }
     return fleet;
@@ -268,6 +264,50 @@ TEST_F(FleetTest, AttachBuildsOnceAndSnapshotReloadsByteIdentically) {
     options.value_retriever = artifacts->retriever.get();
     EXPECT_EQ(pipeline_->PredictGuarded(*bench_, *sample, options),
               built_sql);
+  }
+}
+
+// A snapshot in the version-1 layout (magic, version 1, has-retriever
+// flag, value index, no classifier, empty demonstration pool) is a cache
+// miss: attach rebuilds from source and rewrites the file as version 2.
+TEST_F(FleetTest, VersionOneSnapshotIsRebuiltNotLoaded) {
+  std::string dir = TempDirFor("fleet_v1");
+  std::string path;
+  std::string v1;
+  {
+    auto fleet = MakeFleet(dir, 0);
+    auto artifacts = fleet->Attach(0);
+    ASSERT_NE(artifacts, nullptr);
+    path = fleet->SnapshotPath(0);
+    serial::PutMagic(&v1, 0x544E4E54, 1);
+    serial::PutU32(&v1, 1);
+    artifacts->retriever->SaveTo(&v1);
+    serial::PutU32(&v1, 0);
+    serial::PutU64(&v1, 0);
+  }
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(v1.data(), static_cast<std::streamsize>(v1.size()));
+    ASSERT_TRUE(out.good());
+  }
+
+  MetricsRegistry::Global().Reset();
+  {
+    auto fleet = MakeFleet(dir, 0);
+    ASSERT_NE(fleet->Attach(0), nullptr);
+    MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+    EXPECT_EQ(CounterDelta(snapshot, "fleet.attach.build"), 1u);
+    EXPECT_EQ(CounterDelta(snapshot, "fleet.attach.snapshot"), 0u);
+  }
+
+  // The rebuild replaced the old file; the next fleet loads it.
+  MetricsRegistry::Global().Reset();
+  {
+    auto fleet = MakeFleet(dir, 0);
+    ASSERT_NE(fleet->Attach(0), nullptr);
+    MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+    EXPECT_EQ(CounterDelta(snapshot, "fleet.attach.build"), 0u);
+    EXPECT_EQ(CounterDelta(snapshot, "fleet.attach.snapshot"), 1u);
   }
 }
 

@@ -13,15 +13,16 @@
 // _speedup_x and _ex_pct raw higher-better, other _pct raw lower-better.
 // Metrics in the `noisy` allowlist are printed but never gate.
 
+#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <map>
 #include <set>
 #include <sstream>
 #include <string>
+
+#include "common/string_util.h"
 
 namespace {
 
@@ -117,10 +118,7 @@ bool ParseReport(const std::string& text, Report* out) {
   return p.ok && !out->bench.empty() && out->calibration > 0.0;
 }
 
-bool EndsWith(const std::string& s, const char* suffix) {
-  size_t n = std::strlen(suffix);
-  return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-}
+using codes::EndsWith;
 
 enum class Direction { kLowerTime, kHigherRate, kHigherRaw, kLowerRaw, kInfo };
 
@@ -242,21 +240,27 @@ int SelfTest() {
   return 0;
 }
 
+int Usage() {
+  std::fprintf(stderr,
+               "usage: codes_benchdiff <committed.json> <current.json> "
+               "[--max-regress-pct=N] | --selftest\n");
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc == 2 && std::string(argv[1]) == "--selftest") return SelfTest();
-  if (argc < 3) {
-    std::fprintf(stderr,
-                 "usage: codes_benchdiff <committed.json> <current.json> "
-                 "[--max-regress-pct=N] | --selftest\n");
-    return 2;
-  }
+  if (argc < 3) return Usage();
   double max_pct = 15.0;
   for (int i = 3; i < argc; ++i) {
-    constexpr const char kFlag[] = "--max-regress-pct=";
-    if (std::strncmp(argv[i], kFlag, sizeof(kFlag) - 1) == 0) {
-      max_pct = std::atof(argv[i] + sizeof(kFlag) - 1);
+    std::string value;
+    // A garbage or negative threshold, or an unknown flag, must not turn
+    // into a silently different gate.
+    if (!codes::ParseFlag(argv[i], "--max-regress-pct", &value) ||
+        !codes::ParseFiniteDouble(value, &max_pct) || max_pct < 0.0) {
+      std::fprintf(stderr, "bad argument: %s\n", argv[i]);
+      return Usage();
     }
   }
   Report committed;

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -48,18 +47,6 @@ struct Flags {
   bool smoke = false;
   bool selfcheck = false;
 };
-
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    value->clear();
-    return true;
-  }
-  if (arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
 
 void Usage() {
   std::fprintf(stderr,
@@ -182,23 +169,23 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string value;
     bool ok = true;
-    if (ParseFlag(argv[i], "--queries", &value)) {
+    if (codes::ParseFlag(argv[i], "--queries", &value)) {
       ok = codes::ParseInt(value, &flags.queries);
-    } else if (ParseFlag(argv[i], "--threads", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--threads", &value)) {
       ok = codes::ParseInt(value, &flags.threads);
-    } else if (ParseFlag(argv[i], "--seed", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--seed", &value)) {
       ok = codes::ParseUint64(value, &flags.seed);
-    } else if (ParseFlag(argv[i], "--rate", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--rate", &value)) {
       ok = codes::ParseFiniteDouble(value, &flags.rate);
-    } else if (ParseFlag(argv[i], "--max-rows", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--max-rows", &value)) {
       ok = codes::ParseSize(value, &flags.max_rows);
-    } else if (ParseFlag(argv[i], "--spec", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--spec", &value)) {
       flags.spec = value;
-    } else if (ParseFlag(argv[i], "--metrics-out", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--metrics-out", &value)) {
       flags.metrics_out = value;
-    } else if (ParseFlag(argv[i], "--selfcheck", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--selfcheck", &value)) {
       flags.selfcheck = true;
-    } else if (ParseFlag(argv[i], "--smoke", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--smoke", &value)) {
       flags.smoke = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);

@@ -21,7 +21,6 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "common/metrics.h"
@@ -44,18 +43,6 @@ struct Flags {
   bool smoke = false;
   bool selfcheck = false;
 };
-
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    value->clear();
-    return true;
-  }
-  if (arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
 
 void Usage() {
   std::fprintf(stderr,
@@ -109,29 +96,29 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string value;
     bool ok = true;
-    if (ParseFlag(argv[i], "--batches", &value)) {
+    if (codes::ParseFlag(argv[i], "--batches", &value)) {
       ok = codes::ParseInt(value, &flags.batches);
-    } else if (ParseFlag(argv[i], "--rows-per-batch", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--rows-per-batch", &value)) {
       ok = codes::ParseInt(value, &flags.rows_per_batch);
-    } else if (ParseFlag(argv[i], "--initial-rows", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--initial-rows", &value)) {
       ok = codes::ParseInt(value, &flags.initial_rows);
-    } else if (ParseFlag(argv[i], "--checkpoint-every", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--checkpoint-every", &value)) {
       ok = codes::ParseInt(value, &flags.checkpoint_every);
-    } else if (ParseFlag(argv[i], "--threads", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--threads", &value)) {
       ok = codes::ParseInt(value, &flags.threads);
-    } else if (ParseFlag(argv[i], "--seed", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--seed", &value)) {
       ok = codes::ParseUint64(value, &flags.seed);
-    } else if (ParseFlag(argv[i], "--pool-frames", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--pool-frames", &value)) {
       ok = codes::ParseSize(value, &flags.pool_frames);
-    } else if (ParseFlag(argv[i], "--max-cases", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--max-cases", &value)) {
       ok = codes::ParseUint64(value, &flags.max_cases);
-    } else if (ParseFlag(argv[i], "--no-torn", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--no-torn", &value)) {
       flags.torn = false;
-    } else if (ParseFlag(argv[i], "--metrics-out", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--metrics-out", &value)) {
       flags.metrics_out = value;
-    } else if (ParseFlag(argv[i], "--selfcheck", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--selfcheck", &value)) {
       flags.selfcheck = true;
-    } else if (ParseFlag(argv[i], "--smoke", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--smoke", &value)) {
       flags.smoke = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -41,18 +40,6 @@ struct Flags {
   std::string out;       ///< write reproducer lines here
   std::string metrics_out;  ///< JSON metrics snapshot path (optional)
 };
-
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    value->clear();
-    return true;
-  }
-  if (arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
 
 void Usage() {
   std::fprintf(stderr,
@@ -178,26 +165,26 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string value;
     bool ok = true;
-    if (ParseFlag(argv[i], "--queries", &value)) {
+    if (codes::ParseFlag(argv[i], "--queries", &value)) {
       ok = codes::ParseInt(value, &flags.queries);
-    } else if (ParseFlag(argv[i], "--threads", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--threads", &value)) {
       ok = codes::ParseInt(value, &flags.threads);
-    } else if (ParseFlag(argv[i], "--seed", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--seed", &value)) {
       ok = codes::ParseUint64(value, &flags.seed);
       seed_given = true;
-    } else if (ParseFlag(argv[i], "--databases", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--databases", &value)) {
       ok = codes::ParseInt(value, &flags.databases);
-    } else if (ParseFlag(argv[i], "--schema", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--schema", &value)) {
       ok = codes::ParseInt(value, &flags.schema);
-    } else if (ParseFlag(argv[i], "--replay", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--replay", &value)) {
       flags.replay = value;
-    } else if (ParseFlag(argv[i], "--out", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--out", &value)) {
       flags.out = value;
-    } else if (ParseFlag(argv[i], "--metrics-out", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--metrics-out", &value)) {
       flags.metrics_out = value;
-    } else if (ParseFlag(argv[i], "--smoke", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--smoke", &value)) {
       flags.smoke = true;
-    } else if (ParseFlag(argv[i], "--no-shrink", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--no-shrink", &value)) {
       flags.shrink = false;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);

@@ -48,7 +48,6 @@
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -83,18 +82,6 @@ struct Flags {
   bool mt_smoke = false;
   bool selfcheck = false;
 };
-
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) != 0) return false;
-  if (arg[len] == '\0') {
-    value->clear();
-    return true;
-  }
-  if (arg[len] != '=') return false;
-  *value = arg + len + 1;
-  return true;
-}
 
 void Usage() {
   std::fprintf(
@@ -296,12 +283,6 @@ int RunMtSmoke(const Flags& flags) {
       codes::fleet::FleetManager::TenantDesc desc;
       desc.name = kNames[t];
       desc.db = &bench.databases[static_cast<size_t>(dev_dbs[t])];
-      desc.classifier_source = &bench;
-      for (int j = 0; j < 8; ++j) {
-        desc.demo_pool.push_back(
-            bench.train[static_cast<size_t>(t * 8 + j) %
-                        bench.train.size()]);
-      }
       fleet->AddTenant(std::move(desc));
     }
     return fleet;
@@ -621,39 +602,39 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string value;
     bool ok = true;
-    if (ParseFlag(argv[i], "--requests", &value)) {
+    if (codes::ParseFlag(argv[i], "--requests", &value)) {
       ok = codes::ParseInt(value, &flags.requests);
-    } else if (ParseFlag(argv[i], "--qps", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--qps", &value)) {
       ok = codes::ParseFiniteDouble(value, &flags.qps);
-    } else if (ParseFlag(argv[i], "--workers", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--workers", &value)) {
       ok = codes::ParseInt(value, &flags.workers);
-    } else if (ParseFlag(argv[i], "--service-us", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--service-us", &value)) {
       ok = codes::ParseUint64(value, &flags.service_us);
-    } else if (ParseFlag(argv[i], "--deadline-us", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--deadline-us", &value)) {
       ok = codes::ParseUint64(value, &flags.deadline_us);
-    } else if (ParseFlag(argv[i], "--threads", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--threads", &value)) {
       ok = codes::ParseInt(value, &flags.threads);
-    } else if (ParseFlag(argv[i], "--seed", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--seed", &value)) {
       ok = codes::ParseUint64(value, &flags.seed);
-    } else if (ParseFlag(argv[i], "--rate", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--rate", &value)) {
       ok = codes::ParseFiniteDouble(value, &flags.rate);
-    } else if (ParseFlag(argv[i], "--spec", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--spec", &value)) {
       flags.spec = value;
-    } else if (ParseFlag(argv[i], "--queue", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--queue", &value)) {
       ok = codes::ParseSize(value, &flags.queue);
-    } else if (ParseFlag(argv[i], "--rate-limit", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--rate-limit", &value)) {
       ok = codes::ParseFiniteDouble(value, &flags.rate_limit);
-    } else if (ParseFlag(argv[i], "--metrics-out", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--metrics-out", &value)) {
       flags.metrics_out = value;
-    } else if (ParseFlag(argv[i], "--adv-rate", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--adv-rate", &value)) {
       ok = codes::ParseFiniteDouble(value, &flags.adv_rate);
-    } else if (ParseFlag(argv[i], "--adv", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--adv", &value)) {
       flags.adv = true;
-    } else if (ParseFlag(argv[i], "--selfcheck", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--selfcheck", &value)) {
       flags.selfcheck = true;
-    } else if (ParseFlag(argv[i], "--smoke", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--smoke", &value)) {
       flags.smoke = true;
-    } else if (ParseFlag(argv[i], "--mt-smoke", &value)) {
+    } else if (codes::ParseFlag(argv[i], "--mt-smoke", &value)) {
       flags.mt_smoke = true;
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
