@@ -67,12 +67,13 @@ std::vector<Text2SqlSample> AugmentQuestionToSql(
   }
   CODES_CHECK(!seed_templates.empty());
 
+  const ColumnProfile columns(db);
   std::vector<Text2SqlSample> out;
   int attempts = 0;
   while (static_cast<int>(out.size()) < count && attempts < count * 12) {
     ++attempts;
     int tid = seed_templates[rng.Index(seed_templates.size())];
-    auto inst = lib.Instantiate(tid, db, rng);
+    auto inst = lib.Instantiate(tid, db, columns, rng);
     if (!inst.has_value()) continue;
     if (!sql::IsExecutable(db, inst->sql_text)) continue;
     Text2SqlSample sample = SampleFromInstance(*inst, 0);
@@ -86,6 +87,7 @@ std::vector<Text2SqlSample> AugmentQuestionToSql(
 std::vector<Text2SqlSample> AugmentSqlToQuestion(const sql::Database& db,
                                                  int count, Rng& rng) {
   const TemplateLibrary& lib = GlobalTemplates();
+  const ColumnProfile columns(db);
   std::vector<Text2SqlSample> out;
   int attempts = 0;
   while (static_cast<int>(out.size()) < count && attempts < count * 12) {
@@ -93,7 +95,7 @@ std::vector<Text2SqlSample> AugmentSqlToQuestion(const sql::Database& db,
     // Uniform coverage over the template library keeps the augmented set
     // *general* (the paper's argument for the SQL-to-question direction).
     int tid = static_cast<int>(rng.Index(static_cast<size_t>(lib.size())));
-    auto inst = lib.Instantiate(tid, db, rng);
+    auto inst = lib.Instantiate(tid, db, columns, rng);
     if (!inst.has_value()) continue;
     if (!sql::IsExecutable(db, inst->sql_text)) continue;
     Text2SqlSample sample = SampleFromInstance(*inst, 0);
@@ -124,12 +126,13 @@ NewDomainDataset BuildNewDomainDataset(const DomainSpec& domain,
   const sql::Database& db = dataset.bench.databases[0];
 
   const TemplateLibrary& lib = GlobalTemplates();
+  const ColumnProfile columns(db);
 
   // Seed pairs: "a few genuine user questions" with hand-written SQL.
   // Real users phrase questions conversationally, hence the paraphrase.
   Rng seed_rng = rng.Fork();
   while (static_cast<int>(dataset.seeds.size()) < options.seed_pairs) {
-    auto inst = lib.InstantiateRandom(db, seed_rng);
+    auto inst = lib.InstantiateRandom(db, columns, seed_rng);
     if (!inst.has_value()) break;
     if (!sql::IsExecutable(db, inst->sql_text)) continue;
     Text2SqlSample sample = SampleFromInstance(*inst, 0);
@@ -141,7 +144,7 @@ NewDomainDataset BuildNewDomainDataset(const DomainSpec& domain,
   // annotated evaluation questions).
   Rng test_rng = rng.Fork();
   while (static_cast<int>(dataset.bench.dev.size()) < test_size) {
-    auto inst = lib.InstantiateRandom(db, test_rng);
+    auto inst = lib.InstantiateRandom(db, columns, test_rng);
     if (!inst.has_value()) break;
     if (!sql::IsExecutable(db, inst->sql_text)) continue;
     Text2SqlSample sample = SampleFromInstance(*inst, 0);

@@ -93,12 +93,14 @@ class SqlSampler {
       Rng db_rng = rng_.Fork();
       dbs_.push_back(GenerateDatabase(domain, profile, db_rng));
     }
+    for (const auto& db : dbs_) columns_.emplace_back(db);
   }
 
   std::string NextSql() {
     for (int attempt = 0; attempt < 8; ++attempt) {
-      const auto& db = dbs_[rng_.Index(dbs_.size())];
-      auto inst = GlobalTemplates().InstantiateRandom(db, rng_);
+      const size_t d = rng_.Index(dbs_.size());
+      auto inst =
+          GlobalTemplates().InstantiateRandom(dbs_[d], columns_[d], rng_);
       if (inst.has_value()) return inst->sql_text + ";";
     }
     return "SELECT 1;";
@@ -106,8 +108,9 @@ class SqlSampler {
 
   std::string NextNlSqlPair() {
     for (int attempt = 0; attempt < 8; ++attempt) {
-      const auto& db = dbs_[rng_.Index(dbs_.size())];
-      auto inst = GlobalTemplates().InstantiateRandom(db, rng_);
+      const size_t d = rng_.Index(dbs_.size());
+      auto inst =
+          GlobalTemplates().InstantiateRandom(dbs_[d], columns_[d], rng_);
       if (inst.has_value()) {
         return "-- " + inst->question + "\n" + inst->sql_text + ";";
       }
@@ -118,6 +121,7 @@ class SqlSampler {
  private:
   Rng rng_;
   std::vector<sql::Database> dbs_;
+  std::vector<ColumnProfile> columns_;  // parallel to dbs_
 };
 
 }  // namespace

@@ -70,10 +70,11 @@ void SampleInto(std::vector<Text2SqlSample>& out, int db_index,
                 const sql::Database& db, int count, bool with_ek,
                 const HiddenColumnSet& hidden, Rng& rng) {
   const TemplateLibrary& lib = GlobalTemplates();
+  const ColumnProfile columns(db);
   int produced = 0;
   int failures = 0;
   while (produced < count && failures < count * 10) {
-    auto inst = lib.InstantiateRandom(db, rng);
+    auto inst = lib.InstantiateRandom(db, columns, rng);
     if (!inst.has_value()) break;
     // Keep only executable SQL (it always should be; belt and braces).
     if (!sql::IsExecutable(db, inst->sql_text)) {

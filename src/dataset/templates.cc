@@ -19,11 +19,8 @@ using namespace codes::template_internal;
 // Template registration
 // ===========================================================================
 
-void TemplateLibrary::Register(
-    std::string name, std::string skeleton,
-    std::function<std::optional<TemplateInstance>(const sql::Database&, Rng&,
-                                                  const SlotGuidance*)>
-        build) {
+void TemplateLibrary::Register(std::string name, std::string skeleton,
+                               BuildFn build) {
   TemplateDef def;
   def.name = std::move(name);
   def.question_skeleton = std::move(skeleton);
@@ -34,15 +31,15 @@ void TemplateLibrary::Register(
 TemplateLibrary::TemplateLibrary() {
   // ---------------------------------------------------------------- A. basic
   Register("select_col", "Show the {COLUMN} of all {TABLE}.",
-           [](const Database& db, Rng& rng,
+           [](const Database& db, const ColumnProfile& prof, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
-             Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !TextColumns(db, t).empty();
+             Ctx ctx{db, prof, rng, g};
+             auto tables = TablesWhere(db, [&prof](int t) {
+               return !prof.text(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto c = PickSelectColumn(ctx, *t, TextColumns(db, *t));
+             auto c = PickSelectColumn(ctx, *t, prof.text(*t));
              if (!c) return std::nullopt;
              auto stmt = From(db, *t);
              AddSelect(*stmt, ColRef(db, *t, *c, false));
@@ -57,17 +54,17 @@ TemplateLibrary::TemplateLibrary() {
            });
 
   Register("select_two_cols", "Show the {COLUMN1} and {COLUMN2} of {TABLE}.",
-           [](const Database& db, Rng& rng,
+           [](const Database& db, const ColumnProfile& prof, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
-             Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return TextColumns(db, t).size() + NumericColumns(db, t).size() >=
+             Ctx ctx{db, prof, rng, g};
+             auto tables = TablesWhere(db, [&prof](int t) {
+               return prof.text(t).size() + prof.numeric(t).size() >=
                       2;
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto cols = TextColumns(db, *t);
-             for (int n : NumericColumns(db, *t)) cols.push_back(n);
+             auto cols = prof.text(*t);
+             for (int n : prof.numeric(*t)) cols.push_back(n);
              auto c1 = PickSelectColumn(ctx, *t, cols);
              if (!c1) return std::nullopt;
              cols.erase(std::remove(cols.begin(), cols.end(), *c1), cols.end());
@@ -96,17 +93,17 @@ TemplateLibrary::TemplateLibrary() {
 
   Register("select_three_cols",
            "Show the {COLUMN1}, {COLUMN2} and {COLUMN3} of {TABLE}.",
-           [](const Database& db, Rng& rng,
+           [](const Database& db, const ColumnProfile& prof, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
-             Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return TextColumns(db, t).size() + NumericColumns(db, t).size() >=
+             Ctx ctx{db, prof, rng, g};
+             auto tables = TablesWhere(db, [&prof](int t) {
+               return prof.text(t).size() + prof.numeric(t).size() >=
                       3;
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto cols = TextColumns(db, *t);
-             for (int n : NumericColumns(db, *t)) cols.push_back(n);
+             auto cols = prof.text(*t);
+             for (int n : prof.numeric(*t)) cols.push_back(n);
              std::vector<int> chosen;
              for (int i = 0; i < 3; ++i) {
                auto c = PickSelectColumn(ctx, *t, cols);
@@ -130,15 +127,15 @@ TemplateLibrary::TemplateLibrary() {
            });
 
   Register("select_distinct_col", "Show the distinct {COLUMN} of {TABLE}.",
-           [](const Database& db, Rng& rng,
+           [](const Database& db, const ColumnProfile& prof, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
-             Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !CategoryColumns(db, t).empty();
+             Ctx ctx{db, prof, rng, g};
+             auto tables = TablesWhere(db, [&prof](int t) {
+               return !prof.category(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto c = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
+             auto c = PickSelectColumn(ctx, *t, prof.category(*t));
              if (!c) return std::nullopt;
              auto stmt = From(db, *t);
              stmt->distinct = true;
@@ -156,15 +153,15 @@ TemplateLibrary::TemplateLibrary() {
 
   Register("select_star_where_eq",
            "Show all information of {TABLE} whose {COLUMN} is {VALUE}.",
-           [](const Database& db, Rng& rng,
+           [](const Database& db, const ColumnProfile& prof, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
-             Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !CategoryColumns(db, t).empty();
+             Ctx ctx{db, prof, rng, g};
+             auto tables = TablesWhere(db, [&prof](int t) {
+               return !prof.category(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto c = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
+             auto c = PickFilterColumn(ctx, *t, prof.category(*t));
              if (!c) return std::nullopt;
              auto v = SampleCell(ctx, *t, *c);
              if (!v) return std::nullopt;
@@ -196,21 +193,21 @@ TemplateLibrary::TemplateLibrary() {
         "Show the {COLUMN1} of {TABLE} whose {COLUMN2} " + op_phrase +
             " {VALUE}.",
         [numeric, op, op_phrase](
-            const Database& db, Rng& rng,
+            const Database& db, const ColumnProfile& prof, Rng& rng,
             const SlotGuidance* g) -> std::optional<TemplateInstance> {
-          Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db, numeric](int t) {
-            if (TextColumns(db, t).empty()) return false;
-            return numeric ? !NumericColumns(db, t).empty()
-                           : !CategoryColumns(db, t).empty();
+          Ctx ctx{db, prof, rng, g};
+          auto tables = TablesWhere(db, [&prof, numeric](int t) {
+            if (prof.text(t).empty()) return false;
+            return numeric ? !prof.numeric(t).empty()
+                           : !prof.category(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
+          auto sel = PickSelectColumn(ctx, *t, prof.text(*t));
           if (!sel) return std::nullopt;
           auto filt = PickFilterColumn(
-              ctx, *t, numeric ? NumericColumns(db, *t)
-                               : CategoryColumns(db, *t));
+              ctx, *t, numeric ? prof.numeric(*t)
+                               : prof.category(*t));
           if (!filt || *filt == *sel) {
             if (!filt) return std::nullopt;
           }
@@ -249,17 +246,17 @@ TemplateLibrary::TemplateLibrary() {
         std::move(name),
         std::string("Show the {COLUMN1} of {TABLE} whose {COLUMN2} is ") +
             cmp.phrase + " {VALUE}.",
-        [cmp](const Database& db, Rng& rng,
+        [cmp](const Database& db, const ColumnProfile& prof, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
-          Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return !TextColumns(db, t).empty() &&
-                   !NumericColumns(db, t).empty();
+          Ctx ctx{db, prof, rng, g};
+          auto tables = TablesWhere(db, [&prof](int t) {
+            return !prof.text(t).empty() &&
+                   !prof.numeric(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-          auto filt = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+          auto sel = PickSelectColumn(ctx, *t, prof.text(*t));
+          auto filt = PickFilterColumn(ctx, *t, prof.numeric(*t));
           if (!sel || !filt) return std::nullopt;
           auto v = PickThreshold(ctx, *t, *filt);
           if (!v) return std::nullopt;
@@ -295,19 +292,19 @@ TemplateLibrary::TemplateLibrary() {
       "where_and",
       "Show the {COLUMN1} of {TABLE} whose {COLUMN2} is {VALUE1} and whose "
       "{COLUMN3} is greater than {VALUE2}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() &&
-                 !CategoryColumns(db, t).empty() &&
-                 !NumericColumns(db, t).empty();
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return !prof.text(t).empty() &&
+                 !prof.category(t).empty() &&
+                 !prof.numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-        auto cat = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
-        auto num = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+        auto sel = PickSelectColumn(ctx, *t, prof.text(*t));
+        auto cat = PickFilterColumn(ctx, *t, prof.category(*t));
+        auto num = PickFilterColumn(ctx, *t, prof.numeric(*t));
         if (!sel || !cat || !num) return std::nullopt;
         auto v1 = SampleCell(ctx, *t, *cat);
         auto v2 = PickThreshold(ctx, *t, *num);
@@ -342,17 +339,17 @@ TemplateLibrary::TemplateLibrary() {
   Register(
       "where_or",
       "Show the {COLUMN1} of {TABLE} whose {COLUMN2} is {VALUE1} or {VALUE2}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() &&
-                 !CategoryColumns(db, t).empty();
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return !prof.text(t).empty() &&
+                 !prof.category(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-        auto cat = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
+        auto sel = PickSelectColumn(ctx, *t, prof.text(*t));
+        auto cat = PickFilterColumn(ctx, *t, prof.category(*t));
         if (!sel || !cat) return std::nullopt;
         auto v1 = SampleCell(ctx, *t, *cat);
         auto v2 = SampleCell(ctx, *t, *cat);
@@ -394,16 +391,16 @@ TemplateLibrary::TemplateLibrary() {
       "where_between",
       "Show the {COLUMN1} of {TABLE} whose {COLUMN2} is between {VALUE1} and "
       "{VALUE2}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() && !NumericColumns(db, t).empty();
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return !prof.text(t).empty() && !prof.numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-        auto num = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+        auto sel = PickSelectColumn(ctx, *t, prof.text(*t));
+        auto num = PickFilterColumn(ctx, *t, prof.numeric(*t));
         if (!sel || !num) return std::nullopt;
         // Bounds: two question numbers when guided, else data quartiles.
         Value lo, hi;
@@ -462,15 +459,15 @@ TemplateLibrary::TemplateLibrary() {
         substring
             ? "Show the {COLUMN} of {TABLE} containing '{VALUE}'."
             : "Show the {COLUMN} of {TABLE} starting with '{VALUE}'.",
-        [substring](const Database& db, Rng& rng,
+        [substring](const Database& db, const ColumnProfile& prof, Rng& rng,
                     const SlotGuidance* g) -> std::optional<TemplateInstance> {
-          Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return !TextColumns(db, t).empty();
+          Ctx ctx{db, prof, rng, g};
+          auto tables = TablesWhere(db, [&prof](int t) {
+            return !prof.text(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto c = PickSelectColumn(ctx, *t, TextColumns(db, *t));
+          auto c = PickSelectColumn(ctx, *t, prof.text(*t));
           if (!c) return std::nullopt;
           auto v = SampleCell(ctx, *t, *c);
           if (!v || !v->is_text() || v->AsText().size() < 3) {
@@ -517,20 +514,20 @@ TemplateLibrary::TemplateLibrary() {
         std::move(name),
         is_null ? "Show the {COLUMN1} of {TABLE} whose {COLUMN2} is missing."
                 : "Show the {COLUMN1} of {TABLE} whose {COLUMN2} is recorded.",
-        [is_null](const Database& db, Rng& rng,
+        [is_null](const Database& db, const ColumnProfile& prof, Rng& rng,
                   const SlotGuidance* g) -> std::optional<TemplateInstance> {
-          Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return TextColumns(db, t).size() >= 1 &&
-                   TextColumns(db, t).size() + NumericColumns(db, t).size() >=
+          Ctx ctx{db, prof, rng, g};
+          auto tables = TablesWhere(db, [&prof](int t) {
+            return prof.text(t).size() >= 1 &&
+                   prof.text(t).size() + prof.numeric(t).size() >=
                        2;
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
+          auto sel = PickSelectColumn(ctx, *t, prof.text(*t));
           if (!sel) return std::nullopt;
-          auto cands = TextColumns(db, *t);
-          for (int n : NumericColumns(db, *t)) cands.push_back(n);
+          auto cands = prof.text(*t);
+          for (int n : prof.numeric(*t)) cands.push_back(n);
           cands.erase(std::remove(cands.begin(), cands.end(), *sel),
                       cands.end());
           auto filt = PickFilterColumn(ctx, *t, cands);
@@ -559,17 +556,17 @@ TemplateLibrary::TemplateLibrary() {
   Register(
       "in_list",
       "Show the {COLUMN1} of {TABLE} whose {COLUMN2} is one of {VALUES}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() &&
-                 !CategoryColumns(db, t).empty();
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return !prof.text(t).empty() &&
+                 !prof.category(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-        auto cat = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
+        auto sel = PickSelectColumn(ctx, *t, prof.text(*t));
+        auto cat = PickFilterColumn(ctx, *t, prof.category(*t));
         if (!sel || !cat) return std::nullopt;
         std::vector<Value> values;
         for (int i = 0; i < 3; ++i) {
@@ -609,17 +606,17 @@ TemplateLibrary::TemplateLibrary() {
   Register(
       "where_two_col_cmp",
       "Show the {COLUMN1} of {TABLE} whose {COLUMN2} exceeds its {COLUMN3}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() &&
-                 NumericColumns(db, t).size() >= 2;
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return !prof.text(t).empty() &&
+                 prof.numeric(t).size() >= 2;
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-        auto nums = NumericColumns(db, *t);
+        auto sel = PickSelectColumn(ctx, *t, prof.text(*t));
+        auto nums = prof.numeric(*t);
         auto n1 = PickFilterColumn(ctx, *t, nums);
         if (!sel || !n1) return std::nullopt;
         nums.erase(std::remove(nums.begin(), nums.end(), *n1), nums.end());
@@ -645,16 +642,16 @@ TemplateLibrary::TemplateLibrary() {
   Register(
       "substr_date_eq",
       "Show the {COLUMN1} of {TABLE} whose {COLUMN2} falls in year {VALUE}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() && !DateColumns(db, t).empty();
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return !prof.text(t).empty() && !prof.date(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-        auto date = PickFilterColumn(ctx, *t, DateColumns(db, *t));
+        auto sel = PickSelectColumn(ctx, *t, prof.text(*t));
+        auto date = PickFilterColumn(ctx, *t, prof.date(*t));
         if (!sel || !date || *sel == *date) return std::nullopt;
         std::string year;
         if (ctx.guide != nullptr) {
@@ -693,23 +690,23 @@ TemplateLibrary::TemplateLibrary() {
       "select_two_cols_where_eq",
       "Show the {COLUMN1} and {COLUMN2} of {TABLE} whose {COLUMN3} is "
       "{VALUE}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return TextColumns(db, t).size() + NumericColumns(db, t).size() >=
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return prof.text(t).size() + prof.numeric(t).size() >=
                      2 &&
-                 !CategoryColumns(db, t).empty();
+                 !prof.category(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cols = TextColumns(db, *t);
-        for (int n : NumericColumns(db, *t)) cols.push_back(n);
+        auto cols = prof.text(*t);
+        for (int n : prof.numeric(*t)) cols.push_back(n);
         auto c1 = PickSelectColumn(ctx, *t, cols);
         if (!c1) return std::nullopt;
         cols.erase(std::remove(cols.begin(), cols.end(), *c1), cols.end());
         auto c2 = PickSelectColumn(ctx, *t, cols);
-        auto cat = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
+        auto cat = PickFilterColumn(ctx, *t, prof.category(*t));
         if (!c2 || !cat) return std::nullopt;
         auto v = SampleCell(ctx, *t, *cat);
         if (!v) return std::nullopt;
@@ -738,9 +735,9 @@ TemplateLibrary::TemplateLibrary() {
 
   // ----------------------------------------------------------- C. counting
   Register("count_all", "How many {TABLE} are there?",
-           [](const Database& db, Rng& rng,
+           [](const Database& db, const ColumnProfile& prof, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
-             Ctx ctx{db, rng, g};
+             Ctx ctx{db, prof, rng, g};
              auto tables = TablesWhere(db, [](int) { return true; });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
@@ -759,15 +756,15 @@ TemplateLibrary::TemplateLibrary() {
   Register(
       "count_where_eq_text",
       "How many {TABLE} have {COLUMN} {VALUE}?",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !CategoryColumns(db, t).empty();
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return !prof.category(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cat = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
+        auto cat = PickFilterColumn(ctx, *t, prof.category(*t));
         if (!cat) return std::nullopt;
         auto v = SampleCell(ctx, *t, *cat);
         if (!v) return std::nullopt;
@@ -792,15 +789,15 @@ TemplateLibrary::TemplateLibrary() {
   Register(
       "count_where_cmp",
       "How many {TABLE} have {COLUMN} greater than {VALUE}?",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !NumericColumns(db, t).empty();
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return !prof.numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto num = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+        auto num = PickFilterColumn(ctx, *t, prof.numeric(*t));
         if (!num) return std::nullopt;
         auto v = PickThreshold(ctx, *t, *num);
         if (!v) return std::nullopt;
@@ -821,15 +818,15 @@ TemplateLibrary::TemplateLibrary() {
       });
 
   Register("count_distinct", "How many different {COLUMN} do the {TABLE} have?",
-           [](const Database& db, Rng& rng,
+           [](const Database& db, const ColumnProfile& prof, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
-             Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !CategoryColumns(db, t).empty();
+             Ctx ctx{db, prof, rng, g};
+             auto tables = TablesWhere(db, [&prof](int t) {
+               return !prof.category(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto c = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
+             auto c = PickSelectColumn(ctx, *t, prof.category(*t));
              if (!c) return std::nullopt;
              auto stmt = From(db, *t);
              AddSelect(*stmt,
@@ -848,17 +845,17 @@ TemplateLibrary::TemplateLibrary() {
   Register(
       "count_where_and",
       "How many {TABLE} have {COLUMN1} {VALUE1} and {COLUMN2} above {VALUE2}?",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !CategoryColumns(db, t).empty() &&
-                 !NumericColumns(db, t).empty();
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return !prof.category(t).empty() &&
+                 !prof.numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cat = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
-        auto num = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+        auto cat = PickFilterColumn(ctx, *t, prof.category(*t));
+        auto num = PickFilterColumn(ctx, *t, prof.numeric(*t));
         if (!cat || !num) return std::nullopt;
         auto v1 = SampleCell(ctx, *t, *cat);
         auto v2 = PickThreshold(ctx, *t, *num);
@@ -895,22 +892,22 @@ TemplateLibrary::TemplateLibrary() {
             : std::string("What is the ") + agg.phrase +
                   " {COLUMN} of all {TABLE}?",
         [agg, with_where](
-            const Database& db, Rng& rng,
+            const Database& db, const ColumnProfile& prof, Rng& rng,
             const SlotGuidance* g) -> std::optional<TemplateInstance> {
-          Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db, with_where](int t) {
-            if (NumericColumns(db, t).empty()) return false;
-            return !with_where || !CategoryColumns(db, t).empty();
+          Ctx ctx{db, prof, rng, g};
+          auto tables = TablesWhere(db, [&prof, with_where](int t) {
+            if (prof.numeric(t).empty()) return false;
+            return !with_where || !prof.category(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto num = PickSelectColumn(ctx, *t, NumericColumns(db, *t));
+          auto num = PickSelectColumn(ctx, *t, prof.numeric(*t));
           if (!num) return std::nullopt;
           auto stmt = From(db, *t);
           AddSelect(*stmt, Agg(agg.fn, ColRef(db, *t, *num, false)));
           TemplateInstance inst;
           if (with_where) {
-            auto cat = PickFilterColumn(ctx, *t, CategoryColumns(db, *t));
+            auto cat = PickFilterColumn(ctx, *t, prof.category(*t));
             if (!cat) return std::nullopt;
             auto v = SampleCell(ctx, *t, *cat);
             if (!v) return std::nullopt;
@@ -955,15 +952,15 @@ TemplateLibrary::TemplateLibrary() {
 
   Register("min_max_pair",
            "What are the minimum and maximum {COLUMN} of {TABLE}?",
-           [](const Database& db, Rng& rng,
+           [](const Database& db, const ColumnProfile& prof, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
-             Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !NumericColumns(db, t).empty();
+             Ctx ctx{db, prof, rng, g};
+             auto tables = TablesWhere(db, [&prof](int t) {
+               return !prof.numeric(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto num = PickSelectColumn(ctx, *t, NumericColumns(db, *t));
+             auto num = PickSelectColumn(ctx, *t, prof.numeric(*t));
              if (!num) return std::nullopt;
              auto stmt = From(db, *t);
              AddSelect(*stmt, Agg("MIN", ColRef(db, *t, *num, false)));
@@ -978,15 +975,15 @@ TemplateLibrary::TemplateLibrary() {
 
   Register("max_minus_min",
            "What is the range between highest and lowest {COLUMN} of {TABLE}?",
-           [](const Database& db, Rng& rng,
+           [](const Database& db, const ColumnProfile& prof, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
-             Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !NumericColumns(db, t).empty();
+             Ctx ctx{db, prof, rng, g};
+             auto tables = TablesWhere(db, [&prof](int t) {
+               return !prof.numeric(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto num = PickSelectColumn(ctx, *t, NumericColumns(db, *t));
+             auto num = PickSelectColumn(ctx, *t, prof.numeric(*t));
              if (!num) return std::nullopt;
              auto stmt = From(db, *t);
              AddSelect(*stmt, Expr::MakeBinary(
@@ -1004,15 +1001,15 @@ TemplateLibrary::TemplateLibrary() {
 
   Register("avg_round",
            "What is the average {COLUMN} of {TABLE}, rounded to 2 decimals?",
-           [](const Database& db, Rng& rng,
+           [](const Database& db, const ColumnProfile& prof, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
-             Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !NumericColumns(db, t).empty();
+             Ctx ctx{db, prof, rng, g};
+             auto tables = TablesWhere(db, [&prof](int t) {
+               return !prof.numeric(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto num = PickSelectColumn(ctx, *t, NumericColumns(db, *t));
+             auto num = PickSelectColumn(ctx, *t, prof.numeric(*t));
              if (!num) return std::nullopt;
              auto stmt = From(db, *t);
              std::vector<std::unique_ptr<Expr>> args;
@@ -1051,17 +1048,17 @@ TemplateLibrary::TemplateLibrary() {
     Register(
         std::move(name), std::move(skeleton),
         [asc, limit_kind](
-            const Database& db, Rng& rng,
+            const Database& db, const ColumnProfile& prof, Rng& rng,
             const SlotGuidance* g) -> std::optional<TemplateInstance> {
-          Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return !TextColumns(db, t).empty() &&
-                   !NumericColumns(db, t).empty();
+          Ctx ctx{db, prof, rng, g};
+          auto tables = TablesWhere(db, [&prof](int t) {
+            return !prof.text(t).empty() &&
+                   !prof.numeric(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-          auto key = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+          auto sel = PickSelectColumn(ctx, *t, prof.text(*t));
+          auto key = PickFilterColumn(ctx, *t, prof.numeric(*t));
           if (!sel || !key) return std::nullopt;
           auto stmt = From(db, *t);
           AddSelect(*stmt, ColRef(db, *t, *sel, false));
@@ -1130,16 +1127,16 @@ TemplateLibrary::TemplateLibrary() {
       "order_two_select",
       "Show the {COLUMN1} and {COLUMN2} of {TABLE} ordered by {COLUMN2} "
       "descending.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() && !NumericColumns(db, t).empty();
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return !prof.text(t).empty() && !prof.numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-        auto key = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+        auto sel = PickSelectColumn(ctx, *t, prof.text(*t));
+        auto key = PickFilterColumn(ctx, *t, prof.numeric(*t));
         if (!sel || !key) return std::nullopt;
         auto stmt = From(db, *t);
         AddSelect(*stmt, ColRef(db, *t, *sel, false));
@@ -1162,15 +1159,15 @@ TemplateLibrary::TemplateLibrary() {
   // ------------------------------------------------------------ F. grouping
   Register("group_count",
            "For each {COLUMN} of {TABLE}, how many rows are there?",
-           [](const Database& db, Rng& rng,
+           [](const Database& db, const ColumnProfile& prof, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
-             Ctx ctx{db, rng, g};
-             auto tables = TablesWhere(db, [&db](int t) {
-               return !CategoryColumns(db, t).empty();
+             Ctx ctx{db, prof, rng, g};
+             auto tables = TablesWhere(db, [&prof](int t) {
+               return !prof.category(t).empty();
              });
              auto t = PickTable(ctx, tables);
              if (!t) return std::nullopt;
-             auto cat = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
+             auto cat = PickSelectColumn(ctx, *t, prof.category(*t));
              if (!cat) return std::nullopt;
              auto stmt = From(db, *t);
              AddSelect(*stmt, ColRef(db, *t, *cat, false));
@@ -1193,15 +1190,15 @@ TemplateLibrary::TemplateLibrary() {
         std::move(name),
         most ? "Return the most common {COLUMN} of {TABLE}."
              : "Return the least common {COLUMN} of {TABLE}.",
-        [most](const Database& db, Rng& rng,
+        [most](const Database& db, const ColumnProfile& prof, Rng& rng,
                const SlotGuidance* g) -> std::optional<TemplateInstance> {
-          Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return !CategoryColumns(db, t).empty();
+          Ctx ctx{db, prof, rng, g};
+          auto tables = TablesWhere(db, [&prof](int t) {
+            return !prof.category(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto cat = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
+          auto cat = PickSelectColumn(ctx, *t, prof.category(*t));
           if (!cat) return std::nullopt;
           auto stmt = From(db, *t);
           AddSelect(*stmt, ColRef(db, *t, *cat, false));
@@ -1230,17 +1227,17 @@ TemplateLibrary::TemplateLibrary() {
         std::move(name),
         std::string("For each {COLUMN1} of {TABLE}, what is the ") +
             agg.phrase + " {COLUMN2}?",
-        [agg](const Database& db, Rng& rng,
+        [agg](const Database& db, const ColumnProfile& prof, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
-          Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return !CategoryColumns(db, t).empty() &&
-                   !NumericColumns(db, t).empty();
+          Ctx ctx{db, prof, rng, g};
+          auto tables = TablesWhere(db, [&prof](int t) {
+            return !prof.category(t).empty() &&
+                   !prof.numeric(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto cat = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
-          auto num = PickSelectColumn(ctx, *t, NumericColumns(db, *t));
+          auto cat = PickSelectColumn(ctx, *t, prof.category(*t));
+          auto num = PickSelectColumn(ctx, *t, prof.numeric(*t));
           if (!cat || !num) return std::nullopt;
           auto stmt = From(db, *t);
           AddSelect(*stmt, ColRef(db, *t, *cat, false));
@@ -1265,15 +1262,15 @@ TemplateLibrary::TemplateLibrary() {
   Register(
       "group_having_count",
       "Which {COLUMN} of {TABLE} appear at least {VALUE} times?",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !CategoryColumns(db, t).empty();
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return !prof.category(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cat = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
+        auto cat = PickSelectColumn(ctx, *t, prof.category(*t));
         if (!cat) return std::nullopt;
         int64_t k = PickSmallCount(ctx);
         auto stmt = From(db, *t);
@@ -1296,17 +1293,17 @@ TemplateLibrary::TemplateLibrary() {
   Register(
       "group_having_avg",
       "Which {COLUMN1} of {TABLE} have an average {COLUMN2} above {VALUE}?",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !CategoryColumns(db, t).empty() &&
-                 !NumericColumns(db, t).empty();
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return !prof.category(t).empty() &&
+                 !prof.numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cat = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
-        auto num = PickSelectColumn(ctx, *t, NumericColumns(db, *t));
+        auto cat = PickSelectColumn(ctx, *t, prof.category(*t));
+        auto num = PickSelectColumn(ctx, *t, prof.numeric(*t));
         if (!cat || !num) return std::nullopt;
         auto v = PickThreshold(ctx, *t, *num);
         if (!v) return std::nullopt;
@@ -1332,17 +1329,17 @@ TemplateLibrary::TemplateLibrary() {
       "group_count_where",
       "For each {COLUMN1} of {TABLE} with {COLUMN2} above {VALUE}, how many "
       "rows are there?",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !CategoryColumns(db, t).empty() &&
-                 !NumericColumns(db, t).empty();
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return !prof.category(t).empty() &&
+                 !prof.numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cat = PickSelectColumn(ctx, *t, CategoryColumns(db, *t));
-        auto num = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+        auto cat = PickSelectColumn(ctx, *t, prof.category(*t));
+        auto num = PickFilterColumn(ctx, *t, prof.numeric(*t));
         if (!cat || !num) return std::nullopt;
         auto v = PickThreshold(ctx, *t, *num);
         if (!v) return std::nullopt;
@@ -1388,25 +1385,36 @@ const std::string& TemplateLibrary::QuestionSkeleton(int template_id) const {
 }
 
 std::optional<TemplateInstance> TemplateLibrary::Instantiate(
-    int template_id, const sql::Database& db, Rng& rng,
-    const SlotGuidance* guidance) const {
+    int template_id, const sql::Database& db, const ColumnProfile& profile,
+    Rng& rng, const SlotGuidance* guidance) const {
   CODES_CHECK(template_id >= 0 &&
               template_id < static_cast<int>(defs_.size()));
-  auto inst = defs_[template_id].build(db, rng, guidance);
+  auto inst = defs_[template_id].build(db, profile, rng, guidance);
   if (inst.has_value()) inst->template_id = template_id;
   return inst;
 }
 
+std::optional<TemplateInstance> TemplateLibrary::Instantiate(
+    int template_id, const sql::Database& db, Rng& rng,
+    const SlotGuidance* guidance) const {
+  return Instantiate(template_id, db, ColumnProfile(db), rng, guidance);
+}
+
 std::optional<TemplateInstance> TemplateLibrary::InstantiateRandom(
-    const sql::Database& db, Rng& rng) const {
+    const sql::Database& db, const ColumnProfile& profile, Rng& rng) const {
   std::vector<int> order(defs_.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
   rng.Shuffle(order);
   for (int id : order) {
-    auto inst = Instantiate(id, db, rng);
+    auto inst = Instantiate(id, db, profile, rng);
     if (inst.has_value()) return inst;
   }
   return std::nullopt;
+}
+
+std::optional<TemplateInstance> TemplateLibrary::InstantiateRandom(
+    const sql::Database& db, Rng& rng) const {
+  return InstantiateRandom(db, ColumnProfile(db), rng);
 }
 
 int TemplateLibrary::IdentifyTemplate(const std::string& sql_text) const {
@@ -1468,10 +1476,11 @@ void TemplateLibrary::BuildFingerprintMap() {
   profile.max_rows = 120;
   sql::Database reference =
       GenerateDatabase(FingerprintReferenceDomain(), profile, rng, "ref");
+  const ColumnProfile columns(reference);
   for (size_t id = 0; id < defs_.size(); ++id) {
     std::optional<TemplateInstance> inst;
     for (int attempt = 0; attempt < 40 && !inst.has_value(); ++attempt) {
-      inst = defs_[id].build(reference, rng, nullptr);
+      inst = defs_[id].build(reference, columns, rng, nullptr);
     }
     CODES_CHECK(inst.has_value());
     auto stmt = sql::ParseSql(inst->sql_text);

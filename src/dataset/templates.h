@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "dataset/column_profile.h"
 #include "dataset/sample.h"
 #include "sqlengine/database.h"
 #include "sqlengine/value.h"
@@ -85,15 +86,25 @@ class TemplateLibrary {
   /// Short template name, e.g. "group_count" or "agg_avg_where".
   const std::string& name(int template_id) const;
 
-  /// Instantiates template `template_id` against `db`; returns nullopt
-  /// when the database lacks the required slot types (e.g. no FK edge for
-  /// a join template). `guidance` biases slot choices when present.
+  /// Instantiates template `template_id` against `db`, whose slot types
+  /// `profile` describes (it must have been built from `db` as it is now);
+  /// returns nullopt when the database lacks the required slot types (e.g.
+  /// no FK edge for a join template). `guidance` biases slot choices when
+  /// present. Callers instantiating many templates against one database
+  /// build the profile once and pass it to every call.
+  std::optional<TemplateInstance> Instantiate(
+      int template_id, const sql::Database& db, const ColumnProfile& profile,
+      Rng& rng, const SlotGuidance* guidance = nullptr) const;
+  /// Same, building a throwaway profile of `db` first.
   std::optional<TemplateInstance> Instantiate(
       int template_id, const sql::Database& db, Rng& rng,
       const SlotGuidance* guidance = nullptr) const;
 
   /// Instantiates a uniformly random template (skipping ones that do not
   /// fit `db`). Returns nullopt only if nothing fits.
+  std::optional<TemplateInstance> InstantiateRandom(
+      const sql::Database& db, const ColumnProfile& profile, Rng& rng) const;
+  /// Same, building one profile of `db` for all the attempts.
   std::optional<TemplateInstance> InstantiateRandom(const sql::Database& db,
                                                     Rng& rng) const;
 
@@ -106,18 +117,16 @@ class TemplateLibrary {
   const std::string& QuestionSkeleton(int template_id) const;
 
  private:
+  using BuildFn = std::function<std::optional<TemplateInstance>(
+      const sql::Database&, const ColumnProfile&, Rng&, const SlotGuidance*)>;
+
   struct TemplateDef {
     std::string name;
     std::string question_skeleton;
-    std::function<std::optional<TemplateInstance>(
-        const sql::Database&, Rng&, const SlotGuidance*)>
-        build;
+    BuildFn build;
   };
 
-  void Register(std::string name, std::string skeleton,
-                std::function<std::optional<TemplateInstance>(
-                    const sql::Database&, Rng&, const SlotGuidance*)>
-                    build);
+  void Register(std::string name, std::string skeleton, BuildFn build);
   // Registration is split across translation units to keep files small.
   void RegisterJoinTemplates();        // templates_join.cc
   void RegisterSubqueryAndSetTemplates();  // templates_nested.cc

@@ -14,6 +14,7 @@
 
 #include "common/rng.h"
 #include "common/string_util.h"
+#include "dataset/column_profile.h"
 #include "dataset/db_generator.h"
 #include "dataset/templates.h"
 #include "sqlengine/ast.h"
@@ -33,9 +34,11 @@ using sql::SetOp;
 using sql::UnaryOp;
 using sql::Value;
 
-/// Per-instantiation context: database, RNG, optional guidance.
+/// Per-instantiation context: database, its column profile, RNG, optional
+/// guidance.
 struct Ctx {
   const Database& db;
+  const ColumnProfile& prof;
   Rng& rng;
   const SlotGuidance* guide;
 
@@ -44,90 +47,6 @@ struct Ctx {
     return rng.Gaussian() * guide->noise;
   }
 };
-
-inline bool IsForeignKeyColumn(const sql::DatabaseSchema& schema, int t,
-                               int c) {
-  const std::string& table = schema.tables[t].name;
-  const std::string& column = schema.tables[t].columns[c].name;
-  for (const auto& fk : schema.foreign_keys) {
-    if (ToLower(fk.table) == ToLower(table) &&
-        ToLower(fk.column) == ToLower(column)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-inline bool IsIdLike(const sql::DatabaseSchema& schema, int t, int c) {
-  const auto& col = schema.tables[t].columns[c];
-  if (col.is_primary_key) return true;
-  if (EndsWith(ToLower(col.name), "_id")) return true;
-  return IsForeignKeyColumn(schema, t, c);
-}
-
-inline std::vector<int> TextColumns(const Database& db, int t) {
-  std::vector<int> out;
-  const auto& table = db.schema().tables[t];
-  for (size_t c = 0; c < table.columns.size(); ++c) {
-    if (table.columns[c].type == DataType::kText &&
-        !IsIdLike(db.schema(), t, static_cast<int>(c))) {
-      out.push_back(static_cast<int>(c));
-    }
-  }
-  return out;
-}
-
-inline std::vector<int> NumericColumns(const Database& db, int t) {
-  std::vector<int> out;
-  const auto& table = db.schema().tables[t];
-  for (size_t c = 0; c < table.columns.size(); ++c) {
-    DataType type = table.columns[c].type;
-    if ((type == DataType::kInteger || type == DataType::kReal) &&
-        !IsIdLike(db.schema(), t, static_cast<int>(c))) {
-      out.push_back(static_cast<int>(c));
-    }
-  }
-  return out;
-}
-
-/// Text columns with repeated values — good GROUP BY / equality keys.
-inline std::vector<int> CategoryColumns(const Database& db, int t) {
-  std::vector<int> out;
-  const auto& rows = db.TableAt(t).rows;
-  if (rows.empty()) return out;
-  for (int c : TextColumns(db, t)) {
-    std::vector<std::string> seen;
-    int non_null = 0;
-    for (const auto& row : rows) {
-      if (row[c].is_null()) continue;
-      ++non_null;
-      const std::string& s = row[c].AsText();
-      if (std::find(seen.begin(), seen.end(), s) == seen.end()) {
-        seen.push_back(s);
-      }
-    }
-    if (non_null >= 4 && seen.size() * 2 <= static_cast<size_t>(non_null)) {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
-/// Text columns holding YYYY-MM-DD values.
-inline std::vector<int> DateColumns(const Database& db, int t) {
-  std::vector<int> out;
-  const auto& rows = db.TableAt(t).rows;
-  for (int c : TextColumns(db, t)) {
-    for (const auto& row : rows) {
-      if (row[c].is_null()) continue;
-      const std::string& s = row[c].AsText();
-      bool is_date = s.size() == 10 && s[4] == '-' && s[7] == '-';
-      if (is_date) out.push_back(c);
-      break;  // judge by first non-null value
-    }
-  }
-  return out;
-}
 
 /// Picks from `candidates` with guidance scoring (or uniformly).
 template <typename ScoreFn>
@@ -257,28 +176,8 @@ inline void OrderByMention(Ctx& ctx, int t, std::vector<int>& columns) {
 
 // ------------------------------------------------------------ FK edges
 
-struct JoinEdge {
-  int child_t, child_c;    // FK side
-  int parent_t, parent_c;  // PK side
-};
-
-inline std::vector<JoinEdge> JoinEdges(const Database& db) {
-  std::vector<JoinEdge> out;
-  const auto& schema = db.schema();
-  for (const auto& fk : schema.foreign_keys) {
-    auto ct = schema.FindTable(fk.table);
-    auto pt = schema.FindTable(fk.ref_table);
-    if (!ct || !pt) continue;
-    auto cc = schema.tables[*ct].FindColumn(fk.column);
-    auto pc = schema.tables[*pt].FindColumn(fk.ref_column);
-    if (!cc || !pc) continue;
-    out.push_back(JoinEdge{*ct, *cc, *pt, *pc});
-  }
-  return out;
-}
-
 inline std::optional<JoinEdge> PickJoinEdge(Ctx& ctx) {
-  auto edges = JoinEdges(ctx.db);
+  std::vector<JoinEdge> edges = ctx.prof.join_edges();
   if (ctx.guide != nullptr && ctx.guide->join_visible) {
     std::vector<JoinEdge> visible;
     for (const auto& e : edges) {

@@ -33,14 +33,14 @@ void TemplateLibrary::RegisterJoinTemplates() {
   Register(
       "join_select_text",
       "Show the {COLUMN1} of {TABLE1} whose {TABLE2} has {COLUMN2} {VALUE}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
+        Ctx ctx{db, prof, rng, g};
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
-        auto sel_cands = TextColumns(db, edge->child_t);
-        auto filt_cands = CategoryColumns(db, edge->parent_t);
-        if (filt_cands.empty()) filt_cands = TextColumns(db, edge->parent_t);
+        auto sel_cands = prof.text(edge->child_t);
+        auto filt_cands = prof.category(edge->parent_t);
+        if (filt_cands.empty()) filt_cands = prof.text(edge->parent_t);
         auto sel = PickSelectColumn(ctx, edge->child_t, sel_cands);
         auto filt = PickFilterColumn(ctx, edge->parent_t, filt_cands);
         if (!sel || !filt) return std::nullopt;
@@ -76,15 +76,15 @@ void TemplateLibrary::RegisterJoinTemplates() {
       "join_select_cmp",
       "Show the {COLUMN1} of {TABLE1} that have a {TABLE2} with {COLUMN2} "
       "above {VALUE}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
+        Ctx ctx{db, prof, rng, g};
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
         auto sel = PickSelectColumn(ctx, edge->parent_t,
-                                    TextColumns(db, edge->parent_t));
+                                    prof.text(edge->parent_t));
         auto filt = PickFilterColumn(ctx, edge->child_t,
-                                     NumericColumns(db, edge->child_t));
+                                     prof.numeric(edge->child_t));
         if (!sel || !filt) return std::nullopt;
         auto v = PickThreshold(ctx, edge->child_t, *filt);
         if (!v) return std::nullopt;
@@ -115,15 +115,15 @@ void TemplateLibrary::RegisterJoinTemplates() {
       "join_two_cols",
       "Show the {COLUMN1} of {TABLE1} together with the {COLUMN2} of its "
       "{TABLE2}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
+        Ctx ctx{db, prof, rng, g};
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
         auto c1 = PickSelectColumn(ctx, edge->child_t,
-                                   TextColumns(db, edge->child_t));
+                                   prof.text(edge->child_t));
         auto c2 = PickSelectColumn(ctx, edge->parent_t,
-                                   TextColumns(db, edge->parent_t));
+                                   prof.text(edge->parent_t));
         if (!c1 || !c2) return std::nullopt;
         auto stmt = From(db, edge->child_t);
         AddSelect(*stmt, ColRef(db, edge->child_t, *c1, true));
@@ -146,12 +146,12 @@ void TemplateLibrary::RegisterJoinTemplates() {
   Register(
       "join_count",
       "How many {TABLE1} belong to the {TABLE2} whose {COLUMN} is {VALUE}?",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
+        Ctx ctx{db, prof, rng, g};
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
-        auto filt_cands = TextColumns(db, edge->parent_t);
+        auto filt_cands = prof.text(edge->parent_t);
         auto filt = PickFilterColumn(ctx, edge->parent_t, filt_cands);
         if (!filt) return std::nullopt;
         auto v = SampleCell(ctx, edge->parent_t, *filt);
@@ -182,13 +182,13 @@ void TemplateLibrary::RegisterJoinTemplates() {
   Register(
       "join_group_count",
       "For each {TABLE2} {COLUMN}, count its {TABLE1}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
+        Ctx ctx{db, prof, rng, g};
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
         auto label = PickSelectColumn(ctx, edge->parent_t,
-                                      TextColumns(db, edge->parent_t));
+                                      prof.text(edge->parent_t));
         if (!label) return std::nullopt;
         auto stmt = From(db, edge->child_t);
         AddSelect(*stmt, ColRef(db, edge->parent_t, *label, true));
@@ -210,13 +210,13 @@ void TemplateLibrary::RegisterJoinTemplates() {
   Register(
       "join_group_count_limit1",
       "Which {TABLE2} has the most {TABLE1}? Show its {COLUMN}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
+        Ctx ctx{db, prof, rng, g};
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
         auto label = PickSelectColumn(ctx, edge->parent_t,
-                                      TextColumns(db, edge->parent_t));
+                                      prof.text(edge->parent_t));
         if (!label) return std::nullopt;
         auto stmt = From(db, edge->child_t);
         AddSelect(*stmt, ColRef(db, edge->parent_t, *label, true));
@@ -248,15 +248,15 @@ void TemplateLibrary::RegisterJoinTemplates() {
         std::string("What is the ") + agg.phrase +
             " {COLUMN1} of the {TABLE1} of the {TABLE2} whose {COLUMN2} is "
             "{VALUE}?",
-        [agg](const Database& db, Rng& rng,
+        [agg](const Database& db, const ColumnProfile& prof, Rng& rng,
               const SlotGuidance* g) -> std::optional<TemplateInstance> {
-          Ctx ctx{db, rng, g};
+          Ctx ctx{db, prof, rng, g};
           auto edge = PickJoinEdge(ctx);
           if (!edge) return std::nullopt;
           auto num = PickSelectColumn(ctx, edge->child_t,
-                                      NumericColumns(db, edge->child_t));
+                                      prof.numeric(edge->child_t));
           auto filt = PickFilterColumn(ctx, edge->parent_t,
-                                       TextColumns(db, edge->parent_t));
+                                       prof.text(edge->parent_t));
           if (!num || !filt) return std::nullopt;
           auto v = SampleCell(ctx, edge->parent_t, *filt);
           if (!v) return std::nullopt;
@@ -289,13 +289,13 @@ void TemplateLibrary::RegisterJoinTemplates() {
   Register(
       "join_group_having",
       "Which {TABLE2} have at least {VALUE} {TABLE1}? Show the {COLUMN}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
+        Ctx ctx{db, prof, rng, g};
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
         auto label = PickSelectColumn(ctx, edge->parent_t,
-                                      TextColumns(db, edge->parent_t));
+                                      prof.text(edge->parent_t));
         if (!label) return std::nullopt;
         int64_t k = PickSmallCount(ctx);
         auto stmt = From(db, edge->child_t);
@@ -322,15 +322,15 @@ void TemplateLibrary::RegisterJoinTemplates() {
       "join_order_limit1",
       "Return the {COLUMN1} of the {TABLE2} whose {TABLE1} has the highest "
       "{COLUMN2}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
+        Ctx ctx{db, prof, rng, g};
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
         auto label = PickSelectColumn(ctx, edge->parent_t,
-                                      TextColumns(db, edge->parent_t));
+                                      prof.text(edge->parent_t));
         auto num = PickFilterColumn(ctx, edge->child_t,
-                                    NumericColumns(db, edge->child_t));
+                                    prof.numeric(edge->child_t));
         if (!label || !num) return std::nullopt;
         auto stmt = From(db, edge->child_t);
         AddSelect(*stmt, ColRef(db, edge->parent_t, *label, true));
@@ -359,17 +359,17 @@ void TemplateLibrary::RegisterJoinTemplates() {
       "join_where_and",
       "Show the {COLUMN1} of {TABLE1} whose {TABLE2} has {COLUMN2} {VALUE1} "
       "and whose {COLUMN3} is above {VALUE2}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
+        Ctx ctx{db, prof, rng, g};
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
         auto sel = PickSelectColumn(ctx, edge->child_t,
-                                    TextColumns(db, edge->child_t));
+                                    prof.text(edge->child_t));
         auto cat = PickFilterColumn(ctx, edge->parent_t,
-                                    TextColumns(db, edge->parent_t));
+                                    prof.text(edge->parent_t));
         auto num = PickFilterColumn(ctx, edge->child_t,
-                                    NumericColumns(db, edge->child_t));
+                                    prof.numeric(edge->child_t));
         if (!sel || !cat || !num) return std::nullopt;
         auto v1 = SampleCell(ctx, edge->parent_t, *cat);
         auto v2 = PickThreshold(ctx, edge->child_t, *num);
@@ -409,16 +409,16 @@ void TemplateLibrary::RegisterJoinTemplates() {
       "join_count_distinct",
       "How many different {COLUMN1} do the {TABLE1} of the {TABLE2} with "
       "{COLUMN2} {VALUE} have?",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
+        Ctx ctx{db, prof, rng, g};
         auto edge = PickJoinEdge(ctx);
         if (!edge) return std::nullopt;
-        auto cat_cands = CategoryColumns(db, edge->child_t);
-        if (cat_cands.empty()) cat_cands = TextColumns(db, edge->child_t);
+        auto cat_cands = prof.category(edge->child_t);
+        if (cat_cands.empty()) cat_cands = prof.text(edge->child_t);
         auto cat = PickSelectColumn(ctx, edge->child_t, cat_cands);
         auto filt = PickFilterColumn(ctx, edge->parent_t,
-                                     TextColumns(db, edge->parent_t));
+                                     prof.text(edge->parent_t));
         if (!cat || !filt) return std::nullopt;
         auto v = SampleCell(ctx, edge->parent_t, *filt);
         if (!v) return std::nullopt;

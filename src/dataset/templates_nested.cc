@@ -12,13 +12,13 @@ void TemplateLibrary::RegisterSubqueryAndSetTemplates() {
         std::move(name),
         negated ? "Show the {COLUMN} of {TABLE2} that have no {TABLE1}."
                 : "Show the {COLUMN} of {TABLE2} that have some {TABLE1}.",
-        [negated](const Database& db, Rng& rng,
+        [negated](const Database& db, const ColumnProfile& prof, Rng& rng,
                   const SlotGuidance* g) -> std::optional<TemplateInstance> {
-          Ctx ctx{db, rng, g};
+          Ctx ctx{db, prof, rng, g};
           auto edge = PickJoinEdge(ctx);
           if (!edge) return std::nullopt;
           auto label = PickSelectColumn(ctx, edge->parent_t,
-                                        TextColumns(db, edge->parent_t));
+                                        prof.text(edge->parent_t));
           if (!label) return std::nullopt;
           auto stmt = From(db, edge->parent_t);
           AddSelect(*stmt, ColRef(db, edge->parent_t, *label, false));
@@ -58,17 +58,17 @@ void TemplateLibrary::RegisterSubqueryAndSetTemplates() {
                 "average."
               : "Show the {COLUMN1} of {TABLE} whose {COLUMN2} is below "
                 "average.",
-        [above](const Database& db, Rng& rng,
+        [above](const Database& db, const ColumnProfile& prof, Rng& rng,
                 const SlotGuidance* g) -> std::optional<TemplateInstance> {
-          Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return !TextColumns(db, t).empty() &&
-                   !NumericColumns(db, t).empty();
+          Ctx ctx{db, prof, rng, g};
+          auto tables = TablesWhere(db, [&prof](int t) {
+            return !prof.text(t).empty() &&
+                   !prof.numeric(t).empty();
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-          auto num = PickFilterColumn(ctx, *t, NumericColumns(db, *t));
+          auto sel = PickSelectColumn(ctx, *t, prof.text(*t));
+          auto num = PickFilterColumn(ctx, *t, prof.numeric(*t));
           if (!sel || !num) return std::nullopt;
           auto stmt = From(db, *t);
           AddSelect(*stmt, ColRef(db, *t, *sel, false));
@@ -103,17 +103,17 @@ void TemplateLibrary::RegisterSubqueryAndSetTemplates() {
         std::move(name),
         "Show the {COLUMN1} of {TABLE} whose {COLUMN2} is {VALUE1} " +
             connective + " whose {COLUMN3} is {VALUE2}.",
-        [op](const Database& db, Rng& rng,
+        [op](const Database& db, const ColumnProfile& prof, Rng& rng,
              const SlotGuidance* g) -> std::optional<TemplateInstance> {
-          Ctx ctx{db, rng, g};
-          auto tables = TablesWhere(db, [&db](int t) {
-            return !TextColumns(db, t).empty() &&
-                   CategoryColumns(db, t).size() >= 2;
+          Ctx ctx{db, prof, rng, g};
+          auto tables = TablesWhere(db, [&prof](int t) {
+            return !prof.text(t).empty() &&
+                   prof.category(t).size() >= 2;
           });
           auto t = PickTable(ctx, tables);
           if (!t) return std::nullopt;
-          auto sel = PickSelectColumn(ctx, *t, TextColumns(db, *t));
-          auto cats = CategoryColumns(db, *t);
+          auto sel = PickSelectColumn(ctx, *t, prof.text(*t));
+          auto cats = prof.category(*t);
           auto c1 = PickFilterColumn(ctx, *t, cats);
           if (!sel || !c1) return std::nullopt;
           cats.erase(std::remove(cats.begin(), cats.end(), *c1), cats.end());
@@ -174,15 +174,15 @@ void TemplateLibrary::RegisterSubqueryAndSetTemplates() {
   Register(
       "distinct_where",
       "Show the different {COLUMN1} of {TABLE} whose {COLUMN2} is {VALUE}.",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return CategoryColumns(db, t).size() >= 2;
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return prof.category(t).size() >= 2;
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cats = CategoryColumns(db, *t);
+        auto cats = prof.category(*t);
         auto sel = PickSelectColumn(ctx, *t, cats);
         if (!sel) return std::nullopt;
         cats.erase(std::remove(cats.begin(), cats.end(), *sel), cats.end());
@@ -211,16 +211,16 @@ void TemplateLibrary::RegisterSubqueryAndSetTemplates() {
   Register(
       "count_is_null",
       "How many {TABLE} have no recorded {COLUMN}?",
-      [](const Database& db, Rng& rng,
+      [](const Database& db, const ColumnProfile& prof, Rng& rng,
          const SlotGuidance* g) -> std::optional<TemplateInstance> {
-        Ctx ctx{db, rng, g};
-        auto tables = TablesWhere(db, [&db](int t) {
-          return !TextColumns(db, t).empty() || !NumericColumns(db, t).empty();
+        Ctx ctx{db, prof, rng, g};
+        auto tables = TablesWhere(db, [&prof](int t) {
+          return !prof.text(t).empty() || !prof.numeric(t).empty();
         });
         auto t = PickTable(ctx, tables);
         if (!t) return std::nullopt;
-        auto cands = TextColumns(db, *t);
-        for (int n : NumericColumns(db, *t)) cands.push_back(n);
+        auto cands = prof.text(*t);
+        for (int n : prof.numeric(*t)) cands.push_back(n);
         auto c = PickFilterColumn(ctx, *t, cands);
         if (!c) return std::nullopt;
         auto stmt = From(db, *t);

@@ -96,4 +96,22 @@ double CosineSimilarity(const std::vector<float>& a,
   return dot / std::sqrt(na * nb);
 }
 
+double SquaredNorm(const std::vector<float>& v) {
+  double n = 0;
+  for (size_t i = 0; i < v.size(); ++i) n += static_cast<double>(v[i]) * v[i];
+  return n;
+}
+
+double CosineSimilarityWithNorms(const std::vector<float>& a,
+                                 const std::vector<float>& b, double na,
+                                 double nb) {
+  CODES_CHECK(a.size() == b.size());
+  double dot = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    dot += static_cast<double>(a[i]) * b[i];
+  }
+  if (na == 0 || nb == 0) return 0.0;
+  return dot / std::sqrt(na * nb);
+}
+
 }  // namespace codes

@@ -43,6 +43,18 @@ class SentenceEncoder {
 double CosineSimilarity(const std::vector<float>& a,
                         const std::vector<float>& b);
 
+/// Sum of squares of `v`, accumulated in double in index order: exactly the
+/// norm term CosineSimilarity accumulates.
+double SquaredNorm(const std::vector<float>& v);
+
+/// CosineSimilarity with both squared norms supplied (from SquaredNorm), for
+/// callers that compare one vector against many. Equal to
+/// CosineSimilarity(a, b) bit for bit when na == SquaredNorm(a) and
+/// nb == SquaredNorm(b); pinned by tests/speed_equivalence_test.cc.
+double CosineSimilarityWithNorms(const std::vector<float>& a,
+                                 const std::vector<float>& b, double na,
+                                 double nb);
+
 }  // namespace codes
 
 #endif  // CODES_EMBED_SENTENCE_ENCODER_H_

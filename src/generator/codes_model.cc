@@ -104,15 +104,33 @@ std::string MaskSchemaWords(const std::string& question,
   return Join(out, " ");
 }
 
+/// A per-request memo of a pure score: slot i is computed on first use.
+class ScoreMemo {
+ public:
+  explicit ScoreMemo(size_t size) : value_(size), known_(size, 0) {}
+
+  template <typename Compute>
+  double Get(size_t i, Compute&& compute) {
+    if (!known_[i]) {
+      value_[i] = compute();
+      known_[i] = 1;
+    }
+    return value_[i];
+  }
+
+ private:
+  std::vector<double> value_;
+  std::vector<char> known_;
+};
+
 /// Coverage of a phrase's content words by the question's tokens.
-double PhraseCoverage(const std::string& phrase,
-                      const std::vector<std::string>& question_tokens) {
+double PhraseCoverage(const std::string& phrase, const StemSet& question_stems) {
   std::vector<std::string> phrase_tokens;
   for (auto& t : WordTokens(phrase)) {
     if (!IsStopWord(t)) phrase_tokens.push_back(std::move(t));
   }
   if (phrase_tokens.empty()) return 0.0;
-  return TokenCoverage(phrase_tokens, question_tokens);
+  return TokenCoverage(phrase_tokens, question_stems);
 }
 
 /// Normalized position (0=start, 1=end/absent) of the first question
@@ -143,6 +161,18 @@ CodesModel::CodesModel(ModelSize size, const NgramLm* lm)
   RebuildSkeletonAnchors();
 }
 
+CodesModel::TemplateAnchor CodesModel::MakeAnchor(
+    std::vector<float> question_embedding,
+    std::vector<float> pattern_embedding, double weight) {
+  TemplateAnchor anchor;
+  anchor.question_sq_norm = SquaredNorm(question_embedding);
+  anchor.pattern_sq_norm = SquaredNorm(pattern_embedding);
+  anchor.question_embedding = std::move(question_embedding);
+  anchor.pattern_embedding = std::move(pattern_embedding);
+  anchor.weight = weight;
+  return anchor;
+}
+
 void CodesModel::RebuildSkeletonAnchors() {
   const TemplateLibrary& lib = GlobalTemplates();
   anchors_.assign(static_cast<size_t>(lib.size()), {});
@@ -166,12 +196,13 @@ void CodesModel::RebuildSkeletonAnchors() {
         GenerateDatabase(AllDomains()[static_cast<size_t>(d)], profile,
                          db_rng, "anchor"));
   }
+  std::vector<ColumnProfile> reference_columns;
+  for (const auto& db : reference_dbs) reference_columns.emplace_back(db);
   for (int tid = 0; tid < lib.size(); ++tid) {
     // Skeleton anchor (always available). "{COLUMN}"-style placeholders
     // become mask tokens so skeletons live in the same space as masked
     // questions.
     {
-      TemplateAnchor anchor;
       std::string masked = lib.QuestionSkeleton(tid);
       while (true) {
         size_t open = masked.find('{');
@@ -180,25 +211,21 @@ void CodesModel::RebuildSkeletonAnchors() {
         if (close == std::string::npos) break;
         masked.replace(open, close - open + 1, "_");
       }
-      anchor.question_embedding = encoder_.Encode(masked);
-      anchor.pattern_embedding =
-          encoder_.Encode(ExtractQuestionPattern(masked));
-      anchor.weight = 0.5;
-      anchors_[static_cast<size_t>(tid)].push_back(std::move(anchor));
+      anchors_[static_cast<size_t>(tid)].push_back(
+          MakeAnchor(encoder_.Encode(masked),
+                     encoder_.Encode(ExtractQuestionPattern(masked)), 0.5));
     }
     int produced = 0;
     for (int attempt = 0; attempt < 24 && produced < kAnchorVariants;
          ++attempt) {
-      const auto& db = reference_dbs[rng.Index(reference_dbs.size())];
-      auto inst = lib.Instantiate(tid, db, rng);
+      const size_t d = rng.Index(reference_dbs.size());
+      const auto& db = reference_dbs[d];
+      auto inst = lib.Instantiate(tid, db, reference_columns[d], rng);
       if (!inst.has_value()) continue;
       std::string masked = MaskSchemaWords(inst->question, db);
-      TemplateAnchor anchor;
-      anchor.question_embedding = encoder_.Encode(masked);
-      anchor.pattern_embedding =
-          encoder_.Encode(ExtractQuestionPattern(masked));
-      anchor.weight = 0.55;
-      anchors_[static_cast<size_t>(tid)].push_back(std::move(anchor));
+      anchors_[static_cast<size_t>(tid)].push_back(
+          MakeAnchor(encoder_.Encode(masked),
+                     encoder_.Encode(ExtractQuestionPattern(masked)), 0.55));
       // Paraphrase knowledge: a pre-trained LM also recognizes common
       // keyword rewrites ("greater than" == "more than"), so each variant
       // contributes a paraphrased twin anchor.
@@ -207,12 +234,9 @@ void CodesModel::RebuildSkeletonAnchors() {
         paraphrased = ReplaceWordOutsideQuotes(paraphrased, from, to);
       }
       if (paraphrased != masked) {
-        TemplateAnchor twin;
-        twin.question_embedding = encoder_.Encode(paraphrased);
-        twin.pattern_embedding =
-            encoder_.Encode(ExtractQuestionPattern(paraphrased));
-        twin.weight = 0.5;
-        anchors_[static_cast<size_t>(tid)].push_back(std::move(twin));
+        anchors_[static_cast<size_t>(tid)].push_back(MakeAnchor(
+            encoder_.Encode(paraphrased),
+            encoder_.Encode(ExtractQuestionPattern(paraphrased)), 0.5));
       }
       ++produced;
     }
@@ -277,39 +301,38 @@ void CodesModel::FineTune(const std::vector<Text2SqlSample>& train,
     }
     a.count += 1;
     if (exemplars[static_cast<size_t>(tid)] < kExemplarsPerTemplate) {
-      TemplateAnchor anchor;
-      anchor.question_embedding = std::move(q);
-      anchor.pattern_embedding = std::move(p);
-      anchor.weight = 1.0;
-      anchors_[static_cast<size_t>(tid)].push_back(std::move(anchor));
+      anchors_[static_cast<size_t>(tid)].push_back(
+          MakeAnchor(std::move(q), std::move(p), 1.0));
       exemplars[static_cast<size_t>(tid)] += 1;
     }
   }
   for (size_t tid = 0; tid < acc.size(); ++tid) {
     if (acc[tid].count == 0) continue;
-    TemplateAnchor centroid;
-    centroid.question_embedding.resize(acc[tid].question_sum.size());
-    centroid.pattern_embedding.resize(acc[tid].pattern_sum.size());
+    std::vector<float> question(acc[tid].question_sum.size());
+    std::vector<float> pattern(acc[tid].pattern_sum.size());
     for (size_t d = 0; d < acc[tid].question_sum.size(); ++d) {
-      centroid.question_embedding[d] =
+      question[d] =
           static_cast<float>(acc[tid].question_sum[d] / acc[tid].count);
-      centroid.pattern_embedding[d] =
-          static_cast<float>(acc[tid].pattern_sum[d] / acc[tid].count);
+      pattern[d] = static_cast<float>(acc[tid].pattern_sum[d] / acc[tid].count);
     }
-    centroid.weight = 1.0;
-    anchors_[tid].push_back(std::move(centroid));
+    anchors_[tid].push_back(
+        MakeAnchor(std::move(question), std::move(pattern), 1.0));
     template_prior_[tid] = 0.02 * std::log(1.0 + acc[tid].count);
   }
   fine_tuned_ = true;
 }
 
 double CodesModel::TemplateScore(int template_id,
-                                 const std::vector<float>& q_emb,
-                                 const std::vector<float>& p_emb) const {
+                                 const QueryEmbedding& query) const {
   double best = 0.0;
   for (const auto& anchor : anchors_[static_cast<size_t>(template_id)]) {
-    double sim = std::max(CosineSimilarity(q_emb, anchor.question_embedding),
-                          CosineSimilarity(p_emb, anchor.pattern_embedding));
+    double sim = std::max(
+        CosineSimilarityWithNorms(query.question, anchor.question_embedding,
+                                  query.question_sq_norm,
+                                  anchor.question_sq_norm),
+        CosineSimilarityWithNorms(query.pattern, anchor.pattern_embedding,
+                                  query.pattern_sq_norm,
+                                  anchor.pattern_sq_norm));
     best = std::max(best, sim * anchor.weight);
   }
   return best + template_prior_[static_cast<size_t>(template_id)];
@@ -323,9 +346,11 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
   Rng rng(seed ^ 0x5EEDC0DE5ULL);
 
   std::string masked = MaskSchemaWords(input.question, db);
-  std::vector<float> q_emb = encoder_.Encode(masked);
-  std::vector<float> p_emb =
-      encoder_.Encode(ExtractQuestionPattern(masked));
+  QueryEmbedding query;
+  query.question = encoder_.Encode(masked);
+  query.pattern = encoder_.Encode(ExtractQuestionPattern(masked));
+  query.question_sq_norm = SquaredNorm(query.question);
+  query.pattern_sq_norm = SquaredNorm(query.pattern);
   // Linking evidence sees question + external knowledge; template scoring
   // above deliberately sees the bare question only.
   std::string link_text = input.question;
@@ -337,12 +362,12 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
   std::vector<std::string> q_stems;
   q_stems.reserve(q_tokens.size());
   for (const auto& t : q_tokens) q_stems.push_back(StemToken(t));
+  const StemSet q_stem_set(q_tokens);
 
   // ---- stage 1: sketch selection
   std::vector<double> template_scores(static_cast<size_t>(lib.size()), 0.0);
   for (int tid = 0; tid < lib.size(); ++tid) {
-    template_scores[static_cast<size_t>(tid)] =
-        TemplateScore(tid, q_emb, p_emb);
+    template_scores[static_cast<size_t>(tid)] = TemplateScore(tid, query);
   }
   // In-context demonstrations sharpen template selection. Evidence is
   // aggregated as a per-template *max* over demos (so extra, less similar
@@ -403,55 +428,90 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
     return false;
   };
 
+  // Every score below is a pure function of (request, database), so each
+  // is computed at most once per request, on first use, into a flat array
+  // indexed by the profile's dense column slot (or by table). Filling on
+  // first use skips items no template asks about; no score draws from the
+  // RNG, so the random stream is unchanged.
+  const ColumnProfile columns(db);
+  const size_t slots = static_cast<size_t>(columns.column_count());
+  const size_t tables = static_cast<size_t>(columns.table_count());
+  ScoreMemo base_memo(slots), value_hit_memo(slots), mention_memo(slots);
+  ScoreMemo table_score_memo(tables), table_coverage_memo(tables);
+
   auto column_base_score = [&](int t, int c) -> double {
-    if (!column_visible(t, c)) return -1e9;
-    const auto& col = db.schema().tables[t].columns[c];
-    double score = PhraseCoverage(col.name, q_tokens) * 1.2;
-    if (prompt.comments_included && !col.comment.empty()) {
-      score = std::max(score, PhraseCoverage(col.comment, q_tokens) * 1.3);
-    }
-    // Abbreviation guessing: "npgr" links to "net profit growth rate".
-    if (InitialsMatch(col.name, q_tokens)) score = std::max(score, 0.9);
-    score += 0.15 * LcsMatchDegree(ColumnPhrase(col), input.question);
-    return score;
+    return base_memo.Get(columns.Slot(t, c), [&]() -> double {
+      if (!column_visible(t, c)) return -1e9;
+      const auto& col = db.schema().tables[t].columns[c];
+      double score = PhraseCoverage(col.name, q_stem_set) * 1.2;
+      if (prompt.comments_included && !col.comment.empty()) {
+        score = std::max(score, PhraseCoverage(col.comment, q_stem_set) * 1.3);
+      }
+      // Abbreviation guessing: "npgr" links to "net profit growth rate".
+      if (InitialsMatch(col.name, q_tokens)) score = std::max(score, 0.9);
+      score += 0.15 * LcsMatchDegree(ColumnPhrase(col), input.question);
+      return score;
+    });
   };
 
   auto value_hit = [&](int t, int c) -> double {
-    double best = 0.0;
-    for (const auto& mv : prompt.matched_values) {
-      if (mv.table == t && mv.column == c && mv.score >= 0.85) {
-        best = std::max(best, mv.score);
+    return value_hit_memo.Get(columns.Slot(t, c), [&]() {
+      double best = 0.0;
+      for (const auto& mv : prompt.matched_values) {
+        if (mv.table == t && mv.column == c && mv.score >= 0.85) {
+          best = std::max(best, mv.score);
+        }
       }
-    }
-    return best;
+      return best;
+    });
+  };
+
+  auto mention_position = [&](int t, int c) -> double {
+    return mention_memo.Get(columns.Slot(t, c), [&]() {
+      const auto& col = db.schema().tables[t].columns[c];
+      return FirstMentionPosition(
+          prompt.comments_included && !col.comment.empty() ? col.comment
+                                                           : col.name,
+          q_stems);
+    });
+  };
+
+  // Coverage of a table's name (or comment) by the question.
+  auto table_coverage = [&](int t) -> double {
+    return table_coverage_memo.Get(static_cast<size_t>(t), [&]() {
+      const auto& table = db.schema().tables[t];
+      double tc = PhraseCoverage(table.name, q_stem_set);
+      if (prompt.comments_included && !table.comment.empty()) {
+        tc = std::max(tc, PhraseCoverage(table.comment, q_stem_set));
+      }
+      return tc;
+    });
   };
 
   SlotGuidance guidance;
   guidance.noise = noise * 0.25;
   guidance.numbers = QuestionNumbers(input.question);
   guidance.table_score = [&](int t) -> double {
-    if (!prompt.TableKept(t)) return -1e9;
-    const auto& table = db.schema().tables[t];
-    double score = PhraseCoverage(table.name, q_tokens) * 1.5;
-    if (prompt.comments_included && !table.comment.empty()) {
-      score = std::max(score, PhraseCoverage(table.comment, q_tokens));
-    }
-    double best_col = 0.0;
-    for (size_t c = 0; c < table.columns.size(); ++c) {
-      double cs = column_base_score(t, static_cast<int>(c)) +
-                  value_hit(t, static_cast<int>(c));
-      best_col = std::max(best_col, cs);
-    }
-    return score + 0.5 * std::max(0.0, best_col);
+    return table_score_memo.Get(static_cast<size_t>(t), [&]() -> double {
+      if (!prompt.TableKept(t)) return -1e9;
+      const auto& table = db.schema().tables[t];
+      double score = PhraseCoverage(table.name, q_stem_set) * 1.5;
+      if (prompt.comments_included && !table.comment.empty()) {
+        score = std::max(score, PhraseCoverage(table.comment, q_stem_set));
+      }
+      double best_col = 0.0;
+      for (size_t c = 0; c < table.columns.size(); ++c) {
+        double cs = column_base_score(t, static_cast<int>(c)) +
+                    value_hit(t, static_cast<int>(c));
+        best_col = std::max(best_col, cs);
+      }
+      return score + 0.5 * std::max(0.0, best_col);
+    });
   };
   guidance.select_column_score = [&](int t, int c) -> double {
     double base = column_base_score(t, c);
     if (base <= -1e8) return base;
-    const auto& col = db.schema().tables[t].columns[c];
-    double pos = FirstMentionPosition(
-        prompt.comments_included && !col.comment.empty() ? col.comment
-                                                         : col.name,
-        q_stems);
+    double pos = mention_position(t, c);
     // A column mentioned next to a value is being *filtered*, not
     // selected; selected columns are mentioned first in the question.
     return base - 0.9 * value_hit(t, c) + 0.25 * (1.0 - pos);
@@ -531,13 +591,7 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
     return prompt.keys_included && prompt.TableKept(child_t) &&
            prompt.TableKept(parent_t);
   };
-  guidance.mention_position = [&](int t, int c) -> double {
-    const auto& col = db.schema().tables[t].columns[c];
-    return FirstMentionPosition(
-        prompt.comments_included && !col.comment.empty() ? col.comment
-                                                         : col.name,
-        q_stems);
-  };
+  guidance.mention_position = mention_position;
 
   // ---- stage 3: instantiate + rerank
   std::vector<ScoredCandidate> beam;
@@ -547,7 +601,7 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
     ++tried;
     value_cursor.clear();
     Rng inst_rng = rng.Fork();
-    auto inst = lib.Instantiate(tid, db, inst_rng, &guidance);
+    auto inst = lib.Instantiate(tid, db, columns, inst_rng, &guidance);
     if (!inst.has_value()) continue;
 
     // Linking score: a centered *sum* of evidence for every schema item
@@ -561,27 +615,12 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
       if (!t) continue;
       if (item.column.empty()) {
         // Table-level evidence.
-        const auto& table = db.schema().tables[*t];
-        double tc = PhraseCoverage(table.name, q_tokens);
-        if (prompt.comments_included && !table.comment.empty()) {
-          tc = std::max(tc, PhraseCoverage(table.comment, q_tokens));
-        }
-        link += std::min(tc, 1.0) * 0.7 - 0.3;
+        link += std::min(table_coverage(*t), 1.0) * 0.7 - 0.3;
         continue;
       }
       auto c = db.schema().tables[*t].FindColumn(item.column);
       if (!c) continue;
-      const auto& col = db.schema().tables[*t].columns[*c];
-      bool is_key = col.is_primary_key;
-      for (const auto& fk : db.schema().foreign_keys) {
-        if ((ToLower(fk.table) == ToLower(item.table) &&
-             ToLower(fk.column) == ToLower(col.name)) ||
-            (ToLower(fk.ref_table) == ToLower(item.table) &&
-             ToLower(fk.ref_column) == ToLower(col.name))) {
-          is_key = true;
-        }
-      }
-      if (is_key) continue;
+      if (columns.is_key(*t, *c)) continue;
       double cs = column_base_score(*t, *c) + value_hit(*t, *c);
       if (cs > -1e8) {
         link += std::min(std::max(cs, 0.0), 1.8) - 0.5;

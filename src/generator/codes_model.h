@@ -85,14 +85,26 @@ class CodesModel {
                                             bool mark_executable = true) const;
 
  private:
+  /// Anchors carry their embeddings' squared norms so template scoring
+  /// computes only dot products; build them with MakeAnchor.
   struct TemplateAnchor {
     std::vector<float> question_embedding;
     std::vector<float> pattern_embedding;
+    double question_sq_norm = 0.0;
+    double pattern_sq_norm = 0.0;
     double weight = 1.0;
   };
+  static TemplateAnchor MakeAnchor(std::vector<float> question_embedding,
+                                   std::vector<float> pattern_embedding,
+                                   double weight);
 
-  double TemplateScore(int template_id, const std::vector<float>& q_emb,
-                       const std::vector<float>& p_emb) const;
+  /// The question and pattern embeddings of a request, with their squared
+  /// norms computed once for scoring against every anchor.
+  struct QueryEmbedding {
+    std::vector<float> question, pattern;
+    double question_sq_norm, pattern_sq_norm;
+  };
+  double TemplateScore(int template_id, const QueryEmbedding& query) const;
   void RebuildSkeletonAnchors();
 
   CapacityProfile profile_;

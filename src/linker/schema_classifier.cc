@@ -33,6 +33,13 @@ bool ValueAppearsInQuestion(const std::string& question,
 
 }  // namespace
 
+LinkerQuestion::LinkerQuestion(std::string question,
+                               const SentenceEncoder& encoder)
+    : text(std::move(question)),
+      embedding(encoder.Encode(text)),
+      tokens(ExpandWithSynonyms(WordTokens(text))),
+      stems(tokens) {}
+
 // Feature indices:
 //   0: question-token coverage of the column-name words
 //   1: question-token coverage of the column-comment words
@@ -45,35 +52,33 @@ bool ValueAppearsInQuestion(const std::string& question,
 //   8: 1 if the question mentions the exact column name (BIRD EK effect)
 //   9: 1 if the column name is the initials of a question token window
 //      ("npgr" vs "net profit growth rate") — abbreviation guessing
-LinkerFeatures ColumnLinkFeatures(const std::string& question,
+LinkerFeatures ColumnLinkFeatures(const LinkerQuestion& question,
                                   const SentenceEncoder& encoder,
-                                  const std::vector<float>& question_embedding,
                                   const sql::Database& db, int table,
                                   int column) {
   const auto& table_def = db.schema().tables[table];
   const auto& col = table_def.columns[column];
   LinkerFeatures f{};
 
-  std::vector<std::string> q_tokens =
-      ExpandWithSynonyms(WordTokens(question));
   std::vector<std::string> name_tokens = WordTokens(col.name);
   std::vector<std::string> comment_tokens = WordTokens(col.comment);
   std::vector<std::string> table_tokens = WordTokens(table_def.name);
 
-  f[0] = TokenCoverage(name_tokens, q_tokens);
-  f[1] = comment_tokens.empty() ? 0.0 : TokenCoverage(comment_tokens, q_tokens);
-  f[2] = LcsMatchDegree(col.name, question);
-  f[3] = LcsMatchDegree(ColumnPhrase(col), question);
+  f[0] = TokenCoverage(name_tokens, question.stems);
+  f[1] = comment_tokens.empty() ? 0.0
+                                : TokenCoverage(comment_tokens, question.stems);
+  f[2] = LcsMatchDegree(col.name, question.text);
+  f[3] = LcsMatchDegree(ColumnPhrase(col), question.text);
   std::string item_text =
       table_def.name + " " + col.name + " " + col.comment;
-  f[4] = CosineSimilarity(question_embedding, encoder.Encode(item_text));
-  f[5] = ValueAppearsInQuestion(question, db, table, column) ? 1.0 : 0.0;
+  f[4] = CosineSimilarity(question.embedding, encoder.Encode(item_text));
+  f[5] = ValueAppearsInQuestion(question.text, db, table, column) ? 1.0 : 0.0;
   f[6] = col.is_primary_key ? 1.0 : 0.0;
-  f[7] = TokenCoverage(table_tokens, q_tokens);
-  f[8] = ContainsIgnoreCase(question, col.name) && col.name.size() >= 2
+  f[7] = TokenCoverage(table_tokens, question.stems);
+  f[8] = ContainsIgnoreCase(question.text, col.name) && col.name.size() >= 2
              ? 1.0
              : 0.0;
-  f[9] = InitialsMatch(col.name, q_tokens) ? 1.0 : 0.0;
+  f[9] = InitialsMatch(col.name, question.tokens) ? 1.0 : 0.0;
   return f;
 }
 
@@ -102,11 +107,11 @@ void SchemaItemClassifier::Train(const Text2SqlBenchmark& bench,
 
   for (const auto& sample : bench.train) {
     const sql::Database& db = bench.DbOf(sample);
-    std::string question = sample.question;
+    std::string text = sample.question;
     if (!sample.external_knowledge.empty()) {
-      question += " ; " + sample.external_knowledge;
+      text += " ; " + sample.external_knowledge;
     }
-    std::vector<float> q_emb = encoder_.Encode(question);
+    const LinkerQuestion question(std::move(text), encoder_);
 
     // Positive columns from used_items.
     std::vector<std::pair<int, int>> positives;
@@ -120,7 +125,7 @@ void SchemaItemClassifier::Train(const Text2SqlBenchmark& bench,
     }
     for (const auto& [t, c] : positives) {
       examples.push_back(
-          {ColumnLinkFeatures(question, encoder_, q_emb, db, t, c), 1});
+          {ColumnLinkFeatures(question, encoder_, db, t, c), 1});
     }
     // Random negatives from the same database.
     int negatives = static_cast<int>(positives.size()) *
@@ -135,7 +140,7 @@ void SchemaItemClassifier::Train(const Text2SqlBenchmark& bench,
       }
       if (is_positive) continue;
       examples.push_back(
-          {ColumnLinkFeatures(question, encoder_, q_emb, db, t, c), 0});
+          {ColumnLinkFeatures(question, encoder_, db, t, c), 0});
     }
   }
 
@@ -162,31 +167,61 @@ void SchemaItemClassifier::Train(const Text2SqlBenchmark& bench,
 double SchemaItemClassifier::ScoreColumn(const std::string& question,
                                          const sql::Database& db, int table,
                                          int column) const {
-  std::vector<float> q_emb = encoder_.Encode(question);
-  LinkerFeatures f =
-      ColumnLinkFeatures(question, encoder_, q_emb, db, table, column);
+  return ScoreColumn(LinkerQuestion(question, encoder_), db, table, column);
+}
+
+double SchemaItemClassifier::ScoreColumn(const LinkerQuestion& question,
+                                         const sql::Database& db, int table,
+                                         int column) const {
+  LinkerFeatures f = ColumnLinkFeatures(question, encoder_, db, table, column);
   double z = bias_;
   for (size_t i = 0; i < f.size(); ++i) z += weights_[i] * f[i];
   return Sigmoid(z);
 }
 
+double SchemaItemClassifier::TableScore(const LinkerQuestion& question,
+                                        const sql::TableDef& table,
+                                        double best_column) {
+  double name_cov = TokenCoverage(WordTokens(table.name), question.stems);
+  double comment_cov =
+      table.comment.empty()
+          ? 0.0
+          : TokenCoverage(WordTokens(table.comment), question.stems);
+  return 0.45 * best_column + 0.35 * name_cov + 0.20 * comment_cov;
+}
+
 double SchemaItemClassifier::ScoreTable(const std::string& question,
                                         const sql::Database& db,
                                         int table) const {
+  const LinkerQuestion q(question, encoder_);
   const auto& table_def = db.schema().tables[table];
-  std::vector<std::string> q_tokens =
-      ExpandWithSynonyms(WordTokens(question));
-  double name_cov = TokenCoverage(WordTokens(table_def.name), q_tokens);
-  double comment_cov =
-      table_def.comment.empty()
-          ? 0.0
-          : TokenCoverage(WordTokens(table_def.comment), q_tokens);
   double best_column = 0.0;
   for (size_t c = 0; c < table_def.columns.size(); ++c) {
-    best_column = std::max(
-        best_column, ScoreColumn(question, db, table, static_cast<int>(c)));
+    best_column = std::max(best_column,
+                           ScoreColumn(q, db, table, static_cast<int>(c)));
   }
-  return 0.45 * best_column + 0.35 * name_cov + 0.20 * comment_cov;
+  return TableScore(q, table_def, best_column);
+}
+
+SchemaScores SchemaItemClassifier::ScoreSchema(const std::string& question,
+                                               const sql::Database& db) const {
+  const LinkerQuestion q(question, encoder_);
+  const auto& tables = db.schema().tables;
+  SchemaScores scores;
+  scores.tables.reserve(tables.size());
+  scores.columns.resize(tables.size());
+  for (size_t t = 0; t < tables.size(); ++t) {
+    std::vector<double>& columns = scores.columns[t];
+    columns.reserve(tables[t].columns.size());
+    double best_column = 0.0;
+    for (size_t c = 0; c < tables[t].columns.size(); ++c) {
+      columns.push_back(
+          ScoreColumn(q, db, static_cast<int>(t), static_cast<int>(c)));
+      best_column = std::max(best_column, columns.back());
+    }
+    scores.tables.push_back(TableScore(q, tables[t], best_column));
+  }
+  return scores;
 }
 
 double ComputeAuc(const std::vector<double>& scores,
@@ -233,14 +268,14 @@ std::pair<double, double> EvaluateClassifierAuc(
     if (use_external_knowledge && !sample.external_knowledge.empty()) {
       question += " ; " + sample.external_knowledge;
     }
+    const SchemaScores scores = classifier.ScoreSchema(question, db);
     for (size_t t = 0; t < db.schema().tables.size(); ++t) {
       const auto& table = db.schema().tables[t];
       bool table_used = false;
       for (const auto& item : sample.used_items) {
         if (ToLower(item.table) == ToLower(table.name)) table_used = true;
       }
-      table_scores.push_back(
-          classifier.ScoreTable(question, db, static_cast<int>(t)));
+      table_scores.push_back(scores.tables[t]);
       table_labels.push_back(table_used ? 1 : 0);
       for (size_t c = 0; c < table.columns.size(); ++c) {
         bool col_used = false;
@@ -250,8 +285,7 @@ std::pair<double, double> EvaluateClassifierAuc(
             col_used = true;
           }
         }
-        column_scores.push_back(classifier.ScoreColumn(
-            question, db, static_cast<int>(t), static_cast<int>(c)));
+        column_scores.push_back(scores.columns[t][c]);
         column_labels.push_back(col_used ? 1 : 0);
       }
     }

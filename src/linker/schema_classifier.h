@@ -9,6 +9,7 @@
 #include "dataset/sample.h"
 #include "embed/sentence_encoder.h"
 #include "sqlengine/database.h"
+#include "text/similarity.h"
 
 namespace codes {
 
@@ -16,13 +17,30 @@ namespace codes {
 /// Index meanings are documented in schema_classifier.cc.
 using LinkerFeatures = std::array<double, 10>;
 
-/// Computes features for a column. `question` should already include the
-/// external-knowledge hint when available.
-LinkerFeatures ColumnLinkFeatures(const std::string& question,
+/// The question side of the linker features, computed once per question
+/// and shared by every schema item scored against it. `question` should
+/// already include the external-knowledge hint when available.
+struct LinkerQuestion {
+  LinkerQuestion(std::string question, const SentenceEncoder& encoder);
+
+  std::string text;
+  std::vector<float> embedding;     ///< encoder.Encode(text)
+  std::vector<std::string> tokens;  ///< ExpandWithSynonyms(WordTokens(text))
+  StemSet stems;                    ///< StemSet(tokens)
+};
+
+/// Computes features for a column; `encoder` must be the one `question`
+/// was built with.
+LinkerFeatures ColumnLinkFeatures(const LinkerQuestion& question,
                                   const SentenceEncoder& encoder,
-                                  const std::vector<float>& question_embedding,
                                   const sql::Database& db, int table,
                                   int column);
+
+/// Every table and column score of one database for one question.
+struct SchemaScores {
+  std::vector<double> tables;                ///< [table]
+  std::vector<std::vector<double>> columns;  ///< [table][column]
+};
 
 /// The schema item classifier of Section 6.1 (a RoBERTa cross-encoder in
 /// the paper; here a logistic regression over lexical/semantic features,
@@ -54,6 +72,12 @@ class SchemaItemClassifier {
   double ScoreTable(const std::string& question, const sql::Database& db,
                     int table) const;
 
+  /// ScoreTable and ScoreColumn for every item of `db`, with the question
+  /// encoded and tokenized once. Equal, score for score, to calling them
+  /// one item at a time.
+  SchemaScores ScoreSchema(const std::string& question,
+                           const sql::Database& db) const;
+
   const SentenceEncoder& encoder() const { return encoder_; }
 
   /// Learned weights (exposed for tests and diagnostics).
@@ -61,6 +85,12 @@ class SchemaItemClassifier {
   double bias() const { return bias_; }
 
  private:
+  double ScoreColumn(const LinkerQuestion& question, const sql::Database& db,
+                     int table, int column) const;
+  /// The table blend, given the best of its column scores.
+  static double TableScore(const LinkerQuestion& question,
+                           const sql::TableDef& table, double best_column);
+
   SentenceEncoder encoder_;
   LinkerFeatures weights_{};
   double bias_ = 0.0;

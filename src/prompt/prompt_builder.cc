@@ -61,12 +61,11 @@ DatabasePrompt PromptBuilder::Build(
     // selection (the "schema item classifier" column of the paper's
     // latency breakdown).
     CODES_TRACE_SPAN(span, "pipeline.classifier");
-    // Score and keep top-k1 tables.
+    // One pass scores every table and column; keep the top-k1 tables.
+    const SchemaScores scores = classifier_->ScoreSchema(question, db);
     std::vector<std::pair<double, int>> table_scores;
     for (size_t t = 0; t < schema.tables.size(); ++t) {
-      table_scores.emplace_back(
-          classifier_->ScoreTable(question, db, static_cast<int>(t)),
-          static_cast<int>(t));
+      table_scores.emplace_back(scores.tables[t], static_cast<int>(t));
     }
     std::sort(table_scores.begin(), table_scores.end(),
               [](const auto& a, const auto& b) {
@@ -91,9 +90,7 @@ DatabasePrompt PromptBuilder::Build(
         if (IsKeyColumn(db, t, static_cast<int>(c))) {
           cols.push_back(static_cast<int>(c));
         } else {
-          scored.emplace_back(classifier_->ScoreColumn(question, db, t,
-                                                       static_cast<int>(c)),
-                              static_cast<int>(c));
+          scored.emplace_back(scores.columns[t][c], static_cast<int>(c));
         }
       }
       std::sort(scored.begin(), scored.end(), [](const auto& a,

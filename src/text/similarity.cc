@@ -260,11 +260,19 @@ bool InitialsMatch(const std::string& identifier,
 double TokenCoverage(const std::vector<std::string>& needle,
                      const std::vector<std::string>& haystack) {
   if (needle.empty()) return 0.0;
-  std::unordered_set<std::string> hs;
-  for (const auto& t : haystack) hs.insert(StemToken(t));
+  return TokenCoverage(needle, StemSet(haystack));
+}
+
+StemSet::StemSet(const std::vector<std::string>& tokens) {
+  for (const auto& t : tokens) stems_.insert(StemToken(t));
+}
+
+double TokenCoverage(const std::vector<std::string>& needle,
+                     const StemSet& haystack_stems) {
+  if (needle.empty()) return 0.0;
   int hits = 0;
   for (const auto& t : needle) {
-    if (hs.count(StemToken(t))) ++hits;
+    if (haystack_stems.Contains(StemToken(t))) ++hits;
   }
   return static_cast<double>(hits) / static_cast<double>(needle.size());
 }

@@ -3,6 +3,7 @@
 
 #include <string>
 #include <string_view>
+#include <unordered_set>
 #include <vector>
 
 namespace codes {
@@ -44,6 +45,26 @@ double JaccardSimilarity(const std::vector<std::string>& a,
 /// Fraction of tokens in `needle` that occur in `haystack` (stemmed match).
 double TokenCoverage(const std::vector<std::string>& needle,
                      const std::vector<std::string>& haystack);
+
+/// The stems (StemToken) of a token list, built once to match many needles
+/// against one haystack.
+class StemSet {
+ public:
+  explicit StemSet(const std::vector<std::string>& tokens);
+
+  bool Contains(const std::string& stem) const {
+    return stems_.count(stem) > 0;
+  }
+
+ private:
+  std::unordered_set<std::string> stems_;
+};
+
+/// TokenCoverage against a prebuilt haystack: equal to
+/// TokenCoverage(needle, haystack) when `haystack_stems` is
+/// StemSet(haystack).
+double TokenCoverage(const std::vector<std::string>& needle,
+                     const StemSet& haystack_stems);
 
 /// True when `identifier` (e.g. "npgr") is the initials of some window of
 /// consecutive content tokens ("net profit growth rate"). How humans — and

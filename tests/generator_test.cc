@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+
+#include "common/thread_pool.h"
 #include "core/model_zoo.h"
 #include "corpus/pretrain_corpus.h"
 #include "sqlengine/executor.h"
@@ -178,6 +183,110 @@ TEST_F(GeneratorTest, ExtraNoiseDegradesBaselines) {
   b.SetDemonstrationPool(bench_->train);
   auto m_noisy = EvaluateDevSet(*bench_, b.PredictorFor(*bench_), options);
   EXPECT_GT(m_clean.ex, m_noisy.ex);
+}
+
+// FNV-1a over every beam of a request set: SQL text, template id, the
+// exact bits of each score, and the executable mark.
+uint64_t BeamDigest(const std::vector<std::vector<ScoredCandidate>>& beams) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](const void* data, size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < size; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const auto& beam : beams) {
+    const uint64_t n = beam.size();
+    mix(&n, sizeof(n));
+    for (const auto& cand : beam) {
+      mix(cand.sql.data(), cand.sql.size());
+      mix("", 1);
+      const int64_t tid = cand.template_id;
+      mix(&tid, sizeof(tid));
+      uint64_t bits = 0;
+      std::memcpy(&bits, &cand.score, sizeof(bits));
+      mix(&bits, sizeof(bits));
+      const char exec = cand.executable ? 1 : 0;
+      mix(&exec, 1);
+    }
+  }
+  return h;
+}
+
+// Golden beams: a fixed request set — a Spider-like dev set with and
+// without demonstrations, and a BIRD-like dev set (abbreviated names,
+// comments, dirty values, EK) — generated at 1 and 8 threads must hash to
+// the digest recorded before generation memoized its per-request scores.
+// Any change to a score's value, the RNG stream or the candidate order
+// shows up here.
+TEST_F(GeneratorTest, GoldenBeamDigestMatchesAtOneAndEightThreads) {
+  constexpr uint64_t kGoldenDigest = 0x805301e2a580d7e8ULL;
+
+  BenchmarkConfig bird_config;
+  bird_config.name = "tiny_bird_like";
+  bird_config.profile = DbProfile::Bird();
+  bird_config.train_domains = 3;
+  bird_config.dev_domains = 2;
+  bird_config.train_samples_per_db = 20;
+  bird_config.dev_samples_per_db = 10;
+  bird_config.with_external_knowledge = true;
+  bird_config.seed = 4242;
+  const Text2SqlBenchmark bird = BuildBenchmark(bird_config);
+
+  PipelineConfig config;
+  config.size = ModelSize::k7B;
+  CodesPipeline spider_pipeline(config, zoo_->CodesFor(config.size));
+  spider_pipeline.TrainClassifier(*bench_);
+  spider_pipeline.FineTune(*bench_);
+  config.use_external_knowledge = true;
+  CodesPipeline bird_pipeline(config, zoo_->CodesFor(config.size));
+  bird_pipeline.TrainClassifier(bird);
+  bird_pipeline.FineTune(bird);
+
+  struct Request {
+    const CodesPipeline* pipeline;
+    const Text2SqlBenchmark* bench;
+    const Text2SqlSample* sample;
+    bool with_demos;
+    uint64_t seed;
+  };
+  std::vector<Request> requests;
+  for (const auto& s : bench_->dev) {
+    requests.push_back({&spider_pipeline, bench_, &s, false, 7});
+    requests.push_back({&spider_pipeline, bench_, &s, true, 11});
+  }
+  for (const auto& s : bird.dev) {
+    requests.push_back({&bird_pipeline, &bird, &s, false, 13});
+  }
+
+  auto run = [&requests](int threads) {
+    std::vector<std::vector<ScoredCandidate>> beams(requests.size());
+    ThreadPool pool(threads);
+    pool.ParallelFor(requests.size(), [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        const Request& r = requests[i];
+        DatabasePrompt prompt = r.pipeline->BuildPrompt(*r.bench, *r.sample);
+        GenerationInput input;
+        input.db = &r.bench->DbOf(*r.sample);
+        input.prompt = &prompt;
+        input.question = r.sample->question;
+        input.external_knowledge = r.sample->external_knowledge;
+        if (r.with_demos) {
+          for (size_t d = 0; d < 3; ++d) {
+            input.demonstrations.push_back(&r.bench->train[d * 7]);
+          }
+        }
+        beams[i] = r.pipeline->model().GenerateBeam(input, r.seed + i);
+      }
+    });
+    return BeamDigest(beams);
+  };
+
+  const uint64_t serial = run(1);
+  std::printf("beam digest: 0x%016" PRIx64 "\n", serial);
+  EXPECT_EQ(serial, kGoldenDigest);
+  EXPECT_EQ(run(8), serial);
 }
 
 TEST_F(GeneratorTest, BaselineTableCoversSixteenModels) {

@@ -1,22 +1,35 @@
 // Equivalence suite for the hot-path speed campaign: every rewritten
-// component (bit-parallel LCS, interned-term BM25, flat-hash n-gram LM)
-// must be *behaviorally invisible* — byte-identical outputs, including
-// the exact double values, against the pinned reference implementations
-// it replaced. These tests are the contract that lets bench_latency's
-// before/after numbers claim a pure speed win.
+// component (bit-parallel LCS, interned-term BM25, flat-hash n-gram LM,
+// the per-request column profile, norm-cached cosines, prebuilt stem sets
+// and one-pass schema scoring) must be *behaviorally invisible* —
+// byte-identical outputs, including the exact double values, against the
+// pinned reference implementations it replaced. These tests are the
+// contract that lets the benchmarks' before/after numbers claim a pure
+// speed win.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
 #include <random>
 #include <string>
+#include <unordered_set>
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
+#include "dataset/benchmark_builder.h"
+#include "dataset/column_profile.h"
+#include "dataset/db_generator.h"
+#include "dataset/domains.h"
+#include "embed/sentence_encoder.h"
 #include "index/bm25_index.h"
 #include "index/bm25_reference.h"
+#include "linker/schema_classifier.h"
 #include "lm/ngram_lm.h"
 #include "lm/ngram_reference.h"
 #include "text/similarity.h"
+#include "text/tokenize.h"
 
 namespace codes {
 namespace {
@@ -394,6 +407,423 @@ TEST(NgramEquivalenceTest, EightThreadsMatchSerial) {
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < 8; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
+}
+
+// ---------------------------------------------------------------------------
+// TokenCoverage against a prebuilt stem set vs the set-per-call original.
+// ---------------------------------------------------------------------------
+
+double ReferenceTokenCoverage(const std::vector<std::string>& needle,
+                              const std::vector<std::string>& haystack) {
+  if (needle.empty()) return 0.0;
+  std::unordered_set<std::string> hs;
+  for (const auto& t : haystack) hs.insert(StemToken(t));
+  int hits = 0;
+  for (const auto& t : needle) {
+    if (hs.count(StemToken(t))) ++hits;
+  }
+  return static_cast<double>(hits) / static_cast<double>(needle.size());
+}
+
+TEST(TokenCoverageEquivalenceTest, RandomTokenListsMatchReference) {
+  // Inflected forms that stem together, stop words and the empty token.
+  const std::vector<std::string> vocab = {
+      "singer", "singers", "name", "names", "age", "the", "of", "city",
+      "cities", "running", "runs", "run", "", "a", "npgr", "rate", "rates"};
+  std::mt19937 rng(1801);
+  std::uniform_int_distribution<size_t> len_dist(0, 9);
+  std::uniform_int_distribution<size_t> word_dist(0, vocab.size() - 1);
+  auto random_list = [&]() {
+    std::vector<std::string> out(len_dist(rng));
+    for (auto& w : out) w = vocab[word_dist(rng)];
+    return out;
+  };
+  for (int i = 0; i < 2000; ++i) {
+    const auto needle = random_list();
+    const auto haystack = random_list();
+    EXPECT_EQ(TokenCoverage(needle, StemSet(haystack)),
+              ReferenceTokenCoverage(needle, haystack));
+    EXPECT_EQ(TokenCoverage(needle, haystack),
+              ReferenceTokenCoverage(needle, haystack));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Cosine with cached squared norms vs the norm-per-call original.
+// ---------------------------------------------------------------------------
+
+TEST(CosineEquivalenceTest, CachedNormsMatchCosineSimilarity) {
+  std::mt19937 rng(1802);
+  std::normal_distribution<float> dist(0.0f, 1.0f);
+  std::vector<std::vector<float>> vectors;
+  for (size_t dim : {1u, 7u, 64u, 192u, 256u}) {
+    for (int i = 0; i < 40; ++i) {
+      std::vector<float> v(dim);
+      for (auto& x : v) x = dist(rng);
+      vectors.push_back(std::move(v));
+    }
+    vectors.emplace_back(dim, 0.0f);  // zero vector
+    std::vector<float> sparse(dim, 0.0f);
+    sparse[dim / 2] = 1e-20f;  // squares underflow in float, not in double
+    vectors.push_back(std::move(sparse));
+  }
+  SentenceEncoder encoder(192);
+  for (const char* text : {"how many singers are there", "_ of _ whose _ is",
+                           "", "show the name of every city"}) {
+    vectors.push_back(encoder.Encode(text));
+  }
+  for (const auto& a : vectors) {
+    for (const auto& b : vectors) {
+      if (a.size() != b.size()) continue;
+      EXPECT_EQ(CosineSimilarityWithNorms(a, b, SquaredNorm(a), SquaredNorm(b)),
+                CosineSimilarity(a, b));
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// ColumnProfile vs the per-call slot-type scans it replaced.
+// ---------------------------------------------------------------------------
+
+bool ReferenceIsForeignKeyColumn(const sql::DatabaseSchema& schema, int t,
+                                 int c) {
+  const std::string& table = schema.tables[t].name;
+  const std::string& column = schema.tables[t].columns[c].name;
+  for (const auto& fk : schema.foreign_keys) {
+    if (ToLower(fk.table) == ToLower(table) &&
+        ToLower(fk.column) == ToLower(column)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool ReferenceIsIdLike(const sql::DatabaseSchema& schema, int t, int c) {
+  const auto& col = schema.tables[t].columns[c];
+  if (col.is_primary_key) return true;
+  if (EndsWith(ToLower(col.name), "_id")) return true;
+  return ReferenceIsForeignKeyColumn(schema, t, c);
+}
+
+std::vector<int> ReferenceTextColumns(const sql::Database& db, int t) {
+  std::vector<int> out;
+  const auto& table = db.schema().tables[t];
+  for (size_t c = 0; c < table.columns.size(); ++c) {
+    if (table.columns[c].type == sql::DataType::kText &&
+        !ReferenceIsIdLike(db.schema(), t, static_cast<int>(c))) {
+      out.push_back(static_cast<int>(c));
+    }
+  }
+  return out;
+}
+
+std::vector<int> ReferenceNumericColumns(const sql::Database& db, int t) {
+  std::vector<int> out;
+  const auto& table = db.schema().tables[t];
+  for (size_t c = 0; c < table.columns.size(); ++c) {
+    sql::DataType type = table.columns[c].type;
+    if ((type == sql::DataType::kInteger || type == sql::DataType::kReal) &&
+        !ReferenceIsIdLike(db.schema(), t, static_cast<int>(c))) {
+      out.push_back(static_cast<int>(c));
+    }
+  }
+  return out;
+}
+
+std::vector<int> ReferenceCategoryColumns(const sql::Database& db, int t) {
+  std::vector<int> out;
+  const auto& rows = db.TableAt(t).rows;
+  if (rows.empty()) return out;
+  for (int c : ReferenceTextColumns(db, t)) {
+    std::vector<std::string> seen;
+    int non_null = 0;
+    for (const auto& row : rows) {
+      if (row[c].is_null()) continue;
+      ++non_null;
+      const std::string& s = row[c].AsText();
+      if (std::find(seen.begin(), seen.end(), s) == seen.end()) {
+        seen.push_back(s);
+      }
+    }
+    if (non_null >= 4 && seen.size() * 2 <= static_cast<size_t>(non_null)) {
+      out.push_back(c);
+    }
+  }
+  return out;
+}
+
+std::vector<int> ReferenceDateColumns(const sql::Database& db, int t) {
+  std::vector<int> out;
+  const auto& rows = db.TableAt(t).rows;
+  for (int c : ReferenceTextColumns(db, t)) {
+    for (const auto& row : rows) {
+      if (row[c].is_null()) continue;
+      const std::string& s = row[c].AsText();
+      bool is_date = s.size() == 10 && s[4] == '-' && s[7] == '-';
+      if (is_date) out.push_back(c);
+      break;  // judge by first non-null value
+    }
+  }
+  return out;
+}
+
+std::vector<JoinEdge> ReferenceJoinEdges(const sql::Database& db) {
+  std::vector<JoinEdge> out;
+  const auto& schema = db.schema();
+  for (const auto& fk : schema.foreign_keys) {
+    auto ct = schema.FindTable(fk.table);
+    auto pt = schema.FindTable(fk.ref_table);
+    if (!ct || !pt) continue;
+    auto cc = schema.tables[*ct].FindColumn(fk.column);
+    auto pc = schema.tables[*pt].FindColumn(fk.ref_column);
+    if (!cc || !pc) continue;
+    out.push_back(JoinEdge{*ct, *cc, *pt, *pc});
+  }
+  return out;
+}
+
+// The key test of the generator's link re-rank: a primary key, or either
+// side of an FK.
+bool ReferenceIsKey(const sql::Database& db, int t, int c) {
+  const auto& table = db.schema().tables[t];
+  const auto& col = table.columns[c];
+  bool is_key = col.is_primary_key;
+  for (const auto& fk : db.schema().foreign_keys) {
+    if ((ToLower(fk.table) == ToLower(table.name) &&
+         ToLower(fk.column) == ToLower(col.name)) ||
+        (ToLower(fk.ref_table) == ToLower(table.name) &&
+         ToLower(fk.ref_column) == ToLower(col.name))) {
+      is_key = true;
+    }
+  }
+  return is_key;
+}
+
+void ExpectProfileMatchesReference(const sql::Database& db,
+                                   const std::string& label) {
+  SCOPED_TRACE(label + " / " + db.schema().name);
+  const ColumnProfile profile(db);
+  const int tables = static_cast<int>(db.schema().tables.size());
+  ASSERT_EQ(profile.table_count(), tables);
+  int slots = 0;
+  for (int t = 0; t < tables; ++t) {
+    EXPECT_EQ(profile.text(t), ReferenceTextColumns(db, t)) << "table " << t;
+    EXPECT_EQ(profile.numeric(t), ReferenceNumericColumns(db, t))
+        << "table " << t;
+    EXPECT_EQ(profile.category(t), ReferenceCategoryColumns(db, t))
+        << "table " << t;
+    EXPECT_EQ(profile.date(t), ReferenceDateColumns(db, t)) << "table " << t;
+    const int cols = static_cast<int>(db.schema().tables[t].columns.size());
+    for (int c = 0; c < cols; ++c) {
+      EXPECT_EQ(profile.Slot(t, c), slots++);
+      EXPECT_EQ(profile.is_key(t, c), ReferenceIsKey(db, t, c))
+          << "table " << t << " column " << c;
+    }
+  }
+  EXPECT_EQ(profile.column_count(), slots);
+  const auto expected = ReferenceJoinEdges(db);
+  ASSERT_EQ(profile.join_edges().size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const JoinEdge& a = profile.join_edges()[i];
+    const JoinEdge& b = expected[i];
+    EXPECT_EQ(a.child_t, b.child_t);
+    EXPECT_EQ(a.child_c, b.child_c);
+    EXPECT_EQ(a.parent_t, b.parent_t);
+    EXPECT_EQ(a.parent_c, b.parent_c);
+  }
+}
+
+// NULLs most cells (every column of the first table entirely), so columns
+// drop under the 4-non-NULL category floor and dates are judged by a later
+// row.
+sql::Database NullHeavyCopy(const sql::Database& db, uint64_t seed) {
+  sql::Database copy = db;
+  std::mt19937 rng(static_cast<uint32_t>(seed));
+  std::bernoulli_distribution null_cell(0.7);
+  for (size_t t = 0; t < copy.schema().tables.size(); ++t) {
+    for (auto& row : copy.MutableTableAt(static_cast<int>(t)).rows) {
+      for (auto& cell : row) {
+        if (t == 0 || null_cell(rng)) cell = sql::Value::Null();
+      }
+    }
+  }
+  return copy;
+}
+
+// Dirty text: case and whitespace mangling (new distinct values), copies of
+// other rows' values (fewer distinct values), date-shaped and
+// almost-date-shaped strings, an emptied table, mixed-case and dangling FK
+// names, and an "_ID"-suffixed column.
+sql::Database DirtyCopy(const sql::Database& db, uint64_t seed) {
+  sql::Database copy = db;
+  std::mt19937 rng(static_cast<uint32_t>(seed));
+  std::uniform_int_distribution<int> action(0, 5);
+  auto& schema = copy.mutable_schema();
+  for (size_t t = 0; t < schema.tables.size(); ++t) {
+    auto& rows = copy.MutableTableAt(static_cast<int>(t)).rows;
+    const auto& columns = schema.tables[t].columns;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      if (columns[c].type != sql::DataType::kText) continue;
+      for (size_t r = 0; r < rows.size(); ++r) {
+        sql::Value& cell = rows[r][c];
+        switch (action(rng)) {
+          case 0:
+            if (cell.is_text()) cell = sql::Value(" " + ToUpper(cell.AsText()));
+            break;
+          case 1:
+            if (r > 0) cell = rows[r - 1][c];
+            break;
+          case 2:
+            cell = sql::Value(r % 2 ? "2021-03-04" : "2021/03/04");
+            break;
+          case 3:
+            cell = sql::Value::Null();
+            break;
+          default:
+            break;
+        }
+      }
+    }
+  }
+  if (schema.tables.size() > 1) copy.MutableTableAt(1).rows.clear();
+  for (size_t i = 0; i < schema.foreign_keys.size(); ++i) {
+    auto& fk = schema.foreign_keys[i];
+    fk.table = i % 2 ? ToUpper(fk.table) : fk.table;
+    fk.column = ToUpper(fk.column);
+    fk.ref_table = i % 2 ? fk.ref_table : ToUpper(fk.ref_table);
+  }
+  if (!schema.tables.empty()) {
+    sql::ForeignKey dangling;
+    dangling.table = schema.tables[0].name;
+    dangling.column = "no_such_column";
+    dangling.ref_table = "no_such_table";
+    dangling.ref_column = "id";
+    schema.foreign_keys.push_back(dangling);
+    auto& first = schema.tables[0].columns;
+    if (first.size() > 1) first[1].name = "Owner_ID";
+  }
+  return copy;
+}
+
+// Walks the category boundaries: text column c of a table keeps only
+// (c + t) % 7 non-NULL cells, cycling over 1-3 distinct (sometimes
+// date-shaped) values, so the "at least 4 non-NULL" and "at most half
+// distinct" thresholds are each hit from both sides. Also adds an FK whose
+// both ends are ordinary, non-key columns.
+sql::Database SparseCopy(const sql::Database& db) {
+  sql::Database copy = db;
+  auto& schema = copy.mutable_schema();
+  for (size_t t = 0; t < schema.tables.size(); ++t) {
+    auto& rows = copy.MutableTableAt(static_cast<int>(t)).rows;
+    const auto& columns = schema.tables[t].columns;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      const size_t keep = (c + t) % 7;
+      const size_t distinct = (c + t) % 3 + 1;
+      for (size_t r = 0; r < rows.size(); ++r) {
+        if (r >= keep) {
+          rows[r][c] = sql::Value::Null();
+        } else if (columns[c].type == sql::DataType::kText) {
+          const std::string v = std::to_string(r % distinct);
+          rows[r][c] = sql::Value((c % 2 ? "2020-01-0" : "v") + v);
+        }
+      }
+    }
+  }
+  if (schema.tables.size() > 1) {
+    sql::ForeignKey fk;
+    fk.table = ToUpper(schema.tables[1].name);
+    fk.column = schema.tables[1].columns.back().name;
+    fk.ref_table = schema.tables[0].name;
+    fk.ref_column = ToUpper(schema.tables[0].columns.back().name);
+    schema.foreign_keys.push_back(fk);
+  }
+  return copy;
+}
+
+void ExpectBenchmarkProfilesMatch(const Text2SqlBenchmark& bench) {
+  for (size_t d = 0; d < bench.databases.size(); ++d) {
+    const sql::Database& db = bench.databases[d];
+    ExpectProfileMatchesReference(db, bench.name);
+    ExpectProfileMatchesReference(NullHeavyCopy(db, d), bench.name + "+null");
+    ExpectProfileMatchesReference(DirtyCopy(db, d), bench.name + "+dirty");
+    ExpectProfileMatchesReference(SparseCopy(db), bench.name + "+sparse");
+  }
+}
+
+TEST(ColumnProfileEquivalenceTest, TinySpiderLikeMatchesReference) {
+  ExpectBenchmarkProfilesMatch(BuildTinySpiderLike());
+}
+
+TEST(ColumnProfileEquivalenceTest, SpiderLikeMatchesReference) {
+  ExpectBenchmarkProfilesMatch(BuildSpiderLike());
+}
+
+TEST(ColumnProfileEquivalenceTest, BirdLikeMatchesReference) {
+  ExpectBenchmarkProfilesMatch(BuildBirdLike());
+}
+
+TEST(ColumnProfileEquivalenceTest, ThreeHundredRowSpiderProfileMatches) {
+  DbProfile profile = DbProfile::Spider();
+  profile.min_rows = 300;
+  profile.max_rows = 300;
+  Rng rng(1803);
+  for (const auto& domain : AllDomains()) {
+    Rng db_rng = rng.Fork();
+    const sql::Database db = GenerateDatabase(domain, profile, db_rng);
+    ExpectProfileMatchesReference(db, "rows300");
+    ExpectProfileMatchesReference(DirtyCopy(db, 7), "rows300+dirty");
+  }
+}
+
+// ---------------------------------------------------------------------------
+// One-pass schema scoring vs item-at-a-time scoring.
+// ---------------------------------------------------------------------------
+
+void ExpectScoreSchemaMatches(const SchemaItemClassifier& classifier,
+                              const Text2SqlBenchmark& bench) {
+  for (size_t i = 0; i < bench.dev.size(); i += 3) {
+    const Text2SqlSample& sample = bench.dev[i];
+    const sql::Database& db = bench.DbOf(sample);
+    std::string question = sample.question;
+    if (!sample.external_knowledge.empty()) {
+      question += " ; " + sample.external_knowledge;
+    }
+    const SchemaScores scores = classifier.ScoreSchema(question, db);
+    const auto& tables = db.schema().tables;
+    ASSERT_EQ(scores.tables.size(), tables.size());
+    ASSERT_EQ(scores.columns.size(), tables.size());
+    for (size_t t = 0; t < tables.size(); ++t) {
+      const int ti = static_cast<int>(t);
+      EXPECT_EQ(scores.tables[t], classifier.ScoreTable(question, db, ti));
+      ASSERT_EQ(scores.columns[t].size(), tables[t].columns.size());
+      for (size_t c = 0; c < tables[t].columns.size(); ++c) {
+        EXPECT_EQ(scores.columns[t][c],
+                  classifier.ScoreColumn(question, db, ti,
+                                         static_cast<int>(c)));
+      }
+    }
+  }
+}
+
+TEST(ScoreSchemaEquivalenceTest, MatchesItemAtATimeScoring) {
+  const Text2SqlBenchmark spider = BuildTinySpiderLike();
+  BenchmarkConfig config;
+  config.name = "tiny_bird_like";
+  config.profile = DbProfile::Bird();
+  config.train_domains = 3;
+  config.dev_domains = 2;
+  config.train_samples_per_db = 20;
+  config.dev_samples_per_db = 12;
+  config.with_external_knowledge = true;
+  config.seed = 1804;
+  const Text2SqlBenchmark bird = BuildBenchmark(config);
+
+  SchemaItemClassifier prior;  // untrained: prior weights
+  ExpectScoreSchemaMatches(prior, spider);
+  SchemaItemClassifier trained;
+  trained.Train(bird, SchemaItemClassifier::TrainOptions{});
+  ExpectScoreSchemaMatches(trained, bird);
+  ExpectScoreSchemaMatches(trained, spider);
 }
 
 }  // namespace
