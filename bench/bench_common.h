@@ -7,35 +7,31 @@
 
 #include <cstdio>
 #include <string>
-#include <string_view>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/metrics.h"
 #include "common/string_util.h"
 
 namespace codes::bench {
 
-/// Writes the global MetricsRegistry snapshot (JSON, schema in DESIGN.md)
-/// to the path given by a `--metrics-out=PATH` argument; a no-op when the
-/// flag is absent. Call at the end of a bench main so campaigns can
-/// harvest machine-readable per-stage breakdowns alongside the printed
-/// tables.
-inline void WriteMetricsIfRequested(int argc, char** argv) {
-  constexpr std::string_view kFlag = "--metrics-out=";
-  for (int i = 1; i < argc; ++i) {
-    std::string_view arg(argv[i]);
-    if (arg.substr(0, kFlag.size()) != kFlag) continue;
-    std::string path(arg.substr(kFlag.size()));
-    std::FILE* out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return;
-    }
-    std::string json = MetricsRegistry::Global().SnapshotJson();
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::fprintf(stderr, "metrics snapshot written to %s\n", path.c_str());
-  }
+/// The whole main of a table bench: parses its one flag,
+/// `--metrics-out=PATH`, runs `run`, then writes the global MetricsRegistry
+/// snapshot (JSON, schema in DESIGN.md) there, so campaigns can harvest
+/// machine-readable per-stage breakdowns alongside the printed tables.
+/// Returns the exit code: 2 on a usage error, 1 when the snapshot cannot be
+/// written.
+inline int RunTableBench(const char* program, int argc, char** argv,
+                         void (*run)()) {
+  std::string metrics_out;
+  FlagSet flags(program);
+  flags.Path("--metrics-out", &metrics_out);
+  if (int rc = flags.Parse(argc, argv)) return rc;
+  run();
+  return WriteSnapshot(metrics_out, MetricsRegistry::Global().SnapshotJson(),
+                       "metrics snapshot")
+             ? 0
+             : 1;
 }
 
 /// Fixed-width table printer.

@@ -1,15 +1,11 @@
 // Reproduces Section 9.7 (latency/deployment) and prints the Table 1
 // architecture sheet: per-sample inference latency by model scale, plus
 // the capacity profiles standing in for the transformer hyper-parameters.
-// A throughput section then drives the same pipeline through the parallel
-// evaluation driver at 1/2/4/8 threads, reporting queries/sec and checking
-// that EX is identical at every thread count.
+// Eval throughput across thread counts is bench_throughput's job.
 //
 // Paper shape to reproduce: latency grows with scale but stays far below
 // API-based systems (DIN-SQL + GPT-4 at ~60 s/sample); the ratio between
-// 15B and 1B is modest (~2.5x). Throughput should scale near-linearly up
-// to the hardware thread count (prediction is CPU-bound and share-nothing
-// after the retriever cache warms).
+// 15B and 1B is modest (~2.5x).
 
 #include <algorithm>
 #include <cstdio>
@@ -22,12 +18,10 @@
 #include "bench/bench_common.h"
 #include "bench/perf_report.h"
 #include "common/failpoint.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/model_zoo.h"
 #include "core/pipeline.h"
 #include "dataset/benchmark_builder.h"
-#include "eval/parallel_eval.h"
 #include "index/bm25_index.h"
 #include "index/bm25_reference.h"
 #include "lm/ngram_lm.h"
@@ -402,47 +396,6 @@ void DurabilitySection(bench::PerfReport* report, bool quick) {
   report->AddNoisy("durability_commit_nowal_us", raw_us);
   report->AddNoisy("durability_wal_overhead_pct", overhead_pct);
   report->AddNoisy("durability_recovery_replay_us", recover_us);
-}
-
-/// Queries/sec of the parallel evaluator at several thread counts; EX must
-/// not move. `samples` bounds wall-clock on the serial leg.
-void ThroughputSection(const Text2SqlBenchmark& bench,
-                       const CodesPipeline& pipeline, int samples) {
-  bench::Banner(
-      "Throughput: parallel batched evaluation (7B SFT, queries/sec)");
-  std::printf("hardware threads: %d\n",
-              ThreadPool::ResolveThreadCount(0));
-
-  // Warm the per-database retriever cache once so every thread count
-  // measures inference, not index construction.
-  std::set<int> warmed;
-  for (const auto& sample : bench.dev) {
-    if (warmed.insert(sample.db_index).second) {
-      (void)pipeline.BuildPrompt(bench, sample);
-    }
-  }
-
-  bench::TablePrinter table({10, 12, 12, 10, 8});
-  table.Row({"threads", "seconds", "queries/s", "speedup", "EX%"});
-  table.Separator();
-  double serial_qps = 0.0;
-  for (int threads : {1, 2, 4, 8}) {
-    EvalOptions options;
-    options.num_threads = threads;
-    options.max_samples = samples;
-    Timer timer;
-    EvalResult result =
-        ParallelEvaluateDevSet(bench, pipeline.PredictorFor(bench), options);
-    double seconds = timer.ElapsedSeconds();
-    double qps = result.metrics.n / seconds;
-    if (threads == 1) serial_qps = qps;
-    table.Row({std::to_string(threads), FormatDouble(seconds, 2),
-               FormatDouble(qps, 1), FormatDouble(qps / serial_qps, 2) + "x",
-               bench::Pct(result.metrics.ex)});
-  }
-  std::printf(
-      "\nEX%% must be identical on every row: the driver shards "
-      "deterministically and merges in sample order.\n");
 }
 
 /// Unguarded Predict vs PredictGuarded with an *active* guard (generous
@@ -940,7 +893,14 @@ void Run(bench::PerfReport* report, bool quick) {
     pipeline.TrainClassifier(spider);
     pipeline.FineTune(spider);
     const int q = quick ? 80 : 300;
-    ThroughputSection(spider, pipeline, /*samples=*/quick ? 80 : 200);
+    // Warm every dev database's retriever cache once so the sections
+    // below measure inference, not index construction.
+    std::set<int> warmed;
+    for (const auto& sample : spider.dev) {
+      if (warmed.insert(sample.db_index).second) {
+        (void)pipeline.BuildPrompt(spider, sample);
+      }
+    }
     GuardOverheadSection(spider, pipeline, q, report);
     StageAttributionSection(spider, pipeline, q, report);
     InstrumentationOverheadSection(spider, pipeline, q, report);
@@ -955,11 +915,21 @@ void Run(bench::PerfReport* report, bool quick) {
 }  // namespace codes
 
 int main(int argc, char** argv) {
-  const bool quick = codes::bench::QuickRequested(argc, argv);
+  bool quick = false;
+  std::string metrics_out;
+  std::string json_out;
+  codes::FlagSet flags("bench_latency");
+  flags.Bool("--quick", &quick);
+  flags.Path("--metrics-out", &metrics_out);
+  flags.Path("--json-out", &json_out);
+  if (int rc = flags.Parse(argc, argv)) return rc;
   codes::bench::PerfReport report("latency", quick ? "quick" : "full");
   report.SetCalibration(codes::bench::CalibrateOpsPerSec());
   codes::Run(&report, quick);
-  codes::bench::WriteMetricsIfRequested(argc, argv);
-  if (!report.WriteIfRequested(argc, argv)) return 1;
-  return 0;
+  bool written = codes::WriteSnapshot(
+      metrics_out, codes::MetricsRegistry::Global().SnapshotJson(),
+      "metrics snapshot");
+  written = codes::WriteSnapshot(json_out, report.ToJson(), "bench report") &&
+            written;
+  return written ? 0 : 1;
 }

@@ -158,7 +158,5 @@ void Run() {
 }  // namespace codes
 
 int main(int argc, char** argv) {
-  codes::Run();
-  codes::bench::WriteMetricsIfRequested(argc, argv);
-  return 0;
+  return codes::bench::RunTableBench("bench_tab10_new_domain", argc, argv, codes::Run);
 }

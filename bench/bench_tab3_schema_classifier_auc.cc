@@ -61,7 +61,5 @@ void Run() {
 }  // namespace codes
 
 int main(int argc, char** argv) {
-  codes::Run();
-  codes::bench::WriteMetricsIfRequested(argc, argv);
-  return 0;
+  return codes::bench::RunTableBench("bench_tab3_schema_classifier_auc", argc, argv, codes::Run);
 }

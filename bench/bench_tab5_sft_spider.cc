@@ -65,7 +65,5 @@ void Run() {
 }  // namespace codes
 
 int main(int argc, char** argv) {
-  codes::Run();
-  codes::bench::WriteMetricsIfRequested(argc, argv);
-  return 0;
+  return codes::bench::RunTableBench("bench_tab5_sft_spider", argc, argv, codes::Run);
 }

@@ -53,7 +53,5 @@ void Run() {
 }  // namespace codes
 
 int main(int argc, char** argv) {
-  codes::Run();
-  codes::bench::WriteMetricsIfRequested(argc, argv);
-  return 0;
+  return codes::bench::RunTableBench("bench_tab6_sft_bird", argc, argv, codes::Run);
 }

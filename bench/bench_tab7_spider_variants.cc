@@ -68,7 +68,5 @@ void Run() {
 }  // namespace codes
 
 int main(int argc, char** argv) {
-  codes::Run();
-  codes::bench::WriteMetricsIfRequested(argc, argv);
-  return 0;
+  return codes::bench::RunTableBench("bench_tab7_spider_variants", argc, argv, codes::Run);
 }

@@ -158,10 +158,15 @@ void Run(bench::PerfReport* report, bool quick) {
 }  // namespace codes
 
 int main(int argc, char** argv) {
-  const bool quick = codes::bench::QuickRequested(argc, argv);
+  bool quick = false;
+  std::string json_out;
+  codes::FlagSet flags("bench_throughput");
+  flags.Bool("--quick", &quick);
+  flags.Path("--json-out", &json_out);
+  if (int rc = flags.Parse(argc, argv)) return rc;
   codes::bench::PerfReport report("throughput", quick ? "quick" : "full");
   report.SetCalibration(codes::bench::CalibrateOpsPerSec());
   codes::Run(&report, quick);
-  if (!report.WriteIfRequested(argc, argv)) return 1;
-  return 0;
+  return codes::WriteSnapshot(json_out, report.ToJson(), "bench report") ? 0
+                                                                         : 1;
 }

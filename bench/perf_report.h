@@ -29,7 +29,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <string_view>
 
 #include "common/string_util.h"
 #include "common/timer.h"
@@ -79,27 +78,6 @@ class PerfReport {
     return out;
   }
 
-  /// Writes the report to the path given by `--json-out=PATH`; a no-op
-  /// when the flag is absent. Returns false on I/O failure.
-  bool WriteIfRequested(int argc, char** argv) const {
-    constexpr std::string_view kFlag = "--json-out=";
-    for (int i = 1; i < argc; ++i) {
-      std::string_view arg(argv[i]);
-      if (arg.substr(0, kFlag.size()) != kFlag) continue;
-      std::string path(arg.substr(kFlag.size()));
-      std::FILE* out = std::fopen(path.c_str(), "w");
-      if (out == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return false;
-      }
-      std::string json = ToJson();
-      std::fwrite(json.data(), 1, json.size(), out);
-      std::fclose(out);
-      std::fprintf(stderr, "bench report written to %s\n", path.c_str());
-    }
-    return true;
-  }
-
  private:
   static std::string Num(double v) {
     char buf[64];
@@ -113,15 +91,6 @@ class PerfReport {
   std::map<std::string, double> metrics_;
   std::set<std::string> noisy_;
 };
-
-/// True when `--quick` is among the arguments (the CI profile: smaller
-/// query budgets, same sections, same JSON schema).
-inline bool QuickRequested(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--quick") return true;
-  }
-  return false;
-}
 
 /// Single-thread machine-speed probe: iterations/sec of the pinned
 /// reference LCS DP on a fixed input pair. The workload is deliberately

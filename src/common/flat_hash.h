@@ -40,15 +40,31 @@ inline uint64_t HashMix64(uint64_t x) {
   return x;
 }
 
-/// FNV-1a over the bytes, finished with HashMix64 so short keys still
-/// spread across the whole table.
-inline uint64_t HashBytes(std::string_view s) {
-  uint64_t h = 1469598103934665603ULL;
+/// 64-bit FNV-1a over the bytes of `s`, continuing from `h`. Stable across
+/// platforms, unlike std::hash: the pipeline's per-question seeds and every
+/// campaign digest use it. The default start value, 1469598103934665603,
+/// is one digit short of the published FNV offset basis
+/// (14695981039346656037); every recorded digest and seed depends on it,
+/// so it stays.
+inline uint64_t Fnv1a64(std::string_view s,
+                        uint64_t h = 1469598103934665603ULL) {
   for (unsigned char c : s) {
     h ^= c;
     h *= 1099511628211ULL;
   }
-  return HashMix64(h);
+  return h;
+}
+
+/// Streaming FNV-1a: `value` after Add(a), Add(b) equals Fnv1a64(a + b).
+struct Fnv1aDigest {
+  uint64_t value = Fnv1a64("");
+  void Add(std::string_view s) { value = Fnv1a64(s, value); }
+};
+
+/// FNV-1a over the bytes, finished with HashMix64 so short keys still
+/// spread across the whole table.
+inline uint64_t HashBytes(std::string_view s) {
+  return HashMix64(Fnv1a64(s));
 }
 
 /// Open-addressing (linear probe) hash map from uint64 keys to a small

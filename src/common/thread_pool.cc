@@ -22,8 +22,6 @@ struct PoolMetrics {
       MetricsRegistry::Global().GetCounter("pool.tasks_completed");
   Counter& exceptions =
       MetricsRegistry::Global().GetCounter("pool.task_exceptions");
-  Counter& rejected =
-      MetricsRegistry::Global().GetCounter("pool.tasks_rejected");
 };
 
 PoolMetrics& Metrics() {
@@ -80,26 +78,6 @@ void ThreadPool::Submit(std::function<void()> task) {
   Metrics().submitted.Increment();
   Metrics().queue_depth.Add(1);
   work_cv_.notify_one();
-}
-
-bool ThreadPool::TrySubmit(std::function<void()> task, size_t max_queue) {
-  bool timed = MetricsRegistry::Enabled();
-  QueuedTask queued{std::move(task),
-                    timed ? std::chrono::steady_clock::now()
-                          : std::chrono::steady_clock::time_point{}};
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (queue_.size() >= max_queue) {
-      Metrics().rejected.Increment();
-      return false;
-    }
-    queue_.push_back(std::move(queued));
-    ++in_flight_;
-  }
-  Metrics().submitted.Increment();
-  Metrics().queue_depth.Add(1);
-  work_cv_.notify_one();
-  return true;
 }
 
 void ThreadPool::Wait() {

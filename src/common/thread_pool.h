@@ -54,14 +54,6 @@ class ThreadPool {
   /// Enqueues one task.
   void Submit(std::function<void()> task);
 
-  /// Bounded enqueue: refuses (returns false, task untouched beyond the
-  /// move into the parameter) when `max_queue` tasks are already waiting
-  /// in the queue — running tasks do not count, so `max_queue` bounds the
-  /// backlog, not the concurrency. This is the mechanism the serving
-  /// front end uses to shed load instead of building an unbounded queue;
-  /// a refused submit bumps `pool.tasks_rejected`.
-  bool TrySubmit(std::function<void()> task, size_t max_queue);
-
   /// Blocks until every previously submitted task has finished. If any
   /// task threw since the last Wait, rethrows the first captured
   /// exception (after the queue has drained, so the pool stays

@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/failpoint.h"
+#include "common/flat_hash.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 #include "common/trace.h"
@@ -105,17 +106,6 @@ void RecordServeReport(const ServeReport& report) {
     worst = std::max(worst, static_cast<int>(rung));
   }
   m.outcome[worst]->Increment();
-}
-
-/// Stable 64-bit hash of a string (FNV-1a), used to derive per-sample
-/// generation seeds so predictions are deterministic.
-uint64_t HashString(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 /// Rough token cost of including a demonstration in the prompt.
@@ -362,7 +352,7 @@ std::vector<const Text2SqlSample*> CodesPipeline::CollectDemonstrations(
       // Draw config_.icl_shots demos and truncate, rather than drawing
       // `shots`: a brownout cap must shorten the prompt, not reshuffle
       // which demos the uncapped levels would have seen.
-      Rng rng(config_.seed ^ HashString(sample.question));
+      Rng rng(config_.seed ^ Fnv1a64(sample.question));
       for (int i = 0; i < config_.icl_shots; ++i) {
         const Text2SqlSample* demo = &demo_pool_[rng.Index(demo_pool_.size())];
         if (static_cast<int>(demos.size()) < shots) demos.push_back(demo);
@@ -408,7 +398,7 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
   // The per-sample generation seed doubles as the failpoint slot: it
   // identifies this request independently of scheduling, so fault
   // campaigns replay byte-identically at any thread count.
-  uint64_t seed = config_.seed ^ HashString(sample.question);
+  uint64_t seed = config_.seed ^ Fnv1a64(sample.question);
   FailpointScope failpoint_scope(seed);
   ExecGuard guard(options.limits, options.cancel);
 
@@ -539,7 +529,7 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
     retry_input.prompt = &retry_prompt;
     retry_input.question = canonical.question;
     auto retry_beam = model_.GenerateBeam(
-        retry_input, config_.seed ^ HashString(canonical.question),
+        retry_input, config_.seed ^ Fnv1a64(canonical.question),
         /*mark_executable=*/false);
     int retry_rank = walk(retry_beam);
     if (retry_rank >= 0) {

@@ -3,24 +3,11 @@
 #include <cmath>
 #include <unordered_set>
 
+#include "common/flat_hash.h"
 #include "common/status.h"
 #include "text/tokenize.h"
 
 namespace codes {
-
-namespace {
-
-/// FNV-1a string hash; stable across platforms (unlike std::hash).
-uint64_t HashToken(std::string_view token) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : token) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 SentenceEncoder::SentenceEncoder(int dim) : dim_(dim) {
   CODES_CHECK(dim > 0);
@@ -54,7 +41,7 @@ std::vector<float> SentenceEncoder::Encode(std::string_view text) const {
   for (const auto& t : tokens) stems.push_back(StemToken(t));
 
   auto add_feature = [this, &vec](std::string_view feature, double weight) {
-    uint64_t h = HashToken(feature);
+    uint64_t h = Fnv1a64(feature);
     size_t bucket = static_cast<size_t>(h % static_cast<uint64_t>(dim_));
     double sign = ((h >> 63) & 1) ? -1.0 : 1.0;
     vec[bucket] += static_cast<float>(sign * weight);

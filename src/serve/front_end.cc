@@ -414,78 +414,5 @@ Status ServeFrontEnd::Serve(const Text2SqlSample& sample, std::string* sql,
   return Status::Ok();
 }
 
-bool ServeFrontEnd::TryServeAsync(
-    const Text2SqlSample& sample, ThreadPool* pool,
-    std::function<void(const Status&, const std::string&,
-                       const ServeReport&)> done) {
-  FrontEndMetrics& m = Metrics();
-  uint64_t now = WallNowUs();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    m.offered.Increment();
-    if (admission_.AcquireToken(now) != Admission::kEnqueued) {
-      m.rejected.Increment();
-      m.rejected_rate.Increment();
-      return false;
-    }
-  }
-  uint64_t deadline = options_.default_deadline_us > 0
-                          ? now + options_.default_deadline_us
-                          : 0;
-  // The pool's bounded queue is the waiting room; the task re-checks the
-  // deadline on dequeue, exactly like DeadlineQueue::Pop sheds expired
-  // entries before spending pipeline time on them.
-  auto task = [this, sample, done = std::move(done), enqueued = now,
-               deadline]() {
-    FrontEndMetrics& metrics = Metrics();
-    uint64_t start = WallNowUs();
-    ServeOptions options;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (deadline != 0 && start >= deadline) {
-        metrics.shed.Increment();
-        metrics.shed_deadline.Increment();
-      } else {
-        metrics.admitted.Increment();
-        metrics.queue_wait_us.Observe(static_cast<double>(start - enqueued));
-        options = OptionsForLocked(start);
-      }
-    }
-    if (deadline != 0 && start >= deadline) {
-      done(Status::Timeout("shed: deadline expired in backlog"), "",
-           ServeReport());
-      return;
-    }
-    const Text2SqlSample* request = &sample;
-    Text2SqlSample sanitized_sample;
-    if (options_.harden.enabled) {
-      HardenResult hardened = HardenQuestion(sample.question, options_.harden);
-      if (hardened.sanitized != sample.question) {
-        sanitized_sample = sample;
-        sanitized_sample.question = hardened.sanitized;
-        request = &sanitized_sample;
-      }
-      if (hardened.suspect) {
-        MarkSuspect(&options, std::move(hardened.canonical));
-      }
-    }
-    ServeReport report;
-    std::string sql =
-        pipeline_->PredictGuarded(*bench_, *request, options, &report);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      CompleteLocked(options, report, WallNowUs());
-    }
-    done(Status::Ok(), sql, report);
-  };
-  if (!pool->TrySubmit(std::move(task), options_.admission.queue_capacity)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    m.rejected.Increment();
-    m.rejected_queue_full.Increment();
-    return false;
-  }
-  return true;
-}
-
 }  // namespace serve
 }  // namespace codes

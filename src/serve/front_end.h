@@ -3,13 +3,11 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "core/pipeline.h"
 #include "serve/admission.h"
 #include "serve/brownout.h"
@@ -85,9 +83,9 @@ struct FrontEndOptions {
 ///    from a single DES thread, which is what makes saturation campaigns
 ///    byte-identical at any real thread count. NOT thread-safe; a single
 ///    owner serializes calls.
-///  * Wall-clock API (Serve/TryServeAsync): thread-safe convenience
-///    wrappers that derive time from a steady clock and use the caller
-///    (or the thread pool's bounded queue) as the waiting room.
+///  * Wall-clock API (Serve): a thread-safe convenience wrapper that
+///    derives time from a steady clock and uses the caller as the waiting
+///    room.
 class ServeFrontEnd {
  public:
   /// `pipeline` and `bench` must outlive the front end; they are only
@@ -160,17 +158,6 @@ class ServeFrontEnd {
   /// kUnavailable on rejection (no SQL produced), OK otherwise.
   Status Serve(const Text2SqlSample& sample, std::string* sql,
                ServeReport* report = nullptr);
-
-  /// Bounded asynchronous serving: admission (token bucket) now, then
-  /// TrySubmit to `pool` with the admission queue capacity as the backlog
-  /// bound. False = rejected (rate or pool backlog full); when true,
-  /// `done` eventually runs on a pool thread with the outcome — status is
-  /// kDeadlineExceeded (empty SQL) when the request expired in the
-  /// backlog and was shed without touching the pipeline.
-  bool TryServeAsync(
-      const Text2SqlSample& sample, ThreadPool* pool,
-      std::function<void(const Status&, const std::string&,
-                         const ServeReport&)> done);
 
  private:
   /// Per-tenant slice of the admission counters (the serve.tenant.<name>.*

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/flat_hash.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -21,17 +22,6 @@ namespace codes {
 namespace serve {
 
 namespace {
-
-/// FNV-1a fold, same constants as the chaos digest.
-struct Digest {
-  uint64_t value = 1469598103934665603ULL;
-  void Add(const std::string& s) {
-    for (char c : s) {
-      value ^= static_cast<unsigned char>(c);
-      value *= 1099511628211ULL;
-    }
-  }
-};
 
 enum class Outcome {
   kPending = 0,
@@ -380,7 +370,7 @@ LoadReport RunLoadCampaign(const CodesPipeline& pipeline,
   // Accounting + digest, folded in request-id order (never in completion
   // order, which real scheduling could perturb... it cannot, but the id
   // fold makes that a non-question).
-  Digest digest;
+  Fnv1aDigest digest;
   report.offered = n;
   if (multi_tenant) {
     report.tenants.resize(options.tenants.size());

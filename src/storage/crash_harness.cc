@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/flat_hash.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "sqlengine/database.h"
@@ -20,17 +21,6 @@ namespace {
 
 constexpr const char* kDbFile = "crash.db";
 constexpr size_t kMaxReportedFailures = 16;
-
-/// FNV-1a; the campaign digest and the per-state content digests.
-struct Digest {
-  uint64_t value = 1469598103934665603ULL;
-  void Add(const std::string& s) {
-    for (char c : s) {
-      value ^= static_cast<unsigned char>(c);
-      value *= 1099511628211ULL;
-    }
-  }
-};
 
 uint64_t CounterValue(const std::string& name) {
   return MetricsRegistry::Global().GetCounter(name).Value();
@@ -137,7 +127,7 @@ bool InRange(int64_t id, const RangeSpec& r) {
   return true;
 }
 
-void FoldRow(Digest* d, const sql::Row& row) {
+void FoldRow(Fnv1aDigest* d, const sql::Row& row) {
   for (const sql::Value& v : row) {
     d->Add(v.is_null() ? "N" : v.is_integer() ? "I" : v.is_real() ? "R" : "T");
     d->Add(v.ToString());
@@ -149,7 +139,7 @@ void FoldRow(Digest* d, const sql::Row& row) {
 /// Oracle digest of the state after `batches` committed batches, computed
 /// purely from the row generator.
 uint64_t ExpectedStateDigest(const CrashCampaignConfig& cfg, int batches) {
-  Digest d;
+  Fnv1aDigest d;
   size_t n = TotalRows(cfg, batches);
   d.Add("seq\n");
   for (size_t i = 0; i < n; ++i) FoldRow(&d, RowAt(cfg, i));
@@ -170,7 +160,7 @@ uint64_t ExpectedStateDigest(const CrashCampaignConfig& cfg, int batches) {
 /// oracle. Returns 0 and sets `*err` on any access failure.
 uint64_t ActualStateDigest(const StorageDb& db, const CrashCampaignConfig& cfg,
                            std::string* err) {
-  Digest d;
+  Fnv1aDigest d;
   d.Add("seq\n");
   Result<std::vector<sql::Row>> rows = db.Materialize(0);
   if (!rows.ok()) {
@@ -388,7 +378,7 @@ Result<CrashCampaignResult> RunCrashCampaign(const CrashCampaignConfig& cfg) {
     }
   });
 
-  Digest digest;
+  Fnv1aDigest digest;
   for (const CrashCaseOutcome& out : outcomes) {
     digest.Add("op=" + std::to_string(out.crash_op) +
                " var=" + CrashVariantName(out.variant));

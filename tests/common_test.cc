@@ -1,7 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <initializer_list>
 #include <set>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/flags.h"
+#include "common/flat_hash.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -166,6 +174,177 @@ TEST(StringUtilTest, ParseFlagMatchesBareAndValuedFormsOnly) {
   EXPECT_FALSE(ParseFlag("-seed=4", "--seed", &value));
   EXPECT_FALSE(ParseFlag("", "--seed", &value));
   EXPECT_EQ(value, "untouched");
+}
+
+/// Parses `args` (argv[0] is supplied) with `flags`; returns the exit code
+/// and stores what Parse printed to stderr in `*err`.
+int ParseArgs(FlagSet* flags, std::initializer_list<const char*> args,
+              std::string* err) {
+  std::vector<std::string> storage = {"prog"};
+  storage.insert(storage.end(), args.begin(), args.end());
+  std::vector<char*> argv;
+  for (std::string& arg : storage) argv.push_back(arg.data());
+  testing::internal::CaptureStderr();
+  int rc = flags->Parse(static_cast<int>(argv.size()), argv.data());
+  *err = testing::internal::GetCapturedStderr();
+  return rc;
+}
+
+/// The flag table of a typical campaign tool.
+struct ToolFlags {
+  int threads = 8;
+  uint64_t seed = 1;
+  size_t queue = 64;
+  double rate = 0.01;
+  double qps = 400.0;
+  std::string metrics_out;
+  bool smoke = false;
+  FlagSet set{"prog"};
+
+  ToolFlags() {
+    set.Int("--threads", &threads, "N").AtLeast(1);
+    set.Uint64("--seed", &seed, "S");
+    set.Size("--queue", &queue, "N").AtLeast(1);
+    set.Double("--rate", &rate, "P").Within(0.0, 1.0);
+    set.Double("--qps", &qps, "Q").Above(0.0);
+    set.Path("--metrics-out", &metrics_out);
+    set.Bool("--smoke", &smoke);
+  }
+};
+
+TEST(FlagSetTest, ParsesEveryTypeAndAbsentFlagsKeepTheirDefaults) {
+  ToolFlags f;
+  std::string err;
+  EXPECT_EQ(ParseArgs(&f.set,
+                      {"--threads=2", "--seed=18446744073709551615",
+                       "--rate=0.5", "--smoke", "--threads=3"},
+                      &err),
+            0)
+      << err;
+  EXPECT_EQ(f.threads, 3) << "the last repeat wins";
+  EXPECT_EQ(f.seed, 18446744073709551615ULL);
+  EXPECT_EQ(f.rate, 0.5);
+  EXPECT_TRUE(f.smoke);
+  EXPECT_EQ(f.queue, 64u);
+  EXPECT_EQ(f.qps, 400.0);
+  EXPECT_EQ(f.metrics_out, "");
+  EXPECT_TRUE(f.set.Given("--seed"));
+  EXPECT_FALSE(f.set.Given("--queue"));
+  EXPECT_EQ(err, "");
+}
+
+TEST(FlagSetTest, UnknownFlagIsAUsageErrorNamingIt) {
+  ToolFlags f;
+  std::string err;
+  EXPECT_EQ(ParseArgs(&f.set, {"--threads=2", "--thread=4"}, &err), 2);
+  EXPECT_NE(err.find("unknown flag: --thread=4"), std::string::npos) << err;
+  EXPECT_NE(err.find("usage: prog"), std::string::npos) << err;
+}
+
+TEST(FlagSetTest, BoolFlagGivenAValueIsRejected) {
+  for (const char* arg : {"--smoke=0", "--smoke=1", "--smoke="}) {
+    ToolFlags f;
+    std::string err;
+    EXPECT_EQ(ParseArgs(&f.set, {arg}, &err), 2) << arg;
+    EXPECT_NE(err.find(std::string("bad value in flag: ") + arg),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(f.smoke) << arg;
+  }
+}
+
+TEST(FlagSetTest, EmptyStringValueIsRejected) {
+  for (const char* arg : {"--metrics-out", "--metrics-out="}) {
+    ToolFlags f;
+    std::string err;
+    EXPECT_EQ(ParseArgs(&f.set, {arg}, &err), 2) << arg;
+    EXPECT_NE(err.find("--metrics-out"), std::string::npos) << err;
+    EXPECT_NE(err.find("expected PATH"), std::string::npos) << err;
+  }
+}
+
+TEST(FlagSetTest, OutOfRangeValueIsRejectedWithTheBound) {
+  struct Case {
+    const char* arg;
+    const char* diagnostic;
+  };
+  for (const Case& c : {Case{"--threads=0", "--threads must be >= 1"},
+                        Case{"--queue=0", "--queue must be >= 1"},
+                        Case{"--rate=1.5", "--rate must be in [0, 1]"},
+                        Case{"--rate=-0.1", "--rate must be in [0, 1]"},
+                        Case{"--qps=0", "--qps must be > 0"}}) {
+    ToolFlags f;
+    std::string err;
+    EXPECT_EQ(ParseArgs(&f.set, {c.arg}, &err), 2) << c.arg;
+    EXPECT_NE(err.find(c.diagnostic), std::string::npos) << err;
+    EXPECT_EQ(f.threads, 8);
+    EXPECT_EQ(f.rate, 0.01);
+  }
+}
+
+TEST(FlagSetTest, GarbageNumberIsRejected) {
+  for (const char* arg : {"--rate=abc", "--rate=nan", "--rate=inf", "--rate",
+                          "--threads=4x", "--seed=-1", "--queue="}) {
+    ToolFlags f;
+    std::string err;
+    EXPECT_EQ(ParseArgs(&f.set, {arg}, &err), 2) << arg;
+    EXPECT_NE(err.find(std::string("bad value in flag: ") + arg),
+              std::string::npos)
+        << err;
+  }
+}
+
+TEST(FlagSetTest, UsageListsEveryDeclaredFlag) {
+  ToolFlags f;
+  std::string usage = f.set.Usage();
+  for (const char* item :
+       {"[--threads=N]", "[--seed=S]", "[--queue=N]", "[--rate=P]",
+        "[--qps=Q]", "[--metrics-out=PATH]", "[--smoke]"}) {
+    EXPECT_NE(usage.find(item), std::string::npos) << item << "\n" << usage;
+  }
+  EXPECT_EQ(usage.rfind("usage: prog ", 0), 0u) << usage;
+  std::istringstream lines(usage);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_LE(line.size(), 72u) << line;
+  }
+
+  FlagSet with_operands("diff", "<a.json> <b.json>");
+  EXPECT_EQ(with_operands.Usage(), "usage: diff <a.json> <b.json>\n");
+}
+
+TEST(WriteSnapshotTest, WritesRequestedPathsAndReportsFailure) {
+  testing::internal::CaptureStderr();
+  EXPECT_TRUE(WriteSnapshot("", "ignored", "metrics snapshot"))
+      << "an empty path means the output was not requested";
+  std::string path = testing::TempDir() + "/write_snapshot_test.json";
+  EXPECT_TRUE(WriteSnapshot(path, "{}\n", "metrics snapshot"));
+  EXPECT_FALSE(WriteSnapshot("/nonexistent-dir/m.json", "{}\n",
+                             "metrics snapshot"));
+  std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find("metrics snapshot written to " + path),
+            std::string::npos)
+      << err;
+  EXPECT_NE(err.find("cannot write /nonexistent-dir/m.json"),
+            std::string::npos)
+      << err;
+  std::ifstream in(path);
+  std::stringstream contents;
+  contents << in.rdbuf();
+  EXPECT_EQ(contents.str(), "{}\n");
+  std::remove(path.c_str());
+}
+
+TEST(HashTest, Fnv1aKeepsItsStartValueAndStreams) {
+  // The repo's start value, not the published offset basis: the golden
+  // beam digest, campaign digests and per-question seeds all fold from it.
+  EXPECT_EQ(Fnv1a64(""), 1469598103934665603ULL);
+  EXPECT_EQ(Fnv1a64("foobar"), 9870438755804841970ULL);
+  Fnv1aDigest digest;
+  digest.Add("foo");
+  digest.Add("");
+  digest.Add("bar");
+  EXPECT_EQ(digest.value, Fnv1a64("foobar"));
+  EXPECT_EQ(HashBytes("foobar"), HashMix64(Fnv1a64("foobar")));
 }
 
 TEST(RngTest, Deterministic) {

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <future>
 #include <limits>
 #include <string>
 #include <vector>
@@ -737,23 +736,6 @@ TEST_F(ServeFrontEndTest, SyncServeServesAndRateLimits) {
   EXPECT_EQ(CounterDelta(snapshot, "serve.offered"), 2u);
   EXPECT_EQ(CounterDelta(snapshot, "serve.admitted"), 1u);
   EXPECT_EQ(CounterDelta(snapshot, "serve.rejected.rate"), 1u);
-}
-
-TEST_F(ServeFrontEndTest, TryServeAsyncCompletesThroughThePool) {
-  FrontEndOptions options;
-  ServeFrontEnd fe(pipeline_, bench_, options);
-  ThreadPool pool(2);
-  std::promise<std::pair<Status, std::string>> done;
-  auto fut = done.get_future();
-  ASSERT_TRUE(fe.TryServeAsync(
-      bench_->dev.front(), &pool,
-      [&done](const Status& status, const std::string& sql,
-              const ServeReport&) {
-        done.set_value({status, sql});
-      }));
-  auto [status, sql] = fut.get();
-  EXPECT_TRUE(status.ok()) << status.ToString();
-  EXPECT_FALSE(sql.empty());
 }
 
 TEST(ServeStageTest, StageNamesAreStable) {

@@ -4,7 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <mutex>
 #include <numeric>
 #include <set>
@@ -54,49 +53,6 @@ TEST(ThreadPoolTest, WaitIsReusable) {
     pool.Wait();
     EXPECT_EQ(count.load(), 20 * (round + 1));
   }
-}
-
-TEST(ThreadPoolTest, TrySubmitAcceptsUnderTheBound) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 20; ++i) {
-    EXPECT_TRUE(pool.TrySubmit(
-        [&count] { count.fetch_add(1, std::memory_order_relaxed); }, 100));
-  }
-  pool.Wait();
-  EXPECT_EQ(count.load(), 20);
-}
-
-TEST(ThreadPoolTest, TrySubmitRefusesWhenBacklogIsFull) {
-  ThreadPool pool(1);
-  std::mutex gate;
-  std::condition_variable cv;
-  bool started = false;
-  bool release = false;
-  // Occupy the single worker so further submissions pile up in the queue.
-  pool.Submit([&] {
-    std::unique_lock<std::mutex> lock(gate);
-    started = true;
-    cv.notify_all();
-    cv.wait(lock, [&] { return release; });
-  });
-  {
-    std::unique_lock<std::mutex> lock(gate);
-    cv.wait(lock, [&] { return started; });
-  }
-  // The running task does not count against the backlog bound.
-  std::atomic<int> ran{0};
-  EXPECT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }, 2));
-  EXPECT_TRUE(pool.TrySubmit([&ran] { ran.fetch_add(1); }, 2));
-  EXPECT_FALSE(pool.TrySubmit([&ran] { ran.fetch_add(1); }, 2))
-      << "two tasks already waiting: the bound is hit";
-  {
-    std::lock_guard<std::mutex> lock(gate);
-    release = true;
-  }
-  cv.notify_all();
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 2) << "the refused task must never run";
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {

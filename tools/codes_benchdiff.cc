@@ -22,6 +22,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/flags.h"
 #include "common/string_util.h"
 
 namespace {
@@ -240,29 +241,17 @@ int SelfTest() {
   return 0;
 }
 
-int Usage() {
-  std::fprintf(stderr,
-               "usage: codes_benchdiff <committed.json> <current.json> "
-               "[--max-regress-pct=N] | --selftest\n");
-  return 2;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc == 2 && std::string(argv[1]) == "--selftest") return SelfTest();
-  if (argc < 3) return Usage();
+  // A garbage or negative threshold, or an unknown flag, must not turn
+  // into a silently different gate.
   double max_pct = 15.0;
-  for (int i = 3; i < argc; ++i) {
-    std::string value;
-    // A garbage or negative threshold, or an unknown flag, must not turn
-    // into a silently different gate.
-    if (!codes::ParseFlag(argv[i], "--max-regress-pct", &value) ||
-        !codes::ParseFiniteDouble(value, &max_pct) || max_pct < 0.0) {
-      std::fprintf(stderr, "bad argument: %s\n", argv[i]);
-      return Usage();
-    }
-  }
+  codes::FlagSet flags("codes_benchdiff", "<committed.json> <current.json>");
+  flags.Double("--max-regress-pct", &max_pct, "N").AtLeast(0.0);
+  if (argc < 3) return flags.Fail("expected two snapshot paths or --selftest");
+  if (int rc = flags.Parse(argc, argv, /*first=*/3)) return rc;
   Report committed;
   Report current;
   for (int i = 1; i <= 2; ++i) {

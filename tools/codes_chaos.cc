@@ -27,8 +27,9 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/flags.h"
+#include "common/flat_hash.h"
 #include "common/metrics.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "core/model_zoo.h"
 #include "core/pipeline.h"
@@ -46,26 +47,6 @@ struct Flags {
   std::string metrics_out;  ///< JSON metrics snapshot path (optional)
   bool smoke = false;
   bool selfcheck = false;
-};
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: codes_chaos [--queries=N] [--threads=N] [--seed=S]\n"
-               "                   [--rate=P] [--spec=SPEC] [--max-rows=N]\n"
-               "                   [--metrics-out=PATH] [--selfcheck]\n"
-               "                   [--smoke]\n");
-}
-
-/// FNV-1a over the campaign's (sql, report) lines in sample order; the
-/// single number CI compares across thread counts and reruns.
-struct Digest {
-  uint64_t value = 1469598103934665603ULL;
-  void Add(const std::string& s) {
-    for (char c : s) {
-      value ^= static_cast<unsigned char>(c);
-      value *= 1099511628211ULL;
-    }
-  }
 };
 
 struct CampaignResult {
@@ -91,7 +72,9 @@ CampaignResult RunCampaign(const codes::CodesPipeline& pipeline,
   options.limits.max_rows = flags.max_rows;
 
   CampaignResult result;
-  Digest digest;
+  // FNV-1a over the campaign's (sql, report) lines in sample order: the
+  // single number CI compares across thread counts and reruns.
+  codes::Fnv1aDigest digest;
   codes::ThreadPool pool(threads);
   int done = 0;
   for (uint64_t round = 0; done < flags.queries; ++round) {
@@ -166,38 +149,17 @@ void PrintResult(const CampaignResult& r, const std::string& spec,
 
 int main(int argc, char** argv) {
   Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    bool ok = true;
-    if (codes::ParseFlag(argv[i], "--queries", &value)) {
-      ok = codes::ParseInt(value, &flags.queries);
-    } else if (codes::ParseFlag(argv[i], "--threads", &value)) {
-      ok = codes::ParseInt(value, &flags.threads);
-    } else if (codes::ParseFlag(argv[i], "--seed", &value)) {
-      ok = codes::ParseUint64(value, &flags.seed);
-    } else if (codes::ParseFlag(argv[i], "--rate", &value)) {
-      ok = codes::ParseFiniteDouble(value, &flags.rate);
-    } else if (codes::ParseFlag(argv[i], "--max-rows", &value)) {
-      ok = codes::ParseSize(value, &flags.max_rows);
-    } else if (codes::ParseFlag(argv[i], "--spec", &value)) {
-      flags.spec = value;
-    } else if (codes::ParseFlag(argv[i], "--metrics-out", &value)) {
-      flags.metrics_out = value;
-    } else if (codes::ParseFlag(argv[i], "--selfcheck", &value)) {
-      flags.selfcheck = true;
-    } else if (codes::ParseFlag(argv[i], "--smoke", &value)) {
-      flags.smoke = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "bad value in flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-  }
+  codes::FlagSet flag_set("codes_chaos");
+  flag_set.Int("--queries", &flags.queries, "N").AtLeast(1);
+  flag_set.Int("--threads", &flags.threads, "N").AtLeast(1);
+  flag_set.Uint64("--seed", &flags.seed, "S");
+  flag_set.Double("--rate", &flags.rate, "P").Within(0.0, 1.0);
+  flag_set.String("--spec", &flags.spec, "SPEC");
+  flag_set.Size("--max-rows", &flags.max_rows, "N");
+  flag_set.Path("--metrics-out", &flags.metrics_out);
+  flag_set.Bool("--selfcheck", &flags.selfcheck);
+  flag_set.Bool("--smoke", &flags.smoke);
+  if (int rc = flag_set.Parse(argc, argv)) return rc;
   if (flags.smoke) {
     // Fixed, fast configuration for ctest / CI gating.
     flags.queries = 400;
@@ -205,11 +167,6 @@ int main(int argc, char** argv) {
     flags.seed = 20240806;
     flags.rate = 0.05;
     flags.selfcheck = true;
-  }
-  if (flags.queries < 1 || flags.threads < 1 || flags.rate < 0.0 ||
-      flags.rate > 1.0) {
-    Usage();
-    return 2;
   }
 
   std::string spec = flags.spec;
@@ -271,17 +228,9 @@ int main(int argc, char** argv) {
                   outcome_sum);
     }
   }
-  if (!flags.metrics_out.empty()) {
-    std::FILE* out = std::fopen(flags.metrics_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", flags.metrics_out.c_str());
-      return 2;
-    }
-    std::string json = snapshot.ToJson() + "\n";
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::fprintf(stderr, "metrics snapshot written to %s\n",
-                 flags.metrics_out.c_str());
+  if (!codes::WriteSnapshot(flags.metrics_out, snapshot.ToJson() + "\n",
+                            "metrics snapshot")) {
+    return 2;
   }
 
   if (flags.selfcheck) {

@@ -23,8 +23,8 @@
 #include <cstdio>
 #include <string>
 
+#include "common/flags.h"
 #include "common/metrics.h"
-#include "common/string_util.h"
 #include "storage/crash_harness.h"
 
 namespace {
@@ -38,21 +38,11 @@ struct Flags {
   uint64_t seed = 1;
   size_t pool_frames = 16;
   uint64_t max_cases = 0;
-  bool torn = true;
+  bool no_torn = false;
   std::string metrics_out;  ///< JSON metrics snapshot path (optional)
   bool smoke = false;
   bool selfcheck = false;
 };
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: codes_crash [--batches=N] [--rows-per-batch=N]\n"
-               "                   [--initial-rows=N] [--checkpoint-every=N]\n"
-               "                   [--threads=N] [--seed=S] [--pool-frames=N]\n"
-               "                   [--max-cases=N] [--no-torn]\n"
-               "                   [--metrics-out=PATH] [--selfcheck]\n"
-               "                   [--smoke]\n");
-}
 
 codes::storage::CrashCampaignConfig MakeConfig(const Flags& flags,
                                                int threads) {
@@ -64,7 +54,7 @@ codes::storage::CrashCampaignConfig MakeConfig(const Flags& flags,
   config.checkpoint_every = flags.checkpoint_every;
   config.pool_frames = flags.pool_frames;
   config.threads = threads;
-  config.torn_variants = flags.torn;
+  config.torn_variants = !flags.no_torn;
   config.max_cases = flags.max_cases;
   return config;
 }
@@ -93,44 +83,21 @@ void PrintResult(const codes::storage::CrashCampaignResult& r,
 
 int main(int argc, char** argv) {
   Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    bool ok = true;
-    if (codes::ParseFlag(argv[i], "--batches", &value)) {
-      ok = codes::ParseInt(value, &flags.batches);
-    } else if (codes::ParseFlag(argv[i], "--rows-per-batch", &value)) {
-      ok = codes::ParseInt(value, &flags.rows_per_batch);
-    } else if (codes::ParseFlag(argv[i], "--initial-rows", &value)) {
-      ok = codes::ParseInt(value, &flags.initial_rows);
-    } else if (codes::ParseFlag(argv[i], "--checkpoint-every", &value)) {
-      ok = codes::ParseInt(value, &flags.checkpoint_every);
-    } else if (codes::ParseFlag(argv[i], "--threads", &value)) {
-      ok = codes::ParseInt(value, &flags.threads);
-    } else if (codes::ParseFlag(argv[i], "--seed", &value)) {
-      ok = codes::ParseUint64(value, &flags.seed);
-    } else if (codes::ParseFlag(argv[i], "--pool-frames", &value)) {
-      ok = codes::ParseSize(value, &flags.pool_frames);
-    } else if (codes::ParseFlag(argv[i], "--max-cases", &value)) {
-      ok = codes::ParseUint64(value, &flags.max_cases);
-    } else if (codes::ParseFlag(argv[i], "--no-torn", &value)) {
-      flags.torn = false;
-    } else if (codes::ParseFlag(argv[i], "--metrics-out", &value)) {
-      flags.metrics_out = value;
-    } else if (codes::ParseFlag(argv[i], "--selfcheck", &value)) {
-      flags.selfcheck = true;
-    } else if (codes::ParseFlag(argv[i], "--smoke", &value)) {
-      flags.smoke = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "bad value in flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-  }
+  codes::FlagSet flag_set("codes_crash");
+  flag_set.Int("--batches", &flags.batches, "N").AtLeast(1);
+  flag_set.Int("--rows-per-batch", &flags.rows_per_batch, "N").AtLeast(1);
+  flag_set.Int("--initial-rows", &flags.initial_rows, "N").AtLeast(0);
+  flag_set.Int("--checkpoint-every", &flags.checkpoint_every, "N")
+      .AtLeast(0);
+  flag_set.Int("--threads", &flags.threads, "N").AtLeast(1);
+  flag_set.Uint64("--seed", &flags.seed, "S");
+  flag_set.Size("--pool-frames", &flags.pool_frames, "N").AtLeast(2);
+  flag_set.Uint64("--max-cases", &flags.max_cases, "N");
+  flag_set.Bool("--no-torn", &flags.no_torn);
+  flag_set.Path("--metrics-out", &flags.metrics_out);
+  flag_set.Bool("--selfcheck", &flags.selfcheck);
+  flag_set.Bool("--smoke", &flags.smoke);
+  if (int rc = flag_set.Parse(argc, argv)) return rc;
   if (flags.smoke) {
     // Fixed, fast configuration for ctest / CI gating.
     flags.batches = 24;
@@ -139,12 +106,6 @@ int main(int argc, char** argv) {
     flags.threads = 2;
     flags.seed = 20240807;
     flags.selfcheck = true;
-  }
-  if (flags.batches < 1 || flags.rows_per_batch < 1 || flags.initial_rows < 0 ||
-      flags.checkpoint_every < 0 || flags.threads < 1 ||
-      flags.pool_frames < 2) {
-    Usage();
-    return 2;
   }
 
   auto start = std::chrono::steady_clock::now();
@@ -193,17 +154,9 @@ int main(int argc, char** argv) {
     exit_code = 1;
   }
 
-  if (!flags.metrics_out.empty()) {
-    std::FILE* out = std::fopen(flags.metrics_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", flags.metrics_out.c_str());
-      return 2;
-    }
-    std::string json = snapshot.ToJson() + "\n";
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::fprintf(stderr, "metrics snapshot written to %s\n",
-                 flags.metrics_out.c_str());
+  if (!codes::WriteSnapshot(flags.metrics_out, snapshot.ToJson() + "\n",
+                            "metrics snapshot")) {
+    return 2;
   }
 
   if (flags.selfcheck) {

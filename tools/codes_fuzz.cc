@@ -15,12 +15,11 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 
+#include "common/flags.h"
 #include "common/metrics.h"
 #include "common/rng.h"
-#include "common/string_util.h"
 #include "common/thread_pool.h"
 #include "fuzz/fuzz_harness.h"
 #include "fuzz/oracle.h"
@@ -35,19 +34,11 @@ struct Flags {
   int databases = 8;
   int schema = -1;       ///< single-query mode when >= 0
   bool smoke = false;
-  bool shrink = true;
+  bool no_shrink = false;
   std::string replay;    ///< corpus file to replay
   std::string out;       ///< write reproducer lines here
   std::string metrics_out;  ///< JSON metrics snapshot path (optional)
 };
-
-void Usage() {
-  std::fprintf(stderr,
-               "usage: codes_fuzz [--queries=N] [--threads=N] [--seed=S]\n"
-               "                  [--databases=N] [--schema=M] [--smoke]\n"
-               "                  [--replay=FILE] [--out=FILE] [--no-shrink]\n"
-               "                  [--metrics-out=PATH]\n");
-}
 
 int RunSingle(const Flags& flags) {
   auto dbs = codes::fuzz::BuildFuzzDatabases(flags.databases);
@@ -120,7 +111,7 @@ int RunCampaign(const Flags& flags) {
   config.base_seed = flags.seed;
   config.num_queries = flags.queries;
   config.num_databases = flags.databases;
-  config.shrink = flags.shrink;
+  config.shrink = !flags.no_shrink;
 
   auto start = std::chrono::steady_clock::now();
   codes::fuzz::FuzzReport report;
@@ -144,16 +135,12 @@ int RunCampaign(const Flags& flags) {
   std::fprintf(stderr, "elapsed: %lld ms (%d threads)\n",
                static_cast<long long>(elapsed), flags.threads);
 
-  if (!flags.out.empty()) {
-    std::ofstream out(flags.out);
-    if (!out.is_open()) {
-      std::fprintf(stderr, "cannot write %s\n", flags.out.c_str());
-      return 2;
-    }
-    out << "# codes_fuzz reproducers (seed=" << flags.seed
-        << " queries=" << flags.queries << ")\n";
-    for (const auto& f : report.failures) out << f.ReproLine() << "\n";
-  }
+  std::string reproducers = "# codes_fuzz reproducers (seed=" +
+                            std::to_string(flags.seed) +
+                            " queries=" + std::to_string(flags.queries) +
+                            ")\n";
+  for (const auto& f : report.failures) reproducers += f.ReproLine() + "\n";
+  if (!codes::WriteSnapshot(flags.out, reproducers, "reproducers")) return 2;
   return report.Clean() ? 0 : 1;
 }
 
@@ -161,52 +148,24 @@ int RunCampaign(const Flags& flags) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  bool seed_given = false;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    bool ok = true;
-    if (codes::ParseFlag(argv[i], "--queries", &value)) {
-      ok = codes::ParseInt(value, &flags.queries);
-    } else if (codes::ParseFlag(argv[i], "--threads", &value)) {
-      ok = codes::ParseInt(value, &flags.threads);
-    } else if (codes::ParseFlag(argv[i], "--seed", &value)) {
-      ok = codes::ParseUint64(value, &flags.seed);
-      seed_given = true;
-    } else if (codes::ParseFlag(argv[i], "--databases", &value)) {
-      ok = codes::ParseInt(value, &flags.databases);
-    } else if (codes::ParseFlag(argv[i], "--schema", &value)) {
-      ok = codes::ParseInt(value, &flags.schema);
-    } else if (codes::ParseFlag(argv[i], "--replay", &value)) {
-      flags.replay = value;
-    } else if (codes::ParseFlag(argv[i], "--out", &value)) {
-      flags.out = value;
-    } else if (codes::ParseFlag(argv[i], "--metrics-out", &value)) {
-      flags.metrics_out = value;
-    } else if (codes::ParseFlag(argv[i], "--smoke", &value)) {
-      flags.smoke = true;
-    } else if (codes::ParseFlag(argv[i], "--no-shrink", &value)) {
-      flags.shrink = false;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "bad value in flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-  }
+  codes::FlagSet flag_set("codes_fuzz");
+  flag_set.Int("--queries", &flags.queries, "N").AtLeast(0);
+  flag_set.Int("--threads", &flags.threads, "N").AtLeast(1);
+  flag_set.Uint64("--seed", &flags.seed, "S");
+  flag_set.Int("--databases", &flags.databases, "N").AtLeast(1);
+  flag_set.Int("--schema", &flags.schema, "M");
+  flag_set.Bool("--smoke", &flags.smoke);
+  flag_set.String("--replay", &flags.replay, "FILE");
+  flag_set.String("--out", &flags.out, "FILE");
+  flag_set.Bool("--no-shrink", &flags.no_shrink);
+  flag_set.Path("--metrics-out", &flags.metrics_out);
+  if (int rc = flag_set.Parse(argc, argv)) return rc;
 
   if (flags.smoke) {
     // Fixed, fast configuration for ctest / CI gating.
     flags.queries = 400;
     flags.threads = 2;
-    if (!seed_given) flags.seed = 20240805;
-  }
-  if (flags.queries < 0 || flags.threads < 1 || flags.databases < 1) {
-    Usage();
-    return 2;
+    if (!flag_set.Given("--seed")) flags.seed = 20240805;
   }
 
   int exit_code;
@@ -220,15 +179,10 @@ int main(int argc, char** argv) {
 
   // Machine-readable per-stage/guard/pool breakdown of the run (executor
   // guard consumption, thread-pool wait times, BM25 activity).
-  if (!flags.metrics_out.empty()) {
-    std::ofstream metrics(flags.metrics_out);
-    if (!metrics.is_open()) {
-      std::fprintf(stderr, "cannot write %s\n", flags.metrics_out.c_str());
-      return 2;
-    }
-    metrics << codes::MetricsRegistry::Global().SnapshotJson();
-    std::fprintf(stderr, "metrics snapshot written to %s\n",
-                 flags.metrics_out.c_str());
+  if (!codes::WriteSnapshot(flags.metrics_out,
+                            codes::MetricsRegistry::Global().SnapshotJson(),
+                            "metrics snapshot")) {
+    return 2;
   }
   return exit_code;
 }

@@ -53,8 +53,8 @@
 #include <string>
 #include <vector>
 
+#include "common/flags.h"
 #include "common/metrics.h"
-#include "common/string_util.h"
 #include "core/model_zoo.h"
 #include "core/pipeline.h"
 #include "dataset/benchmark_builder.h"
@@ -82,17 +82,6 @@ struct Flags {
   bool mt_smoke = false;
   bool selfcheck = false;
 };
-
-void Usage() {
-  std::fprintf(
-      stderr,
-      "usage: codes_load [--requests=N] [--qps=Q] [--workers=N]\n"
-      "                  [--service-us=N] [--deadline-us=N] [--threads=N]\n"
-      "                  [--seed=S] [--rate=P] [--spec=SPEC] [--queue=N]\n"
-      "                  [--rate-limit=Q] [--metrics-out=PATH]\n"
-      "                  [--adv] [--adv-rate=P]\n"
-      "                  [--selfcheck] [--smoke] [--mt-smoke]\n");
-}
 
 /// The registry snapshot compared across thread counts: every counter and
 /// gauge (all driven by virtual-time decisions or per-request counts),
@@ -424,17 +413,9 @@ int RunMtSmoke(const Flags& flags) {
     exit_code = 1;
   }
 
-  if (!flags.metrics_out.empty()) {
-    std::FILE* out = std::fopen(flags.metrics_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", flags.metrics_out.c_str());
-      return 2;
-    }
-    std::string json = snapshot.ToJson() + "\n";
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::fprintf(stderr, "metrics snapshot written to %s\n",
-                 flags.metrics_out.c_str());
+  if (!codes::WriteSnapshot(flags.metrics_out, snapshot.ToJson() + "\n",
+                            "metrics snapshot")) {
+    return 2;
   }
 
   // Determinism selfcheck: the identical campaign replayed on 1 real
@@ -551,17 +532,9 @@ int RunAdvSmoke(const Flags& flags) {
               retention >= 0.8 ? "ok" : "VIOLATION");
   if (retention < 0.8) exit_code = 1;
 
-  if (!flags.metrics_out.empty()) {
-    std::FILE* out = std::fopen(flags.metrics_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", flags.metrics_out.c_str());
-      return 2;
-    }
-    std::string json = snapshot.ToJson() + "\n";
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::fprintf(stderr, "metrics snapshot written to %s\n",
-                 flags.metrics_out.c_str());
+  if (!codes::WriteSnapshot(flags.metrics_out, snapshot.ToJson() + "\n",
+                            "metrics snapshot")) {
+    return 2;
   }
 
   // Determinism selfcheck: mutation choice, hardening verdicts, and the
@@ -599,78 +572,25 @@ int RunAdvSmoke(const Flags& flags) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    bool ok = true;
-    if (codes::ParseFlag(argv[i], "--requests", &value)) {
-      ok = codes::ParseInt(value, &flags.requests);
-    } else if (codes::ParseFlag(argv[i], "--qps", &value)) {
-      ok = codes::ParseFiniteDouble(value, &flags.qps);
-    } else if (codes::ParseFlag(argv[i], "--workers", &value)) {
-      ok = codes::ParseInt(value, &flags.workers);
-    } else if (codes::ParseFlag(argv[i], "--service-us", &value)) {
-      ok = codes::ParseUint64(value, &flags.service_us);
-    } else if (codes::ParseFlag(argv[i], "--deadline-us", &value)) {
-      ok = codes::ParseUint64(value, &flags.deadline_us);
-    } else if (codes::ParseFlag(argv[i], "--threads", &value)) {
-      ok = codes::ParseInt(value, &flags.threads);
-    } else if (codes::ParseFlag(argv[i], "--seed", &value)) {
-      ok = codes::ParseUint64(value, &flags.seed);
-    } else if (codes::ParseFlag(argv[i], "--rate", &value)) {
-      ok = codes::ParseFiniteDouble(value, &flags.rate);
-    } else if (codes::ParseFlag(argv[i], "--spec", &value)) {
-      flags.spec = value;
-    } else if (codes::ParseFlag(argv[i], "--queue", &value)) {
-      ok = codes::ParseSize(value, &flags.queue);
-    } else if (codes::ParseFlag(argv[i], "--rate-limit", &value)) {
-      ok = codes::ParseFiniteDouble(value, &flags.rate_limit);
-    } else if (codes::ParseFlag(argv[i], "--metrics-out", &value)) {
-      flags.metrics_out = value;
-    } else if (codes::ParseFlag(argv[i], "--adv-rate", &value)) {
-      ok = codes::ParseFiniteDouble(value, &flags.adv_rate);
-    } else if (codes::ParseFlag(argv[i], "--adv", &value)) {
-      flags.adv = true;
-    } else if (codes::ParseFlag(argv[i], "--selfcheck", &value)) {
-      flags.selfcheck = true;
-    } else if (codes::ParseFlag(argv[i], "--smoke", &value)) {
-      flags.smoke = true;
-    } else if (codes::ParseFlag(argv[i], "--mt-smoke", &value)) {
-      flags.mt_smoke = true;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-    if (!ok) {
-      std::fprintf(stderr, "bad value in flag: %s\n", argv[i]);
-      Usage();
-      return 2;
-    }
-  }
-  // Range validation with a diagnostic per offending flag — a silent
-  // usage dump is indistinguishable from a typo in the flag name.
-  bool range_ok = true;
-  auto require = [&range_ok](bool ok_cond, const char* diagnostic) {
-    if (!ok_cond) {
-      std::fprintf(stderr, "%s\n", diagnostic);
-      range_ok = false;
-    }
-  };
-  require(flags.requests >= 1, "--requests must be >= 1");
-  require(flags.qps > 0.0, "--qps must be > 0");
-  require(flags.workers >= 1, "--workers must be >= 1");
-  require(flags.service_us >= 1, "--service-us must be >= 1");
-  require(flags.threads >= 1, "--threads must be >= 1");
-  require(flags.rate >= 0.0 && flags.rate <= 1.0,
-          "--rate must be in [0, 1]");
-  require(flags.queue >= 1, "--queue must be >= 1");
-  require(flags.rate_limit >= 0.0, "--rate-limit must be >= 0");
-  require(flags.adv_rate >= 0.0 && flags.adv_rate <= 1.0,
-          "--adv-rate must be in [0, 1]");
-  if (!range_ok) {
-    Usage();
-    return 2;
-  }
+  codes::FlagSet flag_set("codes_load");
+  flag_set.Int("--requests", &flags.requests, "N").AtLeast(1);
+  flag_set.Double("--qps", &flags.qps, "Q").Above(0.0);
+  flag_set.Int("--workers", &flags.workers, "N").AtLeast(1);
+  flag_set.Uint64("--service-us", &flags.service_us, "N").AtLeast(1);
+  flag_set.Uint64("--deadline-us", &flags.deadline_us, "N");
+  flag_set.Int("--threads", &flags.threads, "N").AtLeast(1);
+  flag_set.Uint64("--seed", &flags.seed, "S");
+  flag_set.Double("--rate", &flags.rate, "P").Within(0.0, 1.0);
+  flag_set.String("--spec", &flags.spec, "SPEC");
+  flag_set.Size("--queue", &flags.queue, "N").AtLeast(1);
+  flag_set.Double("--rate-limit", &flags.rate_limit, "Q").AtLeast(0.0);
+  flag_set.Path("--metrics-out", &flags.metrics_out);
+  flag_set.Bool("--adv", &flags.adv);
+  flag_set.Double("--adv-rate", &flags.adv_rate, "P").Within(0.0, 1.0);
+  flag_set.Bool("--selfcheck", &flags.selfcheck);
+  flag_set.Bool("--smoke", &flags.smoke);
+  flag_set.Bool("--mt-smoke", &flags.mt_smoke);
+  if (int rc = flag_set.Parse(argc, argv)) return rc;
 
   if (flags.mt_smoke) return RunMtSmoke(flags);
   if (flags.adv && flags.smoke) return RunAdvSmoke(flags);
@@ -747,17 +667,9 @@ int main(int argc, char** argv) {
     exit_code = 1;
   }
 
-  if (!flags.metrics_out.empty()) {
-    std::FILE* out = std::fopen(flags.metrics_out.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", flags.metrics_out.c_str());
-      return 2;
-    }
-    std::string json = snapshot.ToJson() + "\n";
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::fprintf(stderr, "metrics snapshot written to %s\n",
-                 flags.metrics_out.c_str());
+  if (!codes::WriteSnapshot(flags.metrics_out, snapshot.ToJson() + "\n",
+                            "metrics snapshot")) {
+    return 2;
   }
 
   if (flags.selfcheck) {
