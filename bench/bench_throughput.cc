@@ -23,13 +23,15 @@
 #include "dataset/benchmark_builder.h"
 #include "eval/parallel_eval.h"
 #include "serve/load_gen.h"
+#include "tools/campaign.h"
 
 namespace codes {
 namespace {
 
-/// Goodput under perturbation (ISSUE 10): the codes_load --adv campaign
-/// against its clean twin — identical seed and arrival schedule, 30% of
-/// requests mutated by the online question perturbations before dispatch.
+/// Goodput under perturbation: the `codes_load --adv --smoke` campaign
+/// (campaign::AdvSmokeOptions) against its clean twin — identical seed and
+/// arrival schedule, 30% of requests mutated by the online question
+/// perturbations before dispatch.
 /// Both goodput numbers are virtual-time DES results, pure functions of
 /// (seed, options), so they gate as exact metrics rather than noisy ones;
 /// the retention ratio rides in the noisy list only because plain _pct
@@ -39,17 +41,7 @@ void AdversarialGoodputSection(const Text2SqlBenchmark& bench,
                                bench::PerfReport* report) {
   bench::Banner("Goodput under perturbation (codes_load --adv)");
 
-  serve::LoadGenOptions adv;
-  adv.seed = 20240809;
-  adv.num_requests = 600;
-  adv.offered_qps = 400.0;  // 2x the 4x50/s virtual capacity
-  adv.virtual_workers = 4;
-  adv.service_base_us = 20'000;
-  adv.deadline_us = 200'000;
-  adv.threads = 2;  // any value produces the same report — that's the DES
-  adv.front_end.admission.queue_capacity = 64;
-  adv.harden = true;
-  adv.adv_rate = 0.3;
+  serve::LoadGenOptions adv = campaign::AdvSmokeOptions();
   serve::LoadGenOptions clean = adv;
   clean.adv_rate = 0.0;
 

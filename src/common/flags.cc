@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <type_traits>
 
+#include "common/status.h"
 #include "common/string_util.h"
 
 namespace codes {
@@ -123,11 +124,39 @@ int FlagSet::Parse(int argc, char** argv, int first) {
   return 0;
 }
 
-bool FlagSet::Given(std::string_view name) const {
+const FlagSet::Flag* FlagSet::Find(std::string_view name) const {
   for (const Flag& flag : flags_) {
-    if (flag.name_ == name) return flag.given_;
+    if (flag.name_ == name) return &flag;
   }
-  return false;
+  return nullptr;
+}
+
+bool FlagSet::Given(std::string_view name) const {
+  const Flag* flag = Find(name);
+  return flag != nullptr && flag->given_;
+}
+
+void FlagSet::Preset(std::span<const Setting> preset) {
+  for (const Setting& setting : preset) {
+    const Flag* flag = Find(setting.name);
+    CODES_CHECK(flag != nullptr);
+    if (flag->given_) continue;
+    std::string arg(setting.name);
+    if (!setting.value.empty()) arg += "=" + std::string(setting.value);
+    std::string error;
+    CODES_CHECK(flag->Set(arg, std::string(setting.value), &error));
+  }
+}
+
+int FlagSet::Reject(std::initializer_list<std::string_view> names,
+                    std::string_view mode) const {
+  for (std::string_view name : names) {
+    if (Given(name)) {
+      return Fail(std::string(name) + " cannot be used with " +
+                  std::string(mode));
+    }
+  }
+  return 0;
 }
 
 std::string FlagSet::Usage() const {

@@ -21,11 +21,22 @@
 // built from the table, and returns exit code 2. A flag that is absent
 // leaves its destination at the caller's default; when a flag repeats,
 // the last value wins.
+//
+// A mode such as --smoke is a preset: data naming flags and the values
+// the mode gives them, applied after Parse. A preset fills only the flags
+// the command line did not give, so an explicit flag always wins; a flag
+// the mode cannot honour is rejected by name instead of being dropped:
+//
+//   constexpr codes::FlagSet::Setting kSmoke[] = {{"--threads", "2"},
+//                                                 {"--selfcheck", ""}};
+//   if (smoke) flags.Preset(kSmoke);
 
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <initializer_list>
 #include <limits>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -115,6 +126,24 @@ class FlagSet {
   /// True when the flag `name` appeared in the parsed arguments.
   bool Given(std::string_view name) const;
 
+  /// One preset entry: a declared flag and the value a mode gives it,
+  /// written as on the command line ("" for a bool switch).
+  struct Setting {
+    std::string_view name;
+    std::string_view value;
+  };
+
+  /// Sets each flag of `preset` that the command line did not give. The
+  /// values go through the same parsers and range checks as arguments; a
+  /// preset naming an undeclared flag or a bad value is a programming
+  /// error and CHECK-fails.
+  void Preset(std::span<const Setting> preset);
+
+  /// The usage error (exit 2) "<flag> cannot be used with <mode>" for the
+  /// first of `names` the command line gave; 0 when it gave none of them.
+  int Reject(std::initializer_list<std::string_view> names,
+             std::string_view mode) const;
+
   /// "usage: program [--a=N] [--b] ...", wrapped, newline-terminated.
   std::string Usage() const;
 
@@ -124,6 +153,7 @@ class FlagSet {
  private:
   Flag& Add(std::string name, Flag::Kind kind, void* dest,
             std::string placeholder);
+  const Flag* Find(std::string_view name) const;
 
   std::string program_;
   std::string operands_;

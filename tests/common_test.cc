@@ -294,6 +294,38 @@ TEST(FlagSetTest, GarbageNumberIsRejected) {
   }
 }
 
+TEST(FlagSetTest, PresetFillsOnlyFlagsTheCommandLineDidNotGive) {
+  constexpr FlagSet::Setting kSmoke[] = {{"--threads", "2"},
+                                         {"--seed", "7"},
+                                         {"--rate", "0.05"},
+                                         {"--smoke", ""}};
+  ToolFlags f;
+  std::string err;
+  ASSERT_EQ(ParseArgs(&f.set, {"--seed=99", "--threads=5"}, &err), 0) << err;
+  f.set.Preset(kSmoke);
+  EXPECT_EQ(f.threads, 5) << "an explicit flag beats the preset";
+  EXPECT_EQ(f.seed, 99u);
+  EXPECT_EQ(f.rate, 0.05);
+  EXPECT_TRUE(f.smoke);
+  EXPECT_EQ(f.queue, 64u) << "flags outside the preset keep their default";
+  EXPECT_FALSE(f.set.Given("--rate")) << "a preset value is not 'given'";
+}
+
+TEST(FlagSetTest, RejectNamesAGivenFlagTheModeCannotHonour) {
+  ToolFlags f;
+  std::string err;
+  ASSERT_EQ(ParseArgs(&f.set, {"--smoke", "--qps=100"}, &err), 0) << err;
+  EXPECT_EQ(f.set.Reject({"--queue"}, "--smoke"), 0);
+
+  testing::internal::CaptureStderr();
+  int rc = f.set.Reject({"--queue", "--qps"}, "--smoke");
+  err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(rc, 2);
+  EXPECT_NE(err.find("--qps cannot be used with --smoke"), std::string::npos)
+      << err;
+  EXPECT_NE(err.find("usage: prog"), std::string::npos) << err;
+}
+
 TEST(FlagSetTest, UsageListsEveryDeclaredFlag) {
   ToolFlags f;
   std::string usage = f.set.Usage();

@@ -10,14 +10,14 @@
 //   campaign (default)  codes_chaos --queries=10000 --threads=8 --seed=1
 //   smoke               codes_chaos --smoke   (small fixed-seed campaign
 //                                              with a built-in 1-vs-N
-//                                              thread determinism check)
+//                                              thread determinism check;
+//                                              explicit flags override it)
 //
 // Faults default to every site at --rate; --spec overrides with the full
 // failpoint grammar (e.g. "lm.decode=prob:0.2;executor.step=nth:7").
 // Campaign stdout is byte-identical across thread counts (timing goes to
 // stderr). Exit status: 0 clean, 1 invariant violation, 2 usage error.
 
-#include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -31,9 +31,10 @@
 #include "common/flat_hash.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
-#include "core/model_zoo.h"
+#include "common/timer.h"
 #include "core/pipeline.h"
 #include "dataset/benchmark_builder.h"
+#include "tools/campaign.h"
 
 namespace {
 
@@ -48,6 +49,13 @@ struct Flags {
   bool smoke = false;
   bool selfcheck = false;
 };
+
+// Fixed, fast configuration for ctest / CI gating.
+constexpr codes::FlagSet::Setting kSmoke[] = {{"--queries", "400"},
+                                              {"--threads", "2"},
+                                              {"--seed", "20240806"},
+                                              {"--rate", "0.05"},
+                                              {"--selfcheck", ""}};
 
 struct CampaignResult {
   uint64_t digest = 0;
@@ -160,14 +168,7 @@ int main(int argc, char** argv) {
   flag_set.Bool("--selfcheck", &flags.selfcheck);
   flag_set.Bool("--smoke", &flags.smoke);
   if (int rc = flag_set.Parse(argc, argv)) return rc;
-  if (flags.smoke) {
-    // Fixed, fast configuration for ctest / CI gating.
-    flags.queries = 400;
-    flags.threads = 2;
-    flags.seed = 20240806;
-    flags.rate = 0.05;
-    flags.selfcheck = true;
-  }
+  if (flags.smoke) flag_set.Preset(kSmoke);
 
   std::string spec = flags.spec;
   if (spec.empty()) {
@@ -176,21 +177,13 @@ int main(int argc, char** argv) {
     spec = buf;
   }
 
-  auto start = std::chrono::steady_clock::now();
-  // Fixture: the tiny Spider-like benchmark with a fully set-up pipeline
-  // (trained classifier + SFT), the same serving configuration the
-  // evaluation harness exercises.
+  codes::Timer timer;
+  // Fixture: the tiny Spider-like benchmark with a fully set-up pipeline,
+  // the same serving configuration the evaluation harness exercises.
   auto bench = codes::BuildTinySpiderLike(2024);
-  codes::LmZoo zoo(1, 31);
-  codes::PipelineConfig config;
-  config.size = codes::ModelSize::k7B;
-  codes::CodesPipeline pipeline(config, zoo.CodesFor(config.size));
-  pipeline.TrainClassifier(bench);
-  pipeline.FineTune(bench);
-
-  // Setup (training, cache warm-up) is done: zero the registry so the
-  // exported snapshot covers exactly the campaign's requests.
-  codes::MetricsRegistry::Global().Reset();
+  codes::campaign::TrainedPipeline fixture(bench);
+  const codes::CodesPipeline& pipeline = fixture.pipeline;
+  codes::campaign::ResetToCold(&pipeline);
 
   CampaignResult result =
       RunCampaign(pipeline, bench, flags, spec, flags.threads);
@@ -199,34 +192,27 @@ int main(int argc, char** argv) {
   codes::MetricsSnapshot snapshot = codes::MetricsRegistry::Global().Snapshot();
   PrintResult(result, spec, flags.seed);
 
-  int exit_code = 0;
-  if (result.empty_sql > 0) {
-    std::printf("INVARIANT VIOLATION: %" PRIu64 " empty predictions\n",
-                result.empty_sql);
-    exit_code = 1;
-  }
-
+  using codes::campaign::Expect;
+  int exit_code = Expect(result.empty_sql == 0, "%" PRIu64 " empty predictions",
+                         result.empty_sql);
   // Metrics invariant: every request lands in exactly one serve.outcome.*
   // counter, so the family sums to the number of queries served.
-  {
-    uint64_t outcome_sum = 0;
-    for (const auto& [name, value] : snapshot.counters) {
-      if (name.rfind("serve.outcome.", 0) == 0) outcome_sum += value;
-    }
-    uint64_t requests = snapshot.counters.count("serve.requests")
-                            ? snapshot.counters.at("serve.requests")
-                            : 0;
-    if (outcome_sum != result.queries || requests != result.queries) {
-      std::printf("INVARIANT VIOLATION: outcome counters sum to %" PRIu64
-                  ", serve.requests=%" PRIu64 ", but %" PRIu64
-                  " queries were served\n",
-                  outcome_sum, requests, result.queries);
-      exit_code = 1;
-    } else {
-      std::printf("metrics: serve.outcome.* sums to %" PRIu64
-                  " == queries served\n",
-                  outcome_sum);
-    }
+  uint64_t outcome_sum = 0;
+  for (const auto& [name, value] : snapshot.counters) {
+    if (name.rfind("serve.outcome.", 0) == 0) outcome_sum += value;
+  }
+  uint64_t requests = snapshot.counters.count("serve.requests")
+                          ? snapshot.counters.at("serve.requests")
+                          : 0;
+  if (Expect(outcome_sum == result.queries && requests == result.queries,
+             "outcome counters sum to %" PRIu64 ", serve.requests=%" PRIu64
+             ", but %" PRIu64 " queries were served",
+             outcome_sum, requests, result.queries) == 0) {
+    std::printf("metrics: serve.outcome.* sums to %" PRIu64
+                " == queries served\n",
+                outcome_sum);
+  } else {
+    exit_code = 1;
   }
   if (!codes::WriteSnapshot(flags.metrics_out, snapshot.ToJson() + "\n",
                             "metrics snapshot")) {
@@ -237,22 +223,11 @@ int main(int argc, char** argv) {
     // The whole campaign must replay byte-identically single-threaded:
     // fault decisions and ladder outcomes depend on (seed, sample), never
     // on scheduling.
-    codes::MetricsRegistry::Global().Reset();
+    codes::campaign::ResetToCold(&pipeline);
     CampaignResult serial = RunCampaign(pipeline, bench, flags, spec, 1);
-    if (serial.digest == result.digest) {
-      std::printf("selfcheck: 1-thread replay digest matches\n");
-    } else {
-      std::printf("selfcheck FAILED: %d-thread digest %016" PRIx64
-                  " != 1-thread digest %016" PRIx64 "\n",
-                  flags.threads, result.digest, serial.digest);
-      exit_code = 1;
-    }
+    exit_code |= codes::campaign::CheckReplay(
+        flags.threads, {result.digest, {}}, {serial.digest, {}});
   }
-
-  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  std::fprintf(stderr, "elapsed: %lld ms (%d threads)\n",
-               static_cast<long long>(elapsed), flags.threads);
+  codes::campaign::PrintElapsed(timer, flags.threads);
   return exit_code;
 }

@@ -12,12 +12,12 @@
 // Modes:
 //   campaign (default)  codes_crash --batches=200 --threads=8 --seed=1
 //   smoke               codes_crash --smoke   (small fixed-seed campaign
-//                                              with the determinism check)
+//                                              with the determinism check;
+//                                              explicit flags override it)
 //
 // Campaign stdout is byte-identical across thread counts (timing goes to
 // stderr). Exit status: 0 clean, 1 invariant violation, 2 usage error.
 
-#include <chrono>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -25,7 +25,9 @@
 
 #include "common/flags.h"
 #include "common/metrics.h"
+#include "common/timer.h"
 #include "storage/crash_harness.h"
+#include "tools/campaign.h"
 
 namespace {
 
@@ -43,6 +45,12 @@ struct Flags {
   bool smoke = false;
   bool selfcheck = false;
 };
+
+// Fixed, fast configuration for ctest / CI gating.
+constexpr codes::FlagSet::Setting kSmoke[] = {
+    {"--batches", "24"}, {"--rows-per-batch", "3"},
+    {"--checkpoint-every", "5"}, {"--threads", "2"},
+    {"--seed", "20240807"}, {"--selfcheck", ""}};
 
 codes::storage::CrashCampaignConfig MakeConfig(const Flags& flags,
                                                int threads) {
@@ -98,21 +106,12 @@ int main(int argc, char** argv) {
   flag_set.Bool("--selfcheck", &flags.selfcheck);
   flag_set.Bool("--smoke", &flags.smoke);
   if (int rc = flag_set.Parse(argc, argv)) return rc;
-  if (flags.smoke) {
-    // Fixed, fast configuration for ctest / CI gating.
-    flags.batches = 24;
-    flags.rows_per_batch = 3;
-    flags.checkpoint_every = 5;
-    flags.threads = 2;
-    flags.seed = 20240807;
-    flags.selfcheck = true;
-  }
+  if (flags.smoke) flag_set.Preset(kSmoke);
 
-  auto start = std::chrono::steady_clock::now();
-  // Zero the registry so the exported snapshot covers exactly this
-  // campaign's storage traffic.
-  codes::MetricsRegistry::Global().Reset();
-
+  codes::Timer timer;
+  // Start from a zeroed registry so the exported snapshot covers exactly
+  // this campaign's storage traffic.
+  codes::campaign::ResetToCold();
   codes::Result<codes::storage::CrashCampaignResult> run =
       codes::storage::RunCrashCampaign(MakeConfig(flags, flags.threads));
   if (!run.ok()) {
@@ -126,33 +125,28 @@ int main(int argc, char** argv) {
   codes::MetricsSnapshot snapshot = codes::MetricsRegistry::Global().Snapshot();
   PrintResult(result, flags);
 
-  int exit_code = 0;
-  if (result.failures > 0) {
-    std::printf("INVARIANT VIOLATION: %" PRIu64
-                " crash cases failed recovery or the differential check\n",
-                result.failures);
-    exit_code = 1;
-  }
+  using codes::campaign::Expect;
+  int exit_code = Expect(result.failures == 0,
+                         "%" PRIu64 " crash cases failed recovery or the "
+                         "differential check",
+                         result.failures);
   // Metrics invariant: recovery classifies every scanned WAL record as
   // either replayed or discarded — no third bucket, no double counting.
-  if (result.wal_records_replayed + result.wal_records_discarded !=
-      result.wal_records_seen) {
-    std::printf("INVARIANT VIOLATION: replayed %" PRIu64 " + discarded %" PRIu64
-                " != wal_records_seen %" PRIu64 "\n",
-                result.wal_records_replayed, result.wal_records_discarded,
-                result.wal_records_seen);
-    exit_code = 1;
-  } else {
+  if (Expect(result.wal_records_replayed + result.wal_records_discarded ==
+                 result.wal_records_seen,
+             "replayed %" PRIu64 " + discarded %" PRIu64
+             " != wal_records_seen %" PRIu64,
+             result.wal_records_replayed, result.wal_records_discarded,
+             result.wal_records_seen) == 0) {
     std::printf("metrics: storage.recovery.replayed + discarded == "
                 "wal_records_seen (%" PRIu64 ")\n",
                 result.wal_records_seen);
-  }
-  if (result.recovery_runs < result.cases_run) {
-    std::printf("INVARIANT VIOLATION: %" PRIu64 " recovery runs for %" PRIu64
-                " cases\n",
-                result.recovery_runs, result.cases_run);
+  } else {
     exit_code = 1;
   }
+  exit_code |= Expect(result.recovery_runs >= result.cases_run,
+                      "%" PRIu64 " recovery runs for %" PRIu64 " cases",
+                      result.recovery_runs, result.cases_run);
 
   if (!codes::WriteSnapshot(flags.metrics_out, snapshot.ToJson() + "\n",
                             "metrics snapshot")) {
@@ -163,6 +157,7 @@ int main(int argc, char** argv) {
     // The whole campaign must replay byte-identically single-threaded:
     // every crash case owns its own SimEnv and outcome slot, so the
     // digest depends only on (config, seed), never on scheduling.
+    codes::campaign::ResetToCold();
     codes::Result<codes::storage::CrashCampaignResult> serial =
         codes::storage::RunCrashCampaign(MakeConfig(flags, 1));
     if (!serial.ok()) {
@@ -170,20 +165,9 @@ int main(int argc, char** argv) {
                    serial.status().ToString().c_str());
       return 2;
     }
-    if (serial->digest == result.digest) {
-      std::printf("selfcheck: 1-thread replay digest matches\n");
-    } else {
-      std::printf("selfcheck FAILED: %d-thread digest %016" PRIx64
-                  " != 1-thread digest %016" PRIx64 "\n",
-                  flags.threads, result.digest, serial->digest);
-      exit_code = 1;
-    }
+    exit_code |= codes::campaign::CheckReplay(
+        flags.threads, {result.digest, {}}, {serial->digest, {}});
   }
-
-  auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                     std::chrono::steady_clock::now() - start)
-                     .count();
-  std::fprintf(stderr, "elapsed: %lld ms (%d threads)\n",
-               static_cast<long long>(elapsed), flags.threads);
+  codes::campaign::PrintElapsed(timer, flags.threads);
   return exit_code;
 }

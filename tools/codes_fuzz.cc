@@ -4,7 +4,8 @@
 //   campaign (default)   codes_fuzz --queries=10000 --threads=8 --seed=1
 //   single query         codes_fuzz --seed=42 --schema=3
 //   corpus replay        codes_fuzz --replay=tests/fuzz_corpus/engine_bugs.corpus
-//   smoke                codes_fuzz --smoke       (small fixed-seed campaign)
+//   smoke                codes_fuzz --smoke       (small fixed-seed campaign;
+//                                                 explicit flags win)
 //
 // Campaign stdout is byte-identical for any --threads value (timing goes
 // to stderr), so a CI diff between thread counts doubles as a determinism
@@ -163,9 +164,9 @@ int main(int argc, char** argv) {
 
   if (flags.smoke) {
     // Fixed, fast configuration for ctest / CI gating.
-    flags.queries = 400;
-    flags.threads = 2;
-    if (!flag_set.Given("--seed")) flags.seed = 20240805;
+    constexpr codes::FlagSet::Setting kSmoke[] = {
+        {"--queries", "400"}, {"--threads", "2"}, {"--seed", "20240805"}};
+    flag_set.Preset(kSmoke);
   }
 
   int exit_code;
