@@ -234,19 +234,18 @@ void StorageAccessPathSection(bench::PerfReport* report, bool quick) {
   CODES_CHECK(built.ok());
   storage::StorageDb& sdb = **built;
 
-  // Pre-parsed selective range probes (50 of 100k rows each, well under
+  // Pre-bound selective range probes (50 of 100k rows each, well under
   // the planner's selectivity cutoff), spread across the key space so no
   // single hot leaf serves every query.
-  std::vector<std::unique_ptr<sql::SelectStatement>> stmts;
+  std::vector<sql::BoundStatement> stmts;
   for (int q = 0; q < 16; ++q) {
     int lo = (q * 6151) % (kRows - 60);
     auto parsed = sql::ParseSql(
         "SELECT payload FROM items WHERE id BETWEEN " + std::to_string(lo) +
         " AND " + std::to_string(lo + 49));
     CODES_CHECK(parsed.ok());
-    stmts.push_back(std::move(*parsed));
+    stmts.push_back(sql::Bind(std::move(*parsed), sdb.schema()));
   }
-  sql::Executor exec(sdb);
   const int reps = quick ? 2 : 6;
   size_t result_rows = 0;
   auto run_paths = [&](bool indexed) {
@@ -254,7 +253,7 @@ void StorageAccessPathSection(bench::PerfReport* report, bool quick) {
     Timer timer;
     for (int r = 0; r < reps; ++r) {
       for (const auto& stmt : stmts) {
-        auto result = exec.Execute(*stmt);
+        auto result = sql::Execute(sdb, stmt);
         CODES_CHECK(result.ok());
         result_rows += result->NumRows();
       }

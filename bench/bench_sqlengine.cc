@@ -41,9 +41,10 @@ BENCHMARK(BM_ParseSelect);
 void BM_FilteredScan(benchmark::State& state) {
   auto db = MakeDb(static_cast<int>(state.range(0)));
   auto stmt = sql::ParseSql("SELECT name FROM singer WHERE age > 50");
-  sql::Executor executor(*db);
+  const sql::BoundStatement bound =
+      sql::Bind(std::move(*stmt), db->schema());
   for (auto _ : state) {
-    auto result = executor.Execute(**stmt);
+    auto result = sql::Execute(*db, bound);
     benchmark::DoNotOptimize(result);
   }
 }
@@ -54,9 +55,10 @@ void BM_HashJoin(benchmark::State& state) {
   auto stmt = sql::ParseSql(
       "SELECT singer.name, concert.concert_title FROM concert JOIN singer "
       "ON concert.singer_id = singer.singer_id");
-  sql::Executor executor(*db);
+  const sql::BoundStatement bound =
+      sql::Bind(std::move(*stmt), db->schema());
   for (auto _ : state) {
-    auto result = executor.Execute(**stmt);
+    auto result = sql::Execute(*db, bound);
     benchmark::DoNotOptimize(result);
   }
 }
@@ -67,9 +69,10 @@ void BM_NestedLoopThetaJoin(benchmark::State& state) {
   auto stmt = sql::ParseSql(
       "SELECT COUNT(*) FROM concert JOIN singer ON concert.singer_id < "
       "singer.singer_id");
-  sql::Executor executor(*db);
+  const sql::BoundStatement bound =
+      sql::Bind(std::move(*stmt), db->schema());
   for (auto _ : state) {
-    auto result = executor.Execute(**stmt);
+    auto result = sql::Execute(*db, bound);
     benchmark::DoNotOptimize(result);
   }
 }
@@ -79,9 +82,10 @@ void BM_GroupAggregate(benchmark::State& state) {
   auto db = MakeDb(static_cast<int>(state.range(0)));
   auto stmt = sql::ParseSql(
       "SELECT country, COUNT(*), AVG(age) FROM singer GROUP BY country");
-  sql::Executor executor(*db);
+  const sql::BoundStatement bound =
+      sql::Bind(std::move(*stmt), db->schema());
   for (auto _ : state) {
-    auto result = executor.Execute(**stmt);
+    auto result = sql::Execute(*db, bound);
     benchmark::DoNotOptimize(result);
   }
 }

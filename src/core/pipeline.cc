@@ -1,8 +1,6 @@
 #include "core/pipeline.h"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 
 #include "common/failpoint.h"
 #include "common/flat_hash.h"
@@ -27,8 +25,6 @@ struct ServeMetrics {
       MetricsRegistry::Global().GetCounter("serve.unverified");
   Counter& repair_attempts =
       MetricsRegistry::Global().GetCounter("serve.repair_attempts");
-  Counter& backoff_sleeps =
-      MetricsRegistry::Global().GetCounter("serve.backoff_sleeps");
   Counter* rung_fired[4] = {
       &MetricsRegistry::Global().GetCounter("serve.rung.classifier_fallback"),
       &MetricsRegistry::Global().GetCounter("serve.rung.value_fallback"),
@@ -371,14 +367,6 @@ std::string CodesPipeline::Predict(const Text2SqlBenchmark& bench,
   return PredictGuarded(bench, sample, ServeOptions());
 }
 
-double CodesPipeline::ComputeBackoffMs(int attempt, double base_ms,
-                                       double cap_ms) {
-  if (base_ms <= 0.0 || attempt < 1) return 0.0;
-  double ms = base_ms;
-  for (int i = 1; i < attempt && ms < cap_ms; ++i) ms *= 2.0;
-  return std::min(ms, cap_ms);
-}
-
 std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
                                           const Text2SqlSample& sample,
                                           const ServeOptions& options,
@@ -441,7 +429,7 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
   }();
 
   // Stage span: candidate verification + repair loop (guarded execution
-  // of beam candidates, including any backoff sleeps).
+  // of beam candidates).
   CODES_TRACE_SPAN(verify_span, "pipeline.verify");
 
   // Verification backend: the in-memory database, or the caller-provided
@@ -468,15 +456,6 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
       if (fallback_rank < 0) {
         fallback_sql = sql;
         fallback_rank = static_cast<int>(i);
-      }
-      if (attempts > 0) {
-        double ms = ComputeBackoffMs(attempts, options.backoff_base_ms,
-                                     options.backoff_cap_ms);
-        if (ms > 0.0) {
-          Metrics().backoff_sleeps.Increment();
-          std::this_thread::sleep_for(
-              std::chrono::duration<double, std::milli>(ms));
-        }
       }
       Status exec_status;
       if (Failpoints::ShouldFail(FailpointSite::kLmDecode)) {

@@ -53,7 +53,7 @@ struct PipelineConfig {
 ///                        the prompt carries no matched values;
 ///   kRepair              a beam candidate failed decode/parse/bind/
 ///                        guarded-execute and a lower-ranked candidate was
-///                        tried (bounded, with capped exponential backoff);
+///                        tried (bounded by max_repair_attempts);
 ///   kEmergencySql        no usable candidate at all — a trivial but
 ///                        syntactically valid query is served.
 enum class ServeRung : int {
@@ -78,10 +78,6 @@ struct ServeOptions {
   /// Must be >= beam width to preserve the paper's first-executable
   /// selection exactly.
   int max_repair_attempts = 16;
-  /// Exponential backoff between repair attempts: attempt k sleeps
-  /// base * 2^(k-1) ms, capped. Base 0 (default) never sleeps.
-  double backoff_base_ms = 0.0;
-  double backoff_cap_ms = 8.0;
 
   /// When set, candidate verification executes against this backend
   /// instead of the benchmark's in-memory database (prompt construction
@@ -243,11 +239,6 @@ class CodesPipeline {
                              const Text2SqlSample& sample,
                              const ServeOptions& options,
                              ServeReport* report = nullptr) const;
-
-  /// Backoff schedule of the repair loop: attempt k (1-based) sleeps
-  /// min(base * 2^(k-1), cap) milliseconds; 0 when base <= 0. Exposed for
-  /// tests.
-  static double ComputeBackoffMs(int attempt, double base_ms, double cap_ms);
 
   /// Convenience: an eval::SqlPredictor bound to `bench`.
   SqlPredictor PredictorFor(const Text2SqlBenchmark& bench) const;

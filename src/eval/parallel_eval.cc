@@ -16,17 +16,17 @@ namespace codes {
 
 namespace {
 
-/// Median execution seconds over `repeats` runs (parse once).
+/// Median execution seconds over `repeats` runs (parse and bind once).
 double TimedExecution(const sql::Database& db, const std::string& sql_text,
                       int repeats) {
   auto stmt = sql::ParseSql(sql_text);
   if (!stmt.ok()) return 0.0;
-  sql::Executor executor(db);
+  const sql::BoundStatement bound = sql::Bind(std::move(*stmt), db.schema());
   std::vector<double> times;
   times.reserve(static_cast<size_t>(repeats));
   for (int i = 0; i < repeats; ++i) {
     Timer timer;
-    auto result = executor.Execute(**stmt);
+    auto result = sql::Execute(db, bound);
     if (!result.ok()) return 0.0;
     times.push_back(timer.ElapsedSeconds());
   }

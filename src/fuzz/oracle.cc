@@ -14,7 +14,6 @@
 namespace codes::fuzz {
 
 using sql::BinaryOp;
-using sql::Executor;
 using sql::Expr;
 using sql::ExprKind;
 using sql::ResultTable;
@@ -73,15 +72,21 @@ std::string Clip(const std::string& s) {
   return s.substr(0, kMax) + "...";
 }
 
+/// Binds `stmt` against `db` and executes it.
+Result<ResultTable> BindAndRun(const sql::Database& db,
+                               std::unique_ptr<SelectStatement> stmt) {
+  return sql::Execute(db, sql::Bind(std::move(stmt), db.schema()));
+}
+
 std::unique_ptr<Expr> AndWith(std::unique_ptr<Expr> where,
                               std::unique_ptr<Expr> p) {
   if (!where) return p;
   return Expr::MakeBinary(BinaryOp::kAnd, std::move(where), std::move(p));
 }
 
-void CheckRerun(const Executor& exec, const SelectStatement& stmt,
+void CheckRerun(const sql::Database& db, const sql::BoundStatement& bound,
                 const ResultTable& base, std::vector<OracleViolation>* out) {
-  auto again = exec.Execute(stmt);
+  auto again = sql::Execute(db, bound);
   if (!again.ok()) {
     out->push_back({OracleId::kRerun,
                     "second execution failed: " + again.status().ToString()});
@@ -95,7 +100,7 @@ void CheckRerun(const Executor& exec, const SelectStatement& stmt,
   }
 }
 
-void CheckRoundTrip(const Executor& exec, const SelectStatement& stmt,
+void CheckRoundTrip(const sql::Database& db, const SelectStatement& stmt,
                     const ResultTable& base,
                     std::vector<OracleViolation>* out) {
   const std::string sql1 = stmt.ToSql();
@@ -120,7 +125,7 @@ void CheckRoundTrip(const Executor& exec, const SelectStatement& stmt,
                     "fingerprint changed: " + key1 + " -> " + key2 +
                         " sql=" + Clip(sql1)});
   }
-  auto result = exec.Execute(reparsed);
+  auto result = BindAndRun(db, std::move(*parsed));
   if (!result.ok()) {
     out->push_back({OracleId::kRoundTrip,
                     "reparsed execution failed: " +
@@ -136,7 +141,7 @@ void CheckRoundTrip(const Executor& exec, const SelectStatement& stmt,
   }
 }
 
-void CheckTlp(const Executor& exec, const QueryGenerator& gen,
+void CheckTlp(const sql::Database& db, const QueryGenerator& gen,
               const SelectStatement& stmt, const ResultTable& base,
               uint64_t oracle_seed, std::vector<OracleViolation>* out) {
   Rng rng(oracle_seed);
@@ -154,7 +159,7 @@ void CheckTlp(const Executor& exec, const QueryGenerator& gen,
       branch = Expr::MakeUnary(UnaryOp::kIsNull, std::move(branch));
     }
     clone->where = AndWith(std::move(clone->where), std::move(branch));
-    auto result = exec.Execute(*clone);
+    auto result = BindAndRun(db, std::move(clone));
     if (!result.ok()) {
       out->push_back({OracleId::kTlp,
                       "partition " + std::to_string(part) + " failed: " +
@@ -173,7 +178,7 @@ void CheckTlp(const Executor& exec, const QueryGenerator& gen,
   }
 }
 
-void CheckNoRec(const Executor& exec, const SelectStatement& stmt,
+void CheckNoRec(const sql::Database& db, const SelectStatement& stmt,
                 const ResultTable& base, std::vector<OracleViolation>* out) {
   auto probe = stmt.Clone();
   probe->order_by.clear();
@@ -183,7 +188,7 @@ void CheckNoRec(const Executor& exec, const SelectStatement& stmt,
   probe->select_list.push_back(std::move(item));
   probe->where.reset();
 
-  auto result = exec.Execute(*probe);
+  auto result = BindAndRun(db, std::move(probe));
   if (!result.ok()) {
     out->push_back({OracleId::kNoRec,
                     "hoisted predicate failed: " +
@@ -203,7 +208,7 @@ void CheckNoRec(const Executor& exec, const SelectStatement& stmt,
   }
 }
 
-void CheckOrderLimit(const Executor& exec, const SelectStatement& stmt,
+void CheckOrderLimit(const sql::Database& db, const SelectStatement& stmt,
                      const ResultTable& base,
                      std::vector<OracleViolation>* out) {
   const ResultTable* full = &base;
@@ -211,7 +216,7 @@ void CheckOrderLimit(const Executor& exec, const SelectStatement& stmt,
   if (stmt.limit.has_value()) {
     auto clone = stmt.Clone();
     clone->limit.reset();
-    unlimited = exec.Execute(*clone);
+    unlimited = BindAndRun(db, std::move(clone));
     if (!unlimited.ok()) {
       out->push_back({OracleId::kOrderLimit,
                       "unlimited rerun failed: " +
@@ -285,11 +290,10 @@ void CheckOrderLimit(const Executor& exec, const SelectStatement& stmt,
 /// disk backend may pick an index-scan access path, so this is what pins
 /// access-path equivalence.
 void CheckStorageDiff(const sql::ExecSource& storage,
-                      const SelectStatement& stmt,
+                      const sql::BoundStatement& bound,
                       const Result<ResultTable>& base,
                       std::vector<OracleViolation>* out) {
-  Executor disk_exec(storage);
-  auto disk = disk_exec.Execute(stmt);
+  auto disk = sql::Execute(storage, bound);
   if (base.ok() != disk.ok()) {
     out->push_back({OracleId::kStorageDiff,
                     std::string("backends disagree on outcome: memory=") +
@@ -340,26 +344,30 @@ std::vector<OracleViolation> RunOracles(const sql::Database& db,
                                         uint64_t oracle_seed,
                                         const sql::ExecSource* storage) {
   std::vector<OracleViolation> out;
-  Executor exec(db);
+  // Every oracle checks the bound copy, whose text has '*', aliases and
+  // positions rewritten; `stmt` keeps the generator's SQL for reproducers.
+  // The storage twin holds a copy of db's schema, so one bind serves both.
+  const sql::BoundStatement bound = sql::Bind(stmt.Clone(), db.schema());
+  const SelectStatement& checked = bound.statement();
 
-  auto base = exec.Execute(stmt);
+  auto base = sql::Execute(db, bound);
   // The differential oracle runs even for failing statements: the two
   // backends must agree on the error, not just on result bytes.
-  if (storage != nullptr) CheckStorageDiff(*storage, stmt, base, &out);
+  if (storage != nullptr) CheckStorageDiff(*storage, bound, base, &out);
   if (!base.ok()) {
     out.push_back({OracleId::kExec,
                    "execution failed: " + base.status().ToString()});
     return out;
   }
 
-  CheckRerun(exec, stmt, *base, &out);
-  CheckRoundTrip(exec, stmt, *base, &out);
-  if (PartitionOraclesApplicable(stmt)) {
-    CheckTlp(exec, gen, stmt, *base, oracle_seed, &out);
-    if (stmt.where) CheckNoRec(exec, stmt, *base, &out);
+  CheckRerun(db, bound, *base, &out);
+  CheckRoundTrip(db, checked, *base, &out);
+  if (PartitionOraclesApplicable(checked)) {
+    CheckTlp(db, gen, checked, *base, oracle_seed, &out);
+    if (checked.where) CheckNoRec(db, checked, *base, &out);
   }
-  if (!stmt.order_by.empty() && stmt.set_op == sql::SetOp::kNone) {
-    CheckOrderLimit(exec, stmt, *base, &out);
+  if (!checked.order_by.empty() && checked.set_op == sql::SetOp::kNone) {
+    CheckOrderLimit(db, checked, *base, &out);
   }
   return out;
 }

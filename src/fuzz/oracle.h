@@ -20,9 +20,8 @@ namespace codes::fuzz {
 ///  * kRoundTrip  — ToSql() -> parse -> ToSql() must be a fixpoint, the
 ///                  structural fingerprints must match, and the reparsed
 ///                  statement must produce the same result.
-///  * kRerun      — executing the same statement twice must be
-///                  byte-identical (catches mutable scratch-state
-///                  pollution in the AST).
+///  * kRerun      — executing the same bound statement twice must be
+///                  byte-identical (catches state one run leaves behind).
 ///  * kTlp        — ternary logic partitioning: for a row-local predicate
 ///                  p, Q == Q+p UNION-ALL Q+(NOT p) UNION-ALL
 ///                  Q+(p IS NULL) as multisets (SQL three-valued logic
@@ -68,6 +67,7 @@ bool PartitionOraclesApplicable(const sql::SelectStatement& stmt);
 /// Runs every applicable oracle against `stmt` on `db`. `oracle_seed`
 /// drives the TLP partition predicate via `gen`, so a (query, seed) pair
 /// fully determines the outcome. Returns all violations (empty = clean).
+/// The oracles run on a bound copy; `stmt` itself is left unchanged.
 ///
 /// When `storage` is non-null it must be a second backend holding the same
 /// logical content as `db` (typically a storage::StorageDb built from it);

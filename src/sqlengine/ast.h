@@ -85,18 +85,20 @@ struct Expr {
   // kCast
   DataType cast_type = DataType::kText;
 
-  // ----- Executor scratch state (filled during execution) -----
-  /// Flat index of the column in the working row; -1 when unresolved.
-  mutable int resolved_index = -1;
-  /// When evaluating post-aggregation expressions, aggregate function nodes
-  /// carry their computed value here.
-  mutable Value agg_result;
-  mutable bool use_agg_result = false;
+  // ----- Bind output (filled once by sql::Bind; see bind.h) -----
+  /// kColumnRef: flat index of the column in the working row; -1 when
+  /// unbound.
+  int resolved_index = -1;
+  /// Aggregate call: its slot among the aggregate values its SELECT
+  /// computes per group; -1 when unbound or when no group computes it
+  /// (WHERE, GROUP BY, inside another aggregate's argument).
+  int agg_slot = -1;
 
   /// Serializes the expression back to SQL text.
   std::string ToSql() const;
 
-  /// Deep copy (executor scratch state is not copied).
+  /// Deep copy. A clone is unbound: resolved_index and agg_slot are not
+  /// copied, so bind the statement that holds it before executing it.
   std::unique_ptr<Expr> Clone() const;
 
   /// True if this node is an aggregate function call (COUNT/SUM/...).
@@ -165,7 +167,7 @@ struct SelectStatement {
   /// Serializes back to SQL text.
   std::string ToSql() const;
 
-  /// Deep copy.
+  /// Deep copy; like Expr::Clone, the copy is unbound.
   std::unique_ptr<SelectStatement> Clone() const;
 
   /// True if this query (or a set-op arm) orders its output; execution

@@ -30,80 +30,6 @@ constexpr size_t kStepFailpointStride = 1024;
 /// budgeting; the sample is scaled to cover the stride.
 constexpr size_t kByteSampleStride = 8;
 
-/// One entry of the FROM-clause scope: a bound table occurrence.
-struct ScopeEntry {
-  std::string binding;  // lowercase alias-or-table-name
-  int table_index;      // index in db schema
-  int offset;           // flat offset of this table's first column
-};
-
-/// Name-resolution scope for a single SELECT. Works off the schema alone,
-/// so it is backend-independent.
-class Scope {
- public:
-  Status AddTable(const DatabaseSchema& schema, const TableRef& ref) {
-    auto idx = schema.FindTable(ref.table);
-    if (!idx.has_value()) {
-      return Status::BindError("no such table: " + ref.table);
-    }
-    ScopeEntry entry;
-    entry.binding = ToLower(ref.BindingName());
-    for (const auto& existing : entries_) {
-      if (existing.binding == entry.binding) {
-        return Status::BindError("duplicate table binding: " + entry.binding);
-      }
-    }
-    entry.table_index = *idx;
-    entry.offset = width_;
-    width_ += static_cast<int>(schema.tables[*idx].columns.size());
-    entries_.push_back(std::move(entry));
-    return Status::Ok();
-  }
-
-  int width() const { return width_; }
-  const std::vector<ScopeEntry>& entries() const { return entries_; }
-
-  /// Resolves [qualifier.]column to a flat index. Unqualified names must be
-  /// unambiguous across bound tables.
-  Result<int> ResolveColumn(const DatabaseSchema& schema,
-                            const std::string& qualifier,
-                            const std::string& column) const {
-    std::string q = ToLower(qualifier);
-    std::string c = ToLower(column);
-    int found = -1;
-    for (const auto& entry : entries_) {
-      if (!q.empty() && entry.binding != q) continue;
-      const TableDef& def = schema.tables[entry.table_index];
-      auto col = def.FindColumn(c);
-      if (col.has_value()) {
-        if (found >= 0) {
-          return Status::BindError("ambiguous column: " + column);
-        }
-        found = entry.offset + *col;
-      }
-    }
-    if (found < 0) {
-      std::string name = qualifier.empty() ? column : qualifier + "." + column;
-      return Status::BindError("no such column: " + name);
-    }
-    return found;
-  }
-
-  /// Column headers for the full working row (used to expand '*').
-  std::vector<std::string> AllColumnNames(const DatabaseSchema& schema) const {
-    std::vector<std::string> names;
-    for (const auto& entry : entries_) {
-      const TableDef& def = schema.tables[entry.table_index];
-      for (const auto& col : def.columns) names.push_back(col.name);
-    }
-    return names;
-  }
-
- private:
-  std::vector<ScopeEntry> entries_;
-  int width_ = 0;
-};
-
 /// Hash of a row of values, for hash joins and DISTINCT.
 struct RowHash {
   size_t operator()(const Row& row) const {
@@ -125,21 +51,29 @@ struct RowEq {
   }
 };
 
+Result<ResultTable> ExecuteLevel(const ExecSource& source,
+                                 const BoundStatement& bound,
+                                 const SelectStatement& stmt,
+                                 ExecGuard* guard);
+
+/// Runs one SELECT level of a bound statement. Everything a run computes
+/// (aggregate values, subquery results) lives here, never in the AST.
 class SelectRunner {
  public:
-  SelectRunner(const ExecSource& source, const SelectStatement& stmt,
-               ExecGuard* guard)
-      : source_(source), stmt_(stmt), guard_(guard) {}
+  SelectRunner(const ExecSource& source, const BoundStatement& bound,
+               const SelectStatement& stmt, ExecGuard* guard)
+      : source_(source),
+        bound_(bound),
+        stmt_(stmt),
+        level_(bound.Level(stmt)),
+        guard_(guard) {}
 
   Result<ResultTable> Run() {
     if (Failpoints::ShouldFail(FailpointSite::kExecutorStep)) {
       return Failpoints::FailStatus(FailpointSite::kExecutorStep);
     }
     if (guard_ != nullptr) CODES_RETURN_IF_ERROR(guard_->Check());
-    CODES_RETURN_IF_ERROR(BuildScope());
-    CODES_RETURN_IF_ERROR(ExpandStars());
-    CODES_RETURN_IF_ERROR(RewriteAliasRefs());
-    CODES_RETURN_IF_ERROR(ResolveAll());
+    CODES_RETURN_IF_ERROR(level_.error);
     CODES_ASSIGN_OR_RETURN(std::vector<Row> rows, ProduceJoinedRows());
     return Project(std::move(rows));
   }
@@ -172,142 +106,6 @@ class SelectRunner {
       bytes = ApproxRowBytes(row) * kByteSampleStride;
     }
     return guard_->ChargeRow(bytes);
-  }
-
-  // ---------------------------------------------------------------- setup
-  Status BuildScope() {
-    CODES_RETURN_IF_ERROR(scope_.AddTable(source_.schema(), stmt_.from));
-    for (const auto& join : stmt_.joins) {
-      CODES_RETURN_IF_ERROR(scope_.AddTable(source_.schema(), join.table));
-    }
-    return Status::Ok();
-  }
-
-  /// Replaces a bare `SELECT *` / `SELECT t.*` with explicit column refs so
-  /// downstream stages see a uniform select list.
-  Status ExpandStars() {
-    bool has_star = false;
-    for (const auto& item : stmt_.select_list) {
-      if (item.expr->kind == ExprKind::kStar) has_star = true;
-    }
-    if (!has_star) return Status::Ok();
-    for (const auto& item : stmt_.select_list) {
-      if (item.expr->kind == ExprKind::kStar &&
-          stmt_.select_list.size() > 1) {
-        return Status::BindError("'*' must be the only select item");
-      }
-    }
-    const Expr& star = *stmt_.select_list[0].expr;
-    std::string qualifier = ToLower(star.table);
-    expanded_select_.clear();
-    for (const auto& entry : scope_.entries()) {
-      if (!qualifier.empty() && entry.binding != qualifier) continue;
-      const TableDef& def = source_.schema().tables[entry.table_index];
-      for (const auto& col : def.columns) {
-        SelectItem item;
-        item.expr = Expr::MakeColumn(entry.binding, col.name);
-        item.alias = col.name;
-        expanded_select_.push_back(std::move(item));
-      }
-    }
-    if (expanded_select_.empty()) {
-      return Status::BindError("'*' expansion produced no columns");
-    }
-    use_expanded_ = true;
-    return Status::Ok();
-  }
-
-  std::vector<SelectItem>& select_list() {
-    return use_expanded_ ? expanded_select_
-                         : const_cast<std::vector<SelectItem>&>(
-                               stmt_.select_list);
-  }
-
-  /// ORDER BY / GROUP BY / HAVING may reference select aliases or 1-based
-  /// positions; rewrite those references to clones of the select exprs.
-  Status RewriteAliasRefs() {
-    auto rewrite = [this](std::unique_ptr<Expr>& e) -> Status {
-      if (!e) return Status::Ok();
-      // Positional reference.
-      if (e->kind == ExprKind::kLiteral && e->literal.is_integer()) {
-        int64_t pos = e->literal.AsInteger();
-        if (pos >= 1 &&
-            pos <= static_cast<int64_t>(select_list().size())) {
-          e = select_list()[pos - 1].expr->Clone();
-        }
-        return Status::Ok();
-      }
-      // Alias reference: unqualified name matching an alias and not a
-      // resolvable column.
-      if (e->kind == ExprKind::kColumnRef && e->table.empty()) {
-        auto direct = scope_.ResolveColumn(source_.schema(), "", e->column);
-        if (!direct.ok()) {
-          for (const auto& item : select_list()) {
-            if (!item.alias.empty() &&
-                ToLower(item.alias) == ToLower(e->column)) {
-              e = item.expr->Clone();
-              return Status::Ok();
-            }
-          }
-        }
-      }
-      return Status::Ok();
-    };
-    for (auto& o : const_cast<std::vector<OrderItem>&>(stmt_.order_by)) {
-      CODES_RETURN_IF_ERROR(rewrite(o.expr));
-    }
-    for (auto& g :
-         const_cast<std::vector<std::unique_ptr<Expr>>&>(stmt_.group_by)) {
-      CODES_RETURN_IF_ERROR(rewrite(g));
-    }
-    if (stmt_.having) {
-      // Aliases inside HAVING are rewritten recursively at the top level
-      // only; nested alias uses are rare in benchmark SQL.
-      CODES_RETURN_IF_ERROR(
-          rewrite(const_cast<std::unique_ptr<Expr>&>(stmt_.having)));
-    }
-    return Status::Ok();
-  }
-
-  Status ResolveExpr(const Expr& e) {
-    if (e.kind == ExprKind::kColumnRef) {
-      CODES_ASSIGN_OR_RETURN(
-          e.resolved_index,
-          scope_.ResolveColumn(source_.schema(), e.table, e.column));
-      return Status::Ok();
-    }
-    if (e.kind == ExprKind::kInSubquery || e.kind == ExprKind::kScalarSubquery) {
-      // Uncorrelated subqueries execute independently; results are cached
-      // in subquery_cache_ at evaluation time.
-    }
-    for (const auto& child : e.children) {
-      CODES_RETURN_IF_ERROR(ResolveExpr(*child));
-    }
-    return Status::Ok();
-  }
-
-  Status ResolveAll() {
-    for (const auto& item : select_list()) {
-      CODES_RETURN_IF_ERROR(ResolveExpr(*item.expr));
-    }
-    for (const auto& join : stmt_.joins) {
-      if (join.condition) {
-        CODES_RETURN_IF_ERROR(ResolveExpr(*join.condition));
-      }
-    }
-    if (stmt_.where) {
-      CODES_RETURN_IF_ERROR(ResolveExpr(*stmt_.where));
-    }
-    for (const auto& g : stmt_.group_by) {
-      CODES_RETURN_IF_ERROR(ResolveExpr(*g));
-    }
-    if (stmt_.having) {
-      CODES_RETURN_IF_ERROR(ResolveExpr(*stmt_.having));
-    }
-    for (const auto& o : stmt_.order_by) {
-      CODES_RETURN_IF_ERROR(ResolveExpr(*o.expr));
-    }
-    return Status::Ok();
   }
 
   // ------------------------------------------------ access-path selection
@@ -532,8 +330,8 @@ class SelectRunner {
   /// Computes the joined, WHERE-filtered working rows.
   Result<std::vector<Row>> ProduceJoinedRows() {
     // Seed with the first table through its chosen access path.
-    const auto& entries = scope_.entries();
-    const int first_table = entries[0].table_index;
+    const std::vector<BoundTable>& tables = level_.tables;
+    const int first_table = tables[0].table_index;
     const int first_width = static_cast<int>(
         source_.schema().tables[first_table].columns.size());
     std::vector<Row> current;
@@ -558,7 +356,7 @@ class SelectRunner {
 
     for (size_t j = 0; j < stmt_.joins.size(); ++j) {
       const JoinClause& join = stmt_.joins[j];
-      const ScopeEntry& entry = entries[j + 1];
+      const BoundTable& entry = tables[j + 1];
       std::vector<Row> right_storage;
       CODES_ASSIGN_OR_RETURN(
           const std::vector<Row>* right_rows,
@@ -674,9 +472,8 @@ class SelectRunner {
     return Value(static_cast<int64_t>(negated ? 1 : 0));
   }
 
-  /// Evaluates `e` against a working row. Aggregate nodes must have their
-  /// `agg_result` precomputed (use_agg_result set) when this is called in
-  /// post-aggregation context.
+  /// Evaluates `e` against a working row. In post-aggregation context an
+  /// aggregate node reads the value the grouping phase stored in its slot.
   Result<Value> Eval(const Expr& e, const Row& row) {
     switch (e.kind) {
       case ExprKind::kLiteral:
@@ -920,11 +717,12 @@ class SelectRunner {
 
   Result<Value> EvalFunction(const Expr& e, const Row& row) {
     if (e.IsAggregate()) {
-      if (!e.use_agg_result) {
+      if (e.agg_slot < 0 ||
+          static_cast<size_t>(e.agg_slot) >= agg_values_.size()) {
         return Status::ExecutionError("aggregate " + e.function +
                                       " used outside aggregation context");
       }
-      return e.agg_result;
+      return agg_values_[static_cast<size_t>(e.agg_slot)];
     }
     auto arg = [&](size_t i) -> Result<Value> {
       if (i >= e.children.size()) {
@@ -1003,8 +801,7 @@ class SelectRunner {
     auto it = subquery_cache_.find(&e);
     if (it == subquery_cache_.end()) {
       if (guard_ != nullptr) CODES_RETURN_IF_ERROR(guard_->EnterNested());
-      Executor sub_exec(source_);
-      auto result = sub_exec.Execute(*e.subquery, guard_);
+      auto result = ExecuteLevel(source_, bound_, *e.subquery, guard_);
       if (guard_ != nullptr) guard_->LeaveNested();
       if (!result.ok()) return result.status();
       if (result->NumColumns() < 1) {
@@ -1020,17 +817,10 @@ class SelectRunner {
 
   // ------------------------------------------------------ projection phase
   Result<ResultTable> Project(std::vector<Row> rows) {
-    bool has_agg = !stmt_.group_by.empty();
-    for (const auto& item : select_list()) {
-      if (item.expr->ContainsAggregate()) has_agg = true;
-    }
-    if (stmt_.having && stmt_.having->ContainsAggregate()) has_agg = true;
-    for (const auto& o : stmt_.order_by) {
-      if (o.expr->ContainsAggregate()) has_agg = true;
-    }
+    const bool has_agg = !stmt_.group_by.empty() || !level_.aggregates.empty();
 
     ResultTable result;
-    for (const auto& item : select_list()) {
+    for (const auto& item : stmt_.select_list) {
       result.column_names.push_back(
           item.alias.empty() ? item.expr->ToSql() : item.alias);
     }
@@ -1045,7 +835,7 @@ class SelectRunner {
     if (!has_agg) {
       for (const auto& row : rows) {
         Keyed k;
-        for (const auto& item : select_list()) {
+        for (const auto& item : stmt_.select_list) {
           CODES_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, row));
           k.out.push_back(std::move(v));
         }
@@ -1076,40 +866,29 @@ class SelectRunner {
         group_order.push_back(Row{});
       }
 
-      // Collect all aggregate nodes referenced by the query.
-      std::vector<const Expr*> agg_nodes;
-      auto collect = [&agg_nodes](const Expr& e, auto&& self) -> void {
-        if (e.IsAggregate()) {
-          agg_nodes.push_back(&e);
-          return;  // no nested aggregates
-        }
-        for (const auto& c : e.children) self(*c, self);
-      };
-      for (const auto& item : select_list()) collect(*item.expr, collect);
-      if (stmt_.having) collect(*stmt_.having, collect);
-      for (const auto& o : stmt_.order_by) collect(*o.expr, collect);
-
+      // Compute the aggregate calls Bind numbered, per group, into the
+      // slots their Expr::agg_slot names.
+      const std::vector<const Expr*>& aggregates = level_.aggregates;
+      agg_values_.resize(aggregates.size());
       for (const auto& key : group_order) {
         const auto& members = groups[key];
-        // Compute aggregates for this group.
-        for (const Expr* agg : agg_nodes) {
-          CODES_ASSIGN_OR_RETURN(agg->agg_result,
-                                 ComputeAggregate(*agg, members));
-          agg->use_agg_result = true;
+        for (size_t slot = 0; slot < aggregates.size(); ++slot) {
+          CODES_ASSIGN_OR_RETURN(agg_values_[slot],
+                                 ComputeAggregate(*aggregates[slot], members));
         }
         // Representative row for evaluating group keys inside exprs.
         Row representative;
         if (!members.empty()) {
           representative = *members[0];
         } else {
-          representative.assign(static_cast<size_t>(scope_.width()), Value());
+          representative.assign(static_cast<size_t>(level_.width), Value());
         }
         if (stmt_.having) {
           CODES_ASSIGN_OR_RETURN(Value hv, Eval(*stmt_.having, representative));
           if (!Truthy(hv)) continue;
         }
         Keyed k;
-        for (const auto& item : select_list()) {
+        for (const auto& item : stmt_.select_list) {
           CODES_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, representative));
           k.out.push_back(std::move(v));
         }
@@ -1120,8 +899,6 @@ class SelectRunner {
         CODES_RETURN_IF_ERROR(ChargeRow(k.out));
         keyed_rows.push_back(std::move(k));
       }
-      // Reset aggregate scratch state so the AST can be reused.
-      for (const Expr* agg : agg_nodes) agg->use_agg_result = false;
     }
 
     // DISTINCT.
@@ -1224,12 +1001,12 @@ class SelectRunner {
   }
 
   const ExecSource& source_;
+  const BoundStatement& bound_;
   const SelectStatement& stmt_;
+  const BoundSelect& level_;    ///< what Bind recorded for stmt_
   ExecGuard* guard_;            ///< may be null (unguarded)
   size_t step_rows_ = 0;        ///< rows since start, for the step failpoint
-  Scope scope_;
-  bool use_expanded_ = false;
-  std::vector<SelectItem> expanded_select_;
+  std::vector<Value> agg_values_;  ///< current group's value per agg_slot
   std::unordered_map<const Expr*, std::vector<Value>> subquery_cache_;
 };
 
@@ -1243,18 +1020,19 @@ std::vector<Row> DedupeRows(const std::vector<Row>& rows) {
   return out;
 }
 
-}  // namespace
-
-Result<ResultTable> Executor::Execute(const SelectStatement& stmt,
-                                      ExecGuard* guard) const {
-  SelectRunner runner(source_, stmt, guard);
+/// Executes `stmt`, one level of `bound`, and its chain of set-op arms.
+Result<ResultTable> ExecuteLevel(const ExecSource& source,
+                                 const BoundStatement& bound,
+                                 const SelectStatement& stmt,
+                                 ExecGuard* guard) {
+  SelectRunner runner(source, bound, stmt, guard);
   auto left = runner.Run();
   if (!left.ok()) return left.status();
   if (stmt.set_op == SetOp::kNone) return left;
 
   // The right arm of a set operation counts one level of guarded nesting.
   if (guard != nullptr) CODES_RETURN_IF_ERROR(guard->EnterNested());
-  auto right = Execute(*stmt.set_rhs, guard);
+  auto right = ExecuteLevel(source, bound, *stmt.set_rhs, guard);
   if (guard != nullptr) guard->LeaveNested();
   if (!right.ok()) return right.status();
   if (left->NumColumns() != right->NumColumns()) {
@@ -1296,11 +1074,17 @@ Result<ResultTable> Executor::Execute(const SelectStatement& stmt,
   return out;
 }
 
+}  // namespace
+
+Result<ResultTable> Execute(const ExecSource& source,
+                            const BoundStatement& bound, ExecGuard* guard) {
+  return ExecuteLevel(source, bound, bound.statement(), guard);
+}
+
 Result<ResultTable> ExecuteSql(const ExecSource& source, std::string_view sql,
                                ExecGuard* guard) {
   CODES_ASSIGN_OR_RETURN(auto stmt, ParseSql(sql));
-  Executor executor(source);
-  return executor.Execute(*stmt, guard);
+  return Execute(source, Bind(std::move(stmt), source.schema()), guard);
 }
 
 bool IsExecutable(const ExecSource& source, std::string_view sql) {

@@ -1,22 +1,26 @@
 #ifndef CODES_SQLENGINE_EXECUTOR_H_
 #define CODES_SQLENGINE_EXECUTOR_H_
 
-#include <memory>
 #include <string_view>
 
 #include "common/exec_guard.h"
 #include "common/status.h"
-#include "sqlengine/ast.h"
+#include "sqlengine/bind.h"
 #include "sqlengine/database.h"
 #include "sqlengine/exec_source.h"
 #include "sqlengine/result_table.h"
 
 namespace codes::sql {
 
-/// Query executor over any ExecSource backend — the in-memory Database or
-/// the disk-backed storage engine. The same AST produces byte-identical
-/// results over either (the two-backend equivalence contract, DESIGN.md
-/// section 14).
+/// Executes a bound statement over any ExecSource backend — the in-memory
+/// Database or the disk-backed storage engine. The same statement produces
+/// byte-identical results over either (the two-backend equivalence
+/// contract, DESIGN.md section 14). `source` must have the schema the
+/// statement was bound against.
+///
+/// Execution only reads `bound`: per-run state (aggregate values, subquery
+/// results) lives in the run, so one bound statement may be executed from
+/// any number of threads at once.
 ///
 /// Supported plan shapes: scans, inner equi-/theta-joins (hash join is used
 /// automatically for equality ON conditions), WHERE filters, grouped and
@@ -37,22 +41,16 @@ namespace codes::sql {
 /// every materializing loop, and subquery / set-operation arms count
 /// against the guard's nesting-depth budget. Guard violations surface as
 /// StatusCode::{kTimeout, kCancelled, kResourceExhausted}. A null guard
-/// (the default) is the historical unguarded behaviour.
-class Executor {
- public:
-  explicit Executor(const ExecSource& source) : source_(source) {}
+/// (the default) is the historical unguarded behaviour. `guard`, when
+/// non-null, must outlive the call; it is shared by nested subquery
+/// execution.
+Result<ResultTable> Execute(const ExecSource& source,
+                            const BoundStatement& bound,
+                            ExecGuard* guard = nullptr);
 
-  /// Executes `stmt` and returns the result table. `guard`, when non-null,
-  /// must outlive the call; it is shared by nested subquery execution.
-  Result<ResultTable> Execute(const SelectStatement& stmt,
-                              ExecGuard* guard = nullptr) const;
-
- private:
-  const ExecSource& source_;
-};
-
-/// Parses and executes `sql` against `source` in one step, honoring `guard`
-/// during execution (parsing enforces its own fixed nesting-depth cap).
+/// Parses, binds and executes `sql` against `source` in one step, honoring
+/// `guard` during execution (parsing enforces its own fixed nesting-depth
+/// cap).
 Result<ResultTable> ExecuteSql(const ExecSource& source, std::string_view sql,
                                ExecGuard* guard = nullptr);
 

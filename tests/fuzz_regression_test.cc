@@ -159,6 +159,38 @@ TEST(FuzzCampaignTest, GeneratedQueriesReparse) {
   }
 }
 
+TEST(FuzzOracleTest, RunOraclesLeavesItsInputUnchanged) {
+  // The oracles run on a bound copy, so a reproducer built from the input
+  // still carries the positional, alias and '*' references the generator
+  // wrote.
+  auto dbs = BuildFuzzDatabases(1);
+  const sql::Database& db = dbs[0];
+  QueryGenerator gen(db);
+  const sql::TableDef& table = db.schema().tables[0];
+  ASSERT_GE(table.columns.size(), 2u);
+  const std::string c0 = "T1." + table.columns[0].name;
+  const std::string c1 = "T1." + table.columns[1].name;
+  std::vector<std::string> sqls = {
+      "SELECT " + c0 + ", " + c1 + " AS k_alias FROM " + table.name +
+          " AS T1 ORDER BY 2 ASC, k_alias DESC",
+      "SELECT * FROM " + table.name + " AS T1 ORDER BY 1 ASC",
+  };
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    sqls.push_back(gen.Generate(rng)->ToSql());
+  }
+  for (const auto& sql : sqls) {
+    auto stmt = sql::ParseSql(sql);
+    ASSERT_TRUE(stmt.ok()) << sql;
+    ASSERT_EQ((*stmt)->ToSql(), sql);
+    for (const auto& v : RunOracles(db, gen, **stmt, /*oracle_seed=*/7)) {
+      ADD_FAILURE() << OracleName(v.oracle) << ": " << v.detail << "\n  "
+                    << sql;
+    }
+    EXPECT_EQ((*stmt)->ToSql(), sql);
+  }
+}
+
 TEST(FuzzReportTest, ReproLinePrefersShrunkSql)  {
   FuzzFailure f;
   f.db_index = 3;

@@ -106,13 +106,12 @@ TEST_P(EngineRoundTrip, ParseSerializeParsePreservesSemantics) {
     // Same fingerprint and same execution result.
     EXPECT_EQ(sql::FingerprintOf(**first).ToKey(),
               sql::FingerprintOf(**second).ToKey());
-    sql::Executor executor(db);
-    auto r1 = executor.Execute(**first);
-    auto r2 = executor.Execute(**second);
+    const bool ordered = (*first)->HasOrderBy();
+    auto r1 = sql::Execute(db, sql::Bind(std::move(*first), db.schema()));
+    auto r2 = sql::Execute(db, sql::Bind(std::move(*second), db.schema()));
     ASSERT_TRUE(r1.ok());
     ASSERT_TRUE(r2.ok());
-    EXPECT_TRUE(sql::ResultsEquivalent(*r1, *r2, (*first)->HasOrderBy()))
-        << inst->sql_text;
+    EXPECT_TRUE(sql::ResultsEquivalent(*r1, *r2, ordered)) << inst->sql_text;
   }
 }
 

@@ -893,17 +893,6 @@ TEST_F(LadderTest, StorageFaultsDoNotPerturbServing) {
   EXPECT_EQ(Failpoints::FiredCount(FailpointSite::kStorageSplit), 0u);
 }
 
-TEST_F(LadderTest, BackoffScheduleIsCappedExponential) {
-  EXPECT_EQ(CodesPipeline::ComputeBackoffMs(1, 0.0, 8.0), 0.0);
-  EXPECT_EQ(CodesPipeline::ComputeBackoffMs(3, -1.0, 8.0), 0.0);
-  EXPECT_EQ(CodesPipeline::ComputeBackoffMs(0, 1.0, 8.0), 0.0);
-  EXPECT_EQ(CodesPipeline::ComputeBackoffMs(1, 1.0, 8.0), 1.0);
-  EXPECT_EQ(CodesPipeline::ComputeBackoffMs(2, 1.0, 8.0), 2.0);
-  EXPECT_EQ(CodesPipeline::ComputeBackoffMs(3, 1.0, 8.0), 4.0);
-  EXPECT_EQ(CodesPipeline::ComputeBackoffMs(4, 1.0, 8.0), 8.0);
-  EXPECT_EQ(CodesPipeline::ComputeBackoffMs(10, 1.0, 8.0), 8.0);
-}
-
 TEST_F(LadderTest, VerifySourceTwinVerifiesCleanly) {
   // A healthy disk-backed twin plugged in via verify_source must behave
   // exactly like the in-memory backend: the served SQL verifies.

@@ -1,6 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+
+#include "common/exec_guard.h"
+#include "common/failpoint.h"
+#include "common/thread_pool.h"
 #include "sqlengine/ast.h"
+#include "sqlengine/bind.h"
 #include "sqlengine/catalog.h"
 #include "sqlengine/database.h"
 #include "sqlengine/executor.h"
@@ -417,19 +423,178 @@ TEST(ExecutorTest, IsExecutablePredicate) {
 }
 
 TEST(ExecutorTest, RepeatedExecutionOfSameAst) {
-  // The executor writes scratch state into the AST; re-running the same
-  // statement (as the TS metric does across database instances) must work.
+  // Re-running one bound statement (as TimedExecution does for VES) must
+  // give the same result every time.
   Database db = MakeMusicDb();
   auto stmt = ParseSql(
       "SELECT country, COUNT(*) FROM singer GROUP BY country ORDER BY "
       "COUNT(*) DESC");
   ASSERT_TRUE(stmt.ok());
-  Executor exec(db);
-  auto first = exec.Execute(**stmt);
-  auto second = exec.Execute(**stmt);
+  const BoundStatement bound = Bind(std::move(*stmt), db.schema());
+  auto first = Execute(db, bound);
+  auto second = Execute(db, bound);
   ASSERT_TRUE(first.ok());
   ASSERT_TRUE(second.ok());
   EXPECT_TRUE(ResultsEquivalent(*first, *second, /*ordered=*/true));
+}
+
+// ------------------------------------------------------------------- bind
+
+BoundStatement MustBind(const Database& db, const std::string& sql) {
+  auto stmt = ParseSql(sql);
+  CODES_CHECK(stmt.ok());
+  return Bind(std::move(stmt).value(), db.schema());
+}
+
+/// Exact table equality: same column names, same value kinds, same values.
+bool SameTable(const ResultTable& a, const ResultTable& b) {
+  if (a.column_names != b.column_names || a.rows.size() != b.rows.size()) {
+    return false;
+  }
+  for (size_t r = 0; r < a.rows.size(); ++r) {
+    if (a.rows[r].size() != b.rows[r].size()) return false;
+    for (size_t c = 0; c < a.rows[r].size(); ++c) {
+      const Value& x = a.rows[r][c];
+      const Value& y = b.rows[r][c];
+      if (x.is_null() != y.is_null() || x.is_integer() != y.is_integer() ||
+          x.is_real() != y.is_real() || x.Compare(y) != 0) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+TEST(SqlBindTest, ExecutionLeavesTheBoundStatementUnchanged) {
+  Database db = MakeMusicDb();
+  for (const char* sql : {
+           "SELECT name, age AS x FROM singer ORDER BY 2",
+           "SELECT name, age AS x FROM singer ORDER BY x DESC",
+           "SELECT country AS c, COUNT(*) FROM singer GROUP BY c",
+           "SELECT * FROM singer ORDER BY age",
+       }) {
+    const BoundStatement bound = MustBind(db, sql);
+    const std::string text = bound.statement().ToSql();
+    const std::string key = FingerprintOf(bound.statement()).ToKey();
+    auto first = Execute(db, bound);
+    ASSERT_TRUE(first.ok()) << sql << " -> " << first.status().ToString();
+    EXPECT_EQ(bound.statement().ToSql(), text) << sql;
+    EXPECT_EQ(FingerprintOf(bound.statement()).ToKey(), key) << sql;
+    auto second = Execute(db, bound);
+    ASSERT_TRUE(second.ok()) << sql;
+    EXPECT_TRUE(SameTable(*first, *second)) << sql;
+  }
+}
+
+TEST(SqlBindTest, BindRewritesPositionsAliasesAndStars) {
+  Database db = MakeMusicDb();
+  const BoundStatement by_position =
+      MustBind(db, "SELECT name, age AS x FROM singer ORDER BY 2");
+  EXPECT_EQ(by_position.statement().order_by[0].expr->ToSql(), "age");
+  const BoundStatement by_alias =
+      MustBind(db, "SELECT country AS c, COUNT(*) FROM singer GROUP BY c");
+  EXPECT_EQ(by_alias.statement().group_by[0]->ToSql(), "country");
+  const BoundStatement star = MustBind(db, "SELECT * FROM singer");
+  EXPECT_EQ(star.statement().select_list.size(), 4u);
+
+  // Ordered by age with NULL first, as ORDER BY age would be.
+  ResultTable rows = Execute(db, by_position).value();
+  ASSERT_EQ(rows.NumRows(), 4u);
+  EXPECT_EQ(rows.rows[0][0].AsText(), "Dave");
+  EXPECT_EQ(rows.rows[3][0].AsText(), "Bob");
+}
+
+TEST(SqlBindTest, ArmedStepFailpointBeatsABindError) {
+  Database db = MakeMusicDb();
+  const BoundStatement bound = MustBind(db, "SELECT nope FROM singer");
+  ASSERT_TRUE(Failpoints::Configure("executor.step=oneshot", 1).ok());
+  {
+    FailpointScope scope(7);
+    auto faulted = Execute(db, bound);
+    ASSERT_FALSE(faulted.ok());
+    EXPECT_EQ(faulted.status().ToString(),
+              Failpoints::FailStatus(FailpointSite::kExecutorStep)
+                  .ToString());
+    // The one-shot failpoint is spent; now the bind error shows.
+    auto bind_error = Execute(db, bound);
+    ASSERT_FALSE(bind_error.ok());
+    EXPECT_EQ(bind_error.status().code(), StatusCode::kBindError);
+    EXPECT_EQ(bind_error.status().message(), "no such column: nope");
+  }
+  Failpoints::Clear();
+}
+
+TEST(SqlBindTest, SubqueryBindErrorSurfacesOnlyWhenTheSubqueryRuns) {
+  const std::string sql =
+      "SELECT name FROM singer WHERE singer_id IN (SELECT nope FROM song)";
+  Database db = MakeMusicDb();
+  auto failed = ExecuteSql(db, sql);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kBindError);
+  EXPECT_EQ(failed.status().message(), "no such column: nope");
+
+  // Over an empty outer table the subquery never runs, so neither does
+  // its bind error.
+  Database empty(db.schema());
+  auto ok = ExecuteSql(empty, sql);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(ok->NumRows(), 0u);
+}
+
+TEST(SqlBindTest, RightArmBindErrorIsReportedAfterTheLeftArmRan) {
+  Database db = MakeMusicDb();
+  ExecLimits limits;
+  limits.max_rows = 1000;
+  ExecGuard left_only(limits);
+  ASSERT_TRUE(ExecuteSql(db, "SELECT name FROM singer", &left_only).ok());
+  ASSERT_GT(left_only.rows_charged(), 0u);
+
+  ExecGuard guard(limits);
+  auto result = ExecuteSql(
+      db, "SELECT name FROM singer UNION SELECT nope FROM song", &guard);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kBindError);
+  EXPECT_EQ(result.status().message(), "no such column: nope");
+  EXPECT_EQ(guard.rows_charged(), left_only.rows_charged());
+
+  // A left-arm bind error wins before anything runs.
+  auto left_error =
+      ExecuteSql(db, "SELECT bogus FROM singer UNION SELECT nope FROM song");
+  ASSERT_FALSE(left_error.ok());
+  EXPECT_EQ(left_error.status().message(), "no such column: bogus");
+}
+
+TEST(SqlBindConcurrencyTest, OneBoundStatementRunsFromEightThreads) {
+  Database db = MakeMusicDb();
+  const BoundStatement bound = MustBind(
+      db,
+      "SELECT country, COUNT(*) AS n, MAX(age) FROM singer "
+      "WHERE singer_id IN (SELECT singer_id FROM song) GROUP BY country "
+      "HAVING COUNT(*) >= 1 ORDER BY n DESC, 1 "
+      "UNION SELECT title, singer_id, sales FROM song");
+  auto expected = Execute(db, bound);
+  ASSERT_TRUE(expected.ok()) << expected.status().ToString();
+  ASSERT_EQ(expected->NumRows(), 6u);
+
+  constexpr int kThreads = 8;
+  constexpr int kRunsPerThread = 500;
+  std::atomic<int> failed{0};
+  std::atomic<int> wrong{0};
+  ThreadPool pool(kThreads);
+  pool.ParallelFor(kThreads, [&](size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) {
+      for (int run = 0; run < kRunsPerThread; ++run) {
+        auto result = Execute(db, bound);
+        if (!result.ok()) {
+          failed.fetch_add(1, std::memory_order_relaxed);
+        } else if (!SameTable(*result, *expected)) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    }
+  });
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 // ------------------------------------------------------------ result table

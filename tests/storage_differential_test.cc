@@ -31,7 +31,6 @@
 namespace codes::fuzz {
 namespace {
 
-using sql::Executor;
 using sql::ResultTable;
 using sql::Value;
 
@@ -125,15 +124,16 @@ void RunSlot(const std::vector<sql::Database>& dbs,
   Rng rng(base_seed + i);
   size_t db_index = rng.Index(dbs.size());
   auto stmt = gens[db_index].Generate(rng);
-  Executor mem_exec(dbs[db_index]);
-  Executor disk_exec(*twins[db_index]);
-  auto mem = mem_exec.Execute(*stmt);
-  auto disk = disk_exec.Execute(*stmt);
+  const std::string sql_text = stmt->ToSql();
+  const sql::BoundStatement bound =
+      sql::Bind(std::move(stmt), dbs[db_index].schema());
+  auto mem = sql::Execute(dbs[db_index], bound);
+  auto disk = sql::Execute(*twins[db_index], bound);
   std::string diff = DiffExecutions(mem, disk);
   if (!diff.empty()) {
     (*diffs)[i] = diff + "\n  db=" + std::to_string(db_index) +
                   " seed=" + std::to_string(base_seed + i) +
-                  " sql=" + stmt->ToSql();
+                  " sql=" + sql_text;
   }
 }
 
