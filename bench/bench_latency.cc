@@ -1,7 +1,10 @@
 // Reproduces Section 9.7 (latency/deployment) and prints the Table 1
 // architecture sheet: per-sample inference latency by model scale, plus
 // the capacity profiles standing in for the transformer hyper-parameters.
-// Eval throughput across thread counts is bench_throughput's job.
+// It is also the one perf-gate harness: every metric of BENCH_latency.json
+// (hot-path and storage ratios, eval queries/sec at 1 and 8 threads,
+// campaign goodput, the overhead trials) comes from this binary, and every
+// pipeline section runs on one trained 7B fixture.
 //
 // Paper shape to reproduce: latency grows with scale but stays far below
 // API-based systems (DIN-SQL + GPT-4 at ~60 s/sample); the ratio between
@@ -9,7 +12,9 @@
 
 #include <algorithm>
 #include <cstdio>
-
+#include <functional>
+#include <limits>
+#include <memory>
 #include <random>
 #include <set>
 #include <string>
@@ -18,10 +23,12 @@
 #include "bench/bench_common.h"
 #include "bench/perf_report.h"
 #include "common/failpoint.h"
+#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "core/model_zoo.h"
 #include "core/pipeline.h"
 #include "dataset/benchmark_builder.h"
+#include "eval/parallel_eval.h"
 #include "index/bm25_index.h"
 #include "index/bm25_reference.h"
 #include "lm/ngram_lm.h"
@@ -34,9 +41,25 @@
 #include "storage/crash_sim.h"
 #include "storage/storage_db.h"
 #include "text/similarity.h"
+#include "tools/campaign.h"
 
 namespace codes {
 namespace {
+
+/// Fastest of `reps` timings (seconds) of `fn`: scheduler noise only ever
+/// adds time, so the least-interrupted run best estimates the code's cost.
+template <typename Fn>
+double BestOf(Fn&& fn, int reps) {
+  double best = fn();
+  for (int r = 1; r < reps; ++r) best = std::min(best, fn());
+  return best;
+}
+
+/// Calls `fn` on `queries` dev samples, cycling through the dev set.
+template <typename Fn>
+void ForEachQuery(const Text2SqlBenchmark& bench, int queries, Fn&& fn) {
+  for (int n = 0; n < queries; ++n) fn(bench.dev[n % bench.dev.size()]);
+}
 
 /// Hot-path before/after: each speed-campaign rewrite raced against the
 /// pinned reference implementation it replaced, on identical workloads,
@@ -51,12 +74,6 @@ void HotPathSection(bench::PerfReport* report, bool quick) {
   bench::TablePrinter table({26, 14, 14, 10});
   table.Row({"hot path", "before us/op", "after us/op", "speedup"});
   table.Separator();
-
-  auto best_of = [](auto&& fn, int reps) {
-    double best = fn();
-    for (int r = 1; r < reps; ++r) best = std::min(best, fn());
-    return best;
-  };
 
   // --- Longest common substring (value retriever fine-ranking) ---------
   {
@@ -87,8 +104,8 @@ void HotPathSection(bench::PerfReport* report, bool quick) {
       }
       return timer.ElapsedSeconds();
     };
-    double before_us = 1e6 * best_of(run_ref, 3) / pairs.size();
-    double after_us = 1e6 * best_of(run_new, 3) / pairs.size();
+    double before_us = 1e6 * BestOf(run_ref, 3) / pairs.size();
+    double after_us = 1e6 * BestOf(run_new, 3) / pairs.size();
     if (sink == 42) std::printf(" ");  // keep the loops observable
     table.Row({"lcs (string pair)", FormatDouble(before_us, 3),
                FormatDouble(after_us, 3),
@@ -141,8 +158,8 @@ void HotPathSection(bench::PerfReport* report, bool quick) {
       for (const auto& q : queries) sink += fast.Query(q, 10).size();
       return timer.ElapsedSeconds();
     };
-    double before_us = 1e6 * best_of(run_ref, 3) / queries.size();
-    double after_us = 1e6 * best_of(run_new, 3) / queries.size();
+    double before_us = 1e6 * BestOf(run_ref, 3) / queries.size();
+    double after_us = 1e6 * BestOf(run_new, 3) / queries.size();
     if (sink == 42) std::printf(" ");
     table.Row({"bm25 query (top-10)", FormatDouble(before_us, 3),
                FormatDouble(after_us, 3),
@@ -183,8 +200,8 @@ void HotPathSection(bench::PerfReport* report, bool quick) {
       for (const auto& doc : corpus) sink += fast.AvgLogProb(doc);
       return timer.ElapsedSeconds();
     };
-    double before_us = 1e6 * best_of(run_ref, 3) / corpus.size();
-    double after_us = 1e6 * best_of(run_new, 3) / corpus.size();
+    double before_us = 1e6 * BestOf(run_ref, 3) / corpus.size();
+    double after_us = 1e6 * BestOf(run_new, 3) / corpus.size();
     if (sink == 42.0) std::printf(" ");
     table.Row({"ngram AvgLogProb (doc)", FormatDouble(before_us, 3),
                FormatDouble(after_us, 3),
@@ -260,11 +277,6 @@ void StorageAccessPathSection(bench::PerfReport* report, bool quick) {
     }
     return timer.ElapsedSeconds();
   };
-  auto best_of = [](auto&& fn, int n) {
-    double best = fn();
-    for (int r = 1; r < n; ++r) best = std::min(best, fn());
-    return best;
-  };
 
   // Confirm the planner actually takes the index path when allowed — a
   // silent fallback to seq scan would turn this section into noise.
@@ -275,8 +287,8 @@ void StorageAccessPathSection(bench::PerfReport* report, bool quick) {
   CODES_CHECK(snap.counters["storage.path.index_scan"] > 0);
 
   const int timing_reps = 3;
-  double seq_seconds = best_of([&] { return run_paths(false); }, timing_reps);
-  double idx_seconds = best_of([&] { return run_paths(true); }, timing_reps);
+  double seq_seconds = BestOf([&] { return run_paths(false); }, timing_reps);
+  double idx_seconds = BestOf([&] { return run_paths(true); }, timing_reps);
   const double per_query = static_cast<double>(reps) * stmts.size();
   double seq_us = 1e6 * seq_seconds / per_query;
   double idx_us = 1e6 * idx_seconds / per_query;
@@ -397,69 +409,6 @@ void DurabilitySection(bench::PerfReport* report, bool quick) {
   report->AddNoisy("durability_recovery_replay_us", recover_us);
 }
 
-/// Unguarded Predict vs PredictGuarded with an *active* guard (generous
-/// budgets, so every check runs but nothing trips). The robustness layer's
-/// contract is <= 2% overhead for guard-enabled serving.
-void GuardOverheadSection(const Text2SqlBenchmark& bench,
-                          const CodesPipeline& pipeline, int queries,
-                          bench::PerfReport* report) {
-  bench::Banner("Guard overhead: Predict vs guarded serving (7B SFT)");
-
-  ServeOptions guarded;
-  guarded.limits.max_rows = 50'000'000;
-  guarded.limits.max_bytes = static_cast<size_t>(1) << 40;
-  guarded.limits.max_depth = 64;
-  CancelToken token;  // never cancelled; forces the token check too
-  guarded.cancel = &token;
-
-  auto run_free = [&]() {
-    Timer timer;
-    int n = 0;
-    while (n < queries) {
-      for (const auto& sample : bench.dev) {
-        if (n >= queries) break;
-        (void)pipeline.Predict(bench, sample);
-        ++n;
-      }
-    }
-    return timer.ElapsedSeconds();
-  };
-  auto run_guarded = [&]() {
-    Timer timer;
-    int n = 0;
-    while (n < queries) {
-      for (const auto& sample : bench.dev) {
-        if (n >= queries) break;
-        (void)pipeline.PredictGuarded(bench, sample, guarded);
-        ++n;
-      }
-    }
-    return timer.ElapsedSeconds();
-  };
-
-  // Interleave three repetitions of each and keep the fastest, so ambient
-  // machine noise does not masquerade as guard cost.
-  double best_free = run_free();
-  double best_guarded = run_guarded();
-  for (int rep = 1; rep < 3; ++rep) {
-    best_free = std::min(best_free, run_free());
-    best_guarded = std::min(best_guarded, run_guarded());
-  }
-  double overhead_pct = 100.0 * (best_guarded - best_free) / best_free;
-
-  bench::TablePrinter table({22, 12, 14});
-  table.Row({"path", "seconds", "ms / sample"});
-  table.Separator();
-  table.Row({"Predict (no guard)", FormatDouble(best_free, 3),
-             FormatDouble(1000.0 * best_free / queries, 3)});
-  table.Row({"PredictGuarded", FormatDouble(best_guarded, 3),
-             FormatDouble(1000.0 * best_guarded / queries, 3)});
-  std::printf("\nguard overhead: %+.2f%% (budget: <= 2%%)\n", overhead_pct);
-  report->Add("predict_us_per_sample", 1e6 * best_free / queries);
-  // A difference of two noisy wall-clock reads: report, never gate.
-  report->AddNoisy("guard_overhead_pct", overhead_pct);
-}
-
 /// Where a guarded request spends its time: runs `queries` predictions
 /// with a zeroed registry and prints every pipeline stage span with its
 /// histogram percentiles and share of the root span's total. The share
@@ -475,14 +424,9 @@ void StageAttributionSection(const Text2SqlBenchmark& bench,
 
   MetricsRegistry::SetEnabled(true);
   MetricsRegistry::Global().Reset();
-  int n = 0;
-  while (n < queries) {
-    for (const auto& sample : bench.dev) {
-      if (n >= queries) break;
-      (void)pipeline.PredictGuarded(bench, sample, options);
-      ++n;
-    }
-  }
+  ForEachQuery(bench, queries, [&](const Text2SqlSample& sample) {
+    (void)pipeline.PredictGuarded(bench, sample, options);
+  });
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
 
   auto total_it = snapshot.histograms.find("span.pipeline.predict");
@@ -526,64 +470,6 @@ void StageAttributionSection(const Text2SqlBenchmark& bench,
   }
 }
 
-/// The observability layer's own cost: the same prediction loop with the
-/// metrics switch off (spans skip clock reads and histogram writes) vs on,
-/// interleaved best-of-3 like the guard section. Budget: <= 2%.
-void InstrumentationOverheadSection(const Text2SqlBenchmark& bench,
-                                    const CodesPipeline& pipeline,
-                                    int queries, bench::PerfReport* report) {
-  bench::Banner("Instrumentation overhead: metrics off vs on (7B SFT)");
-
-  ServeOptions options;
-  options.limits.max_rows = 20000;
-
-  auto run = [&](bool enabled) {
-    MetricsRegistry::SetEnabled(enabled);
-    Timer timer;
-    int n = 0;
-    while (n < queries) {
-      for (const auto& sample : bench.dev) {
-        if (n >= queries) break;
-        (void)pipeline.PredictGuarded(bench, sample, options);
-        ++n;
-      }
-    }
-    return timer.ElapsedSeconds();
-  };
-
-  // The true gated cost (a handful of clock reads + histogram writes per
-  // request) is far below ambient run-to-run noise, so the measurement
-  // needs more care than the guard section: warm both paths once, then
-  // interleave five repetitions with alternating order (so thermal drift
-  // cannot systematically favor one path) and keep the fastest of each.
-  (void)run(false);
-  (void)run(true);
-  double best_off = run(false);
-  double best_on = run(true);
-  for (int rep = 1; rep < 5; ++rep) {
-    if (rep % 2 == 1) {
-      best_on = std::min(best_on, run(true));
-      best_off = std::min(best_off, run(false));
-    } else {
-      best_off = std::min(best_off, run(false));
-      best_on = std::min(best_on, run(true));
-    }
-  }
-  MetricsRegistry::SetEnabled(true);
-  double overhead_pct = 100.0 * (best_on - best_off) / best_off;
-
-  bench::TablePrinter table({24, 12, 14});
-  table.Row({"path", "seconds", "ms / sample"});
-  table.Separator();
-  table.Row({"metrics disabled", FormatDouble(best_off, 3),
-             FormatDouble(1000.0 * best_off / queries, 3)});
-  table.Row({"metrics enabled", FormatDouble(best_on, 3),
-             FormatDouble(1000.0 * best_on / queries, 3)});
-  std::printf("\ninstrumentation overhead: %+.2f%% (budget: <= 2%%)\n",
-              overhead_pct);
-  report->AddNoisy("instrumentation_overhead_pct", overhead_pct);
-}
-
 /// Per-request latency distribution with every failpoint armed at 1%:
 /// the repair loop and fallback rungs should fatten the tail, not the
 /// median.
@@ -607,16 +493,11 @@ void ChaosTailLatencySection(const Text2SqlBenchmark& bench,
     }
     std::vector<double> ms;
     ms.reserve(queries);
-    int n = 0;
-    while (n < queries) {
-      for (const auto& sample : bench.dev) {
-        if (n >= queries) break;
-        Timer timer;
-        (void)pipeline.PredictGuarded(bench, sample, options);
-        ms.push_back(1000.0 * timer.ElapsedSeconds());
-        ++n;
-      }
-    }
+    ForEachQuery(bench, queries, [&](const Text2SqlSample& sample) {
+      Timer timer;
+      (void)pipeline.PredictGuarded(bench, sample, options);
+      ms.push_back(1000.0 * timer.ElapsedSeconds());
+    });
     std::sort(ms.begin(), ms.end());
     table.Row({inject ? "*=prob:0.01" : "none",
                FormatDouble(percentile(ms, 0.50), 2),
@@ -699,131 +580,251 @@ void OverloadGoodputSection(const Text2SqlBenchmark& bench,
   CODES_CHECK(retained >= 90.0);
 }
 
-/// The serving front door's own cost: PredictGuarded called directly vs
-/// through ServeFrontEnd::Serve with every protection active but nothing
-/// tripping (no rate limit, near-empty queue so brownout stays at level 0,
-/// breaker threshold set unreachable). The difference is pure admission
-/// bookkeeping — token bucket, breaker consults, brownout update, serve.*
-/// metrics — and must stay within the same <= 2% budget as the guards.
-void AdmissionOverheadSection(const Text2SqlBenchmark& bench,
-                              const CodesPipeline& pipeline, int queries,
-                              bench::PerfReport* report) {
-  bench::Banner("Admission overhead: PredictGuarded vs front-end Serve");
 
-  serve::FrontEndOptions fe;
-  fe.limits.max_rows = 50'000'000;
-  fe.limits.max_bytes = static_cast<size_t>(1) << 40;
-  fe.limits.max_depth = 64;
-  fe.admission.queue_capacity = 4096;  // fullness ~0: brownout never moves
-  fe.breaker.failure_threshold = 1.1;  // ratio tops out at 1.0: never trips
-  serve::ServeFrontEnd front_end(&pipeline, &bench, fe);
+/// Goodput under perturbation: the `codes_load --adv --smoke` campaign
+/// (campaign::AdvSmokeOptions) against its clean twin — identical seed and
+/// arrival schedule, 30% of requests mutated by the online question
+/// perturbations before dispatch. Both goodputs are virtual-time DES
+/// results, pure functions of (seed, options), so their `_des_qps` keys
+/// gate as exact values with no machine-speed rescaling; the retention
+/// ratio is noisy only because plain `_pct` keys classify as
+/// lower-is-better.
+void AdversarialGoodputSection(const Text2SqlBenchmark& bench,
+                               const CodesPipeline& pipeline,
+                               bench::PerfReport* report) {
+  bench::Banner("Goodput under perturbation (codes_load --adv)");
 
-  ServeOptions direct;
-  direct.limits = fe.limits;
+  serve::LoadGenOptions adv = campaign::AdvSmokeOptions();
+  serve::LoadGenOptions clean = adv;
+  clean.adv_rate = 0.0;
 
-  auto run_direct = [&]() {
-    Timer timer;
-    int n = 0;
-    while (n < queries) {
-      for (const auto& sample : bench.dev) {
-        if (n >= queries) break;
-        (void)pipeline.PredictGuarded(bench, sample, direct);
-        ++n;
-      }
-    }
-    return timer.ElapsedSeconds();
+  serve::LoadReport clean_report =
+      serve::RunLoadCampaign(pipeline, bench, clean);
+  serve::LoadReport adv_report = serve::RunLoadCampaign(pipeline, bench, adv);
+
+  double clean_goodput = clean_report.VerifiedGoodputQps();
+  double adv_goodput = adv_report.VerifiedGoodputQps();
+  double retention_pct =
+      clean_goodput > 0.0 ? 100.0 * adv_goodput / clean_goodput : 100.0;
+
+  bench::TablePrinter table({10, 10, 10, 10, 12, 14});
+  table.Row({"traffic", "offered", "mutated", "suspect", "verified<dl",
+             "goodput qps"});
+  table.Separator();
+  auto row = [&table](const char* traffic, const serve::LoadReport& r) {
+    table.Row({traffic, std::to_string(r.offered),
+               std::to_string(r.adv_offered), std::to_string(r.suspect),
+               std::to_string(r.verified_within_deadline),
+               FormatDouble(r.VerifiedGoodputQps(), 1)});
   };
-  auto run_served = [&]() {
-    Timer timer;
-    int n = 0;
-    while (n < queries) {
-      for (const auto& sample : bench.dev) {
-        if (n >= queries) break;
-        std::string sql;
-        (void)front_end.Serve(sample, &sql);
-        ++n;
-      }
-    }
-    return timer.ElapsedSeconds();
-  };
+  row("clean", clean_report);
+  row("adv 30%", adv_report);
+  std::printf(
+      "\ngoodput retention under 30%% perturbation: %.1f%% "
+      "(budget: >= 80%%)\ncanonical retries spent: %llu, rescued: %llu; "
+      "suspects enter pre-degraded at brownout level 2, which is why "
+      "retention can exceed 100%%.\n",
+      retention_pct,
+      static_cast<unsigned long long>(adv_report.canonical_retries),
+      static_cast<unsigned long long>(adv_report.canonical_served));
+  CODES_CHECK(adv_report.adv_offered > 0);
+  CODES_CHECK(adv_report.suspect > 0);
+  CODES_CHECK(adv_goodput >= 0.8 * clean_goodput);
 
-  // Interleaved best-of-3, exactly like the guard section: ambient noise
-  // must not masquerade as front-end cost.
-  double best_direct = run_direct();
-  double best_served = run_served();
-  for (int rep = 1; rep < 3; ++rep) {
-    best_direct = std::min(best_direct, run_direct());
-    best_served = std::min(best_served, run_served());
+  report->Add("clean_verified_goodput_des_qps", clean_goodput);
+  report->Add("adv_verified_goodput_des_qps", adv_goodput);
+  report->AddNoisy("adv_goodput_retention_pct", retention_pct);
+}
+
+/// Queries/sec of the parallel batched evaluator at 1 and 8 threads, with
+/// EX asserted identical across thread counts: the driver shards
+/// deterministically and merges in sample order. The 1-thread rate gates
+/// (calibration-normalized); the 8-thread rate and the scaling factor
+/// depend on the runner's core count, so they are noisy.
+void EvalThroughputSection(const Text2SqlBenchmark& bench,
+                           const CodesPipeline& pipeline, int samples,
+                           bench::PerfReport* report) {
+  bench::Banner("Throughput: parallel batched evaluation (7B SFT)");
+  std::printf("hardware threads: %d\n", ThreadPool::ResolveThreadCount(0));
+
+  bench::TablePrinter table({10, 12, 12, 10, 8});
+  table.Row({"threads", "seconds", "queries/s", "speedup", "EX%"});
+  table.Separator();
+  double qps_1t = 0.0;
+  double qps_8t = 0.0;
+  double ex_1t = 0.0;
+  for (int threads : {1, 8}) {
+    EvalOptions options;
+    options.num_threads = threads;
+    options.max_samples = samples;
+    Timer timer;
+    EvalResult result =
+        ParallelEvaluateDevSet(bench, pipeline.PredictorFor(bench), options);
+    double seconds = timer.ElapsedSeconds();
+    double qps = result.metrics.n / seconds;
+    if (threads == 1) {
+      qps_1t = qps;
+      ex_1t = result.metrics.ex;
+    } else {
+      qps_8t = qps;
+      CODES_CHECK(result.metrics.ex == ex_1t);
+    }
+    table.Row({std::to_string(threads), FormatDouble(seconds, 2),
+               FormatDouble(qps, 1), FormatDouble(qps / qps_1t, 2) + "x",
+               bench::Pct(result.metrics.ex)});
   }
-  double overhead_pct = 100.0 * (best_served - best_direct) / best_direct;
+  std::printf("\nEX%% is asserted identical across thread counts.\n");
+
+  report->Add("eval_qps_1t_per_sec", qps_1t);
+  report->AddNoisy("eval_qps_8t_per_sec", qps_8t);
+  report->AddNoisy("eval_scaling_8t_speedup_x", qps_8t / qps_1t);
+  report->Add("eval_ex_pct", ex_1t);
+}
+
+/// One side of an overhead trial: its table label and the per-request call.
+struct TrialArm {
+  std::string label;
+  std::function<void(const Text2SqlSample&)> serve;
+};
+
+/// The one method behind every "<name> overhead" figure: the same
+/// `queries`-request loop through a base arm and a variant arm. Each arm
+/// runs once to warm up; then kReps repetitions alternate which arm goes
+/// first, and the fastest run of each arm is kept, so neither warm-up nor
+/// drift during the trial favours one side. Prints the two-row table and
+/// the overhead, reports `<name>_overhead_pct` (a difference of two noisy
+/// wall-clock minima: reported, never gated) and returns the base arm's
+/// best seconds.
+double OverheadTrial(const Text2SqlBenchmark& bench, int queries,
+                     const std::string& name, const TrialArm& base,
+                     const TrialArm& variant, bench::PerfReport* report) {
+  constexpr int kReps = 5;
+  auto run = [&](const TrialArm& arm) {
+    Timer timer;
+    ForEachQuery(bench, queries, arm.serve);
+    return timer.ElapsedSeconds();
+  };
+  (void)run(base);
+  (void)run(variant);
+  double best_base = std::numeric_limits<double>::infinity();
+  double best_variant = best_base;
+  for (int rep = 0; rep < kReps; ++rep) {
+    if (rep % 2 == 0) {
+      best_base = std::min(best_base, run(base));
+      best_variant = std::min(best_variant, run(variant));
+    } else {
+      best_variant = std::min(best_variant, run(variant));
+      best_base = std::min(best_base, run(base));
+    }
+  }
+  double overhead_pct = 100.0 * (best_variant - best_base) / best_base;
 
   bench::TablePrinter table({24, 12, 14});
   table.Row({"path", "seconds", "ms / sample"});
   table.Separator();
-  table.Row({"PredictGuarded", FormatDouble(best_direct, 3),
-             FormatDouble(1000.0 * best_direct / queries, 3)});
-  table.Row({"ServeFrontEnd::Serve", FormatDouble(best_served, 3),
-             FormatDouble(1000.0 * best_served / queries, 3)});
-  std::printf("\nadmission overhead: %+.2f%% (budget: <= 2%%)\n",
+  table.Row({base.label, FormatDouble(best_base, 3),
+             FormatDouble(1000.0 * best_base / queries, 3)});
+  table.Row({variant.label, FormatDouble(best_variant, 3),
+             FormatDouble(1000.0 * best_variant / queries, 3)});
+  std::printf("\n%s overhead: %+.2f%% (budget: <= 2%%)\n", name.c_str(),
               overhead_pct);
-  report->AddNoisy("admission_overhead_pct", overhead_pct);
+  report->AddNoisy(name + "_overhead_pct", overhead_pct);
+  return best_base;
 }
 
-/// What the request-hardening front door costs clean traffic: the same
-/// front-end Serve loop with hardening off vs on. Dev questions are plain
-/// ASCII, so the sanitized tier is byte-identical to the input and the
-/// whole pass is validation work — UTF-8 scan, control scan,
-/// canonicalization, anomaly score. Budget: <= 2%, same as the guards.
-void HardeningOverheadSection(const Text2SqlBenchmark& bench,
-                              const CodesPipeline& pipeline, int queries,
-                              bench::PerfReport* report) {
-  bench::Banner("Hardening overhead: front-end Serve, harden off vs on");
+/// What each protection layer costs a request that trips nothing, each as
+/// one OverheadTrial. The budget is <= 2% for every layer; at this query
+/// count the trials' run-to-run spread is wider than that, so the figures
+/// are reported, not gated.
+void OverheadTrialsSection(const Text2SqlBenchmark& bench,
+                           const CodesPipeline& pipeline, int queries,
+                           bench::PerfReport* report) {
+  // Guards: unguarded Predict vs PredictGuarded with an *active* guard
+  // (generous budgets and a never-cancelled token, so every check runs but
+  // nothing trips). The base arm is also the gated per-sample latency.
+  bench::Banner("Guard overhead: Predict vs guarded serving (7B SFT)");
+  ServeOptions guarded;
+  guarded.limits.max_rows = 50'000'000;
+  guarded.limits.max_bytes = static_cast<size_t>(1) << 40;
+  guarded.limits.max_depth = 64;
+  CancelToken token;
+  guarded.cancel = &token;
+  double predict_seconds = OverheadTrial(
+      bench, queries, "guard",
+      {"Predict (no guard)",
+       [&](const Text2SqlSample& s) { (void)pipeline.Predict(bench, s); }},
+      {"PredictGuarded",
+       [&](const Text2SqlSample& s) {
+         (void)pipeline.PredictGuarded(bench, s, guarded);
+       }},
+      report);
+  report->Add("predict_us_per_sample", 1e6 * predict_seconds / queries);
 
+  // Observability: the same guarded loop with the metrics switch off
+  // (spans skip clock reads and histogram writes) vs on.
+  bench::Banner("Instrumentation overhead: metrics off vs on (7B SFT)");
+  ServeOptions options;
+  options.limits.max_rows = 20000;
+  auto predict_with_metrics = [&](bool enabled) {
+    return [&, enabled](const Text2SqlSample& s) {
+      MetricsRegistry::SetEnabled(enabled);
+      (void)pipeline.PredictGuarded(bench, s, options);
+    };
+  };
+  OverheadTrial(bench, queries, "instrumentation",
+                {"metrics disabled", predict_with_metrics(false)},
+                {"metrics enabled", predict_with_metrics(true)}, report);
+  MetricsRegistry::SetEnabled(true);
+
+  // Admission: PredictGuarded called directly vs through
+  // ServeFrontEnd::Serve with every protection active but nothing tripping
+  // (no rate limit, a near-empty queue so brownout stays at level 0, a
+  // breaker threshold the failure ratio cannot reach). The difference is
+  // admission bookkeeping: token bucket, breaker, brownout, serve.* metrics.
+  bench::Banner("Admission overhead: PredictGuarded vs front-end Serve");
   serve::FrontEndOptions fe;
-  fe.limits.max_rows = 50'000'000;
-  fe.limits.max_bytes = static_cast<size_t>(1) << 40;
-  fe.limits.max_depth = 64;
-  fe.admission.queue_capacity = 4096;  // fullness ~0: brownout never moves
-  fe.breaker.failure_threshold = 1.1;  // ratio tops out at 1.0: never trips
+  fe.limits = guarded.limits;
+  fe.admission.queue_capacity = 4096;
+  fe.breaker.failure_threshold = 1.1;
   fe.harden.enabled = false;
   serve::ServeFrontEnd unhardened(&pipeline, &bench, fe);
   fe.harden.enabled = true;
   serve::ServeFrontEnd hardened(&pipeline, &bench, fe);
-
-  auto run = [&](serve::ServeFrontEnd& front_end) {
-    Timer timer;
-    int n = 0;
-    while (n < queries) {
-      for (const auto& sample : bench.dev) {
-        if (n >= queries) break;
-        std::string sql;
-        (void)front_end.Serve(sample, &sql);
-        ++n;
-      }
-    }
-    return timer.ElapsedSeconds();
+  ServeOptions direct;
+  direct.limits = fe.limits;
+  auto serve_through = [](serve::ServeFrontEnd& front_end) {
+    return [&front_end](const Text2SqlSample& s) {
+      std::string sql;
+      (void)front_end.Serve(s, &sql);
+    };
   };
+  OverheadTrial(bench, queries, "admission",
+                {"PredictGuarded",
+                 [&](const Text2SqlSample& s) {
+                   (void)pipeline.PredictGuarded(bench, s, direct);
+                 }},
+                {"ServeFrontEnd::Serve", serve_through(hardened)}, report);
 
-  // Interleaved best-of-3, exactly like the admission section.
-  double best_off = run(unhardened);
-  double best_on = run(hardened);
-  for (int rep = 1; rep < 3; ++rep) {
-    best_off = std::min(best_off, run(unhardened));
-    best_on = std::min(best_on, run(hardened));
+  // Hardening: the front-end Serve loop with request hardening off vs on.
+  // Dev questions are plain ASCII, so the sanitized tier equals the input
+  // and the whole pass is validation work: UTF-8 scan, control scan,
+  // canonicalization, anomaly score.
+  bench::Banner("Hardening overhead: front-end Serve, harden off vs on");
+  OverheadTrial(bench, queries, "hardening",
+                {"Serve, harden off", serve_through(unhardened)},
+                {"Serve, harden on", serve_through(hardened)}, report);
+}
+
+/// Builds one prompt per dev database so every retriever cache is warm
+/// and the timed sections measure inference, not index construction.
+void WarmEveryDatabase(const Text2SqlBenchmark& bench,
+                       const CodesPipeline& pipeline) {
+  std::set<int> warmed;
+  for (const auto& sample : bench.dev) {
+    if (warmed.insert(sample.db_index).second) {
+      (void)pipeline.BuildPrompt(bench, sample);
+    }
   }
-  double overhead_pct = 100.0 * (best_on - best_off) / best_off;
-
-  bench::TablePrinter table({24, 12, 14});
-  table.Row({"path", "seconds", "ms / sample"});
-  table.Separator();
-  table.Row({"Serve, harden off", FormatDouble(best_off, 3),
-             FormatDouble(1000.0 * best_off / queries, 3)});
-  table.Row({"Serve, harden on", FormatDouble(best_on, 3),
-             FormatDouble(1000.0 * best_on / queries, 3)});
-  std::printf("\nhardening overhead on clean traffic: %+.2f%% "
-              "(budget: <= 2%%)\n",
-              overhead_pct);
-  report->AddNoisy("hardening_overhead_pct", overhead_pct);
 }
 
 void Run(bench::PerfReport* report, bool quick) {
@@ -854,60 +855,41 @@ void Run(bench::PerfReport* report, bool quick) {
   bench::TablePrinter table({12, 16, 14});
   table.Row({"model", "ms / sample", "samples / s"});
   table.Separator();
-  // The quick (CI) profile measures only the 7B point of the scale sheet:
-  // training four model sizes dominates wall-clock and the JSON schema
-  // carries no per-size metrics.
+  // Each size is trained once; the 7B pipeline is kept as the fixture of
+  // every section below. The quick (CI) profile measures only the 7B
+  // point of the scale sheet: training four model sizes dominates
+  // wall-clock and the JSON schema carries no per-size metrics.
+  std::unique_ptr<CodesPipeline> seven_b;
   for (int i = 0; i < count; ++i) {
     ModelSize size = sizes[i];
     if (quick && size != ModelSize::k7B) continue;
     PipelineConfig config;
     config.size = size;
-    CodesPipeline pipeline(config, zoo.CodesFor(size));
-    pipeline.TrainClassifier(spider);
-    pipeline.FineTune(spider);
-    // Warm the per-database retriever caches so we time inference only.
-    for (const auto& sample : spider.dev) {
-      pipeline.BuildPrompt(spider, sample);
-      break;
-    }
+    auto pipeline = std::make_unique<CodesPipeline>(config, zoo.CodesFor(size));
+    pipeline->TrainClassifier(spider);
+    pipeline->FineTune(spider);
+    WarmEveryDatabase(spider, *pipeline);
+    constexpr int kSamples = 100;
     Timer timer;
-    int n = 0;
-    for (const auto& sample : spider.dev) {
-      (void)pipeline.Predict(spider, sample);
-      ++n;
-      if (n >= 100) break;
-    }
+    ForEachQuery(spider, kSamples, [&](const Text2SqlSample& sample) {
+      (void)pipeline->Predict(spider, sample);
+    });
     double seconds = timer.ElapsedSeconds();
-    table.Row({ModelSizeName(size), FormatDouble(1000.0 * seconds / n, 2),
-               FormatDouble(n / seconds, 1)});
+    table.Row({ModelSizeName(size), FormatDouble(1000.0 * seconds / kSamples, 2),
+               FormatDouble(kSamples / seconds, 1)});
+    if (size == ModelSize::k7B) seven_b = std::move(pipeline);
   }
   std::printf(
       "\npaper reference: 0.6 / 0.9 / 1.1 / 1.5 seconds per sample on an "
       "A800; DIN-SQL + GPT-4 needs ~60 s per sample.\n");
 
-  {
-    PipelineConfig config;
-    config.size = ModelSize::k7B;
-    CodesPipeline pipeline(config, zoo.CodesFor(config.size));
-    pipeline.TrainClassifier(spider);
-    pipeline.FineTune(spider);
-    const int q = quick ? 80 : 300;
-    // Warm every dev database's retriever cache once so the sections
-    // below measure inference, not index construction.
-    std::set<int> warmed;
-    for (const auto& sample : spider.dev) {
-      if (warmed.insert(sample.db_index).second) {
-        (void)pipeline.BuildPrompt(spider, sample);
-      }
-    }
-    GuardOverheadSection(spider, pipeline, q, report);
-    StageAttributionSection(spider, pipeline, q, report);
-    InstrumentationOverheadSection(spider, pipeline, q, report);
-    ChaosTailLatencySection(spider, pipeline, /*queries=*/quick ? 150 : 500);
-    OverloadGoodputSection(spider, pipeline);
-    AdmissionOverheadSection(spider, pipeline, q, report);
-    HardeningOverheadSection(spider, pipeline, q, report);
-  }
+  const CodesPipeline& pipeline = *seven_b;
+  EvalThroughputSection(spider, pipeline, quick ? 80 : 200, report);
+  StageAttributionSection(spider, pipeline, quick ? 80 : 300, report);
+  ChaosTailLatencySection(spider, pipeline, quick ? 150 : 500);
+  OverloadGoodputSection(spider, pipeline);
+  AdversarialGoodputSection(spider, pipeline, report);
+  OverheadTrialsSection(spider, pipeline, quick ? 80 : 300, report);
 }
 
 }  // namespace

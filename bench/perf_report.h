@@ -1,8 +1,8 @@
 #ifndef CODES_BENCH_PERF_REPORT_H_
 #define CODES_BENCH_PERF_REPORT_H_
 
-// Machine-readable benchmark snapshots (BENCH_latency.json /
-// BENCH_throughput.json). The schema contract (DESIGN.md section 13):
+// Machine-readable benchmark snapshots (BENCH_latency.json). The schema
+// contract (DESIGN.md section 13):
 //
 //  * the KEY SET is deterministic — two runs of the same binary on any
 //    machine produce the same keys in the same order (std::map), only the
@@ -21,8 +21,9 @@
 // Key suffixes carry the unit and the improvement direction for
 // codes_benchdiff: `_us`/`_ms`/`_seconds` time-like lower-better
 // (calibration-normalized), `_qps`/`_per_sec` rate-like higher-better
-// (calibration-normalized), `_speedup_x` and `_ex_pct` raw higher-better,
-// any other `_pct` raw lower-better.
+// (calibration-normalized), `_speedup_x`, `_ex_pct` and `_des_qps` (a
+// virtual-time simulation's rate) raw higher-better, any other `_pct` raw
+// lower-better.
 
 #include <algorithm>
 #include <cstdio>

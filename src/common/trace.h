@@ -24,9 +24,9 @@ namespace codes {
 /// Cost model: an armed span is two steady-clock reads plus one relaxed
 /// histogram update; with MetricsRegistry::SetEnabled(false) and no
 /// recorder, constructor and destructor are a couple of branches
-/// (bench_latency enforces the <= 2% end-to-end budget). Spans are
-/// strictly thread-local: a request's tree lives on the thread serving
-/// it, which is exactly the share-nothing model of the parallel
+/// (bench_latency reports the cost against a <= 2% end-to-end budget).
+/// Spans are strictly thread-local: a request's tree lives on the thread
+/// serving it, which is exactly the share-nothing model of the parallel
 /// evaluator.
 
 /// One finished span, in pre-order (a parent precedes its children).

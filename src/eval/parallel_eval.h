@@ -49,8 +49,8 @@ EvalResult ParallelEvaluateDevSet(const Text2SqlBenchmark& bench,
 
 /// Runs only the predictor (no metric scoring) over the first
 /// `max_samples` dev samples (<0: all) on `num_threads` workers, returning
-/// predictions ordered by sample index. This is the throughput kernel
-/// bench_latency times.
+/// predictions ordered by sample index, for callers that score the
+/// predictions themselves (bench_tab10_new_domain).
 std::vector<std::string> ParallelPredict(const Text2SqlBenchmark& bench,
                                          const SqlPredictor& predictor,
                                          int num_threads,

@@ -140,7 +140,7 @@ struct LoadReport {
   double GoodputQps() const;
   /// Requests served before their deadline *and* execution-verified, per
   /// virtual second: the goodput-under-perturbation number codes_load
-  /// reports and BENCH_throughput.json tracks.
+  /// reports and BENCH_latency.json tracks.
   double VerifiedGoodputQps() const;
   /// Same, for one tenant row.
   double TenantGoodputQps(size_t row) const;

@@ -149,13 +149,29 @@ class Binder {
     return Status::Ok();
   }
 
-  /// ORDER BY / GROUP BY / HAVING may reference select aliases or 1-based
-  /// positions; rewrite those references to clones of the select exprs.
-  /// HAVING is rewritten at its top level only; nested alias uses are rare
-  /// in benchmark SQL.
+  /// ORDER BY and GROUP BY may reference select aliases or 1-based
+  /// positions, and HAVING may use a select alias anywhere in its
+  /// expression; rewrite those references to clones of the select exprs.
+  /// An integer literal in HAVING is a constant, not a position (as in
+  /// SQLite). Subqueries hang off Expr::subquery, not `children`, so the
+  /// HAVING walk never enters one: they resolve names in their own scope.
   void RewriteReferences(SelectStatement& stmt, const Scope& scope) const {
+    // Alias reference: unqualified name matching an alias and not a
+    // resolvable column.
+    auto rewrite_alias = [&](std::unique_ptr<Expr>& e) {
+      if (e->kind != ExprKind::kColumnRef || !e->table.empty() ||
+          scope.ResolveColumn(schema_, "", e->column).ok()) {
+        return false;
+      }
+      for (const auto& item : stmt.select_list) {
+        if (!item.alias.empty() && ToLower(item.alias) == ToLower(e->column)) {
+          e = item.expr->Clone();
+          return true;
+        }
+      }
+      return false;
+    };
     auto rewrite = [&](std::unique_ptr<Expr>& e) {
-      // Positional reference.
       if (e->kind == ExprKind::kLiteral && e->literal.is_integer()) {
         int64_t pos = e->literal.AsInteger();
         if (pos >= 1 && pos <= static_cast<int64_t>(stmt.select_list.size())) {
@@ -163,22 +179,15 @@ class Binder {
         }
         return;
       }
-      // Alias reference: unqualified name matching an alias and not a
-      // resolvable column.
-      if (e->kind == ExprKind::kColumnRef && e->table.empty() &&
-          !scope.ResolveColumn(schema_, "", e->column).ok()) {
-        for (const auto& item : stmt.select_list) {
-          if (!item.alias.empty() &&
-              ToLower(item.alias) == ToLower(e->column)) {
-            e = item.expr->Clone();
-            return;
-          }
-        }
-      }
+      rewrite_alias(e);
     };
     for (auto& o : stmt.order_by) rewrite(o.expr);
     for (auto& g : stmt.group_by) rewrite(g);
-    if (stmt.having) rewrite(stmt.having);
+    auto rewrite_having = [&](std::unique_ptr<Expr>& e, auto&& self) -> void {
+      if (rewrite_alias(e)) return;
+      for (auto& child : e->children) self(child, self);
+    };
+    if (stmt.having) rewrite_having(stmt.having, rewrite_having);
   }
 
   Status Resolve(Expr& e, const Scope& scope) const {

@@ -504,6 +504,45 @@ TEST(SqlBindTest, BindRewritesPositionsAliasesAndStars) {
   EXPECT_EQ(rows.rows[3][0].AsText(), "Bob");
 }
 
+TEST(SqlBindTest, HavingIntegerLiteralIsAConstantNotAPosition) {
+  Database db = MakeMusicDb();
+  // Every group passes a truthy constant and none a falsy one, as in
+  // SQLite; only ORDER BY and GROUP BY read integers as positions.
+  EXPECT_EQ(MustExecute(db, "SELECT country, COUNT(*) FROM singer "
+                            "GROUP BY country HAVING 1")
+                .NumRows(),
+            3u);
+  EXPECT_EQ(MustExecute(db, "SELECT country, COUNT(*) FROM singer "
+                            "GROUP BY country HAVING 0")
+                .NumRows(),
+            0u);
+  const BoundStatement bound = MustBind(
+      db, "SELECT country, COUNT(*) FROM singer GROUP BY 1 HAVING 2");
+  EXPECT_EQ(bound.statement().group_by[0]->ToSql(), "country");
+  EXPECT_EQ(bound.statement().having->ToSql(), "2");
+}
+
+TEST(SqlBindTest, HavingAliasResolvesInsideAnExpression) {
+  Database db = MakeMusicDb();
+  const BoundStatement bound = MustBind(
+      db, "SELECT country, COUNT(*) AS c FROM singer GROUP BY country "
+          "HAVING c > 1 AND country != 'Canada'");
+  EXPECT_EQ(bound.statement().having->ToSql(),
+            "COUNT(*) > 1 AND country != 'Canada'");
+  ResultTable rows = Execute(db, bound).value();
+  ASSERT_EQ(rows.NumRows(), 1u);
+  EXPECT_EQ(rows.rows[0][0].AsText(), "USA");
+  EXPECT_EQ(rows.rows[0][1].AsInteger(), 2);
+
+  // A subquery resolves names in its own scope: the outer alias does not
+  // leak into it.
+  auto leaked = ExecuteSql(
+      db, "SELECT country, COUNT(*) AS c FROM singer GROUP BY country "
+          "HAVING country IN (SELECT country FROM singer WHERE age > c)");
+  ASSERT_FALSE(leaked.ok());
+  EXPECT_EQ(leaked.status().message(), "no such column: c");
+}
+
 TEST(SqlBindTest, ArmedStepFailpointBeatsABindError) {
   Database db = MakeMusicDb();
   const BoundStatement bound = MustBind(db, "SELECT nope FROM singer");

@@ -5,7 +5,7 @@
 // share: the trained serving fixture, the cold reset every run and its
 // replay start from, the 1-thread replay selfcheck line and the stderr
 // "elapsed:" line. Also codes_load's flag table, presets and serving
-// options, so bench_throughput's goodput section runs exactly the
+// options, so bench_latency's goodput section runs exactly the
 // `codes_load --adv --smoke` campaign.
 
 #include <cstdint>

@@ -10,7 +10,10 @@
 // normalization. Key suffixes carry unit and direction: _us/_ms/_seconds
 // time-like lower-better (scaled by the current/committed calibration
 // ratio), _per_sec/_qps rate-like higher-better (divided by it),
-// _speedup_x and _ex_pct raw higher-better, other _pct raw lower-better.
+// _speedup_x, _ex_pct and _des_qps raw higher-better, other _pct raw
+// lower-better. A _des_qps rate comes from a virtual-time discrete-event
+// simulation, a pure function of its seed and options, so machine speed
+// must not rescale it.
 // Metrics in the `noisy` allowlist are printed but never gate.
 
 #include <cctype>
@@ -124,7 +127,8 @@ using codes::EndsWith;
 enum class Direction { kLowerTime, kHigherRate, kHigherRaw, kLowerRaw, kInfo };
 
 Direction Classify(const std::string& key) {
-  if (EndsWith(key, "_speedup_x") || EndsWith(key, "_ex_pct"))
+  if (EndsWith(key, "_speedup_x") || EndsWith(key, "_ex_pct") ||
+      EndsWith(key, "_des_qps"))
     return Direction::kHigherRaw;
   if (EndsWith(key, "_pct")) return Direction::kLowerRaw;
   if (EndsWith(key, "_us") || EndsWith(key, "_ms") || EndsWith(key, "_seconds"))
@@ -212,7 +216,7 @@ int SelfTest() {
       "\"quick\", \"calibration_ops_per_sec\": 1000, \"noisy\": "
       "[\"jitter_pct\"], \"metrics\": {\"hotpath_lcs_after_us\": 2.0, "
       "\"hotpath_lcs_speedup_x\": 4.0, \"eval_qps_1t_per_sec\": 100, "
-      "\"jitter_pct\": 1.0}}";
+      "\"adv_verified_goodput_des_qps\": 250, \"jitter_pct\": 1.0}}";
   Report committed;
   if (!ParseReport(base, &committed)) return 1;
 
@@ -230,6 +234,13 @@ int SelfTest() {
   slow.metrics["hotpath_lcs_after_us"] = 4.0;
   slow.metrics["hotpath_lcs_speedup_x"] = 2.0;
   if (Compare(committed, slow, 15.0) != 1) return 1;
+
+  // A virtual-time goodput is exact: a 20% drop fails even on a machine
+  // measured at 0.6x speed, which would excuse a wall-clock rate.
+  Report des_drop = committed;
+  des_drop.calibration = 600;
+  des_drop.metrics["adv_verified_goodput_des_qps"] = 200;
+  if (Compare(committed, des_drop, 15.0) != 1) return 1;
 
   // Schema drift (metric renamed) must fail.
   Report drifted = committed;
