@@ -40,8 +40,7 @@ std::vector<float> SentenceEncoder::Encode(std::string_view text) const {
   stems.reserve(tokens.size());
   for (const auto& t : tokens) stems.push_back(StemToken(t));
 
-  auto add_feature = [this, &vec](std::string_view feature, double weight) {
-    uint64_t h = Fnv1a64(feature);
+  auto add_feature = [this, &vec](uint64_t h, double weight) {
     size_t bucket = static_cast<size_t>(h % static_cast<uint64_t>(dim_));
     double sign = ((h >> 63) & 1) ? -1.0 : 1.0;
     vec[bucket] += static_cast<float>(sign * weight);
@@ -54,11 +53,16 @@ std::vector<float> SentenceEncoder::Encode(std::string_view text) const {
     double weight = IdfOf(stem);
     if (IsStopWord(stem)) weight *= 0.25;  // downweight, don't drop: keeps
                                            // question *shape* information
-    add_feature(stem, weight);
+    add_feature(Fnv1a64(stem), weight);
   }
   // Bigrams capture local order ("order by" vs "by order").
+  // Hashed as the stream stem "__" stem, so no string is built per bigram.
   for (size_t i = 0; i + 1 < stems.size(); ++i) {
-    add_feature(stems[i] + "__" + stems[i + 1], 0.5);
+    Fnv1aDigest bigram;
+    bigram.Add(stems[i]);
+    bigram.Add("__");
+    bigram.Add(stems[i + 1]);
+    add_feature(bigram.value, 0.5);
   }
 
   double norm = 0;
@@ -89,16 +93,29 @@ double SquaredNorm(const std::vector<float>& v) {
   return n;
 }
 
-double CosineSimilarityWithNorms(const std::vector<float>& a,
-                                 const std::vector<float>& b, double na,
-                                 double nb) {
-  CODES_CHECK(a.size() == b.size());
-  double dot = 0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    dot += static_cast<double>(a[i]) * b[i];
+double AppendNonzeros(const std::vector<float>& v,
+                      std::vector<uint32_t>* index,
+                      std::vector<float>* value) {
+  double n = 0;
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (v[i] == 0.0f) continue;
+    index->push_back(static_cast<uint32_t>(i));
+    value->push_back(v[i]);
+    n += static_cast<double>(v[i]) * v[i];
   }
-  if (na == 0 || nb == 0) return 0.0;
-  return dot / std::sqrt(na * nb);
+  return n;
+}
+
+double SparseDenseCosine(const SparseRow& row, const std::vector<float>& dense,
+                         double dense_sq_norm) {
+  // The indexes ascend, so bounding the last bounds them all.
+  CODES_CHECK(row.size == 0 || row.index[row.size - 1] < dense.size());
+  double dot = 0;
+  for (size_t k = 0; k < row.size; ++k) {
+    dot += static_cast<double>(dense[row.index[k]]) * row.value[k];
+  }
+  if (dense_sq_norm == 0 || row.sq_norm == 0) return 0.0;
+  return dot / std::sqrt(dense_sq_norm * row.sq_norm);
 }
 
 }  // namespace codes

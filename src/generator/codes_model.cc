@@ -161,21 +161,29 @@ CodesModel::CodesModel(ModelSize size, const NgramLm* lm)
   RebuildSkeletonAnchors();
 }
 
-CodesModel::TemplateAnchor CodesModel::MakeAnchor(
-    std::vector<float> question_embedding,
-    std::vector<float> pattern_embedding, double weight) {
-  TemplateAnchor anchor;
-  anchor.question_sq_norm = SquaredNorm(question_embedding);
-  anchor.pattern_sq_norm = SquaredNorm(pattern_embedding);
-  anchor.question_embedding = std::move(question_embedding);
-  anchor.pattern_embedding = std::move(pattern_embedding);
+void CodesModel::AnchorPool::Append(int template_id,
+                                    const std::vector<float>& question,
+                                    const std::vector<float>& pattern,
+                                    double weight) {
+  CODES_CHECK(template_id >= 0 &&
+              static_cast<size_t>(template_id) + 1 < template_begin.size());
+  // The rows go to the end of the entry arrays; only the small per-anchor
+  // record is placed inside the template's range.
+  Anchor anchor;
+  anchor.begin = static_cast<uint32_t>(index.size());
+  anchor.question_sq_norm = AppendNonzeros(question, &index, &value);
+  anchor.mid = static_cast<uint32_t>(index.size());
+  anchor.pattern_sq_norm = AppendNonzeros(pattern, &index, &value);
+  anchor.end = static_cast<uint32_t>(index.size());
   anchor.weight = weight;
-  return anchor;
+  const size_t next = static_cast<size_t>(template_id) + 1;
+  anchors.insert(anchors.begin() + template_begin[next], anchor);
+  for (size_t t = next; t < template_begin.size(); ++t) ++template_begin[t];
 }
 
 void CodesModel::RebuildSkeletonAnchors() {
   const TemplateLibrary& lib = GlobalTemplates();
-  anchors_.assign(static_cast<size_t>(lib.size()), {});
+  anchors_ = AnchorPool(lib.size());
   if (template_prior_.empty()) {
     template_prior_.assign(static_cast<size_t>(lib.size()), 0.0);
   }
@@ -211,9 +219,8 @@ void CodesModel::RebuildSkeletonAnchors() {
         if (close == std::string::npos) break;
         masked.replace(open, close - open + 1, "_");
       }
-      anchors_[static_cast<size_t>(tid)].push_back(
-          MakeAnchor(encoder_.Encode(masked),
-                     encoder_.Encode(ExtractQuestionPattern(masked)), 0.5));
+      anchors_.Append(tid, encoder_.Encode(masked),
+                      encoder_.Encode(ExtractQuestionPattern(masked)), 0.5);
     }
     int produced = 0;
     for (int attempt = 0; attempt < 24 && produced < kAnchorVariants;
@@ -223,9 +230,8 @@ void CodesModel::RebuildSkeletonAnchors() {
       auto inst = lib.Instantiate(tid, db, reference_columns[d], rng);
       if (!inst.has_value()) continue;
       std::string masked = MaskSchemaWords(inst->question, db);
-      anchors_[static_cast<size_t>(tid)].push_back(
-          MakeAnchor(encoder_.Encode(masked),
-                     encoder_.Encode(ExtractQuestionPattern(masked)), 0.55));
+      anchors_.Append(tid, encoder_.Encode(masked),
+                      encoder_.Encode(ExtractQuestionPattern(masked)), 0.55);
       // Paraphrase knowledge: a pre-trained LM also recognizes common
       // keyword rewrites ("greater than" == "more than"), so each variant
       // contributes a paraphrased twin anchor.
@@ -234,9 +240,9 @@ void CodesModel::RebuildSkeletonAnchors() {
         paraphrased = ReplaceWordOutsideQuotes(paraphrased, from, to);
       }
       if (paraphrased != masked) {
-        anchors_[static_cast<size_t>(tid)].push_back(MakeAnchor(
-            encoder_.Encode(paraphrased),
-            encoder_.Encode(ExtractQuestionPattern(paraphrased)), 0.5));
+        anchors_.Append(tid, encoder_.Encode(paraphrased),
+                        encoder_.Encode(ExtractQuestionPattern(paraphrased)),
+                        0.5);
       }
       ++produced;
     }
@@ -301,8 +307,7 @@ void CodesModel::FineTune(const std::vector<Text2SqlSample>& train,
     }
     a.count += 1;
     if (exemplars[static_cast<size_t>(tid)] < kExemplarsPerTemplate) {
-      anchors_[static_cast<size_t>(tid)].push_back(
-          MakeAnchor(std::move(q), std::move(p), 1.0));
+      anchors_.Append(tid, q, p, 1.0);
       exemplars[static_cast<size_t>(tid)] += 1;
     }
   }
@@ -315,8 +320,7 @@ void CodesModel::FineTune(const std::vector<Text2SqlSample>& train,
           static_cast<float>(acc[tid].question_sum[d] / acc[tid].count);
       pattern[d] = static_cast<float>(acc[tid].pattern_sum[d] / acc[tid].count);
     }
-    anchors_[tid].push_back(
-        MakeAnchor(std::move(question), std::move(pattern), 1.0));
+    anchors_.Append(static_cast<int>(tid), question, pattern, 1.0);
     template_prior_[tid] = 0.02 * std::log(1.0 + acc[tid].count);
   }
   fine_tuned_ = true;
@@ -324,18 +328,24 @@ void CodesModel::FineTune(const std::vector<Text2SqlSample>& train,
 
 double CodesModel::TemplateScore(int template_id,
                                  const QueryEmbedding& query) const {
+  const size_t t = static_cast<size_t>(template_id);
   double best = 0.0;
-  for (const auto& anchor : anchors_[static_cast<size_t>(template_id)]) {
+  for (uint32_t a = anchors_.template_begin[t];
+       a < anchors_.template_begin[t + 1]; ++a) {
+    const AnchorPool::Anchor& anchor = anchors_.anchors[a];
+    const SparseRow question{anchors_.index.data() + anchor.begin,
+                             anchors_.value.data() + anchor.begin,
+                             anchor.mid - anchor.begin,
+                             anchor.question_sq_norm};
+    const SparseRow pattern{anchors_.index.data() + anchor.mid,
+                            anchors_.value.data() + anchor.mid,
+                            anchor.end - anchor.mid, anchor.pattern_sq_norm};
     double sim = std::max(
-        CosineSimilarityWithNorms(query.question, anchor.question_embedding,
-                                  query.question_sq_norm,
-                                  anchor.question_sq_norm),
-        CosineSimilarityWithNorms(query.pattern, anchor.pattern_embedding,
-                                  query.pattern_sq_norm,
-                                  anchor.pattern_sq_norm));
+        SparseDenseCosine(question, query.question, query.question_sq_norm),
+        SparseDenseCosine(pattern, query.pattern, query.pattern_sq_norm));
     best = std::max(best, sim * anchor.weight);
   }
-  return best + template_prior_[static_cast<size_t>(template_id)];
+  return best + template_prior_[t];
 }
 
 std::vector<ScoredCandidate> CodesModel::GenerateBeam(

@@ -1,6 +1,7 @@
 #ifndef CODES_GENERATOR_CODES_MODEL_H_
 #define CODES_GENERATOR_CODES_MODEL_H_
 
+#include <cstdint>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -85,18 +86,36 @@ class CodesModel {
                                             bool mark_executable = true) const;
 
  private:
-  /// Anchors carry their embeddings' squared norms so template scoring
-  /// computes only dot products; build them with MakeAnchor.
-  struct TemplateAnchor {
-    std::vector<float> question_embedding;
-    std::vector<float> pattern_embedding;
-    double question_sq_norm = 0.0;
-    double pattern_sq_norm = 0.0;
-    double weight = 1.0;
+  /// Every template's anchors in one contiguous pool. Each anchor stores
+  /// its question and pattern embeddings as CSR rows (their nonzero
+  /// entries, index ascending) in the shared `index`/`value` arrays, next
+  /// to their squared norms and its weight. Template t owns anchors
+  /// [template_begin[t], template_begin[t + 1]), in the order they were
+  /// appended.
+  struct AnchorPool {
+    struct Anchor {
+      uint32_t begin = 0;  // question row: entries [begin, mid)
+      uint32_t mid = 0;    // pattern row: entries [mid, end)
+      uint32_t end = 0;
+      double question_sq_norm = 0.0;
+      double pattern_sq_norm = 0.0;
+      double weight = 1.0;
+    };
+
+    AnchorPool() = default;
+    /// A pool of `num_templates` templates, each without anchors.
+    explicit AnchorPool(int num_templates)
+        : template_begin(static_cast<size_t>(num_templates) + 1, 0) {}
+
+    /// Appends an anchor at the end of template `template_id`'s range.
+    void Append(int template_id, const std::vector<float>& question,
+                const std::vector<float>& pattern, double weight);
+
+    std::vector<uint32_t> template_begin;
+    std::vector<Anchor> anchors;
+    std::vector<uint32_t> index;
+    std::vector<float> value;
   };
-  static TemplateAnchor MakeAnchor(std::vector<float> question_embedding,
-                                   std::vector<float> pattern_embedding,
-                                   double weight);
 
   /// The question and pattern embeddings of a request, with their squared
   /// norms computed once for scoring against every anchor.
@@ -113,8 +132,9 @@ class CodesModel {
   bool fine_tuned_ = false;
   double extra_noise_ = 0.0;
 
-  /// Per-template anchors: skeleton knowledge plus SFT centroids.
-  std::vector<std::vector<TemplateAnchor>> anchors_;
+  /// Per-template anchors: skeleton knowledge plus SFT exemplars and
+  /// centroids.
+  AnchorPool anchors_;
   std::vector<double> template_prior_;  // log-count prior from SFT
 };
 

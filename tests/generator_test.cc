@@ -214,15 +214,8 @@ uint64_t BeamDigest(const std::vector<std::vector<ScoredCandidate>>& beams) {
   return h;
 }
 
-// Golden beams: a fixed request set — a Spider-like dev set with and
-// without demonstrations, and a BIRD-like dev set (abbreviated names,
-// comments, dirty values, EK) — generated at 1 and 8 threads must hash to
-// the digest recorded before generation memoized its per-request scores.
-// Any change to a score's value, the RNG stream or the candidate order
-// shows up here.
-TEST_F(GeneratorTest, GoldenBeamDigestMatchesAtOneAndEightThreads) {
-  constexpr uint64_t kGoldenDigest = 0x805301e2a580d7e8ULL;
-
+// A small BIRD-like set: abbreviated names, comments, dirty values, EK.
+Text2SqlBenchmark TinyBirdLike() {
   BenchmarkConfig bird_config;
   bird_config.name = "tiny_bird_like";
   bird_config.profile = DbProfile::Bird();
@@ -232,7 +225,63 @@ TEST_F(GeneratorTest, GoldenBeamDigestMatchesAtOneAndEightThreads) {
   bird_config.dev_samples_per_db = 10;
   bird_config.with_external_knowledge = true;
   bird_config.seed = 4242;
-  const Text2SqlBenchmark bird = BuildBenchmark(bird_config);
+  return BuildBenchmark(bird_config);
+}
+
+// One request of a golden beam set: `with_demos` adds three fixed train
+// samples as in-context demonstrations.
+struct GoldenRequest {
+  const CodesPipeline* pipeline;
+  const Text2SqlBenchmark* bench;
+  const Text2SqlSample* sample;
+  bool with_demos;
+  uint64_t seed;
+};
+
+// Generates every request's beam on `threads` threads and digests them.
+uint64_t GoldenBeamDigest(const std::vector<GoldenRequest>& requests,
+                          int threads) {
+  std::vector<std::vector<ScoredCandidate>> beams(requests.size());
+  ThreadPool pool(threads);
+  pool.ParallelFor(requests.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const GoldenRequest& r = requests[i];
+      DatabasePrompt prompt = r.pipeline->BuildPrompt(*r.bench, *r.sample);
+      GenerationInput input;
+      input.db = &r.bench->DbOf(*r.sample);
+      input.prompt = &prompt;
+      input.question = r.sample->question;
+      input.external_knowledge = r.sample->external_knowledge;
+      if (r.with_demos) {
+        for (size_t d = 0; d < 3; ++d) {
+          input.demonstrations.push_back(&r.bench->train[d * 7]);
+        }
+      }
+      beams[i] = r.pipeline->model().GenerateBeam(input, r.seed + i);
+    }
+  });
+  return BeamDigest(beams);
+}
+
+// Checks the serial digest against `golden` and the 8-thread one against
+// the serial one.
+void ExpectGoldenAtOneAndEightThreads(
+    const std::vector<GoldenRequest>& requests, uint64_t golden) {
+  const uint64_t serial = GoldenBeamDigest(requests, 1);
+  std::printf("beam digest: 0x%016" PRIx64 "\n", serial);
+  EXPECT_EQ(serial, golden);
+  EXPECT_EQ(GoldenBeamDigest(requests, 8), serial);
+}
+
+// Golden beams: a fixed request set — a Spider-like dev set with and
+// without demonstrations, and a BIRD-like dev set (abbreviated names,
+// comments, dirty values, EK) — generated at 1 and 8 threads must hash to
+// the digest recorded before generation memoized its per-request scores.
+// Any change to a score's value, the RNG stream or the candidate order
+// shows up here.
+TEST_F(GeneratorTest, GoldenBeamDigestMatchesAtOneAndEightThreads) {
+  constexpr uint64_t kGoldenDigest = 0x805301e2a580d7e8ULL;
+  const Text2SqlBenchmark bird = TinyBirdLike();
 
   PipelineConfig config;
   config.size = ModelSize::k7B;
@@ -244,14 +293,7 @@ TEST_F(GeneratorTest, GoldenBeamDigestMatchesAtOneAndEightThreads) {
   bird_pipeline.TrainClassifier(bird);
   bird_pipeline.FineTune(bird);
 
-  struct Request {
-    const CodesPipeline* pipeline;
-    const Text2SqlBenchmark* bench;
-    const Text2SqlSample* sample;
-    bool with_demos;
-    uint64_t seed;
-  };
-  std::vector<Request> requests;
+  std::vector<GoldenRequest> requests;
   for (const auto& s : bench_->dev) {
     requests.push_back({&spider_pipeline, bench_, &s, false, 7});
     requests.push_back({&spider_pipeline, bench_, &s, true, 11});
@@ -259,34 +301,47 @@ TEST_F(GeneratorTest, GoldenBeamDigestMatchesAtOneAndEightThreads) {
   for (const auto& s : bird.dev) {
     requests.push_back({&bird_pipeline, &bird, &s, false, 13});
   }
+  ExpectGoldenAtOneAndEightThreads(requests, kGoldenDigest);
+}
 
-  auto run = [&requests](int threads) {
-    std::vector<std::vector<ScoredCandidate>> beams(requests.size());
-    ThreadPool pool(threads);
-    pool.ParallelFor(requests.size(), [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const Request& r = requests[i];
-        DatabasePrompt prompt = r.pipeline->BuildPrompt(*r.bench, *r.sample);
-        GenerationInput input;
-        input.db = &r.bench->DbOf(*r.sample);
-        input.prompt = &prompt;
-        input.question = r.sample->question;
-        input.external_knowledge = r.sample->external_knowledge;
-        if (r.with_demos) {
-          for (size_t d = 0; d < 3; ++d) {
-            input.demonstrations.push_back(&r.bench->train[d * 7]);
-          }
-        }
-        beams[i] = r.pipeline->model().GenerateBeam(input, r.seed + i);
-      }
-    });
-    return BeamDigest(beams);
-  };
+// The same pin for the narrowest (1B, 64-wide) anchor pool on the
+// Spider-like set, with and without demonstrations. Recorded before
+// template scoring moved to the sparse anchor pool.
+TEST_F(GeneratorTest, GoldenBeamDigest1BMatchesAtOneAndEightThreads) {
+  constexpr uint64_t kGoldenDigest = 0x7195870bb301bbceULL;
+  PipelineConfig config;
+  config.size = ModelSize::k1B;
+  CodesPipeline pipeline(config, zoo_->CodesFor(config.size));
+  pipeline.TrainClassifier(*bench_);
+  pipeline.FineTune(*bench_);
 
-  const uint64_t serial = run(1);
-  std::printf("beam digest: 0x%016" PRIx64 "\n", serial);
-  EXPECT_EQ(serial, kGoldenDigest);
-  EXPECT_EQ(run(8), serial);
+  std::vector<GoldenRequest> requests;
+  for (const auto& s : bench_->dev) {
+    requests.push_back({&pipeline, bench_, &s, false, 17});
+    requests.push_back({&pipeline, bench_, &s, true, 19});
+  }
+  ExpectGoldenAtOneAndEightThreads(requests, kGoldenDigest);
+}
+
+// The same pin for the widest (15B, 384-wide) anchor pool on the BIRD-like
+// set with EK, with and without demonstrations. Recorded before template
+// scoring moved to the sparse anchor pool.
+TEST_F(GeneratorTest, GoldenBeamDigest15BBirdMatchesAtOneAndEightThreads) {
+  constexpr uint64_t kGoldenDigest = 0x610e3f1cc55b8c0dULL;
+  const Text2SqlBenchmark bird = TinyBirdLike();
+  PipelineConfig config;
+  config.size = ModelSize::k15B;
+  config.use_external_knowledge = true;
+  CodesPipeline pipeline(config, zoo_->CodesFor(config.size));
+  pipeline.TrainClassifier(bird);
+  pipeline.FineTune(bird);
+
+  std::vector<GoldenRequest> requests;
+  for (const auto& s : bird.dev) {
+    requests.push_back({&pipeline, &bird, &s, false, 23});
+    requests.push_back({&pipeline, &bird, &s, true, 29});
+  }
+  ExpectGoldenAtOneAndEightThreads(requests, kGoldenDigest);
 }
 
 TEST_F(GeneratorTest, BaselineTableCoversSixteenModels) {

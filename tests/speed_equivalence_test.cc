@@ -1,7 +1,8 @@
 // Equivalence suite for the hot-path speed campaign: every rewritten
 // component (bit-parallel LCS, interned-term BM25, flat-hash n-gram LM,
-// the per-request column profile, norm-cached cosines, prebuilt stem sets
-// and one-pass schema scoring) must be *behaviorally invisible* —
+// the per-request column profile, norm-cached cosines, the sparse
+// anchor-row cosine, the streamed bigram hash, prebuilt stem sets and
+// one-pass schema scoring) must be *behaviorally invisible* —
 // byte-identical outputs, including the exact double values, against the
 // pinned reference implementations it replaced. These tests are the
 // contract that lets the benchmarks' before/after numbers claim a pure
@@ -10,13 +11,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
 #include <optional>
 #include <random>
 #include <string>
+#include <unordered_map>
 #include <unordered_set>
 #include <thread>
 #include <vector>
 
+#include "common/flat_hash.h"
 #include "common/string_util.h"
 #include "dataset/benchmark_builder.h"
 #include "dataset/column_profile.h"
@@ -452,6 +457,19 @@ TEST(TokenCoverageEquivalenceTest, RandomTokenListsMatchReference) {
 // Cosine with cached squared norms vs the norm-per-call original.
 // ---------------------------------------------------------------------------
 
+// Template scoring's dense kernel before the sparse anchor pool: the dot
+// product over every index, with both squared norms supplied.
+double ReferenceCosineSimilarityWithNorms(const std::vector<float>& a,
+                                          const std::vector<float>& b,
+                                          double na, double nb) {
+  double dot = 0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    dot += static_cast<double>(a[i]) * b[i];
+  }
+  if (na == 0 || nb == 0) return 0.0;
+  return dot / std::sqrt(na * nb);
+}
+
 TEST(CosineEquivalenceTest, CachedNormsMatchCosineSimilarity) {
   std::mt19937 rng(1802);
   std::normal_distribution<float> dist(0.0f, 1.0f);
@@ -475,10 +493,219 @@ TEST(CosineEquivalenceTest, CachedNormsMatchCosineSimilarity) {
   for (const auto& a : vectors) {
     for (const auto& b : vectors) {
       if (a.size() != b.size()) continue;
-      EXPECT_EQ(CosineSimilarityWithNorms(a, b, SquaredNorm(a), SquaredNorm(b)),
+      EXPECT_EQ(ReferenceCosineSimilarityWithNorms(a, b, SquaredNorm(a),
+                                                   SquaredNorm(b)),
                 CosineSimilarity(a, b));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Sparse anchor rows against a dense query vs the dense dot product.
+// Embeddings are always finite, so NaN and Inf are out of scope: 0 * Inf
+// is NaN in the dense sum and simply absent from the sparse one.
+// ---------------------------------------------------------------------------
+
+uint64_t DoubleBits(double x) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+// Vectors of width `dim` that stress the ±0 argument: random rows with 0 to
+// 40 nonzeros, fully dense rows, buckets that cancel to exactly 0, -0.0f
+// and 1e-20f entries, the zero vector, real encoder outputs and averaged
+// FineTune-style centroids.
+std::vector<std::vector<float>> SparseCosineCases(size_t dim,
+                                                  std::mt19937& rng) {
+  std::normal_distribution<float> value(0.0f, 0.3f);
+  std::uniform_int_distribution<size_t> bucket(0, dim - 1);
+  std::vector<std::vector<float>> cases;
+  for (size_t nnz = 0; nnz <= 40; nnz += 2) {
+    std::vector<float> v(dim, 0.0f);
+    for (size_t k = 0; k < nnz; ++k) v[bucket(rng)] = value(rng);
+    cases.push_back(std::move(v));
+  }
+  for (int i = 0; i < 4; ++i) {
+    std::vector<float> v(dim);
+    for (auto& x : v) x = value(rng);
+    cases.push_back(std::move(v));
+  }
+  {
+    // Feature hashing adds +w and -w into one bucket: exactly +0.0f.
+    std::vector<float> v(dim, 0.0f);
+    for (size_t k = 0; k < 12; ++k) {
+      const size_t b = bucket(rng);
+      const float w = value(rng);
+      v[b] += w;
+      v[b] += -w;
+      v[bucket(rng)] += value(rng);
+    }
+    cases.push_back(std::move(v));
+  }
+  {
+    std::vector<float> v(dim, -0.0f);
+    for (size_t k = 0; k < 10; ++k) v[bucket(rng)] = value(rng);
+    cases.push_back(std::move(v));
+  }
+  {
+    std::vector<float> v(dim, 0.0f);
+    for (size_t k = 0; k < 6; ++k) v[bucket(rng)] = 1e-20f;
+    v[bucket(rng)] = -1e-20f;
+    cases.push_back(std::move(v));
+    std::vector<float> mixed(dim, 0.0f);
+    for (size_t k = 0; k < 6; ++k) mixed[bucket(rng)] = 1e-20f;
+    for (size_t k = 0; k < 6; ++k) mixed[bucket(rng)] = value(rng);
+    cases.push_back(std::move(mixed));
+  }
+  cases.emplace_back(dim, 0.0f);
+  cases.emplace_back(dim, -0.0f);
+
+  SentenceEncoder encoder(static_cast<int>(dim));
+  const std::vector<std::string> texts = {
+      "how many singers are there", "_ of _ whose _ is", "",
+      "show the name of every city", "what is the average _ of _",
+      "list _ ordered by _ in descending order",
+      "which _ has the most _ ?", "count the _ with _ greater than 5"};
+  for (const auto& text : texts) cases.push_back(encoder.Encode(text));
+  // Centroids: float(double sum / count), as FineTune averages exemplars.
+  for (size_t count : {2u, 3u, 8u}) {
+    std::vector<double> sum(dim, 0.0);
+    for (size_t k = 0; k < count; ++k) {
+      const auto e = encoder.Encode(texts[(k * 3 + count) % texts.size()]);
+      for (size_t d = 0; d < dim; ++d) sum[d] += e[d];
+    }
+    std::vector<float> centroid(dim);
+    for (size_t d = 0; d < dim; ++d) {
+      centroid[d] = static_cast<float>(sum[d] / static_cast<double>(count));
+    }
+    cases.push_back(std::move(centroid));
+  }
+  return cases;
+}
+
+TEST(SparseCosineEquivalenceTest, SparseRowsMatchDenseReference) {
+  std::mt19937 rng(1804);
+  for (size_t dim : {64u, 128u, 256u, 384u}) {
+    const auto cases = SparseCosineCases(dim, rng);
+    for (const auto& anchor : cases) {
+      std::vector<uint32_t> index;
+      std::vector<float> value;
+      const double anchor_norm = AppendNonzeros(anchor, &index, &value);
+      ASSERT_EQ(DoubleBits(anchor_norm), DoubleBits(SquaredNorm(anchor)));
+      for (size_t k = 0; k < index.size(); ++k) {
+        ASSERT_NE(value[k], 0.0f);
+        if (k > 0) {
+          ASSERT_LT(index[k - 1], index[k]);
+        }
+      }
+      const SparseRow row{index.data(), value.data(), index.size(),
+                          anchor_norm};
+      for (const auto& query : cases) {
+        const double query_norm = SquaredNorm(query);
+        const double sparse = SparseDenseCosine(row, query, query_norm);
+        EXPECT_EQ(DoubleBits(sparse),
+                  DoubleBits(ReferenceCosineSimilarityWithNorms(
+                      query, anchor, query_norm, SquaredNorm(anchor))))
+            << "dim " << dim << " nnz " << index.size();
+        EXPECT_EQ(DoubleBits(sparse),
+                  DoubleBits(CosineSimilarity(query, anchor)));
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// SentenceEncoder's streamed bigram hash vs the string-per-bigram original.
+// ---------------------------------------------------------------------------
+
+// The encoder before bigrams were hashed as a stream: identical IDF, and a
+// std::string built for every bigram.
+class ReferenceSentenceEncoder {
+ public:
+  explicit ReferenceSentenceEncoder(int dim) : dim_(dim) {}
+
+  void FitIdf(const std::vector<std::string>& corpus) {
+    corpus_size_ = corpus.size();
+    doc_freq_.clear();
+    for (const auto& doc : corpus) {
+      std::unordered_set<std::string> seen;
+      for (auto& token : WordTokens(doc)) seen.insert(StemToken(token));
+      for (const auto& token : seen) doc_freq_[token] += 1;
+    }
+  }
+
+  std::vector<float> Encode(std::string_view text) const {
+    std::vector<float> vec(static_cast<size_t>(dim_), 0.0f);
+    std::vector<std::string> tokens = WordTokens(text);
+    std::vector<std::string> stems;
+    stems.reserve(tokens.size());
+    for (const auto& t : tokens) stems.push_back(StemToken(t));
+    auto add_feature = [this, &vec](std::string_view feature, double weight) {
+      uint64_t h = Fnv1a64(feature);
+      size_t bucket = static_cast<size_t>(h % static_cast<uint64_t>(dim_));
+      double sign = ((h >> 63) & 1) ? -1.0 : 1.0;
+      vec[bucket] += static_cast<float>(sign * weight);
+    };
+    for (const auto& stem : stems) {
+      if (stem == "_") continue;
+      double weight = IdfOf(stem);
+      if (IsStopWord(stem)) weight *= 0.25;
+      add_feature(stem, weight);
+    }
+    for (size_t i = 0; i + 1 < stems.size(); ++i) {
+      add_feature(stems[i] + "__" + stems[i + 1], 0.5);
+    }
+    double norm = 0;
+    for (float v : vec) norm += static_cast<double>(v) * v;
+    if (norm > 0) {
+      double inv = 1.0 / std::sqrt(norm);
+      for (float& v : vec) v = static_cast<float>(v * inv);
+    }
+    return vec;
+  }
+
+ private:
+  double IdfOf(const std::string& token) const {
+    if (corpus_size_ == 0) return 1.0;
+    auto it = doc_freq_.find(token);
+    double df = (it == doc_freq_.end()) ? 0.0 : static_cast<double>(it->second);
+    return std::log((static_cast<double>(corpus_size_) + 1.0) / (df + 1.0)) +
+           1.0;
+  }
+
+  int dim_;
+  size_t corpus_size_ = 0;
+  std::unordered_map<std::string, int> doc_freq_;
+};
+
+void ExpectEncoderMatchesReference(const Text2SqlBenchmark& bench) {
+  std::vector<std::string> questions;
+  for (const auto* split : {&bench.train, &bench.dev}) {
+    for (const auto& s : *split) questions.push_back(s.question);
+  }
+  for (int dim : {64, 128, 256, 384}) {
+    SentenceEncoder encoder(dim);
+    ReferenceSentenceEncoder reference(dim);
+    for (bool fitted : {false, true}) {
+      if (fitted) {
+        encoder.FitIdf(questions);
+        reference.FitIdf(questions);
+      }
+      for (const auto& q : questions) {
+        ASSERT_EQ(encoder.Encode(q), reference.Encode(q))
+            << bench.name << " dim " << dim << " idf " << fitted << ": " << q;
+      }
+    }
+  }
+}
+
+TEST(EncoderEquivalenceTest, SpiderLikeQuestionsMatchReference) {
+  ExpectEncoderMatchesReference(BuildSpiderLike());
+}
+
+TEST(EncoderEquivalenceTest, BirdLikeQuestionsMatchReference) {
+  ExpectEncoderMatchesReference(BuildBirdLike());
 }
 
 // ---------------------------------------------------------------------------
