@@ -16,10 +16,6 @@ namespace {
 // remapped as if it were a Latin-1 letter — silently corrupting the
 // sequence and breaking the byte-exact LCS matching the value retriever
 // relies on. Bytes >= 0x80 always pass through untouched.
-inline char AsciiLower(char c) {
-  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-}
-
 inline char AsciiUpper(char c) {
   return (c >= 'a' && c <= 'z') ? static_cast<char>(c - 'a' + 'A') : c;
 }
@@ -104,6 +100,14 @@ bool StartsWith(std::string_view s, std::string_view prefix) {
 bool EndsWith(std::string_view s, std::string_view suffix) {
   return s.size() >= suffix.size() &&
          s.substr(s.size() - suffix.size()) == suffix;
+}
+
+bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (AsciiLower(a[i]) != AsciiLower(b[i])) return false;
+  }
+  return true;
 }
 
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {

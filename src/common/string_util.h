@@ -7,6 +7,12 @@
 
 namespace codes {
 
+/// One byte, lowercased if it is an ASCII letter. Locale-independent:
+/// bytes >= 0x80 pass through untouched.
+inline char AsciiLower(char c) {
+  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// Returns `s` with ASCII letters lowercased. Locale-independent: bytes
 /// >= 0x80 pass through untouched, so UTF-8 text stays byte-exact (the
 /// value retriever's LCS matching depends on this).
@@ -34,6 +40,10 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
 
 bool StartsWith(std::string_view s, std::string_view prefix);
 bool EndsWith(std::string_view s, std::string_view suffix);
+
+/// True if `a` and `b` are equal ignoring ASCII case (bytes >= 0x80 must
+/// match exactly).
+bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 /// True if `needle` occurs in `haystack` ignoring ASCII case.
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle);

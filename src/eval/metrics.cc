@@ -8,29 +8,43 @@
 
 namespace codes {
 
+namespace {
+
+/// Runs the gold SQL from one parse: its ORDER BY decides whether row
+/// order counts, and the same statement is bound and executed.
+bool ExecuteGold(const sql::Database& db, const std::string& gold,
+                 sql::ResultTable* result, bool* ordered) {
+  auto stmt = sql::ParseSql(gold);
+  if (!stmt.ok()) return false;
+  *ordered = (*stmt)->HasOrderBy();
+  auto run = sql::Execute(db, sql::Bind(std::move(*stmt), db.schema()));
+  if (!run.ok()) return false;
+  *result = std::move(*run);
+  return true;
+}
+
+}  // namespace
+
 bool ExecutionMatch(const sql::Database& db, const std::string& predicted,
                     const std::string& gold) {
-  auto gold_stmt = sql::ParseSql(gold);
-  if (!gold_stmt.ok()) return false;
-  bool ordered = (*gold_stmt)->HasOrderBy();
-  auto gold_result = sql::ExecuteSql(db, gold);
-  if (!gold_result.ok()) return false;
+  sql::ResultTable gold_result;
+  bool ordered = false;
+  if (!ExecuteGold(db, gold, &gold_result, &ordered)) return false;
   auto pred_result = sql::ExecuteSql(db, predicted);
   if (!pred_result.ok()) return false;
-  return sql::ResultsEquivalent(*pred_result, *gold_result, ordered);
+  return sql::ResultsEquivalent(*pred_result, gold_result, ordered);
 }
 
 bool LenientExecutionMatch(const sql::Database& db,
                            const std::string& predicted,
                            const std::string& gold) {
-  if (ExecutionMatch(db, predicted, gold)) return true;
-  auto gold_stmt = sql::ParseSql(gold);
-  if (!gold_stmt.ok()) return false;
-  bool ordered = (*gold_stmt)->HasOrderBy();
-  auto gold_result = sql::ExecuteSql(db, gold);
+  sql::ResultTable gold_result;
+  bool ordered = false;
+  if (!ExecuteGold(db, gold, &gold_result, &ordered)) return false;
   auto pred_result = sql::ExecuteSql(db, predicted);
-  if (!gold_result.ok() || !pred_result.ok()) return false;
-  size_t g = gold_result->NumColumns();
+  if (!pred_result.ok()) return false;
+  if (sql::ResultsEquivalent(*pred_result, gold_result, ordered)) return true;
+  size_t g = gold_result.NumColumns();
   size_t p = pred_result->NumColumns();
   if (p <= g || g == 0 || p > g + 3) return false;
   // Try every g-sized combination of predicted columns (p is small).
@@ -47,7 +61,7 @@ bool LenientExecutionMatch(const sql::Database& db,
         for (size_t i = 0; i < g; ++i) out.push_back(row[pick[i]]);
         projected.rows.push_back(std::move(out));
       }
-      return sql::ResultsEquivalent(projected, *gold_result, ordered);
+      return sql::ResultsEquivalent(projected, gold_result, ordered);
     }
     for (size_t i = start; i < p; ++i) {
       pick[depth] = i;

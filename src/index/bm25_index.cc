@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/failpoint.h"
+#include "common/string_util.h"
 #include "common/status.h"
 #include "common/trace.h"
 #include "text/tokenize.h"
@@ -26,6 +27,49 @@ QueryScratch& GetQueryScratch() {
   return scratch;
 }
 
+/// The BM25 analysis, streamed: calls `emit(term)` for every term of the
+/// lowercased text `lower`, in order — the stem of each word piece, then
+/// "#" plus each character trigram that contains no space (trigrams make
+/// substring-ish matches like "Jesenik" in "Jesenik branch" retrievable).
+/// Terms are views valid only during the call; `stem_scratch` holds the
+/// one kind of stem that is not a prefix of its piece ("-ies" -> "-y").
+template <typename Emit>
+void ForEachBm25Term(std::string_view lower, std::string* stem_scratch,
+                     Emit&& emit) {
+  ForEachWordPiece(lower, [stem_scratch, &emit](std::string_view piece) {
+    const StemEdit edit = StemEditOf(piece);
+    if (edit.append.empty()) {
+      emit(piece.substr(0, edit.keep));
+      return;
+    }
+    stem_scratch->assign(piece.data(), edit.keep);
+    stem_scratch->append(edit.append);
+    emit(std::string_view(*stem_scratch));
+  });
+  char gram[4] = {'#', 0, 0, 0};
+  for (size_t i = 0; i + 3 <= lower.size(); ++i) {
+    if (lower[i] == ' ' || lower[i + 1] == ' ' || lower[i + 2] == ' ') continue;
+    gram[1] = lower[i];
+    gram[2] = lower[i + 1];
+    gram[3] = lower[i + 2];
+    emit(std::string_view(gram, sizeof(gram)));
+  }
+}
+
+/// Per-thread AddDocument scratch, reused so a build allocates nothing per
+/// document beyond what the index keeps. Thread-local, so indexes built
+/// on different threads at once never share it.
+struct BuildScratch {
+  std::string lower;
+  std::string stem;
+  std::vector<uint32_t> term_ids;
+};
+
+BuildScratch& GetBuildScratch() {
+  thread_local BuildScratch scratch;
+  return scratch;
+}
+
 /// The ranking order: score descending, doc id ascending on ties. A strict
 /// total order (doc ids are unique), so bounded top-k selection and a full
 /// sort agree exactly.
@@ -37,31 +81,32 @@ inline bool BetterHit(const Bm25Hit& a, const Bm25Hit& b) {
 }  // namespace
 
 std::vector<std::string> Bm25AnalyzeText(std::string_view text) {
-  std::vector<std::string> tokens;
-  for (auto& word : WordTokens(text)) {
-    tokens.push_back(StemToken(word));
-  }
-  // Character trigrams make substring-ish matches retrievable.
-  for (auto& gram : CharNgrams(text, 3)) {
-    if (gram.find(' ') == std::string::npos) {
-      tokens.push_back("#" + gram);
-    }
-  }
-  return tokens;
+  std::vector<std::string> terms;
+  std::string stem_scratch;
+  ForEachBm25Term(ToLower(text), &stem_scratch,
+                  [&terms](std::string_view term) { terms.emplace_back(term); });
+  return terms;
 }
 
 int Bm25Index::AddDocument(std::string_view text) {
   int doc_id = static_cast<int>(doc_lengths_.size());
-  auto tokens = Bm25AnalyzeText(text);
-  // Term frequencies via interned ids: sort the small id vector and
-  // run-length encode (no per-document hash map).
-  std::vector<uint32_t> ids;
-  ids.reserve(tokens.size());
-  for (const auto& t : tokens) {
-    uint32_t id = terms_.Intern(t);
-    if (id == build_postings_.size()) build_postings_.emplace_back();
-    ids.push_back(id);
-  }
+  BuildScratch& scratch = GetBuildScratch();
+  scratch.lower.assign(text);
+  for (char& c : scratch.lower) c = AsciiLower(c);
+  // Term frequencies via interned ids, in analysis order (the order fixes
+  // the ids): sort the small id vector and run-length encode (no
+  // per-document hash map).
+  std::vector<uint32_t>& ids = scratch.term_ids;
+  ids.clear();
+  ForEachBm25Term(scratch.lower, &scratch.stem,
+                  [this, &ids](std::string_view term) {
+                    uint32_t id = terms_.Intern(term);
+                    if (id == build_postings_.size()) {
+                      build_postings_.emplace_back();
+                    }
+                    ids.push_back(id);
+                  });
+  const size_t num_terms = ids.size();
   std::sort(ids.begin(), ids.end());
   for (size_t i = 0; i < ids.size();) {
     size_t j = i;
@@ -70,7 +115,7 @@ int Bm25Index::AddDocument(std::string_view text) {
         Posting{doc_id, static_cast<int32_t>(j - i)});
     i = j;
   }
-  doc_lengths_.push_back(static_cast<int>(tokens.size()));
+  doc_lengths_.push_back(static_cast<int>(num_terms));
   doc_texts_.emplace_back(text);
   // Every mutation stales the whole derived layout (idf depends on the
   // total document count, not just the new document's terms): the caller

@@ -16,10 +16,14 @@ struct Bm25Hit {
   double score = 0.0;
 };
 
-/// The shared analyzer: stemmed word tokens plus 3-character-grams (so
-/// partial matches like "Jesenik" in "Jesenik branch" still score). Both
-/// Bm25Index and the pinned ReferenceBm25Index use exactly this function —
-/// the equivalence suite depends on the two indexes agreeing on analysis.
+/// The BM25 analysis as a term list: the stem of every word piece, then
+/// "#" plus every 3-character-gram without a space (so partial matches
+/// like "Jesenik" in "Jesenik branch" still score). bm25_index.cc owns
+/// the one analyzer, which streams the terms of a lowercased text from the
+/// word splitter and stemmer of text/tokenize.h. Bm25Index::AddDocument
+/// interns its views without building strings; this function collects
+/// them for Bm25Index::Query and the pinned ReferenceBm25Index, so the two
+/// indexes agree on analysis by construction.
 std::vector<std::string> Bm25AnalyzeText(std::string_view text);
 
 /// In-memory inverted index with Okapi BM25 ranking.

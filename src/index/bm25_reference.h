@@ -19,8 +19,10 @@ namespace codes {
 ///  * bench_latency's hot-path section reports the before/after speedup
 ///    that BENCH_latency.json commits as the perf trajectory.
 ///
-/// Analysis is shared with the production index via Bm25AnalyzeText, so
-/// any scoring difference is attributable to the data-structure rewrite.
+/// Analysis is not pinned here: it calls Bm25AnalyzeText, the term list of
+/// the production index's own analyzer, so any scoring difference is
+/// attributable to the data-structure rewrite. The analyzer is pinned
+/// against its string-building original by AnalyzerEquivalenceTest.
 /// Not for serving use: every query pays string hashing per term and a
 /// full candidate sort.
 class ReferenceBm25Index {

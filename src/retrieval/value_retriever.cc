@@ -1,9 +1,9 @@
 #include "retrieval/value_retriever.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/failpoint.h"
+#include "common/flat_hash.h"
 #include "common/string_util.h"
 #include "common/trace.h"
 #include "text/similarity.h"
@@ -24,6 +24,21 @@ bool ShortValueMatches(const std::string& value, const std::string& question) {
   return false;
 }
 
+/// Dedup key of one cell: (table, column) and the FNV-1a of the
+/// ASCII-case-folded text, without building the folded string. 63 bits,
+/// so neither a key nor the successors a collision probes is FlatHash64's
+/// reserved empty key.
+uint64_t FoldedCellKey(int table, int column, std::string_view text) {
+  uint64_t h = HashMix64((static_cast<uint64_t>(static_cast<uint32_t>(table))
+                          << 32) |
+                         static_cast<uint32_t>(column));
+  for (char c : text) {
+    const char lower = AsciiLower(c);
+    h = Fnv1a64(std::string_view(&lower, 1), h);
+  }
+  return h >> 1;
+}
+
 }  // namespace
 
 void ValueRetriever::BuildIndex(const sql::Database& db) {
@@ -40,9 +55,11 @@ Status ValueRetriever::TryBuildIndex(const sql::Database& db, ExecGuard* guard,
       Failpoints::ShouldFail(FailpointSite::kValueRetrieverBuildIndex)) {
     return Failpoints::FailStatus(FailpointSite::kValueRetrieverBuildIndex);
   }
-  // Deduplicate identical (value, table, column) triples: repeated
-  // categorical values would otherwise bloat the index.
-  std::unordered_set<std::string> seen;
+  // Deduplicate (table, column, case-folded text): repeated categorical
+  // values would otherwise bloat the index. The first spelling wins. A key
+  // match is confirmed against that entry, case-blind; on a 64-bit hash
+  // collision the cell probes the next key.
+  FlatHash64<uint32_t> seen;
   Status scan_status;
   size_t scanned = 0;
   db.ForEachTextValue([this, &seen, &scan_status, &scanned, guard](
@@ -55,9 +72,17 @@ Status ValueRetriever::TryBuildIndex(const sql::Database& db, ExecGuard* guard,
       if (!scan_status.ok()) return;
     }
     if (text.empty()) return;
-    std::string key =
-        std::to_string(t) + "|" + std::to_string(c) + "|" + ToLower(text);
-    if (!seen.insert(std::move(key)).second) return;
+    const uint32_t next_entry = static_cast<uint32_t>(entries_.size());
+    for (uint64_t key = FoldedCellKey(t, c, text);; ++key) {
+      bool inserted = false;
+      const uint32_t first = seen.FindOrInsert(key, next_entry, &inserted);
+      if (inserted) break;
+      const Entry& entry = entries_[first];
+      if (entry.table == t && entry.column == c &&
+          EqualsIgnoreCase(entry.text, text)) {
+        return;
+      }
+    }
     entries_.push_back(Entry{text, t, c});
     index_.AddDocument(text);
   });

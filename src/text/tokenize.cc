@@ -7,42 +7,11 @@
 
 namespace codes {
 
-namespace {
-
-bool IsWordChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
-}
-
-}  // namespace
-
 std::vector<std::string> WordTokens(std::string_view text) {
   std::vector<std::string> out;
-  size_t i = 0;
-  while (i < text.size()) {
-    while (i < text.size() && !IsWordChar(text[i])) ++i;
-    size_t start = i;
-    while (i < text.size() && IsWordChar(text[i])) ++i;
-    if (i > start) {
-      std::string token = ToLower(text.substr(start, i - start));
-      // A bare "_" is a mask/slot placeholder (see text/pattern.h) and is
-      // kept verbatim so embeddings see the slot.
-      if (token.find_first_not_of('_') == std::string::npos) {
-        out.emplace_back("_");
-        continue;
-      }
-      // Split identifier-style tokens on '_' so "stu_id" matches "stu id".
-      size_t pos = 0;
-      while (pos < token.size()) {
-        size_t us = token.find('_', pos);
-        if (us == std::string::npos) {
-          if (pos < token.size()) out.push_back(token.substr(pos));
-          break;
-        }
-        if (us > pos) out.push_back(token.substr(pos, us - pos));
-        pos = us + 1;
-      }
-    }
-  }
+  ForEachWordPiece(text, [&out](std::string_view piece) {
+    out.push_back(ToLower(piece));
+  });
   return out;
 }
 
@@ -73,16 +42,6 @@ std::vector<std::string> CodeTokens(std::string_view text) {
     }
     out.push_back(std::string(1, c));
     ++i;
-  }
-  return out;
-}
-
-std::vector<std::string> CharNgrams(std::string_view text, int n) {
-  std::vector<std::string> out;
-  std::string lower = ToLower(text);
-  if (static_cast<int>(lower.size()) < n) return out;
-  for (size_t i = 0; i + n <= lower.size(); ++i) {
-    out.push_back(lower.substr(i, n));
   }
   return out;
 }
@@ -119,30 +78,27 @@ bool IsStopWord(std::string_view token) {
   return kStopWords->count(std::string(token)) > 0;
 }
 
-std::string StemToken(std::string_view token) {
-  std::string t(token);
-  auto strip = [&t](std::string_view suffix) {
-    if (t.size() > suffix.size() + 2 && EndsWith(t, suffix)) {
-      t.resize(t.size() - suffix.size());
-      return true;
-    }
-    return false;
+StemEdit StemEditOf(std::string_view token) {
+  const size_t n = token.size();
+  auto strips = [token, n](std::string_view suffix) {
+    return n > suffix.size() + 2 && token.ends_with(suffix);
   };
-  if (strip("ies")) {
-    t += 'y';
-    return t;
+  if (strips("ies")) return StemEdit{n - 3, "y"};
+  if (strips("sses")) return StemEdit{n - 2, ""};  // "-sses" -> "-ss"
+  if (strips("ing")) return StemEdit{n - 3, ""};
+  if (strips("ed")) return StemEdit{n - 2, ""};
+  if (n > 3 && token.ends_with('s') && !token.ends_with("ss") &&
+      !token.ends_with("us")) {
+    return StemEdit{n - 1, ""};
   }
-  if (strip("sses")) {
-    t += "ss";
-    return t;
-  }
-  if (strip("ing")) return t;
-  if (strip("ed")) return t;
-  if (t.size() > 3 && EndsWith(t, "s") && !EndsWith(t, "ss") &&
-      !EndsWith(t, "us")) {
-    t.pop_back();
-  }
-  return t;
+  return StemEdit{n, ""};
+}
+
+std::string StemToken(std::string_view token) {
+  const StemEdit edit = StemEditOf(token);
+  std::string stem(token.substr(0, edit.keep));
+  if (!edit.append.empty()) stem += edit.append;
+  return stem;
 }
 
 }  // namespace codes

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
-#include "dataset/benchmark_builder.h"
+#include "common/exec_guard.h"
+#include "common/flat_hash.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
+#include "dataset/benchmark_builder.h"
+#include "dataset/domains.h"
 #include "linker/schema_classifier.h"
 #include "retrieval/demonstration_retriever.h"
 #include "retrieval/value_retriever.h"
@@ -208,6 +212,135 @@ TEST(ValueRetrieverTest, Utf8ValuesSurviveIndexingAndReranking) {
   ASSERT_FALSE(cjk_hits.empty());
   EXPECT_EQ(cjk_hits[0].text, cjk);
   EXPECT_GE(cjk_hits[0].score, 0.9);
+}
+
+// Golden pin for the cold value-index build: FNV-1a over every database's
+// SaveTo bytes in order, and the summed ApproxBytes (what the fleet
+// charges against its budget). Both were recorded before the build
+// stopped allocating per value; a mismatch means the index changed, not
+// just the speed of building it.
+std::vector<sql::Database> PinnedIndexDatabases() {
+  std::vector<sql::Database> dbs;
+  for (auto bench : {BuildSpiderLike(), BuildBirdLike()}) {
+    for (auto& db : bench.databases) dbs.push_back(std::move(db));
+  }
+  // fleet_churn-style tenants: every table at 300 rows.
+  DbProfile tenant = DbProfile::Spider();
+  tenant.min_rows = 300;
+  tenant.max_rows = 300;
+  Rng rng(301);
+  for (const DomainSpec& domain : AllDomains()) {
+    dbs.push_back(GenerateDatabase(domain, tenant, rng));
+  }
+  return dbs;
+}
+
+TEST(ValueRetrieverTest, GoldenIndexBytesMatchSeriallyAndFromEightThreads) {
+  const std::vector<sql::Database> dbs = PinnedIndexDatabases();
+  ASSERT_GT(dbs.size(), 40u);
+  auto build = [&dbs](size_t i, std::string* snapshot, size_t* bytes) {
+    ValueRetriever retriever;
+    ASSERT_TRUE(retriever.TryBuildIndex(dbs[i]).ok());
+    retriever.SaveTo(snapshot);
+    *bytes = retriever.ApproxBytes();
+  };
+
+  std::vector<std::string> serial(dbs.size());
+  std::vector<size_t> serial_bytes(dbs.size());
+  Fnv1aDigest digest;
+  size_t total_bytes = 0;
+  for (size_t i = 0; i < dbs.size(); ++i) {
+    build(i, &serial[i], &serial_bytes[i]);
+    digest.Add(serial[i]);
+    total_bytes += serial_bytes[i];
+  }
+  EXPECT_EQ(digest.value, 0x32baa7fb77ba0204ULL);
+  EXPECT_EQ(total_bytes, 20513095u);
+
+  // Eight workers build at once: the per-thread analyzer scratch must not
+  // leak between concurrent builds (the CI TSan leg runs this).
+  std::vector<std::string> parallel(dbs.size());
+  std::vector<size_t> parallel_bytes(dbs.size());
+  {
+    ThreadPool pool(8);
+    for (size_t i = 0; i < dbs.size(); ++i) {
+      pool.Submit([&, i] { build(i, &parallel[i], &parallel_bytes[i]); });
+    }
+    pool.Wait();
+  }
+  EXPECT_EQ(parallel, serial);
+  EXPECT_EQ(parallel_bytes, serial_bytes);
+}
+
+sql::Database TwoTextColumnDb() {
+  sql::DatabaseSchema schema;
+  schema.name = "dedup";
+  sql::TableDef t;
+  t.name = "t";
+  t.columns = {{"id", sql::DataType::kInteger, "", true},
+               {"a", sql::DataType::kText, "", false},
+               {"b", sql::DataType::kText, "", false}};
+  schema.tables.push_back(t);
+  return sql::Database(std::move(schema));
+}
+
+TEST(ValueRetrieverTest, DedupKeepsFirstSpellingPerColumn) {
+  sql::Database db = TwoTextColumnDb();
+  const std::vector<std::pair<std::string, std::string>> rows = {
+      {"New York", "Paris"},  {"NEW YORK", "New York"}, {"new york", ""},
+      {"Caf\xC3\xA9", "PARIS"}, {"CAF\xC3\xA9", "paris"}, {"", "Paris"}};
+  int64_t id = 0;
+  for (const auto& [a, b] : rows) {
+    ASSERT_TRUE(
+        db.Insert("t", {sql::Value(++id), sql::Value(a), sql::Value(b)}).ok());
+  }
+  ValueRetriever retriever;
+  retriever.BuildIndex(db);
+  // Column a: "New York" (first spelling) and "Café" (bytes >= 0x80 are
+  // not case-folded, but the ASCII letters around them are). Column b:
+  // "Paris" and "New York" — the same text in another column is its own
+  // entry. Empty cells are skipped.
+  EXPECT_EQ(retriever.NumIndexedValues(), 4u);
+  std::string snapshot;
+  retriever.SaveTo(&snapshot);
+  serial::Reader reader(snapshot);
+  ValueRetriever loaded;
+  ASSERT_TRUE(loaded.LoadFrom(&reader).ok());
+  auto hits = loaded.Retrieve("which rows say new york", 200, 6);
+  std::vector<std::pair<std::string, int>> texts;
+  for (const auto& hit : hits) texts.emplace_back(hit.text, hit.column);
+  EXPECT_NE(std::find(texts.begin(), texts.end(),
+                      std::make_pair(std::string("New York"), 1)),
+            texts.end());
+  EXPECT_NE(std::find(texts.begin(), texts.end(),
+                      std::make_pair(std::string("New York"), 2)),
+            texts.end());
+  for (const auto& [text, column] : texts) {
+    EXPECT_TRUE(text == "New York" || text == "Paris" ||
+                text == "Caf\xC3\xA9")
+        << text;
+  }
+}
+
+TEST(ValueRetrieverTest, GuardTrippedMidBuildLeavesRetrieverEmpty) {
+  sql::Database db = TwoTextColumnDb();
+  for (int64_t id = 1; id <= 600; ++id) {
+    ASSERT_TRUE(db.Insert("t", {sql::Value(id),
+                                sql::Value("value " + std::to_string(id)),
+                                sql::Value("other " + std::to_string(id))})
+                    .ok());
+  }
+  ValueRetriever retriever;
+  retriever.BuildIndex(db);
+  ASSERT_EQ(retriever.NumIndexedValues(), 1200u);
+  // A cancelled guard trips at the first poll (value 256), mid-scan.
+  CancelToken cancel;
+  cancel.Cancel();
+  ExecGuard guard(ExecLimits{}, &cancel);
+  Status status = retriever.TryBuildIndex(db, &guard);
+  EXPECT_FALSE(status.ok());
+  EXPECT_EQ(retriever.NumIndexedValues(), 0u);
+  EXPECT_EQ(retriever.ApproxBytes(), ValueRetriever().ApproxBytes());
 }
 
 // ------------------------------------------------- demonstration retriever

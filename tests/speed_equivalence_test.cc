@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstring>
 #include <optional>
@@ -318,6 +319,155 @@ TEST(Bm25EquivalenceTest, EightThreadsMatchSerial) {
   }
   for (auto& th : threads) th.join();
   for (int t = 0; t < 8; ++t) EXPECT_EQ(failures[t], 0) << "thread " << t;
+}
+
+// ---------------------------------------------------------------------------
+// Text analysis: one view-based word splitter and stemmer vs the pinned
+// string-building compositions they replaced.
+// ---------------------------------------------------------------------------
+
+bool ReferenceIsWordChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+std::vector<std::string> ReferenceWordTokens(std::string_view text) {
+  std::vector<std::string> out;
+  size_t i = 0;
+  while (i < text.size()) {
+    while (i < text.size() && !ReferenceIsWordChar(text[i])) ++i;
+    size_t start = i;
+    while (i < text.size() && ReferenceIsWordChar(text[i])) ++i;
+    if (i > start) {
+      std::string token = ToLower(text.substr(start, i - start));
+      if (token.find_first_not_of('_') == std::string::npos) {
+        out.emplace_back("_");
+        continue;
+      }
+      size_t pos = 0;
+      while (pos < token.size()) {
+        size_t us = token.find('_', pos);
+        if (us == std::string::npos) {
+          if (pos < token.size()) out.push_back(token.substr(pos));
+          break;
+        }
+        if (us > pos) out.push_back(token.substr(pos, us - pos));
+        pos = us + 1;
+      }
+    }
+  }
+  return out;
+}
+
+std::string ReferenceStemToken(std::string_view token) {
+  std::string t(token);
+  auto strip = [&t](std::string_view suffix) {
+    if (t.size() > suffix.size() + 2 && EndsWith(t, suffix)) {
+      t.resize(t.size() - suffix.size());
+      return true;
+    }
+    return false;
+  };
+  if (strip("ies")) {
+    t += 'y';
+    return t;
+  }
+  if (strip("sses")) {
+    t += "ss";
+    return t;
+  }
+  if (strip("ing")) return t;
+  if (strip("ed")) return t;
+  if (t.size() > 3 && EndsWith(t, "s") && !EndsWith(t, "ss") &&
+      !EndsWith(t, "us")) {
+    t.pop_back();
+  }
+  return t;
+}
+
+std::vector<std::string> ReferenceBm25AnalyzeText(std::string_view text) {
+  std::vector<std::string> tokens;
+  for (auto& word : ReferenceWordTokens(text)) {
+    tokens.push_back(ReferenceStemToken(word));
+  }
+  const std::string lower = ToLower(text);
+  for (size_t i = 0; i + 3 <= lower.size(); ++i) {
+    std::string gram = lower.substr(i, 3);
+    if (gram.find(' ') == std::string::npos) tokens.push_back("#" + gram);
+  }
+  return tokens;
+}
+
+void ExpectAnalyzerMatchesReference(std::string_view text) {
+  const std::string label = "text=\"" + std::string(text) + "\"";
+  EXPECT_EQ(WordTokens(text), ReferenceWordTokens(text)) << label;
+  EXPECT_EQ(StemToken(text), ReferenceStemToken(text)) << label;
+  EXPECT_EQ(Bm25AnalyzeText(text), ReferenceBm25AnalyzeText(text)) << label;
+  for (const std::string& word : ReferenceWordTokens(text)) {
+    EXPECT_EQ(StemToken(word), ReferenceStemToken(word)) << label;
+  }
+}
+
+std::vector<std::string> AnalyzerEdgeInputs() {
+  std::vector<std::string> inputs = {
+      "", "a", "ab", "AB", "_", "__", "___", "_a", "a_", "a__b", "__a__",
+      "_stu_id_", "stu__id", "a_b_c", "x _ y", "ABC_DEF", "Stu_ID",
+      "1", "12", "123", "2019-05-01", "v2 x86_64 3rd", "a\tb  c",
+      "\t\t", "   ", " x ", "tab\tseparated\tvalues", "end.", "O'Brien's",
+      "Caf\xC3\xA9 Mayor", "\xE5\x8C\x97\xE4\xBA\xAC\xE5\xB8\x82",
+      "na\xC3\xAFve_caf\xC3\xA9s", "\x80\xFF\xC3", "abc\xFF" "def",
+      "\xC3\xA9s", "SINGERS", "Classes", "CITIES", "Running",
+  };
+  // Every suffix rule at every length around its threshold: the stem
+  // rules only fire on tokens longer than suffix + 2.
+  for (std::string_view suffix :
+       {"ies", "sses", "ing", "ed", "s", "ss", "us", "es"}) {
+    for (size_t len = 1; len <= 8; ++len) {
+      if (len < suffix.size()) continue;
+      std::string word(len - suffix.size(), 'b');
+      word += suffix;
+      inputs.push_back(word);
+      inputs.push_back(ToUpper(word));
+      inputs.push_back("x_" + word + " " + word + "_y");
+    }
+  }
+  // Random strings over an alphabet dense in separators, suffix letters,
+  // case variants and high bytes.
+  static const char kAlphabet[] = "aAbBeEdDgGiInNsSuU09_ \t.'-\xC3\xA9\xFF";
+  std::mt19937 rng(2024);
+  std::uniform_int_distribution<size_t> pick(0, sizeof(kAlphabet) - 2);
+  std::uniform_int_distribution<int> length(0, 24);
+  for (int i = 0; i < 2000; ++i) {
+    std::string text;
+    for (int n = length(rng); n > 0; --n) text += kAlphabet[pick(rng)];
+    inputs.push_back(std::move(text));
+  }
+  return inputs;
+}
+
+TEST(AnalyzerEquivalenceTest, EdgeInputsMatchReference) {
+  for (const std::string& text : AnalyzerEdgeInputs()) {
+    ExpectAnalyzerMatchesReference(text);
+  }
+}
+
+TEST(AnalyzerEquivalenceTest, PresetCellsAndQuestionsMatchReference) {
+  for (const Text2SqlBenchmark& bench : {BuildSpiderLike(), BuildBirdLike()}) {
+    size_t checked = 0;
+    for (const sql::Database& db : bench.databases) {
+      db.ForEachTextValue([&checked](int, int, int, const std::string& text) {
+        ExpectAnalyzerMatchesReference(text);
+        ++checked;
+      });
+    }
+    for (const auto* split : {&bench.train, &bench.dev}) {
+      for (const Text2SqlSample& sample : *split) {
+        ExpectAnalyzerMatchesReference(sample.question);
+        ExpectAnalyzerMatchesReference(sample.external_knowledge);
+        ++checked;
+      }
+    }
+    EXPECT_GT(checked, 1000u) << bench.name;
+  }
 }
 
 // ---------------------------------------------------------------------------

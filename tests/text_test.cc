@@ -27,14 +27,6 @@ TEST(TokenizeTest, CodeTokensKeepOperators) {
   EXPECT_EQ(tokens, expected);
 }
 
-TEST(TokenizeTest, CharNgrams) {
-  auto grams = CharNgrams("abcd", 3);
-  ASSERT_EQ(grams.size(), 2u);
-  EXPECT_EQ(grams[0], "abc");
-  EXPECT_EQ(grams[1], "bcd");
-  EXPECT_TRUE(CharNgrams("ab", 3).empty());
-}
-
 TEST(TokenizeTest, IsNumberToken) {
   EXPECT_TRUE(IsNumberToken("1948"));
   EXPECT_TRUE(IsNumberToken("3.5"));
