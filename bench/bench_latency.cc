@@ -313,7 +313,7 @@ void StorageAccessPathSection(bench::PerfReport* report, bool quick) {
 /// Durability cost of the crash-safety layer (DESIGN.md section 15): what
 /// WAL page-image logging plus the commit-marker group flush add to a
 /// mutation batch, against the same staging with plain write-back and no
-/// log. Both sides run on RAM-backed page stores, so the numbers isolate
+/// log. Both sides run on in-memory SimFiles, so the numbers isolate
 /// the CPU/write-amplification cost of the logging protocol itself — real
 /// device sync latency is workload- and hardware-specific and is NOT
 /// measured here. A recovery row reports redo-replay time over the full
@@ -359,9 +359,9 @@ void DurabilitySection(bench::PerfReport* report, bool quick) {
   // WAL path: stage, log page images, group-flush. No checkpoints, so the
   // log holds every batch and the reopen below replays all of them.
   storage::SimEnv env;
-  auto wal_built =
-      storage::StorageDb::CreateSimFrom(db, &env, "bench.db",
-                                        /*pool_frames=*/256);
+  const storage::StorageFiles files{env.GetFile("bench.db"),
+                                    env.GetFile("bench.db.wal")};
+  auto wal_built = storage::StorageDb::Create(db, files, /*pool_frames=*/256);
   CODES_CHECK(wal_built.ok());
   Timer wal_timer;
   for (int b = 0; b < batches; ++b) {
@@ -369,7 +369,7 @@ void DurabilitySection(bench::PerfReport* report, bool quick) {
     CODES_CHECK((*wal_built)->CommitBatch().ok());
   }
   double wal_us = 1e6 * wal_timer.ElapsedSeconds() / batches;
-  wal_built->reset();  // release the sim files before the recovery reopen
+  wal_built->reset();  // close the database before the recovery reopen
 
   // Baseline: identical staging, plain write-back, no logging. Flush() is
   // the closest durability stand-in the no-WAL engine has.
@@ -386,8 +386,7 @@ void DurabilitySection(bench::PerfReport* report, bool quick) {
   // Clean reopen of the WAL-path database: redo recovery replays every
   // batch's page images (nothing was checkpointed) and re-checkpoints.
   Timer recover_timer;
-  auto reopened = storage::StorageDb::OpenSim(&env, "bench.db",
-                                              /*pool_frames=*/256);
+  auto reopened = storage::StorageDb::Open(files, /*pool_frames=*/256);
   double recover_us = 1e6 * recover_timer.ElapsedSeconds();
   CODES_CHECK(reopened.ok());
   CODES_CHECK((*reopened)->SourceRowCount(0) ==

@@ -12,6 +12,7 @@
 #include "dataset/db_generator.h"
 #include "sqlengine/fingerprint.h"
 #include "sqlengine/parser.h"
+#include "text/tokenize.h"
 
 namespace codes {
 
@@ -60,10 +61,6 @@ const std::vector<std::pair<std::string, std::string>>& KnowledgeParaphrases() {
 std::string ApplyFirstCharLower(std::string s) {
   if (!s.empty()) s[0] = static_cast<char>(std::tolower(s[0]));
   return s;
-}
-
-bool IsWordChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
 }
 
 }  // namespace

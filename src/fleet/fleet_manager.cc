@@ -91,9 +91,9 @@ std::shared_ptr<const TenantArtifacts> FleetManager::BuildFromSource(
 }
 
 std::shared_ptr<const TenantArtifacts> FleetManager::LoadSnapshot(
-    const TenantDesc& desc) const {
-  if (options_.snapshot_dir.empty()) return nullptr;
-  std::string path = options_.snapshot_dir + "/" + desc.name + ".tenant";
+    int tenant) const {
+  std::string path = SnapshotPath(tenant);
+  if (path.empty()) return nullptr;
   std::ifstream in(path, std::ios::binary);
   if (!in) return nullptr;
   std::string data((std::istreambuf_iterator<char>(in)),
@@ -116,16 +116,16 @@ std::shared_ptr<const TenantArtifacts> FleetManager::LoadSnapshot(
   return Bundle(std::move(retriever));
 }
 
-void FleetManager::PersistSnapshot(const TenantDesc& desc,
+void FleetManager::PersistSnapshot(int tenant,
                                    const TenantArtifacts& artifacts) const {
-  if (options_.snapshot_dir.empty()) return;
+  std::string path = SnapshotPath(tenant);
+  if (path.empty()) return;
   std::string data;
   serial::PutMagic(&data, kTenantMagic, kTenantVersion);
   artifacts.retriever->SaveTo(&data);
   serial::PutU32(&data, Crc32(data.data(), data.size()));
   // Write-then-rename so a crash mid-write leaves either the old snapshot
   // or none — a torn file would just be rebuilt, but never half-trusted.
-  std::string path = options_.snapshot_dir + "/" + desc.name + ".tenant";
   std::string tmp = path + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -157,12 +157,12 @@ std::shared_ptr<const TenantArtifacts> FleetManager::Attach(int tenant) {
 
   const TenantDesc& desc = tenants_[static_cast<size_t>(tenant)];
   FleetMetrics& m = Metrics();
-  std::shared_ptr<const TenantArtifacts> artifacts = LoadSnapshot(desc);
+  std::shared_ptr<const TenantArtifacts> artifacts = LoadSnapshot(tenant);
   if (artifacts != nullptr) {
     m.attach_snapshot.Increment();
   } else {
     artifacts = BuildFromSource(desc);
-    PersistSnapshot(desc, *artifacts);
+    PersistSnapshot(tenant, *artifacts);
     m.attach_build.Increment();
   }
   m.attach.Increment();

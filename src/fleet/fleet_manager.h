@@ -123,11 +123,9 @@ class FleetManager {
       const TenantDesc& desc) const;
   /// Attempts a snapshot load; null when missing or malformed (the
   /// caller falls back to BuildFromSource — snapshots are a cache).
-  std::shared_ptr<const TenantArtifacts> LoadSnapshot(
-      const TenantDesc& desc) const;
+  std::shared_ptr<const TenantArtifacts> LoadSnapshot(int tenant) const;
   /// Serializes + atomically writes the bundle's snapshot file.
-  void PersistSnapshot(const TenantDesc& desc,
-                       const TenantArtifacts& artifacts) const;
+  void PersistSnapshot(int tenant, const TenantArtifacts& artifacts) const;
   void UpdateResidencyGaugesLocked();
 
   Options options_;

@@ -34,8 +34,6 @@ class DemonstrationRetriever {
   /// Eq. (4) similarity between `question` and pool item `index`.
   double Similarity(const std::string& question, int index) const;
 
-  size_t PoolSize() const { return questions_.size(); }
-
  private:
   Options options_;
   SentenceEncoder encoder_;

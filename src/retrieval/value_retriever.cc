@@ -49,8 +49,7 @@ void ValueRetriever::BuildIndex(const sql::Database& db) {
 Status ValueRetriever::TryBuildIndex(const sql::Database& db, ExecGuard* guard,
                                      bool check_failpoint) {
   CODES_TRACE_SPAN(span, "value_retriever.build_index");
-  entries_.clear();
-  index_ = Bm25Index();
+  Clear();
   if (check_failpoint &&
       Failpoints::ShouldFail(FailpointSite::kValueRetrieverBuildIndex)) {
     return Failpoints::FailStatus(FailpointSite::kValueRetrieverBuildIndex);
@@ -87,12 +86,17 @@ Status ValueRetriever::TryBuildIndex(const sql::Database& db, ExecGuard* guard,
     index_.AddDocument(text);
   });
   if (!scan_status.ok()) {
-    entries_.clear();
-    index_ = Bm25Index();
+    Clear();
     return scan_status;
   }
   index_.Finalize();
   return Status::Ok();
+}
+
+void ValueRetriever::Clear() {
+  entries_.clear();
+  index_ = Bm25Index();
+  index_.Finalize();  // empty but queryable: Retrieve returns no values
 }
 
 size_t ValueRetriever::ApproxBytes() const {
@@ -120,11 +124,9 @@ void ValueRetriever::SaveTo(std::string* out) const {
 }
 
 Status ValueRetriever::LoadFrom(serial::Reader* reader) {
-  entries_.clear();
-  index_ = Bm25Index();
+  Clear();
   auto corrupt = [this](const char* what) {
-    entries_.clear();
-    index_ = Bm25Index();
+    Clear();
     return Status::DataLoss(std::string("value retriever snapshot: ") + what);
   };
   if (!serial::ReadMagic(reader, kRetrieverMagic, kRetrieverVersion)) {

@@ -26,7 +26,9 @@ struct RetrievedValue {
 /// |values| to `coarse_k` per query.
 class ValueRetriever {
  public:
-  ValueRetriever() = default;
+  /// An empty retriever: Retrieve returns no values until an index is
+  /// built or loaded.
+  ValueRetriever() { Clear(); }
 
   /// Indexes every distinct non-null TEXT value of `db`. The database must
   /// outlive retrieval only if you plan to re-index; retrieved values are
@@ -77,6 +79,9 @@ class ValueRetriever {
     int table;
     int column;
   };
+
+  /// Leaves the retriever empty with a finalized (queryable) index.
+  void Clear();
 
   std::vector<RetrievedValue> FineRank(const std::string& question,
                                        const std::vector<int>& candidates,

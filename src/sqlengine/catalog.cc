@@ -21,24 +21,6 @@ std::optional<int> DatabaseSchema::FindTable(
   return std::nullopt;
 }
 
-int DatabaseSchema::TotalColumns() const {
-  int n = 0;
-  for (const auto& t : tables) n += static_cast<int>(t.columns.size());
-  return n;
-}
-
-std::vector<ForeignKey> DatabaseSchema::ForeignKeysOf(
-    const std::string& table_name) const {
-  std::vector<ForeignKey> out;
-  std::string needle = ToLower(table_name);
-  for (const auto& fk : foreign_keys) {
-    if (ToLower(fk.table) == needle || ToLower(fk.ref_table) == needle) {
-      out.push_back(fk);
-    }
-  }
-  return out;
-}
-
 std::string DatabaseSchema::ToDdl() const {
   std::string out;
   for (const auto& table : tables) {

@@ -46,12 +46,6 @@ Status Database::Insert(const std::string& table_name,
   return Status::Ok();
 }
 
-size_t Database::RowCount(const std::string& table_name) const {
-  auto idx = schema_.FindTable(table_name);
-  if (!idx.has_value()) return 0;
-  return tables_[*idx].rows.size();
-}
-
 size_t Database::TotalRows() const {
   size_t n = 0;
   for (const auto& t : tables_) n += t.rows.size();

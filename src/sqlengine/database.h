@@ -47,9 +47,6 @@ class Database : public ExecSource {
   const Table& TableAt(int index) const { return tables_[index]; }
   Table& MutableTableAt(int index) { return tables_[index]; }
 
-  /// Number of rows in `table_name`, or 0 when unknown.
-  size_t RowCount(const std::string& table_name) const;
-
   /// Total rows across all tables.
   size_t TotalRows() const;
 

@@ -19,8 +19,12 @@ namespace codes::storage {
 
 namespace {
 
-constexpr const char* kDbFile = "crash.db";
 constexpr size_t kMaxReportedFailures = 16;
+
+/// The campaign database in `env`: its data file and its log.
+StorageFiles CampaignFiles(SimEnv* env) {
+  return {env->GetFile("crash.db"), env->GetFile("crash.db.wal")};
+}
 
 uint64_t CounterValue(const std::string& name) {
   return MetricsRegistry::Global().GetCounter(name).Value();
@@ -224,7 +228,7 @@ Result<CampaignContext> PrepareContext(const CrashCampaignConfig& cfg) {
   sql::Database src = MakeSourceDb(cfg);
   CODES_ASSIGN_OR_RETURN(
       std::unique_ptr<StorageDb> db,
-      StorageDb::CreateSimFrom(src, &env, kDbFile, cfg.pool_frames));
+      StorageDb::Create(src, CampaignFiles(&env), cfg.pool_frames));
   env.controller().StartRecording();
   CODES_RETURN_IF_ERROR(
       RunBatches(db.get(), cfg, &env.controller(), &ctx.ops_after_batch));
@@ -254,7 +258,7 @@ CrashCaseOutcome RunOneCase(const CrashCampaignConfig& cfg,
   bool crash_fired = false;
   {
     Result<std::unique_ptr<StorageDb>> built =
-        StorageDb::CreateSimFrom(src, &env, kDbFile, cfg.pool_frames);
+        StorageDb::Create(src, CampaignFiles(&env), cfg.pool_frames);
     if (!built.ok()) {
       out.error = "build: " + built.status().message();
       return out;
@@ -274,7 +278,7 @@ CrashCaseOutcome RunOneCase(const CrashCampaignConfig& cfg,
   env.Reboot();
 
   Result<std::unique_ptr<StorageDb>> reopened =
-      StorageDb::OpenSim(&env, kDbFile, cfg.pool_frames);
+      StorageDb::Open(CampaignFiles(&env), cfg.pool_frames);
   if (!reopened.ok()) {
     out.error = "recovery failed: " + reopened.status().message();
     return out;

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "storage/file.h"
 
 namespace codes::storage {
 
@@ -97,26 +98,24 @@ class CrashController {
 };
 
 /// One simulated file. Obtain via SimEnv::GetFile.
-class SimFile {
+class SimFile final : public File {
  public:
   explicit SimFile(CrashController* ctrl) : ctrl_(ctrl) {}
-  SimFile(const SimFile&) = delete;
-  SimFile& operator=(const SimFile&) = delete;
 
   /// Writes `n` bytes at `off` into the merged image, zero-extending any
   /// gap. Crash boundary.
-  Status Write(uint64_t off, const void* data, size_t n);
+  Status Write(uint64_t off, const void* data, size_t n) override;
 
   /// Reads `n` bytes at `off` from the merged image; fails on short read.
-  Status Read(uint64_t off, void* out, size_t n) const;
+  Status Read(uint64_t off, void* out, size_t n) const override;
 
   /// Promotes the merged image to durable. Crash boundary.
-  Status Sync();
+  Status Sync() override;
 
   /// Shrinks/extends the merged image. Crash boundary.
-  Status Truncate(uint64_t new_size);
+  Status Truncate(uint64_t new_size) override;
 
-  uint64_t size() const { return merged_.size(); }
+  uint64_t size() const override { return merged_.size(); }
   uint64_t durable_size() const { return durable_.size(); }
 
  private:

@@ -1,11 +1,7 @@
 #include "storage/disk_manager.h"
 
-#include <cstdio>
 #include <cstring>
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
+#include <string>
 
 #include "common/crc32.h"
 #include "common/failpoint.h"
@@ -45,87 +41,18 @@ bool IsAllZero(const std::byte* p, size_t n) {
   return true;
 }
 
+uint64_t Offset(uint64_t page) { return page * kPageSize; }
+
 }  // namespace
 
-std::unique_ptr<DiskManager> DiskManager::CreateInMemory() {
-  return std::unique_ptr<DiskManager>(new DiskManager());
-}
+DiskManager::DiskManager(File* file)
+    : file_(file), page_count_(file->size() / kPageSize) {}
 
-Result<std::unique_ptr<DiskManager>> DiskManager::Create(
-    const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "wb+");
-  if (f == nullptr) {
-    return Status::Internal("cannot create database file: " + path);
-  }
-  auto dm = std::unique_ptr<DiskManager>(new DiskManager());
-  dm->file_ = f;
-  return dm;
-}
-
-Result<std::unique_ptr<DiskManager>> DiskManager::Open(
-    const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  if (f == nullptr) {
-    return Status::NotFound("cannot open database file: " + path);
-  }
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::Internal("cannot size database file: " + path);
-  }
-  long size = std::ftell(f);
-  if (size < 0) {
-    std::fclose(f);
-    return Status::Internal("cannot size database file: " + path);
-  }
-  auto dm = std::unique_ptr<DiskManager>(new DiskManager());
-  dm->file_ = f;
-  // Round DOWN: a crash can tear the write that extended the file, leaving
-  // a partial trailing page. The tail is unreadable garbage either way;
-  // recovery re-extends from the WAL.
-  dm->page_count_ = static_cast<size_t>(size) / kPageSize;
-  return dm;
-}
-
-Result<std::unique_ptr<DiskManager>> DiskManager::OpenSim(
-    SimEnv* env, const std::string& name) {
-  auto dm = std::unique_ptr<DiskManager>(new DiskManager());
-  dm->sim_ = env->GetFile(name);
-  dm->page_count_ = static_cast<size_t>(dm->sim_->size()) / kPageSize;
-  return dm;
-}
-
-DiskManager::~DiskManager() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Status DiskManager::ReadRawLocked(PageId id, std::byte* out) {
-  if (sim_ != nullptr) {
-    return sim_->Read(static_cast<uint64_t>(id) * kPageSize, out, kPageSize);
-  }
-  if (file_ == nullptr) {
-    std::memcpy(out, pages_[id].get(), kPageSize);
-    return Status::Ok();
-  }
-  if (std::fseek(file_, static_cast<long>(id) * kPageSize, SEEK_SET) != 0 ||
-      std::fread(out, 1, kPageSize, file_) != kPageSize) {
-    return Status::Internal("short read of page " + std::to_string(id));
-  }
-  return Status::Ok();
-}
-
-Status DiskManager::WriteRawLocked(PageId id, const std::byte* data,
-                                   size_t n) {
-  if (sim_ != nullptr) {
-    return sim_->Write(static_cast<uint64_t>(id) * kPageSize, data, n);
-  }
-  if (file_ == nullptr) {
-    std::memcpy(pages_[id].get(), data, n);
-    return Status::Ok();
-  }
-  if (std::fseek(file_, static_cast<long>(id) * kPageSize, SEEK_SET) != 0 ||
-      std::fwrite(data, 1, n, file_) != n) {
-    return Status::Internal("short write of page " + std::to_string(id));
-  }
+Status DiskManager::AppendZeroPageLocked() {
+  std::byte zeros[kPageSize];
+  std::memset(zeros, 0, kPageSize);
+  CODES_RETURN_IF_ERROR(file_->Write(Offset(page_count_), zeros, kPageSize));
+  ++page_count_;
   return Status::Ok();
 }
 
@@ -135,33 +62,14 @@ Result<PageId> DiskManager::Allocate() {
     return Status::ResourceExhausted("page id space exhausted");
   }
   PageId id = static_cast<PageId>(page_count_);
-  std::byte zeros[kPageSize];
-  std::memset(zeros, 0, kPageSize);
-  if (file_ == nullptr && sim_ == nullptr) {
-    auto page = std::make_unique<std::byte[]>(kPageSize);
-    std::memset(page.get(), 0, kPageSize);
-    pages_.push_back(std::move(page));
-  } else {
-    CODES_RETURN_IF_ERROR(WriteRawLocked(id, zeros, kPageSize));
-  }
-  ++page_count_;
+  CODES_RETURN_IF_ERROR(AppendZeroPageLocked());
   return id;
 }
 
 Status DiskManager::EnsurePageCount(size_t count) {
   std::lock_guard<std::mutex> lock(mu_);
-  std::byte zeros[kPageSize];
-  std::memset(zeros, 0, kPageSize);
   while (page_count_ < count) {
-    PageId id = static_cast<PageId>(page_count_);
-    if (file_ == nullptr && sim_ == nullptr) {
-      auto page = std::make_unique<std::byte[]>(kPageSize);
-      std::memset(page.get(), 0, kPageSize);
-      pages_.push_back(std::move(page));
-    } else {
-      CODES_RETURN_IF_ERROR(WriteRawLocked(id, zeros, kPageSize));
-    }
-    ++page_count_;
+    CODES_RETURN_IF_ERROR(AppendZeroPageLocked());
   }
   return Status::Ok();
 }
@@ -176,7 +84,7 @@ Status DiskManager::ReadPage(PageId id, std::byte* out) {
   }
   ++reads_;
   PageReadCounter().Increment();
-  CODES_RETURN_IF_ERROR(ReadRawLocked(id, out));
+  CODES_RETURN_IF_ERROR(file_->Read(Offset(id), out, kPageSize));
   // Verify the physical header checksum. An all-zero page is an allocated
   // page that was never written — valid by definition (and a nonzero CRC
   // over zero payload means it cannot be confused with a stamped page).
@@ -210,10 +118,10 @@ Status DiskManager::WritePage(PageId id, const std::byte* data) {
   if (Failpoints::ShouldFail(FailpointSite::kStorageTornWrite)) {
     // Persist only a prefix and report success: the lie every torn write
     // tells. The stale suffix fails checksum verification on read.
-    CODES_RETURN_IF_ERROR(WriteRawLocked(id, stamped, kTornWriteBytes));
+    CODES_RETURN_IF_ERROR(file_->Write(Offset(id), stamped, kTornWriteBytes));
     return Status::Ok();
   }
-  return WriteRawLocked(id, stamped, kPageSize);
+  return file_->Write(Offset(id), stamped, kPageSize);
 }
 
 Status DiskManager::Sync() {
@@ -221,17 +129,7 @@ Status DiskManager::Sync() {
     return Failpoints::FailStatus(FailpointSite::kStorageSync);
   }
   std::lock_guard<std::mutex> lock(mu_);
-  if (sim_ != nullptr) return sim_->Sync();
-  if (file_ == nullptr) return Status::Ok();
-  if (std::fflush(file_) != 0) {
-    return Status::Internal("cannot flush database file");
-  }
-#ifndef _WIN32
-  if (::fdatasync(::fileno(file_)) != 0) {
-    return Status::Internal("fdatasync failed on database file");
-  }
-#endif
-  return Status::Ok();
+  return file_->Sync();
 }
 
 Status DiskManager::CorruptPageForTest(PageId id, size_t offset) {
@@ -240,9 +138,9 @@ Status DiskManager::CorruptPageForTest(PageId id, size_t offset) {
     return Status::InvalidArgument("corruption target out of range");
   }
   std::byte page[kPageSize];
-  CODES_RETURN_IF_ERROR(ReadRawLocked(id, page));
+  CODES_RETURN_IF_ERROR(file_->Read(Offset(id), page, kPageSize));
   page[offset] ^= std::byte{0xFF};
-  return WriteRawLocked(id, page, kPageSize);
+  return file_->Write(Offset(id), page, kPageSize);
 }
 
 size_t DiskManager::page_count() const {

@@ -1,10 +1,9 @@
 #ifndef CODES_STORAGE_DISK_MANAGER_H_
 #define CODES_STORAGE_DISK_MANAGER_H_
 
-// Page-granular I/O under the buffer pool. Three modes share one API:
-// file-backed (a real database file), in-memory (a vector of pages; powers
-// the fuzz storage-differential oracle and most tests), and simulated
-// (a crash_sim SimFile; powers the deterministic crash campaign).
+// Page-granular I/O under the buffer pool, over one borrowed File
+// (file.h): a PosixFile for a real database file, a SimFile for the crash
+// campaign and the in-memory store.
 //
 // Every page carries a physical header (page.h): WritePage stamps a CRC-32
 // over bytes [4, kPageSize) and ReadPage verifies it, so torn writes and
@@ -16,36 +15,22 @@
 // injects durability-barrier failures.
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
-#include <string>
-#include <vector>
 
 #include "common/status.h"
-#include "storage/crash_sim.h"
+#include "storage/file.h"
 #include "storage/page.h"
 
 namespace codes::storage {
 
 class DiskManager {
  public:
-  /// Pure in-memory page store (no file).
-  static std::unique_ptr<DiskManager> CreateInMemory();
+  /// Runs on `file`, which must outlive the manager. The page count comes
+  /// from the file size, rounded down: a trailing partial page (torn
+  /// final-page write) is ignored, and recovery re-extends the file as the
+  /// WAL dictates.
+  explicit DiskManager(File* file);
 
-  /// Creates/truncates a database file.
-  static Result<std::unique_ptr<DiskManager>> Create(const std::string& path);
-
-  /// Opens an existing database file; page count comes from the file size.
-  /// A trailing partial page (torn final-page write) is tolerated and
-  /// ignored — recovery re-extends the file as the WAL dictates.
-  static Result<std::unique_ptr<DiskManager>> Open(const std::string& path);
-
-  /// Creates/opens a simulated file in `env` (crash campaigns). The env
-  /// must outlive the manager.
-  static Result<std::unique_ptr<DiskManager>> OpenSim(SimEnv* env,
-                                                      const std::string& name);
-
-  ~DiskManager();
   DiskManager(const DiskManager&) = delete;
   DiskManager& operator=(const DiskManager&) = delete;
 
@@ -64,33 +49,28 @@ class DiskManager {
   /// `id`. The caller's buffer is not modified.
   Status WritePage(PageId id, const std::byte* data);
 
-  /// Durability barrier: fdatasync in file mode, durable promotion in sim
-  /// mode, no-op in memory mode. Evaluates the storage.sync failpoint.
+  /// Durability barrier (File::Sync). Evaluates the storage.sync
+  /// failpoint.
   Status Sync();
 
   /// Test-only fault injection: XOR-flips one stored byte of page `id`
   /// WITHOUT restamping the checksum, so the next ReadPage on it reports
   /// kDataLoss (unless the flip lands in the checksum field itself — pass
-  /// an offset >= kPageHeaderBytes to corrupt payload). All three modes.
+  /// an offset >= kPageHeaderBytes to corrupt payload).
   Status CorruptPageForTest(PageId id, size_t offset);
 
   size_t page_count() const;
-  bool in_memory() const { return file_ == nullptr && sim_ == nullptr; }
 
   /// Physical I/O counters (reads include failpoint-failed attempts).
   uint64_t read_count() const;
   uint64_t write_count() const;
 
  private:
-  DiskManager() = default;
-
-  Status ReadRawLocked(PageId id, std::byte* out);
-  Status WriteRawLocked(PageId id, const std::byte* data, size_t n);
+  /// Writes a zeroed page at the end of the file and counts it.
+  Status AppendZeroPageLocked();
 
   mutable std::mutex mu_;
-  std::FILE* file_ = nullptr;  // file mode
-  SimFile* sim_ = nullptr;     // sim mode (owned by the SimEnv)
-  std::vector<std::unique_ptr<std::byte[]>> pages_;  // memory mode storage
+  File* file_;
   size_t page_count_ = 0;
   uint64_t reads_ = 0;
   uint64_t writes_ = 0;

@@ -158,17 +158,22 @@ class RidFetchCursor final : public sql::RowCursor {
 
 }  // namespace
 
-Result<std::unique_ptr<StorageDb>> StorageDb::CreateFrom(
-    const sql::ExecSource& src, std::unique_ptr<DiskManager> disk,
-    size_t pool_frames) {
-  if (disk == nullptr) {
-    return Status::InvalidArgument("null disk manager");
+Result<std::unique_ptr<StorageDb>> StorageDb::Create(
+    const sql::ExecSource& src, StorageFiles files, size_t pool_frames) {
+  if (files.data == nullptr) {
+    return Status::InvalidArgument("Create without a data file");
   }
-  if (disk->page_count() != 0) {
-    return Status::InvalidArgument("CreateFrom requires an empty database");
+  if (files.data->size() != 0) {
+    return Status::InvalidArgument("Create requires an empty data file");
   }
   std::unique_ptr<StorageDb> db(new StorageDb);
-  db->disk_ = std::move(disk);
+  if (files.wal != nullptr) {
+    CODES_ASSIGN_OR_RETURN(db->wal_, Wal::Attach(files.wal));
+    if (db->wal_->size_bytes() != 0) {
+      return Status::InvalidArgument("Create over a non-empty WAL");
+    }
+  }
+  db->disk_ = std::make_unique<DiskManager>(files.data);
   db->pool_ = std::make_unique<BufferPool>(db->disk_.get(), pool_frames);
   db->schema_ = src.schema();
 
@@ -236,44 +241,43 @@ Result<std::unique_ptr<StorageDb>> StorageDb::CreateFrom(
 
   CODES_RETURN_IF_ERROR(db->WriteCatalog());
   CODES_RETURN_IF_ERROR(db->Flush());
+  if (db->wal_ != nullptr) {
+    // The flush synced the bulk load, so an empty log is consistent; the
+    // checkpoint marker stamps that fact into it.
+    db->pool_->AttachWal(db->wal_.get());
+    CODES_ASSIGN_OR_RETURN(Lsn lsn, db->wal_->AppendCheckpoint());
+    (void)lsn;
+    CODES_RETURN_IF_ERROR(db->wal_->Sync());
+  }
   return db;
 }
 
 Result<std::unique_ptr<StorageDb>> StorageDb::CreateInMemoryFrom(
     const sql::ExecSource& src, size_t pool_frames) {
-  return CreateFrom(src, DiskManager::CreateInMemory(), pool_frames);
-}
-
-Result<std::unique_ptr<StorageDb>> StorageDb::CreateSimFrom(
-    const sql::ExecSource& src, SimEnv* env, const std::string& name,
-    size_t pool_frames) {
-  CODES_ASSIGN_OR_RETURN(std::unique_ptr<DiskManager> disk,
-                         DiskManager::OpenSim(env, name));
-  CODES_ASSIGN_OR_RETURN(std::unique_ptr<StorageDb> db,
-                         CreateFrom(src, std::move(disk), pool_frames));
-  // CreateFrom flushed and synced, so an empty WAL is consistent; the
-  // checkpoint below stamps that fact into the log.
-  CODES_ASSIGN_OR_RETURN(db->wal_, Wal::OpenSim(env, name + ".wal"));
-  if (db->wal_->size_bytes() != 0) {
-    return Status::InvalidArgument("CreateSimFrom over a non-empty WAL");
-  }
-  db->pool_->AttachWal(db->wal_.get());
-  CODES_ASSIGN_OR_RETURN(Lsn lsn, db->wal_->AppendCheckpoint());
-  (void)lsn;
-  CODES_RETURN_IF_ERROR(db->wal_->Sync());
+  auto env = std::make_unique<SimEnv>();
+  CODES_ASSIGN_OR_RETURN(
+      std::unique_ptr<StorageDb> db,
+      Create(src, StorageFiles{env->GetFile("memory.db")}, pool_frames));
+  db->memory_env_ = std::move(env);
   return db;
 }
 
-Result<std::unique_ptr<StorageDb>> StorageDb::Open(const std::string& path,
+Result<std::unique_ptr<StorageDb>> StorageDb::Open(StorageFiles files,
                                                    size_t pool_frames) {
-  CODES_ASSIGN_OR_RETURN(std::unique_ptr<DiskManager> disk,
-                         DiskManager::Open(path));
-  if (disk->page_count() == 0) {
-    return Status::InvalidArgument("database file has no catalog page");
+  if (files.data == nullptr) {
+    return Status::InvalidArgument("Open without a data file");
   }
   std::unique_ptr<StorageDb> db(new StorageDb);
-  db->disk_ = std::move(disk);
+  db->disk_ = std::make_unique<DiskManager>(files.data);
+  if (files.wal != nullptr) {
+    CODES_ASSIGN_OR_RETURN(db->wal_, Wal::Attach(files.wal));
+    CODES_RETURN_IF_ERROR(Recover(db->disk_.get(), db->wal_.get()));
+  }
+  if (db->disk_->page_count() == 0) {
+    return Status::InvalidArgument("database file has no catalog page");
+  }
   db->pool_ = std::make_unique<BufferPool>(db->disk_.get(), pool_frames);
+  if (db->wal_ != nullptr) db->pool_->AttachWal(db->wal_.get());
   CODES_RETURN_IF_ERROR(db->ReadCatalog());
   return db;
 }
@@ -324,58 +328,6 @@ Status StorageDb::Recover(DiskManager* disk, Wal* wal) {
   return Status::Ok();
 }
 
-Result<std::unique_ptr<StorageDb>> StorageDb::OpenWithWalImpl(
-    std::unique_ptr<DiskManager> disk, std::unique_ptr<Wal> wal,
-    size_t pool_frames) {
-  CODES_RETURN_IF_ERROR(Recover(disk.get(), wal.get()));
-  if (disk->page_count() == 0) {
-    return Status::InvalidArgument("database file has no catalog page");
-  }
-  std::unique_ptr<StorageDb> db(new StorageDb);
-  db->disk_ = std::move(disk);
-  db->wal_ = std::move(wal);
-  db->pool_ = std::make_unique<BufferPool>(db->disk_.get(), pool_frames);
-  db->pool_->AttachWal(db->wal_.get());
-  CODES_RETURN_IF_ERROR(db->ReadCatalog());
-  return db;
-}
-
-Result<std::unique_ptr<StorageDb>> StorageDb::OpenWithWal(
-    const std::string& path, const std::string& wal_path,
-    size_t pool_frames) {
-  CODES_ASSIGN_OR_RETURN(std::unique_ptr<DiskManager> disk,
-                         DiskManager::Open(path));
-  CODES_ASSIGN_OR_RETURN(std::unique_ptr<Wal> wal, Wal::Open(wal_path));
-  return OpenWithWalImpl(std::move(disk), std::move(wal), pool_frames);
-}
-
-Result<std::unique_ptr<StorageDb>> StorageDb::OpenSim(SimEnv* env,
-                                                      const std::string& name,
-                                                      size_t pool_frames) {
-  CODES_ASSIGN_OR_RETURN(std::unique_ptr<DiskManager> disk,
-                         DiskManager::OpenSim(env, name));
-  CODES_ASSIGN_OR_RETURN(std::unique_ptr<Wal> wal,
-                         Wal::OpenSim(env, name + ".wal"));
-  return OpenWithWalImpl(std::move(disk), std::move(wal), pool_frames);
-}
-
-Status StorageDb::EnableWal(const std::string& wal_path) {
-  if (wal_ != nullptr) {
-    return Status::InvalidArgument("WAL already attached");
-  }
-  CODES_RETURN_IF_ERROR(Flush());
-  CODES_ASSIGN_OR_RETURN(std::unique_ptr<Wal> wal, Wal::Open(wal_path));
-  if (wal->size_bytes() != 0) {
-    return Status::InvalidArgument(
-        "EnableWal over a non-empty log; use OpenWithWal to recover it");
-  }
-  wal_ = std::move(wal);
-  pool_->AttachWal(wal_.get());
-  CODES_ASSIGN_OR_RETURN(Lsn lsn, wal_->AppendCheckpoint());
-  (void)lsn;
-  return wal_->Sync();
-}
-
 Status StorageDb::Flush() {
   CODES_RETURN_IF_ERROR(pool_->FlushAll());
   return disk_->Sync();
@@ -417,7 +369,7 @@ Status StorageDb::AppendRows(int table_index,
       }
       Status inserted = tree.Insert(row[c], rid);
       if (inserted.code() == StatusCode::kInvalidArgument) {
-        DropIndex(position);  // oversized key: abandon, like CreateFrom
+        DropIndex(position);  // oversized key: abandon, like Create
         continue;
       }
       CODES_RETURN_IF_ERROR(inserted);

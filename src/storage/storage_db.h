@@ -7,6 +7,12 @@
 // pages behind a buffer pool, with B+ tree indexes over every clean-class
 // column (see ColumnIndexStats::ValueClass).
 //
+// Files: a database runs on a data file and, optionally, a write-ahead
+// log, each one File (file.h) — a PosixFile for a real database, a SimFile
+// in the crash campaign. The caller opens both and owns them; the database
+// borrows them. Create bulk-loads an empty data file; Open reopens one.
+// CreateInMemoryFrom is Create over a private SimEnv the database owns.
+//
 // File layout: page 0 heads a chained catalog (schema + per-table heap
 // extents + per-index roots and stats); heap and index pages follow in
 // allocation order. Open() is LAZY: it reads only the catalog chain, so
@@ -17,12 +23,12 @@
 // batched — AppendRows stages rows in the buffer pool (no-steal: nothing
 // uncommitted reaches the data file), CommitBatch logs page images + a
 // commit marker and group-flushes the WAL, Checkpoint materializes the
-// data file and truncates the log. Open paths with a WAL run redo
-// recovery first: replay every page image up to the last commit/checkpoint
+// data file and truncates the log. Open with a WAL runs redo recovery
+// first: replay every page image up to the last commit/checkpoint
 // marker, discard the uncommitted/torn tail, checkpoint. Instrumented as
 // storage.wal.* / storage.recovery.* metrics and spans.
 //
-// Lifecycle contract: build (CreateFrom) and mutation
+// Lifecycle contract: build (Create) and mutation
 // (AppendRows/CommitBatch/Checkpoint) are single-threaded; between
 // mutation batches the database is read-consistent and every accessor —
 // Scan/IndexScan/IndexStats/Materialize — is safe to call from any number
@@ -47,54 +53,37 @@
 
 namespace codes::storage {
 
+/// The files a StorageDb runs on, borrowed from the caller.
+struct StorageFiles {
+  File* data = nullptr;
+  File* wal = nullptr;  ///< optional; null for a read-only database
+};
+
 class StorageDb : public sql::ExecSource {
  public:
   /// Default buffer-pool size for general use; tests shrink it to force
   /// eviction traffic.
   static constexpr size_t kDefaultPoolFrames = 64;
 
-  /// Bulk-loads every table (and index) of `src` into `disk` and returns
-  /// the resulting engine. `disk` must be freshly created (empty).
-  static Result<std::unique_ptr<StorageDb>> CreateFrom(
-      const sql::ExecSource& src, std::unique_ptr<DiskManager> disk,
+  /// Bulk-loads every table (and index) of `src` into the empty data file
+  /// and syncs it. With a WAL file (which must hold no records) the
+  /// database accepts mutation batches, and the log starts with a
+  /// checkpoint marker, so the bulk load is durable on return.
+  static Result<std::unique_ptr<StorageDb>> Create(
+      const sql::ExecSource& src, StorageFiles files,
       size_t pool_frames = kDefaultPoolFrames);
 
-  /// CreateFrom over an in-memory page store — the form the differential
-  /// harness and fuzz oracle use (no filesystem traffic).
+  /// Reopens a database. With a WAL file, redo recovery runs before the
+  /// catalog is read and the database accepts mutation batches; without
+  /// one it is read-only. Reads ONLY the catalog chain; row data faults
+  /// in lazily on first access.
+  static Result<std::unique_ptr<StorageDb>> Open(
+      StorageFiles files, size_t pool_frames = kDefaultPoolFrames);
+
+  /// Create over a private in-memory file, no WAL — the form the
+  /// differential harness and fuzz oracle use (no filesystem traffic).
   static Result<std::unique_ptr<StorageDb>> CreateInMemoryFrom(
       const sql::ExecSource& src, size_t pool_frames = kDefaultPoolFrames);
-
-  /// CreateFrom into simulated storage under `env` (crash campaigns),
-  /// WAL-enabled: the data file is `name`, the log `name + ".wal"`. The
-  /// bulk load itself is durable (synced + checkpointed) on return.
-  static Result<std::unique_ptr<StorageDb>> CreateSimFrom(
-      const sql::ExecSource& src, SimEnv* env, const std::string& name,
-      size_t pool_frames = kDefaultPoolFrames);
-
-  /// Cold-opens an existing database file. Reads ONLY the catalog chain;
-  /// row data faults in lazily on first access. No WAL: the database is
-  /// read-only in this mode.
-  static Result<std::unique_ptr<StorageDb>> Open(
-      const std::string& path, size_t pool_frames = kDefaultPoolFrames);
-
-  /// Opens `path` with its WAL at `wal_path`, running redo recovery
-  /// before the catalog is read. The returned database accepts mutation
-  /// batches.
-  static Result<std::unique_ptr<StorageDb>> OpenWithWal(
-      const std::string& path, const std::string& wal_path,
-      size_t pool_frames = kDefaultPoolFrames);
-
-  /// OpenWithWal over simulated storage (post-crash reopen in campaigns;
-  /// call env->Reboot() first). Data file `name`, log `name + ".wal"`.
-  static Result<std::unique_ptr<StorageDb>> OpenSim(
-      SimEnv* env, const std::string& name,
-      size_t pool_frames = kDefaultPoolFrames);
-
-  /// Attaches a fresh (empty) WAL to a freshly built file-backed database,
-  /// enabling mutation batches. The data file is synced first so the
-  /// empty log is trivially consistent. Fails if the log is non-empty
-  /// (that state needs OpenWithWal's recovery path instead).
-  Status EnableWal(const std::string& wal_path);
 
   /// Writes all committed dirty pages back and syncs the file.
   Status Flush();
@@ -104,7 +93,7 @@ class StorageDb : public sql::ExecSource {
   /// Appends `rows` to table `table_index`, maintaining every index and
   /// its stats. Changes are staged in the buffer pool until CommitBatch.
   /// A column whose new values break index ordering (mixed value classes
-  /// or oversized keys) drops its index, mirroring CreateFrom's abandon
+  /// or oversized keys) drops its index, mirroring Create's abandon
   /// semantics.
   Status AppendRows(int table_index, const std::vector<sql::Row>& rows);
 
@@ -173,13 +162,11 @@ class StorageDb : public sql::ExecSource {
   /// truncate log). Runs before any catalog read.
   static Status Recover(DiskManager* disk, Wal* wal);
 
-  /// Shared tail of the WAL-enabled open paths.
-  static Result<std::unique_ptr<StorageDb>> OpenWithWalImpl(
-      std::unique_ptr<DiskManager> disk, std::unique_ptr<Wal> wal,
-      size_t pool_frames);
-
+  /// Set by CreateInMemoryFrom: the database owns its in-memory file.
+  /// Declared first so it outlives the disk, WAL and pool that use it.
+  std::unique_ptr<SimEnv> memory_env_;
   std::unique_ptr<DiskManager> disk_;
-  std::unique_ptr<Wal> wal_;  ///< null for read-only / legacy databases
+  std::unique_ptr<Wal> wal_;  ///< null for read-only databases
   std::unique_ptr<BufferPool> pool_;
   sql::DatabaseSchema schema_;
   std::vector<TableInfo> tables_;

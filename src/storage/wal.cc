@@ -1,11 +1,5 @@
 #include "storage/wal.h"
 
-#include <cstring>
-
-#ifndef _WIN32
-#include <unistd.h>
-#endif
-
 #include "common/crc32.h"
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -51,77 +45,27 @@ bool ValidType(uint8_t t) {
 
 }  // namespace
 
-Result<std::unique_ptr<Wal>> Wal::Open(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb+");
-  if (f == nullptr) f = std::fopen(path.c_str(), "wb+");
-  if (f == nullptr) {
-    return Status::Internal("cannot open WAL file: " + path);
-  }
-  auto wal = std::unique_ptr<Wal>(new Wal());
-  wal->file_ = f;
-  CODES_RETURN_IF_ERROR(wal->Init());
-  return wal;
-}
-
-Result<std::unique_ptr<Wal>> Wal::OpenSim(SimEnv* env,
-                                          const std::string& name) {
-  auto wal = std::unique_ptr<Wal>(new Wal());
-  wal->sim_ = env->GetFile(name);
-  CODES_RETURN_IF_ERROR(wal->Init());
-  return wal;
-}
-
-Wal::~Wal() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Status Wal::WriteRaw(uint64_t off, const void* data, size_t n) {
-  if (sim_ != nullptr) return sim_->Write(off, data, n);
-  if (std::fseek(file_, static_cast<long>(off), SEEK_SET) != 0 ||
-      std::fwrite(data, 1, n, file_) != n) {
-    return Status::Internal("short write to WAL");
-  }
-  return Status::Ok();
-}
-
-Status Wal::ReadRaw(uint64_t off, void* out, size_t n) const {
-  if (sim_ != nullptr) return sim_->Read(off, out, n);
-  std::FILE* f = file_;
-  if (std::fseek(f, static_cast<long>(off), SEEK_SET) != 0 ||
-      std::fread(out, 1, n, f) != n) {
-    return Status::Internal("short read from WAL");
-  }
-  return Status::Ok();
-}
-
-uint64_t Wal::FileSize() const {
-  if (sim_ != nullptr) return sim_->size();
-  std::FILE* f = file_;
-  if (std::fseek(f, 0, SEEK_END) != 0) return 0;
-  long size = std::ftell(f);
-  return size < 0 ? 0 : static_cast<uint64_t>(size);
-}
-
-Status Wal::Init() {
-  CODES_ASSIGN_OR_RETURN(ScanResult scan, ReadAll());
-  append_off_ = scan.valid_bytes;
+Result<std::unique_ptr<Wal>> Wal::Attach(File* file) {
+  std::unique_ptr<Wal> wal(new Wal(file));
+  CODES_ASSIGN_OR_RETURN(ScanResult scan, wal->ReadAll());
+  wal->append_off_ = scan.valid_bytes;
   if (!scan.records.empty()) {
-    next_lsn_ = scan.records.back().lsn + 1;
+    wal->next_lsn_ = scan.records.back().lsn + 1;
     // Bytes already in the log at open survived whatever wrote them; they
     // are durable by definition once the scan validates them.
-    durable_lsn_ = scan.records.back().lsn;
+    wal->durable_lsn_ = scan.records.back().lsn;
   }
-  return Status::Ok();
+  return wal;
 }
 
 Result<Wal::ScanResult> Wal::ReadAll() const {
   ScanResult out;
-  uint64_t size = FileSize();
+  uint64_t size = file_->size();
   uint64_t off = 0;
   Lsn prev_lsn = 0;
   std::byte header[kRecordHeader];
   while (off + kRecordHeader <= size) {
-    CODES_RETURN_IF_ERROR(ReadRaw(off, header, kRecordHeader));
+    CODES_RETURN_IF_ERROR(file_->Read(off, header, kRecordHeader));
     uint32_t stored_crc = LoadU32(header + kCrcOff);
     uint32_t len = LoadU32(header + kLenOff);
     Lsn lsn = LoadU64(header + kLsnOff);
@@ -140,7 +84,7 @@ Result<Wal::ScanResult> Wal::ReadAll() const {
     rec.payload.resize(len);
     if (len > 0) {
       CODES_RETURN_IF_ERROR(
-          ReadRaw(off + kRecordHeader, rec.payload.data(), len));
+          file_->Read(off + kRecordHeader, rec.payload.data(), len));
     }
     uint32_t crc = Crc32(header + kLenOff, kRecordHeader - kLenOff);
     if (len > 0) crc = Crc32(rec.payload.data(), len, crc);
@@ -157,17 +101,16 @@ Result<Wal::ScanResult> Wal::ReadAll() const {
 Result<Lsn> Wal::AppendRecord(WalRecordType type, PageId page,
                               const std::byte* payload, size_t payload_len) {
   Lsn lsn = next_lsn_;
-  std::vector<std::byte> rec(kRecordHeader + payload_len);
+  std::vector<std::byte> rec(kRecordHeader);
+  rec.reserve(kRecordHeader + payload_len);
   StoreU32(rec.data() + kLenOff, static_cast<uint32_t>(payload_len));
   StoreU64(rec.data() + kLsnOff, lsn);
   rec[kTypeOff] = static_cast<std::byte>(type);
   StoreU32(rec.data() + kPageOff, page);
-  if (payload_len > 0) {
-    std::memcpy(rec.data() + kRecordHeader, payload, payload_len);
-  }
+  rec.insert(rec.end(), payload, payload + payload_len);
   StoreU32(rec.data() + kCrcOff,
            Crc32(rec.data() + kLenOff, rec.size() - kLenOff));
-  CODES_RETURN_IF_ERROR(WriteRaw(append_off_, rec.data(), rec.size()));
+  CODES_RETURN_IF_ERROR(file_->Write(append_off_, rec.data(), rec.size()));
   append_off_ += rec.size();
   next_lsn_ = lsn + 1;
   RecordCounter().Increment();
@@ -192,41 +135,15 @@ Status Wal::Sync() {
   if (Failpoints::ShouldFail(FailpointSite::kStorageWalSync)) {
     return Failpoints::FailStatus(FailpointSite::kStorageWalSync);
   }
-  if (sim_ != nullptr) {
-    CODES_RETURN_IF_ERROR(sim_->Sync());
-  } else {
-    if (std::fflush(file_) != 0) {
-      return Status::Internal("cannot flush WAL");
-    }
-#ifndef _WIN32
-    if (::fdatasync(::fileno(file_)) != 0) {
-      return Status::Internal("fdatasync failed on WAL");
-    }
-#endif
-  }
+  CODES_RETURN_IF_ERROR(file_->Sync());
   durable_lsn_ = next_lsn_ - 1;
   SyncCounter().Increment();
   return Status::Ok();
 }
 
 Status Wal::Truncate() {
-  if (sim_ != nullptr) {
-    CODES_RETURN_IF_ERROR(sim_->Truncate(0));
-    CODES_RETURN_IF_ERROR(sim_->Sync());
-  } else {
-    if (std::fflush(file_) != 0) {
-      return Status::Internal("cannot flush WAL before truncate");
-    }
-#ifndef _WIN32
-    if (::ftruncate(::fileno(file_), 0) != 0) {
-      return Status::Internal("cannot truncate WAL");
-    }
-    if (::fdatasync(::fileno(file_)) != 0) {
-      return Status::Internal("fdatasync failed on WAL truncate");
-    }
-#endif
-    std::rewind(file_);
-  }
+  CODES_RETURN_IF_ERROR(file_->Truncate(0));
+  CODES_RETURN_IF_ERROR(file_->Sync());
   append_off_ = 0;
   // LSNs stay monotone across truncation: durable state is simply
   // "everything", since an empty log has nothing pending.

@@ -15,6 +15,7 @@
 // kCommit marks every preceding image as committed; kCheckpoint marks the
 // data file as a consistent materialization of everything before it.
 //
+// The log lives in one borrowed File (file.h), real or simulated.
 // Durability: Append* writes buffer through the OS (or the crash sim's
 // volatile region); Sync() is the group-flush barrier that makes every
 // appended record durable at once and advances durable_lsn. The
@@ -24,20 +25,18 @@
 // Torn tails: a crash can persist a prefix of an appended record. The
 // recovery scan (ReadAll) stops at the first record whose header or crc
 // does not verify and reports the remainder as a discarded torn tail;
-// Open positions the append offset at the end of the valid prefix, so the
+// Attach positions the append offset at the end of the valid prefix, so the
 // torn bytes are overwritten by the next append.
 //
 // Threading: confined to the storage engine's single-mutator lifecycle
 // (same contract as StorageDb mutation); no internal locks.
 
 #include <cstdint>
-#include <cstdio>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "storage/crash_sim.h"
+#include "storage/file.h"
 #include "storage/page.h"
 
 namespace codes::storage {
@@ -57,16 +56,10 @@ struct WalRecord {
 
 class Wal {
  public:
-  /// Opens (creating if absent) the log at `path`, scanning it to position
-  /// the append offset after the last valid record.
-  static Result<std::unique_ptr<Wal>> Open(const std::string& path);
+  /// Runs the log on `file`, which must outlive the Wal, scanning it to
+  /// position the append offset after the last valid record.
+  static Result<std::unique_ptr<Wal>> Attach(File* file);
 
-  /// Same, over a simulated file (crash campaigns). `env` must outlive
-  /// the Wal.
-  static Result<std::unique_ptr<Wal>> OpenSim(SimEnv* env,
-                                              const std::string& name);
-
-  ~Wal();
   Wal(const Wal&) = delete;
   Wal& operator=(const Wal&) = delete;
 
@@ -102,17 +95,12 @@ class Wal {
   uint64_t size_bytes() const { return append_off_; }
 
  private:
-  Wal() = default;
+  explicit Wal(File* file) : file_(file) {}
 
-  Status WriteRaw(uint64_t off, const void* data, size_t n);
-  Status ReadRaw(uint64_t off, void* out, size_t n) const;
-  uint64_t FileSize() const;
-  Status Init();  ///< scan to set append_off_ / next_lsn_ / durable_lsn_
   Result<Lsn> AppendRecord(WalRecordType type, PageId page,
                            const std::byte* payload, size_t payload_len);
 
-  std::FILE* file_ = nullptr;  // file mode
-  SimFile* sim_ = nullptr;     // sim mode (owned by the SimEnv)
+  File* file_;
   uint64_t append_off_ = 0;
   Lsn next_lsn_ = 1;
   Lsn durable_lsn_ = 0;

@@ -16,6 +16,7 @@
 #include "sqlengine/value.h"
 #include "storage/btree.h"
 #include "storage/buffer_pool.h"
+#include "storage/crash_sim.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 
@@ -40,8 +41,9 @@ struct ModelKey {
 using Model = std::map<ModelKey, bool>;  // value unused; set-like
 
 struct TreeFixture {
-  std::unique_ptr<DiskManager> disk = DiskManager::CreateInMemory();
-  BufferPool pool{disk.get(), 32};
+  SimEnv env;
+  DiskManager disk{env.GetFile("t.db")};
+  BufferPool pool{&disk, 32};
   BPlusTree tree{&pool};
 };
 
@@ -148,7 +150,7 @@ TEST(BTreePropertyTest, BulkInsertThenDrainForcesSplitsAndRootCollapse) {
     ASSERT_TRUE(fx.tree.Insert(key, rid).ok());
     model.emplace(ModelKey{key, rid}, true);
   }
-  EXPECT_GT(fx.disk->page_count(), 3u) << "tree never split";
+  EXPECT_GT(fx.disk.page_count(), 3u) << "tree never split";
   ExpectTreeMatchesModel(fx.tree, model);
 
   // Drain in a different shuffled order: exercises merge, borrow, and

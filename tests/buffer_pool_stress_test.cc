@@ -17,6 +17,7 @@
 #include "common/thread_pool.h"
 #include "sqlengine/value.h"
 #include "storage/buffer_pool.h"
+#include "storage/crash_sim.h"
 #include "storage/disk_manager.h"
 #include "storage/page.h"
 #include "storage/table_heap.h"
@@ -30,7 +31,8 @@ constexpr int kRows = 2000;
 constexpr int kThreads = 8;
 
 TEST(BufferPoolStressTest, ConcurrentScansUnderEvictionPressure) {
-  auto disk = DiskManager::CreateInMemory();
+  SimEnv env;
+  auto disk = std::make_unique<DiskManager>(env.GetFile("t.db"));
   BufferPool pool(disk.get(), 4);  // far fewer frames than heap pages
   auto heap = TableHeap::Create(&pool);
   ASSERT_TRUE(heap.ok());
@@ -88,7 +90,8 @@ TEST(BufferPoolStressTest, ConcurrentScansUnderEvictionPressure) {
 }
 
 TEST(BufferPoolStressTest, ConcurrentPointFetchesReturnCorrectRows) {
-  auto disk = DiskManager::CreateInMemory();
+  SimEnv env;
+  auto disk = std::make_unique<DiskManager>(env.GetFile("t.db"));
   BufferPool pool(disk.get(), 2);  // integer rows pack densely: few pages
   auto heap = TableHeap::Create(&pool);
   ASSERT_TRUE(heap.ok());
@@ -129,7 +132,8 @@ TEST(BufferPoolStressTest, ConcurrentPointFetchesReturnCorrectRows) {
 }
 
 TEST(BufferPoolStressTest, DirtyPagesSurviveConcurrentEvictionChurn) {
-  auto disk = DiskManager::CreateInMemory();
+  SimEnv env;
+  auto disk = std::make_unique<DiskManager>(env.GetFile("t.db"));
   constexpr PageId kPages = 32;
   for (PageId i = 0; i < kPages; ++i) ASSERT_TRUE(disk->Allocate().ok());
   BufferPool pool(disk.get(), 3);

@@ -343,6 +343,46 @@ TEST(ValueRetrieverTest, GuardTrippedMidBuildLeavesRetrieverEmpty) {
   EXPECT_EQ(retriever.ApproxBytes(), ValueRetriever().ApproxBytes());
 }
 
+TEST(ValueRetrieverTest, EmptyRetrieverReturnsNoValues) {
+  sql::Database db = TwoTextColumnDb();
+  for (int64_t id = 1; id <= 300; ++id) {
+    ASSERT_TRUE(db.Insert("t", {sql::Value(id),
+                                sql::Value("value " + std::to_string(id)),
+                                sql::Value("other " + std::to_string(id))})
+                    .ok());
+  }
+  ValueRetriever built;
+  built.BuildIndex(db);
+  std::string snapshot;
+  built.SaveTo(&snapshot);
+  ASSERT_FALSE(built.Retrieve("value 7").empty());
+
+  // Never built.
+  ValueRetriever never_built;
+  // Guard tripped at the first poll, mid-scan.
+  ValueRetriever guard_tripped;
+  CancelToken cancel;
+  cancel.Cancel();
+  ExecGuard guard(ExecLimits{}, &cancel);
+  EXPECT_FALSE(guard_tripped.TryBuildIndex(db, &guard).ok());
+  // Snapshot cut short inside the BM25 index.
+  ValueRetriever corrupt;
+  serial::Reader reader(
+      std::string_view(snapshot).substr(0, snapshot.size() / 2));
+  EXPECT_EQ(corrupt.LoadFrom(&reader).code(), StatusCode::kDataLoss);
+
+  std::string empty_snapshot;
+  ValueRetriever().SaveTo(&empty_snapshot);
+  for (const ValueRetriever* retriever :
+       {&never_built, &guard_tripped, &corrupt}) {
+    EXPECT_EQ(retriever->NumIndexedValues(), 0u);
+    EXPECT_TRUE(retriever->Retrieve("value 7").empty());
+    std::string saved;
+    retriever->SaveTo(&saved);
+    EXPECT_EQ(saved, empty_snapshot);
+  }
+}
+
 // ------------------------------------------------- demonstration retriever
 
 TEST(DemonstrationRetrieverTest, PatternSimilarityIgnoresEntities) {

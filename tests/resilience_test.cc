@@ -499,7 +499,8 @@ TEST_F(StorageFailpointTest, PageReadFaultSurfacesAsCleanQueryError) {
 }
 
 TEST_F(StorageFailpointTest, EvictionWriteBackFaultNeverDropsDirtyPage) {
-  auto disk = storage::DiskManager::CreateInMemory();
+  storage::SimEnv env;
+  auto disk = std::make_unique<storage::DiskManager>(env.GetFile("t.db"));
   for (int i = 0; i < 2; ++i) ASSERT_TRUE(disk->Allocate().ok());
   storage::BufferPool pool(disk.get(), 1);
   {
@@ -531,7 +532,8 @@ TEST_F(StorageFailpointTest, EvictionWriteBackFaultNeverDropsDirtyPage) {
 }
 
 TEST_F(StorageFailpointTest, MidSplitFaultLeavesTreeConsistent) {
-  auto disk = storage::DiskManager::CreateInMemory();
+  storage::SimEnv env;
+  auto disk = std::make_unique<storage::DiskManager>(env.GetFile("t.db"));
   storage::BufferPool pool(disk.get(), 16);
   storage::BPlusTree tree(&pool);
   // Fill one leaf close to overflow with fat text keys, fault-free.

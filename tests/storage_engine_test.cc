@@ -5,15 +5,19 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
+
+#include "scoped_temp_dir.h"
 
 #include "sqlengine/database.h"
 #include "sqlengine/executor.h"
 #include "sqlengine/result_table.h"
 #include "storage/buffer_pool.h"
+#include "storage/crash_sim.h"
 #include "storage/disk_manager.h"
+#include "storage/file.h"
 #include "storage/page.h"
 #include "storage/record_codec.h"
 #include "storage/storage_db.h"
@@ -27,10 +31,6 @@ using sql::Database;
 using sql::DatabaseSchema;
 using sql::TableDef;
 using sql::Value;
-
-std::string TempDbPath(const std::string& tag) {
-  return testing::TempDir() + "codes_storage_" + tag + ".db";
-}
 
 /// Byte-exact cell equality: same null/integer/real/text kind and same
 /// content (a stricter check than ResultsEquivalent's tolerant compare).
@@ -114,11 +114,12 @@ TEST(RecordCodecTest, TruncatedRecordIsAnErrorNotACrash) {
 // ------------------------------------------------------------ disk manager
 
 TEST(StorageDiskManagerTest, FilePersistsPagesAcrossReopen) {
-  const std::string path = TempDbPath("diskmgr");
+  ScopedTempDir dir;
+  const std::string path = dir.File("diskmgr.db");
   {
-    auto created = DiskManager::Create(path);
+    auto created = PosixFile::Create(path);
     ASSERT_TRUE(created.ok()) << created.status().ToString();
-    auto& disk = *created;
+    auto disk = std::make_unique<DiskManager>(created->get());
     auto p0 = disk->Allocate();
     auto p1 = disk->Allocate();
     ASSERT_TRUE(p0.ok() && p1.ok());
@@ -132,19 +133,19 @@ TEST(StorageDiskManagerTest, FilePersistsPagesAcrossReopen) {
     ASSERT_TRUE(disk->WritePage(*p1, page).ok());
     ASSERT_TRUE(disk->Sync().ok());
   }
-  auto opened = DiskManager::Open(path);
+  auto opened = PosixFile::Open(path);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  EXPECT_EQ((*opened)->page_count(), 2u);
+  DiskManager disk(opened->get());
+  EXPECT_EQ(disk.page_count(), 2u);
   std::byte page[kPageSize];
-  ASSERT_TRUE((*opened)->ReadPage(1, page).ok());
+  ASSERT_TRUE(disk.ReadPage(1, page).ok());
   EXPECT_EQ(page[kPageHeaderBytes], std::byte{0xAB});
   EXPECT_EQ(page[kPageSize - 1], std::byte{0xCD});
-  std::remove(path.c_str());
 }
 
-TEST(StorageDiskManagerTest, InMemoryModeNeedsNoFile) {
-  auto disk = DiskManager::CreateInMemory();
-  EXPECT_TRUE(disk->in_memory());
+TEST(StorageDiskManagerTest, SimFileNeedsNoFilesystem) {
+  SimEnv env;
+  auto disk = std::make_unique<DiskManager>(env.GetFile("t.db"));
   auto p = disk->Allocate();
   ASSERT_TRUE(p.ok());
   std::byte page[kPageSize];
@@ -156,7 +157,8 @@ TEST(StorageDiskManagerTest, InMemoryModeNeedsNoFile) {
 // -------------------------------------------------------------- table heap
 
 TEST(StorageTableHeapTest, AppendScanFetchRoundTrip) {
-  auto disk = DiskManager::CreateInMemory();
+  SimEnv env;
+  auto disk = std::make_unique<DiskManager>(env.GetFile("t.db"));
   BufferPool pool(disk.get(), 4);
   auto heap = TableHeap::Create(&pool);
   ASSERT_TRUE(heap.ok());
@@ -196,7 +198,8 @@ TEST(StorageTableHeapTest, AppendScanFetchRoundTrip) {
 }
 
 TEST(StorageTableHeapTest, OversizedRowIsRejected) {
-  auto disk = DiskManager::CreateInMemory();
+  SimEnv env;
+  auto disk = std::make_unique<DiskManager>(env.GetFile("t.db"));
   BufferPool pool(disk.get(), 4);
   auto heap = TableHeap::Create(&pool);
   ASSERT_TRUE(heap.ok());
@@ -210,7 +213,8 @@ TEST(StorageTableHeapTest, OversizedRowIsRejected) {
 // -------------------------------------------------------------- buffer pool
 
 TEST(BufferPoolTest, HitMissEvictionAndPinAccounting) {
-  auto disk = DiskManager::CreateInMemory();
+  SimEnv env;
+  auto disk = std::make_unique<DiskManager>(env.GetFile("t.db"));
   for (int i = 0; i < 6; ++i) ASSERT_TRUE(disk->Allocate().ok());
   BufferPool pool(disk.get(), 2);
 
@@ -236,7 +240,8 @@ TEST(BufferPoolTest, HitMissEvictionAndPinAccounting) {
 }
 
 TEST(BufferPoolTest, AllFramesPinnedIsResourceExhausted) {
-  auto disk = DiskManager::CreateInMemory();
+  SimEnv env;
+  auto disk = std::make_unique<DiskManager>(env.GetFile("t.db"));
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(disk->Allocate().ok());
   BufferPool pool(disk.get(), 2);
   auto g0 = pool.Fetch(0);
@@ -251,7 +256,8 @@ TEST(BufferPoolTest, AllFramesPinnedIsResourceExhausted) {
 }
 
 TEST(BufferPoolTest, DirtyPageSurvivesEviction) {
-  auto disk = DiskManager::CreateInMemory();
+  SimEnv env;
+  auto disk = std::make_unique<DiskManager>(env.GetFile("t.db"));
   for (int i = 0; i < 3; ++i) ASSERT_TRUE(disk->Allocate().ok());
   BufferPool pool(disk.get(), 1);
   {
@@ -364,15 +370,18 @@ TEST(StorageDbTest, ExecutorRunsIdenticallyOverBothBackends) {
 }
 
 TEST(StorageDbTest, PersistsToFileAndColdOpens) {
-  const std::string path = TempDbPath("persist");
+  ScopedTempDir dir;
+  const std::string path = dir.File("persist.db");
   Database db = MakeSingerDb();
   {
-    auto disk = DiskManager::Create(path);
-    ASSERT_TRUE(disk.ok());
-    auto built = StorageDb::CreateFrom(db, std::move(*disk));
+    auto file = PosixFile::Create(path);
+    ASSERT_TRUE(file.ok());
+    auto built = StorageDb::Create(db, {file->get()});
     ASSERT_TRUE(built.ok()) << built.status().ToString();
   }
-  auto opened = StorageDb::Open(path);
+  auto file = PosixFile::Open(path);
+  ASSERT_TRUE(file.ok()) << file.status().ToString();
+  auto opened = StorageDb::Open({file->get()});
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   StorageDb& sdb = **opened;
   EXPECT_EQ(sdb.schema().tables[0].name, "singer");
@@ -382,11 +391,11 @@ TEST(StorageDbTest, PersistsToFileAndColdOpens) {
   auto result = sql::ExecuteSql(sdb, "SELECT name FROM singer WHERE age > 29");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->NumRows(), 3u);
-  std::remove(path.c_str());
 }
 
 TEST(StorageDbTest, ColdOpenCostIsIndependentOfRowCount) {
-  auto build = [](int rows, const std::string& tag) {
+  ScopedTempDir dir;
+  auto build = [&dir](int rows, const std::string& tag) {
     DatabaseSchema schema;
     schema.name = "sized";
     TableDef t;
@@ -400,10 +409,10 @@ TEST(StorageDbTest, ColdOpenCostIsIndependentOfRowCount) {
                                       Value("label-" + std::to_string(i))})
                       .ok());
     }
-    const std::string path = TempDbPath(tag);
-    auto disk = DiskManager::Create(path);
-    EXPECT_TRUE(disk.ok());
-    auto built = StorageDb::CreateFrom(db, std::move(*disk));
+    const std::string path = dir.File(tag + ".db");
+    auto file = PosixFile::Create(path);
+    EXPECT_TRUE(file.ok());
+    auto built = StorageDb::Create(db, {file->get()});
     EXPECT_TRUE(built.ok());
     return path;
   };
@@ -411,7 +420,9 @@ TEST(StorageDbTest, ColdOpenCostIsIndependentOfRowCount) {
   const std::string large_path = build(5000, "cold_large");
 
   auto open_reads = [](const std::string& path) {
-    auto opened = StorageDb::Open(path);
+    auto file = PosixFile::Open(path);
+    EXPECT_TRUE(file.ok());
+    auto opened = StorageDb::Open({file->get()});
     EXPECT_TRUE(opened.ok());
     return (*opened)->disk().read_count();
   };
@@ -421,8 +432,6 @@ TEST(StorageDbTest, ColdOpenCostIsIndependentOfRowCount) {
   // no matter how many rows the heap holds.
   EXPECT_EQ(small_reads, large_reads);
   EXPECT_GT(small_reads, 0u);
-  std::remove(small_path.c_str());
-  std::remove(large_path.c_str());
 }
 
 TEST(StorageDbTest, MixedClassColumnsAreNotIndexed) {

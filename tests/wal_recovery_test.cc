@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -19,7 +20,9 @@
 #include "sqlengine/value.h"
 #include "storage/crash_harness.h"
 #include "storage/crash_sim.h"
+#include "scoped_temp_dir.h"
 #include "storage/disk_manager.h"
+#include "storage/file.h"
 #include "storage/page.h"
 #include "storage/storage_db.h"
 #include "storage/wal.h"
@@ -34,6 +37,7 @@ namespace {
 using sql::Value;
 
 constexpr const char* kDb = "t.db";
+constexpr const char* kWal = "t.db.wal";
 constexpr int kInitialRows = 6;
 constexpr int kRowsPerBatch = 4;
 
@@ -96,12 +100,18 @@ void ExpectContentEquals(const StorageDb& db, int batches,
   }
 }
 
-/// Builds the sim database and commits `batches` batches.
-Result<std::unique_ptr<StorageDb>> BuildWithBatches(SimEnv* env, int batches,
+/// The test database's data file and log in `env`.
+StorageFiles SimFiles(SimEnv* env) {
+  return {env->GetFile(kDb), env->GetFile(kWal)};
+}
+
+/// Builds the database on `files` and commits `batches` batches.
+Result<std::unique_ptr<StorageDb>> BuildWithBatches(StorageFiles files,
+                                                    int batches,
                                                     size_t pool_frames = 16) {
   sql::Database src = MakeSource();
   CODES_ASSIGN_OR_RETURN(std::unique_ptr<StorageDb> db,
-                         StorageDb::CreateSimFrom(src, env, kDb, pool_frames));
+                         StorageDb::Create(src, files, pool_frames));
   for (int b = 0; b < batches; ++b) {
     CODES_RETURN_IF_ERROR(AppendBatch(db.get(), b));
   }
@@ -112,13 +122,59 @@ uint64_t CounterValue(const std::string& name) {
   return MetricsRegistry::Global().GetCounter(name).Value();
 }
 
+enum class FileKind { kSim, kPosix };
+
+/// Runs a test over both file kinds: SimFiles in a SimEnv, or PosixFiles
+/// in a private directory. Reopen() is the restart between two sessions:
+/// a power cycle on the simulator, a close and reopen of every real file.
+class FileKindTest : public testing::TestWithParam<FileKind> {
+ protected:
+  /// The named file, created empty on first use.
+  File* Get(const std::string& name) {
+    if (GetParam() == FileKind::kSim) return env_.GetFile(name);
+    std::unique_ptr<PosixFile>& file = posix_[name];
+    if (file == nullptr) {
+      auto created = PosixFile::Create(dir_.File(name));
+      EXPECT_TRUE(created.ok()) << created.status().ToString();
+      if (created.ok()) file = std::move(*created);
+    }
+    return file.get();
+  }
+
+  void Reopen() {
+    if (GetParam() == FileKind::kSim) {
+      env_.Reboot();
+      return;
+    }
+    for (auto& [name, file] : posix_) {
+      file.reset();
+      auto opened = PosixFile::Open(dir_.File(name));
+      ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+      file = std::move(*opened);
+    }
+  }
+
+ private:
+  ScopedTempDir dir_;
+  SimEnv env_;
+  std::map<std::string, std::unique_ptr<PosixFile>> posix_;
+};
+
+std::string FileKindName(const testing::TestParamInfo<FileKind>& info) {
+  return info.param == FileKind::kSim ? "Sim" : "Posix";
+}
+
 // --------------------------------------------------------------- WAL unit
 
-TEST(WalTest, AppendSyncReopenRoundTrip) {
-  SimEnv env;
+class WalTest : public FileKindTest {};
+INSTANTIATE_TEST_SUITE_P(FileKinds, WalTest,
+                         testing::Values(FileKind::kSim, FileKind::kPosix),
+                         FileKindName);
+
+TEST_P(WalTest, AppendSyncReopenRoundTrip) {
   std::vector<std::byte> image(kPageSize, std::byte{0x5A});
   {
-    auto wal = Wal::OpenSim(&env, "w.wal");
+    auto wal = Wal::Attach(Get("w.wal"));
     ASSERT_TRUE(wal.ok()) << wal.status().ToString();
     EXPECT_EQ((*wal)->durable_lsn(), 0u);
     auto l1 = (*wal)->AppendPageImage(3, image.data());
@@ -132,7 +188,8 @@ TEST(WalTest, AppendSyncReopenRoundTrip) {
     EXPECT_EQ((*wal)->durable_lsn(), *l2);
   }
   // Reopen scans the log: both records valid, LSNs continue after them.
-  auto wal = Wal::OpenSim(&env, "w.wal");
+  Reopen();
+  auto wal = Wal::Attach(Get("w.wal"));
   ASSERT_TRUE(wal.ok());
   auto scan = (*wal)->ReadAll();
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
@@ -148,23 +205,22 @@ TEST(WalTest, AppendSyncReopenRoundTrip) {
   EXPECT_EQ(*l3, scan->records[1].lsn + 1);
 }
 
-TEST(WalTest, TornTailIsCutAtScan) {
-  SimEnv env;
+TEST_P(WalTest, TornTailIsCutAtScan) {
   std::vector<std::byte> image(kPageSize, std::byte{0x11});
   {
-    auto wal = Wal::OpenSim(&env, "w.wal");
+    auto wal = Wal::Attach(Get("w.wal"));
     ASSERT_TRUE(wal.ok());
     ASSERT_TRUE((*wal)->AppendPageImage(1, image.data()).ok());
     ASSERT_TRUE((*wal)->AppendCommit().ok());
     ASSERT_TRUE((*wal)->Sync().ok());
   }
   // Tear the commit record: drop its last 4 bytes, as a crashed append
-  // would. (Direct file surgery; the controller is not armed, so these
-  // ops are not crash boundaries that matter.)
-  SimFile* raw = env.GetFile("w.wal");
+  // would. (Direct file surgery; no crash is armed.)
+  File* raw = Get("w.wal");
   ASSERT_TRUE(raw->Truncate(raw->size() - 4).ok());
   ASSERT_TRUE(raw->Sync().ok());
-  auto wal = Wal::OpenSim(&env, "w.wal");
+  Reopen();
+  auto wal = Wal::Attach(Get("w.wal"));
   ASSERT_TRUE(wal.ok());
   auto scan = (*wal)->ReadAll();
   ASSERT_TRUE(scan.ok());
@@ -182,19 +238,19 @@ TEST(WalTest, TornTailIsCutAtScan) {
   EXPECT_EQ(rescan->torn_tail_records, 0u);
 }
 
-TEST(WalTest, GarbageTailIsCutAtScan) {
-  SimEnv env;
+TEST_P(WalTest, GarbageTailIsCutAtScan) {
   {
-    auto wal = Wal::OpenSim(&env, "w.wal");
+    auto wal = Wal::Attach(Get("w.wal"));
     ASSERT_TRUE(wal.ok());
     ASSERT_TRUE((*wal)->AppendCommit().ok());
     ASSERT_TRUE((*wal)->Sync().ok());
   }
-  SimFile* raw = env.GetFile("w.wal");
+  File* raw = Get("w.wal");
   std::vector<std::byte> junk(17, std::byte{0xEE});
   ASSERT_TRUE(raw->Write(raw->size(), junk.data(), junk.size()).ok());
   ASSERT_TRUE(raw->Sync().ok());
-  auto wal = Wal::OpenSim(&env, "w.wal");
+  Reopen();
+  auto wal = Wal::Attach(Get("w.wal"));
   ASSERT_TRUE(wal.ok());
   auto scan = (*wal)->ReadAll();
   ASSERT_TRUE(scan.ok());
@@ -205,7 +261,8 @@ TEST(WalTest, GarbageTailIsCutAtScan) {
 // --------------------------------------------------------------- checksum
 
 TEST(PageChecksumTest, CorruptionSurfacesAsDataLoss) {
-  auto disk = DiskManager::CreateInMemory();
+  SimEnv env;
+  auto disk = std::make_unique<DiskManager>(env.GetFile("t.db"));
   auto p = disk->Allocate();
   ASSERT_TRUE(p.ok());
   std::byte page[kPageSize] = {};
@@ -220,7 +277,8 @@ TEST(PageChecksumTest, CorruptionSurfacesAsDataLoss) {
 }
 
 TEST(PageChecksumTest, AllZeroPageIsValidUnallocated) {
-  auto disk = DiskManager::CreateInMemory();
+  SimEnv env;
+  auto disk = std::make_unique<DiskManager>(env.GetFile("t.db"));
   auto p = disk->Allocate();
   ASSERT_TRUE(p.ok());
   std::byte page[kPageSize];
@@ -237,9 +295,9 @@ TEST(PageChecksumTest, AllZeroPageIsValidUnallocated) {
 TEST(RecoveryTest, CheckpointOnlyWalRecoversBulkLoadState) {
   SimEnv env;
   {
-    auto db = BuildWithBatches(&env, 0);
+    auto db = BuildWithBatches(SimFiles(&env), 0);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
-    // CreateSimFrom checkpointed the bulk load; the WAL holds only that
+    // Create checkpointed the bulk load; the WAL holds only that
     // checkpoint marker.
     EXPECT_GT((*db)->wal()->size_bytes(), 0u);
   }
@@ -248,7 +306,7 @@ TEST(RecoveryTest, CheckpointOnlyWalRecoversBulkLoadState) {
   uint64_t seen0 = CounterValue("storage.recovery.wal_records_seen");
   uint64_t replayed0 = CounterValue("storage.recovery.replayed");
   uint64_t discarded0 = CounterValue("storage.recovery.discarded");
-  auto db = StorageDb::OpenSim(&env, kDb);
+  auto db = StorageDb::Open(SimFiles(&env));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ExpectContentEquals(**db, 0, "checkpoint-only recovery");
   EXPECT_EQ(CounterValue("storage.recovery.runs"), runs0 + 1);
@@ -262,7 +320,7 @@ TEST(RecoveryTest, CheckpointOnlyWalRecoversBulkLoadState) {
 TEST(RecoveryTest, CrashBeforeCommitSyncLosesOnlyTheInFlightBatch) {
   SimEnv env;
   {
-    auto db = BuildWithBatches(&env, 1);
+    auto db = BuildWithBatches(SimFiles(&env), 1);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     // Crash at the very next I/O boundary — inside batch 1's commit, long
     // before its WAL sync. Batch 0 must survive; batch 1 must vanish.
@@ -272,29 +330,34 @@ TEST(RecoveryTest, CrashBeforeCommitSyncLosesOnlyTheInFlightBatch) {
     EXPECT_TRUE(env.controller().crashed());
   }
   env.Reboot();
-  auto db = StorageDb::OpenSim(&env, kDb);
+  auto db = StorageDb::Open(SimFiles(&env));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ExpectContentEquals(**db, 1, "crash mid-commit");
 }
 
-TEST(RecoveryTest, TornWalTailDiscardsTheUncommittedBatch) {
-  SimEnv env;
+class RecoveryReopenTest : public FileKindTest {};
+INSTANTIATE_TEST_SUITE_P(FileKinds, RecoveryReopenTest,
+                         testing::Values(FileKind::kSim, FileKind::kPosix),
+                         FileKindName);
+
+TEST_P(RecoveryReopenTest, TornWalTailDiscardsTheUncommittedBatch) {
+  const StorageFiles files{Get(kDb), Get(kWal)};
   {
-    auto db = BuildWithBatches(&env, 2);
+    auto db = BuildWithBatches(files, 2);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
   }
   // Append a torn partial record after the committed log: the prefix of a
   // record whose suffix never made it out of the OS buffer. Recovery must
   // cut the tail, discard it, and land exactly on the two committed
   // batches.
-  SimFile* raw = env.GetFile(std::string(kDb) + ".wal");
-  ASSERT_GT(raw->size(), 0u);
+  ASSERT_GT(files.wal->size(), 0u);
   std::vector<std::byte> torn(11, std::byte{0xA7});
-  ASSERT_TRUE(raw->Write(raw->size(), torn.data(), torn.size()).ok());
-  ASSERT_TRUE(raw->Sync().ok());
-  env.Reboot();
+  ASSERT_TRUE(
+      files.wal->Write(files.wal->size(), torn.data(), torn.size()).ok());
+  ASSERT_TRUE(files.wal->Sync().ok());
+  Reopen();
   uint64_t discarded0 = CounterValue("storage.recovery.discarded");
-  auto db = StorageDb::OpenSim(&env, kDb);
+  auto db = StorageDb::Open({Get(kDb), Get(kWal)});
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   // Batches 0-1 were committed (and checkpointed/recovered along the
   // way); the torn uncommitted tail is discarded, never replayed.
@@ -310,7 +373,7 @@ TEST(RecoveryTest, CrashAtEveryCheckpointBoundaryKeepsCommittedState) {
   uint64_t checkpoint_ops = 0;
   {
     SimEnv env;
-    auto db = BuildWithBatches(&env, 2);
+    auto db = BuildWithBatches(SimFiles(&env), 2);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     env.controller().StartRecording();
     ASSERT_TRUE((*db)->Checkpoint().ok());
@@ -321,7 +384,7 @@ TEST(RecoveryTest, CrashAtEveryCheckpointBoundaryKeepsCommittedState) {
     for (CrashVariant variant :
          {CrashVariant::kLostBuffer, CrashVariant::kEagerBuffer}) {
       SimEnv env;
-      auto db = BuildWithBatches(&env, 2);
+      auto db = BuildWithBatches(SimFiles(&env), 2);
       ASSERT_TRUE(db.ok());
       env.controller().Arm({k, variant, 0});
       Status st = (*db)->Checkpoint();
@@ -329,7 +392,7 @@ TEST(RecoveryTest, CrashAtEveryCheckpointBoundaryKeepsCommittedState) {
       EXPECT_TRUE(env.controller().crashed());
       db->reset();
       env.Reboot();
-      auto reopened = StorageDb::OpenSim(&env, kDb);
+      auto reopened = StorageDb::Open(SimFiles(&env));
       ASSERT_TRUE(reopened.ok())
           << "checkpoint op " << k << " " << CrashVariantName(variant) << ": "
           << reopened.status().ToString();
@@ -379,7 +442,7 @@ TEST(RecoveryTest, CrashDuringEvictionWriteBackRecovers) {
   {
     SimEnv env;
     sql::Database src = MakeSource();
-    auto db = StorageDb::CreateSimFrom(src, &env, kDb, /*pool_frames=*/4);
+    auto db = StorageDb::Create(src, SimFiles(&env), /*pool_frames=*/4);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     env.controller().StartRecording();
     for (int b = 0; b < kBatches; ++b) {
@@ -404,7 +467,7 @@ TEST(RecoveryTest, CrashDuringEvictionWriteBackRecovers) {
          {CrashVariant::kLostBuffer, CrashVariant::kTorn}) {
       SimEnv env;
       sql::Database src = MakeSource();
-      auto db = StorageDb::CreateSimFrom(src, &env, kDb, /*pool_frames=*/4);
+      auto db = StorageDb::Create(src, SimFiles(&env), /*pool_frames=*/4);
       ASSERT_TRUE(db.ok());
       env.controller().Arm(
           {k, variant, variant == CrashVariant::kTorn ? kPageSize / 2 : 0});
@@ -416,7 +479,7 @@ TEST(RecoveryTest, CrashDuringEvictionWriteBackRecovers) {
       EXPECT_TRUE(env.controller().crashed());
       db->reset();
       env.Reboot();
-      auto reopened = StorageDb::OpenSim(&env, kDb, /*pool_frames=*/4);
+      auto reopened = StorageDb::Open(SimFiles(&env), /*pool_frames=*/4);
       ASSERT_TRUE(reopened.ok())
           << "eviction op " << k << " " << CrashVariantName(variant) << ": "
           << reopened.status().ToString();
@@ -452,7 +515,7 @@ TEST(RecoveryTest, CrashDuringEvictionWriteBackRecovers) {
 TEST(RecoveryTest, DoubleRecoveryIsIdempotent) {
   SimEnv env;
   {
-    auto db = BuildWithBatches(&env, 2);
+    auto db = BuildWithBatches(SimFiles(&env), 2);
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     env.controller().Arm({2, CrashVariant::kEagerBuffer, 0});
     Status st = AppendBatch(db->get(), 2);
@@ -461,7 +524,7 @@ TEST(RecoveryTest, DoubleRecoveryIsIdempotent) {
   env.Reboot();
   int first_batches = -1;
   {
-    auto db = StorageDb::OpenSim(&env, kDb);
+    auto db = StorageDb::Open(SimFiles(&env));
     ASSERT_TRUE(db.ok()) << db.status().ToString();
     auto rows = (*db)->Materialize(0);
     ASSERT_TRUE(rows.ok());
@@ -473,7 +536,7 @@ TEST(RecoveryTest, DoubleRecoveryIsIdempotent) {
   // already-materialized log — same state, nothing newly discarded.
   env.Reboot();
   uint64_t discarded0 = CounterValue("storage.recovery.discarded");
-  auto db = StorageDb::OpenSim(&env, kDb);
+  auto db = StorageDb::Open(SimFiles(&env));
   ASSERT_TRUE(db.ok()) << db.status().ToString();
   ExpectContentEquals(**db, first_batches, "second recovery");
   EXPECT_EQ(CounterValue("storage.recovery.discarded"), discarded0);
@@ -491,8 +554,12 @@ TEST(CrashCampaignTest, TinyCampaignRunsClean) {
   config.threads = 2;
   auto result = RunCrashCampaign(config);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  EXPECT_GT(result->boundaries, 0u);
-  EXPECT_GT(result->cases_run, result->boundaries);  // >= 2 variants each
+  // Pinned boundary sequence: adding, dropping or reordering one sim-file
+  // Write/Sync/Truncate anywhere in the engine moves these numbers.
+  EXPECT_EQ(result->boundaries, 54u);
+  EXPECT_EQ(result->cases_run, 148u);
+  EXPECT_EQ(result->wal_records_seen, 1312u);
+  EXPECT_EQ(result->digest, 0x81d8b3bb74ea1dddULL);
   EXPECT_EQ(result->failures, 0u) << (result->failed.empty()
                                           ? ""
                                           : result->failed[0].error);
