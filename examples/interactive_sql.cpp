@@ -2,7 +2,7 @@
 // domain database, prints its DDL, and executes SQL typed on stdin. Shows
 // that the execution layer behind the EX/TS/VES metrics is a real engine.
 //
-//   $ echo "SELECT country, COUNT(*) FROM singer GROUP BY country" | \
+//   $ echo "SELECT country, COUNT(*) FROM singer GROUP BY country" |
 //       ./interactive_sql
 //
 // Without stdin input it runs a scripted demo.

@@ -1,7 +1,6 @@
 #include "common/failpoint.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <string_view>
 #include <vector>
 
@@ -124,24 +123,10 @@ bool Failpoints::Enabled() {
   return GetRegistry().enabled.load(std::memory_order_relaxed);
 }
 
-void Failpoints::Arm(FailpointSite site, const FailpointSpec& spec,
-                     uint64_t seed) {
-  Registry& r = GetRegistry();
-  int idx = static_cast<int>(site);
-  if (idx < 0 || idx >= kNumFailpointSites) return;
-  r.seed = seed;
-  r.specs[idx] = spec;
-  r.fired[idx].store(0, std::memory_order_relaxed);
-  r.enabled.store(true, std::memory_order_release);
-}
-
 namespace {
 
 /// Parses `spec` into a full per-site table without touching the live
 /// registry, so a malformed spec can never leave partial state behind.
-/// (The old in-place parse wrote each entry into the registry as it went:
-/// an error midway returned with earlier specs still installed, disabled
-/// but waiting for the next Arm() to silently re-enable them.)
 Status ParseCampaignSpec(const std::string& spec,
                          FailpointSpec (*out)[kNumFailpointSites],
                          bool* any) {
@@ -247,20 +232,6 @@ uint64_t Failpoints::FiredCount(FailpointSite site) {
   int idx = static_cast<int>(site);
   if (idx < 0 || idx >= kNumFailpointSites) return 0;
   return GetRegistry().fired[idx].load(std::memory_order_relaxed);
-}
-
-Status Failpoints::ConfigureFromEnv() {
-  const char* spec = std::getenv("CODES_FAILPOINTS");
-  if (spec == nullptr || *spec == '\0') return Status::Ok();
-  uint64_t seed = 0;
-  if (const char* s = std::getenv("CODES_FAILPOINT_SEED")) {
-    if (!ParseUint64(s, &seed)) {
-      return Status::InvalidArgument(
-          std::string("CODES_FAILPOINT_SEED is not a decimal uint64: '") +
-          s + "'");
-    }
-  }
-  return Configure(spec, seed);
 }
 
 FailpointScope::FailpointScope(uint64_t slot_seed) {

@@ -178,11 +178,6 @@ void CodesPipeline::TrainClassifier(const Text2SqlBenchmark& bench) {
   classifier_->Train(bench, options);
 }
 
-void CodesPipeline::ShareClassifier(
-    std::shared_ptr<SchemaItemClassifier> classifier) {
-  classifier_ = std::move(classifier);
-}
-
 void CodesPipeline::FineTune(const std::vector<Text2SqlSample>& train,
                              int max_samples) {
   model_.FineTune(train, max_samples);

@@ -192,7 +192,7 @@ struct ServeReport {
 ///   std::string sql = pipeline.Predict(bench, sample);
 ///
 /// Thread-safety contract: after the setup phase (constructor,
-/// TrainClassifier/ShareClassifier, FineTune, SetDemonstrationPool) has
+/// TrainClassifier, FineTune, SetDemonstrationPool) has
 /// finished, every `const` method — Predict, BuildPrompt, PredictorFor —
 /// is safe to call concurrently from any number of threads. The only
 /// mutable state on that path, the lazily built per-database value
@@ -210,10 +210,6 @@ class CodesPipeline {
   /// Trains the schema item classifier on `bench.train` (required before
   /// prompts with schema filtering can be built well).
   void TrainClassifier(const Text2SqlBenchmark& bench);
-
-  /// Shares an already-trained classifier (e.g. the BIRD classifier reused
-  /// on new domains, Section 9.6).
-  void ShareClassifier(std::shared_ptr<SchemaItemClassifier> classifier);
 
   /// Supervised fine-tuning on `train`. Pass the owning benchmark when
   /// available so the model can mask schema words per sample.

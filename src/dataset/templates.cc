@@ -1394,12 +1394,6 @@ std::optional<TemplateInstance> TemplateLibrary::Instantiate(
   return inst;
 }
 
-std::optional<TemplateInstance> TemplateLibrary::Instantiate(
-    int template_id, const sql::Database& db, Rng& rng,
-    const SlotGuidance* guidance) const {
-  return Instantiate(template_id, db, ColumnProfile(db), rng, guidance);
-}
-
 std::optional<TemplateInstance> TemplateLibrary::InstantiateRandom(
     const sql::Database& db, const ColumnProfile& profile, Rng& rng) const {
   std::vector<int> order(defs_.size());
@@ -1410,11 +1404,6 @@ std::optional<TemplateInstance> TemplateLibrary::InstantiateRandom(
     if (inst.has_value()) return inst;
   }
   return std::nullopt;
-}
-
-std::optional<TemplateInstance> TemplateLibrary::InstantiateRandom(
-    const sql::Database& db, Rng& rng) const {
-  return InstantiateRandom(db, ColumnProfile(db), rng);
 }
 
 int TemplateLibrary::IdentifyTemplate(const std::string& sql_text) const {

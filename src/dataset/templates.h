@@ -95,18 +95,11 @@ class TemplateLibrary {
   std::optional<TemplateInstance> Instantiate(
       int template_id, const sql::Database& db, const ColumnProfile& profile,
       Rng& rng, const SlotGuidance* guidance = nullptr) const;
-  /// Same, building a throwaway profile of `db` first.
-  std::optional<TemplateInstance> Instantiate(
-      int template_id, const sql::Database& db, Rng& rng,
-      const SlotGuidance* guidance = nullptr) const;
 
   /// Instantiates a uniformly random template (skipping ones that do not
   /// fit `db`). Returns nullopt only if nothing fits.
   std::optional<TemplateInstance> InstantiateRandom(
       const sql::Database& db, const ColumnProfile& profile, Rng& rng) const;
-  /// Same, building one profile of `db` for all the attempts.
-  std::optional<TemplateInstance> InstantiateRandom(const sql::Database& db,
-                                                    Rng& rng) const;
 
   /// Maps SQL text back to a template id via its structural fingerprint;
   /// -1 when the shape is not in the library.

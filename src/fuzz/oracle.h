@@ -58,12 +58,6 @@ struct OracleViolation {
   std::string detail;  ///< human-readable mismatch description
 };
 
-/// True when TLP and NoREC apply to `stmt`: the query must be a plain
-/// row-filter (no aggregation, grouping, HAVING, DISTINCT, LIMIT, or set
-/// operation), since each of those breaks the row-multiset partition
-/// argument. ORDER BY is fine — comparisons are order-insensitive.
-bool PartitionOraclesApplicable(const sql::SelectStatement& stmt);
-
 /// Runs every applicable oracle against `stmt` on `db`. `oracle_seed`
 /// drives the TLP partition predicate via `gen`, so a (query, seed) pair
 /// fully determines the outcome. Returns all violations (empty = clean).

@@ -1,7 +1,6 @@
 #include "prompt/prompt_builder.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/string_util.h"
 #include "common/trace.h"
@@ -116,77 +115,6 @@ DatabasePrompt PromptBuilder::Build(
       }
       kept_columns.push_back(std::move(cols));
     }
-  }
-  return Serialize(db, question, std::move(kept_tables),
-                   std::move(kept_columns), value_retriever);
-}
-
-DatabasePrompt PromptBuilder::BuildForTraining(
-    const sql::Database& db, const std::string& question,
-    const std::vector<UsedSchemaItem>& used,
-    const ValueRetriever* value_retriever, Rng& rng) const {
-  const auto& schema = db.schema();
-  if (!options_.use_schema_filter) {
-    return Build(db, question, value_retriever);
-  }
-
-  // Used tables/columns resolved to indexes.
-  std::vector<int> used_tables;
-  std::unordered_set<int64_t> used_cols;
-  for (const auto& item : used) {
-    auto t = schema.FindTable(item.table);
-    if (!t) continue;
-    if (std::find(used_tables.begin(), used_tables.end(), *t) ==
-        used_tables.end()) {
-      used_tables.push_back(*t);
-    }
-    if (!item.column.empty()) {
-      auto c = schema.tables[*t].FindColumn(item.column);
-      if (c) used_cols.insert((static_cast<int64_t>(*t) << 32) | *c);
-    }
-  }
-
-  // Pad with random unused tables up to top_k1.
-  std::vector<int> kept_tables = used_tables;
-  std::vector<int> unused;
-  for (size_t t = 0; t < schema.tables.size(); ++t) {
-    if (std::find(kept_tables.begin(), kept_tables.end(),
-                  static_cast<int>(t)) == kept_tables.end()) {
-      unused.push_back(static_cast<int>(t));
-    }
-  }
-  rng.Shuffle(unused);
-  for (int t : unused) {
-    if (static_cast<int>(kept_tables.size()) >= options_.top_k1) break;
-    kept_tables.push_back(t);
-  }
-  std::sort(kept_tables.begin(), kept_tables.end());
-
-  std::vector<std::vector<int>> kept_columns;
-  for (int t : kept_tables) {
-    const auto& table = schema.tables[t];
-    std::vector<int> cols;
-    std::vector<int> pad_candidates;
-    for (size_t c = 0; c < table.columns.size(); ++c) {
-      int64_t key = (static_cast<int64_t>(t) << 32) | static_cast<int64_t>(c);
-      if (used_cols.count(key) || IsKeyColumn(db, t, static_cast<int>(c))) {
-        cols.push_back(static_cast<int>(c));
-      } else {
-        pad_candidates.push_back(static_cast<int>(c));
-      }
-    }
-    rng.Shuffle(pad_candidates);
-    int non_key = 0;
-    for (int c : cols) {
-      if (!IsKeyColumn(db, t, c)) ++non_key;
-    }
-    for (int c : pad_candidates) {
-      if (non_key >= options_.top_k2) break;
-      cols.push_back(c);
-      ++non_key;
-    }
-    std::sort(cols.begin(), cols.end());
-    kept_columns.push_back(std::move(cols));
   }
   return Serialize(db, question, std::move(kept_tables),
                    std::move(kept_columns), value_retriever);

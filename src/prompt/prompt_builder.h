@@ -4,8 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
-#include "dataset/sample.h"
 #include "linker/schema_classifier.h"
 #include "retrieval/value_retriever.h"
 #include "sqlengine/database.h"
@@ -69,16 +67,6 @@ class PromptBuilder {
   /// serializes with metadata.
   DatabasePrompt Build(const sql::Database& db, const std::string& question,
                        const ValueRetriever* value_retriever) const;
-
-  /// Training-time construction: the gold SQL's schema items are known, so
-  /// they are kept outright and padded with random unused tables/columns
-  /// up to top-k1/k2, matching the paper's train/test distribution
-  /// alignment.
-  DatabasePrompt BuildForTraining(const sql::Database& db,
-                                  const std::string& question,
-                                  const std::vector<UsedSchemaItem>& used,
-                                  const ValueRetriever* value_retriever,
-                                  Rng& rng) const;
 
   const PromptOptions& options() const { return options_; }
 

@@ -24,19 +24,6 @@ DemonstrationRetriever::DemonstrationRetriever(
   }
 }
 
-double DemonstrationRetriever::Similarity(const std::string& question,
-                                          int index) const {
-  std::vector<float> q_emb = encoder_.Encode(question);
-  double sim = CosineSimilarity(q_emb, question_embeddings_[index]);
-  if (options_.use_pattern_similarity) {
-    std::vector<float> p_emb =
-        encoder_.Encode(ExtractQuestionPattern(question));
-    sim = std::max(sim,
-                   CosineSimilarity(p_emb, pattern_embeddings_[index]));
-  }
-  return sim;
-}
-
 std::vector<int> DemonstrationRetriever::TopK(const std::string& question,
                                               int k) const {
   std::vector<float> q_emb = encoder_.Encode(question);

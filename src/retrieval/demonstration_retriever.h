@@ -31,9 +31,6 @@ class DemonstrationRetriever {
   /// Indices (into the construction pool) of the top-k demonstrations.
   std::vector<int> TopK(const std::string& question, int k) const;
 
-  /// Eq. (4) similarity between `question` and pool item `index`.
-  double Similarity(const std::string& question, int index) const;
-
  private:
   Options options_;
   SentenceEncoder encoder_;

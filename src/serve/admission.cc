@@ -133,20 +133,6 @@ void DeadlineQueue::DrainTo(std::vector<QueuedRequest>* shed) {
   }
 }
 
-const char* AdmissionName(Admission admission) {
-  switch (admission) {
-    case Admission::kEnqueued:
-      return "enqueued";
-    case Admission::kRejectedRate:
-      return "rejected_rate";
-    case Admission::kRejectedQueueFull:
-      return "rejected_queue_full";
-    case Admission::kRejectedTenantRate:
-      return "rejected_tenant_rate";
-  }
-  return "unknown";
-}
-
 AdmissionController::Options AdmissionController::Options::Resolve() const {
   Options resolved = *this;
   if (resolved.queue_capacity == 0) resolved.queue_capacity = 1;

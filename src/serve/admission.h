@@ -137,8 +137,6 @@ enum class Admission {
   kRejectedTenantRate  ///< owning tenant's fair-share bucket empty
 };
 
-const char* AdmissionName(Admission admission);
-
 /// Token bucket + deadline queue glued into the front door. Not
 /// thread-safe by itself: ServeFrontEnd serializes access (live serving)
 /// or the single DES driver thread owns it (load campaigns).

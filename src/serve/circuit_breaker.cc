@@ -5,18 +5,6 @@
 namespace codes {
 namespace serve {
 
-const char* BreakerStateName(BreakerState state) {
-  switch (state) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half_open";
-  }
-  return "unknown";
-}
-
 CircuitBreaker::CircuitBreaker(const Options& options) : options_(options) {
   options_.window = std::max<size_t>(options_.window, 1);
   options_.min_samples =

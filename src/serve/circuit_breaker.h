@@ -20,8 +20,6 @@ namespace serve {
 /// stage, so a persistently failing stage costs its requests nothing.
 enum class BreakerState { kClosed = 0, kOpen, kHalfOpen };
 
-const char* BreakerStateName(BreakerState state);
-
 /// Failure-rate circuit breaker over a sliding outcome window. Time is
 /// explicit (µs) like every src/serve/ component, so virtual-time load
 /// campaigns and wall-clock serving share the exact same transitions. Not

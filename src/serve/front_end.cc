@@ -82,20 +82,6 @@ FrontEndMetrics& Metrics() {
 
 }  // namespace
 
-const char* ServeStageName(ServeStage stage) {
-  switch (stage) {
-    case ServeStage::kClassifier:
-      return "classifier";
-    case ServeStage::kValueRetrieval:
-      return "value_retrieval";
-    case ServeStage::kGeneration:
-      return "generation";
-    case ServeStage::kNumStages:
-      break;
-  }
-  return "unknown";
-}
-
 ServeFrontEnd::ServeFrontEnd(const CodesPipeline* pipeline,
                              const Text2SqlBenchmark* bench,
                              const FrontEndOptions& options)

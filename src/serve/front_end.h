@@ -33,8 +33,6 @@ enum class ServeStage : int {
 inline constexpr int kNumServeStages =
     static_cast<int>(ServeStage::kNumStages);
 
-const char* ServeStageName(ServeStage stage);
-
 /// Configuration of the overload-protection front end.
 struct FrontEndOptions {
   AdmissionController::Options admission;

@@ -50,10 +50,6 @@ class Database : public ExecSource {
   /// Total rows across all tables.
   size_t TotalRows() const;
 
-  /// Total number of non-null cell values across all tables (the "database
-  /// value count" of Section 6.2).
-  size_t TotalValues() const;
-
   /// Up to `limit` distinct non-null values of a column, in first-seen
   /// order. Implements the paper's representative-value probe
   /// "SELECT DISTINCT {COL} FROM {TAB} WHERE {COL} IS NOT NULL LIMIT k".

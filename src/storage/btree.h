@@ -4,14 +4,15 @@
 // Page-based B+ tree over the buffer pool, used for primary and secondary
 // indexes. Keys are composite (sql::Value, Rid): the RID tiebreak makes
 // every entry unique, which is how duplicate column values (secondary
-// indexes) get well-defined ordering and exact deletes. Value ordering is
+// indexes) get a well-defined ordering. Value ordering is
 // sql::Value::Compare — numerically for INTEGER/REAL, lexicographically
 // for TEXT — which matches the executor's predicate semantics exactly when
 // a column is single-class (see ColumnIndexStats::ValueClass).
 //
-// Node pages hold variable-length serialized entries; splits fire when a
-// node overflows its page, merges/borrows fire when a delete leaves a node
-// under a quarter of a page. storage.split injects faults at split entry.
+// The tree is insert-and-read only: the storage engine has no delete path,
+// so nodes only split (when an insert overflows a page) and no leaf is ever
+// empty. Node pages hold variable-length serialized entries.
+// storage.split injects faults at split entry.
 //
 // Iterators are forward-only snapshots of one leaf at a time; ANY tree
 // mutation invalidates every outstanding iterator (the property test pins
@@ -43,9 +44,6 @@ class BPlusTree {
   struct Node;
 
   Status Insert(const sql::Value& key, const Rid& rid);
-
-  /// Removes the exact (key, rid) entry; NotFound when absent.
-  Status Remove(const sql::Value& key, const Rid& rid);
 
   Result<bool> Contains(const sql::Value& key, const Rid& rid) const;
 
@@ -93,9 +91,6 @@ class BPlusTree {
   Status InsertRec(PageId node_id, const std::string& leaf_entry,
                    const sql::Value& key, const Rid& rid,
                    InsertOutcome* outcome);
-  Status RemoveRec(PageId node_id, const sql::Value& key, const Rid& rid,
-                   bool* removed);
-  Status RebalanceChild(Node* parent, PageId parent_id, int child_pos);
 
   BufferPool* pool_;
   PageId root_;

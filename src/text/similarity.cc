@@ -4,7 +4,6 @@
 #include <array>
 #include <cstdint>
 #include <cstdlib>
-#include <unordered_set>
 
 #include "common/string_util.h"
 #include "text/tokenize.h"
@@ -189,54 +188,6 @@ double LcsMatchDegree(std::string_view a, std::string_view b) {
   return static_cast<double>(lcs) / static_cast<double>(shorter);
 }
 
-int LongestCommonSubsequenceLength(std::string_view a_raw,
-                                   std::string_view b_raw) {
-  std::string a = ToLower(a_raw);
-  std::string b = ToLower(b_raw);
-  std::vector<int> prev(b.size() + 1, 0);
-  std::vector<int> cur(b.size() + 1, 0);
-  for (size_t i = 1; i <= a.size(); ++i) {
-    for (size_t j = 1; j <= b.size(); ++j) {
-      if (a[i - 1] == b[j - 1]) {
-        cur[j] = prev[j - 1] + 1;
-      } else {
-        cur[j] = std::max(prev[j], cur[j - 1]);
-      }
-    }
-    std::swap(prev, cur);
-  }
-  return prev[b.size()];
-}
-
-int EditDistance(std::string_view a, std::string_view b) {
-  std::vector<int> prev(b.size() + 1);
-  std::vector<int> cur(b.size() + 1);
-  for (size_t j = 0; j <= b.size(); ++j) prev[j] = static_cast<int>(j);
-  for (size_t i = 1; i <= a.size(); ++i) {
-    cur[0] = static_cast<int>(i);
-    for (size_t j = 1; j <= b.size(); ++j) {
-      int cost = (a[i - 1] == b[j - 1]) ? 0 : 1;
-      cur[j] = std::min({prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost});
-    }
-    std::swap(prev, cur);
-  }
-  return prev[b.size()];
-}
-
-double JaccardSimilarity(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b) {
-  if (a.empty() && b.empty()) return 1.0;
-  std::unordered_set<std::string> sa(a.begin(), a.end());
-  std::unordered_set<std::string> sb(b.begin(), b.end());
-  size_t inter = 0;
-  for (const auto& t : sa) {
-    if (sb.count(t)) ++inter;
-  }
-  size_t uni = sa.size() + sb.size() - inter;
-  if (uni == 0) return 0.0;
-  return static_cast<double>(inter) / static_cast<double>(uni);
-}
-
 bool InitialsMatch(const std::string& identifier,
                    const std::vector<std::string>& tokens) {
   std::string id = ToLower(identifier);
@@ -255,12 +206,6 @@ bool InitialsMatch(const std::string& identifier,
     if (match) return true;
   }
   return false;
-}
-
-double TokenCoverage(const std::vector<std::string>& needle,
-                     const std::vector<std::string>& haystack) {
-  if (needle.empty()) return 0.0;
-  return TokenCoverage(needle, StemSet(haystack));
 }
 
 StemSet::StemSet(const std::vector<std::string>& tokens) {

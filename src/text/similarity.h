@@ -32,20 +32,6 @@ int LongestCommonSubstringLengthReferenceDp(std::string_view a,
 /// in [0,1]. Returns 0 when either string is empty.
 double LcsMatchDegree(std::string_view a, std::string_view b);
 
-/// Length of the longest common subsequence (order-preserving, with gaps).
-int LongestCommonSubsequenceLength(std::string_view a, std::string_view b);
-
-/// Levenshtein edit distance between `a` and `b` (case-sensitive).
-int EditDistance(std::string_view a, std::string_view b);
-
-/// Jaccard similarity of the two token sets.
-double JaccardSimilarity(const std::vector<std::string>& a,
-                         const std::vector<std::string>& b);
-
-/// Fraction of tokens in `needle` that occur in `haystack` (stemmed match).
-double TokenCoverage(const std::vector<std::string>& needle,
-                     const std::vector<std::string>& haystack);
-
 /// The stems (StemToken) of a token list, built once to match many needles
 /// against one haystack.
 class StemSet {
@@ -60,9 +46,7 @@ class StemSet {
   std::unordered_set<std::string> stems_;
 };
 
-/// TokenCoverage against a prebuilt haystack: equal to
-/// TokenCoverage(needle, haystack) when `haystack_stems` is
-/// StemSet(haystack).
+/// Fraction of tokens in `needle` whose stem is in `haystack_stems`.
 double TokenCoverage(const std::vector<std::string>& needle,
                      const StemSet& haystack_stems);
 

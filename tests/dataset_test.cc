@@ -178,8 +178,9 @@ TEST(TemplatesTest, EveryTemplateInstantiatesAndExecutes) {
   for (size_t d = 0; d < AllDomains().size(); ++d) {
     Rng db_rng = rng.Fork();
     auto db = GenerateDatabase(AllDomains()[d], DbProfile::Spider(), db_rng);
+    const ColumnProfile profile(db);
     for (int id = 0; id < lib.size(); ++id) {
-      auto inst = lib.Instantiate(id, db, rng);
+      auto inst = lib.Instantiate(id, db, profile, rng);
       if (!inst.has_value()) continue;
       fired.insert(id);
       EXPECT_TRUE(sql::IsExecutable(db, inst->sql_text)) << inst->sql_text;
@@ -217,7 +218,8 @@ TEST(TemplatesTest, GuidanceRestrictsTableChoice) {
     if (lib.name(id) == "count_all") count_all = id;
   }
   ASSERT_GE(count_all, 0);
-  auto inst = lib.Instantiate(count_all, db, rng, &guidance);
+  auto inst =
+      lib.Instantiate(count_all, db, ColumnProfile(db), rng, &guidance);
   ASSERT_TRUE(inst.has_value());
   EXPECT_NE(inst->sql_text.find("FROM concert"), std::string::npos);
 }
@@ -229,9 +231,10 @@ TEST(TemplatesTest, GuidedModeNeverInventsValues) {
   auto db = GenerateDatabase(AllDomains()[0], DbProfile::Spider(), rng);
   SlotGuidance guidance;  // no filter_value / representative_value
   const auto& lib = GlobalTemplates();
+  const ColumnProfile profile(db);
   for (int id = 0; id < lib.size(); ++id) {
     if (lib.name(id) != "where_eq_text") continue;
-    auto inst = lib.Instantiate(id, db, rng, &guidance);
+    auto inst = lib.Instantiate(id, db, profile, rng, &guidance);
     EXPECT_FALSE(inst.has_value());
   }
 }
@@ -242,8 +245,9 @@ TEST(FingerprintTest, StableUnderReparse) {
   Rng rng(13);
   auto db = GenerateDatabase(AllDomains()[3], DbProfile::Spider(), rng);
   const auto& lib = GlobalTemplates();
+  const ColumnProfile profile(db);
   for (int i = 0; i < 30; ++i) {
-    auto inst = lib.InstantiateRandom(db, rng);
+    auto inst = lib.InstantiateRandom(db, profile, rng);
     ASSERT_TRUE(inst.has_value());
     auto stmt = sql::ParseSql(inst->sql_text);
     ASSERT_TRUE(stmt.ok());

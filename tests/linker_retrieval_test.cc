@@ -405,11 +405,11 @@ TEST(DemonstrationRetrieverTest, PatternSimilarityIgnoresEntities) {
 }
 
 TEST(DemonstrationRetrieverTest, WithoutPatternsEntityBiasWins) {
+  // Candidate 0 has the question's exact pattern with other years;
+  // candidate 1 shares an entity (1948) but not the "X or Y" shape.
   std::vector<Text2SqlSample> pool(2);
-  pool[0].question = "Show the names of members from either 'USA' or 'Canada'.";
-  pool[0].sql = "SELECT name FROM member WHERE country = 'USA'";
-  pool[1].question = "Which singer sang the most songs about singers?";
-  pool[1].sql = "SELECT COUNT(*) FROM singer";
+  pool[0].question = "Show the names of singers born in 1960 or 1961.";
+  pool[1].question = "Show the names of singers born in 1948.";
 
   DemonstrationRetriever::Options with;
   with.use_pattern_similarity = true;
@@ -419,9 +419,10 @@ TEST(DemonstrationRetrieverTest, WithoutPatternsEntityBiasWins) {
   DemonstrationRetriever r_without(pool, without);
 
   std::string q = "Show the names of singers born in 1948 or 1949.";
-  // Pattern-aware similarity for the structural match is at least as high
-  // as plain question similarity.
-  EXPECT_GE(r_with.Similarity(q, 0), r_without.Similarity(q, 0));
+  // Eq. (4) takes the better of question and pattern similarity, so the
+  // structural match wins; plain question similarity follows the entity.
+  EXPECT_EQ(r_with.TopK(q, 1), std::vector<int>{0});
+  EXPECT_EQ(r_without.TopK(q, 1), std::vector<int>{1});
 }
 
 TEST(DemonstrationRetrieverTest, TopKBounded) {

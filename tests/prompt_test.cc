@@ -123,31 +123,6 @@ TEST_F(PromptTest, MatchedValuesAppearInPrompt) {
   EXPECT_NE(prompt.text.find("matched value"), std::string::npos);
 }
 
-TEST_F(PromptTest, TrainingPromptAlwaysKeepsGoldItems) {
-  PromptOptions options;
-  options.top_k1 = 2;
-  options.top_k2 = 3;
-  PromptBuilder builder(classifier_, options);
-  Rng rng(4);
-  for (size_t i = 0; i < 10 && i < bench_->train.size(); ++i) {
-    const auto& s = bench_->train[i];
-    const auto& db = bench_->DbOf(s);
-    auto prompt =
-        builder.BuildForTraining(db, s.question, s.used_items, nullptr, rng);
-    for (const auto& item : s.used_items) {
-      auto t = db.schema().FindTable(item.table);
-      ASSERT_TRUE(t.has_value());
-      EXPECT_TRUE(prompt.TableKept(*t)) << item.table;
-      if (!item.column.empty()) {
-        auto c = db.schema().tables[*t].FindColumn(item.column);
-        ASSERT_TRUE(c.has_value());
-        EXPECT_TRUE(prompt.ColumnKept(*t, *c))
-            << item.table << "." << item.column;
-      }
-    }
-  }
-}
-
 TEST_F(PromptTest, KeptLookupsConsistentWithText) {
   PromptOptions options;
   PromptBuilder builder(classifier_, options);

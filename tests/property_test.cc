@@ -46,8 +46,9 @@ TEST_P(TemplateProperty, InstancesExecuteAndReidentify) {
   Rng rng(1000 + static_cast<uint64_t>(id));
   int fired = 0;
   for (const auto& db : *dbs_) {
+    const ColumnProfile profile(db);
     for (int attempt = 0; attempt < 4; ++attempt) {
-      auto inst = lib.Instantiate(id, db, rng);
+      auto inst = lib.Instantiate(id, db, profile, rng);
       if (!inst.has_value()) continue;
       ++fired;
       // 1. executable
@@ -95,8 +96,9 @@ TEST_P(EngineRoundTrip, ParseSerializeParsePreservesSemantics) {
   const auto& domain = AllDomains()[rng.Index(AllDomains().size())];
   auto db = GenerateDatabase(domain, DbProfile::Spider(), db_rng);
   const auto& lib = GlobalTemplates();
+  const ColumnProfile profile(db);
   for (int i = 0; i < 12; ++i) {
-    auto inst = lib.InstantiateRandom(db, rng);
+    auto inst = lib.InstantiateRandom(db, profile, rng);
     ASSERT_TRUE(inst.has_value());
     auto first = sql::ParseSql(inst->sql_text);
     ASSERT_TRUE(first.ok()) << inst->sql_text;
@@ -128,9 +130,10 @@ TEST_P(ResultAlgebra, EquivalenceIsReflexiveAndSymmetric) {
   auto db = GenerateDatabase(AllDomains()[rng.Index(AllDomains().size())],
                              DbProfile::Spider(), db_rng);
   const auto& lib = GlobalTemplates();
+  const ColumnProfile profile(db);
   for (int i = 0; i < 6; ++i) {
-    auto a = lib.InstantiateRandom(db, rng);
-    auto b = lib.InstantiateRandom(db, rng);
+    auto a = lib.InstantiateRandom(db, profile, rng);
+    auto b = lib.InstantiateRandom(db, profile, rng);
     ASSERT_TRUE(a.has_value() && b.has_value());
     auto ra = sql::ExecuteSql(db, a->sql_text);
     auto rb = sql::ExecuteSql(db, b->sql_text);

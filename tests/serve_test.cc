@@ -236,15 +236,6 @@ TEST(AdmissionControllerTest, RateLimitCheckedBeforeQueueSpace) {
             Admission::kRejectedQueueFull);
 }
 
-TEST(AdmissionControllerTest, NamesAreStable) {
-  EXPECT_STREQ(AdmissionName(Admission::kEnqueued), "enqueued");
-  EXPECT_STREQ(AdmissionName(Admission::kRejectedRate), "rejected_rate");
-  EXPECT_STREQ(AdmissionName(Admission::kRejectedQueueFull),
-               "rejected_queue_full");
-  EXPECT_STREQ(AdmissionName(Admission::kRejectedTenantRate),
-               "rejected_tenant_rate");
-}
-
 TEST(AdmissionControllerTest, TenantLimiterCheckedBeforeGlobalBucket) {
   AdmissionController::Options options;
   options.rate_per_sec = 100.0;  // generous global bucket
@@ -349,12 +340,6 @@ TEST(CircuitBreakerTest, OpenDropsStragglerOutcomes) {
   for (int i = 0; i < 10; ++i) breaker.RecordOutcome(false, 10);
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
   EXPECT_EQ(breaker.transitions(), 1u);
-}
-
-TEST(CircuitBreakerTest, StateNamesAreStable) {
-  EXPECT_STREQ(BreakerStateName(BreakerState::kClosed), "closed");
-  EXPECT_STREQ(BreakerStateName(BreakerState::kOpen), "open");
-  EXPECT_STREQ(BreakerStateName(BreakerState::kHalfOpen), "half_open");
 }
 
 // ----------------------------------------------------------------- brownout
@@ -736,13 +721,6 @@ TEST_F(ServeFrontEndTest, SyncServeServesAndRateLimits) {
   EXPECT_EQ(CounterDelta(snapshot, "serve.offered"), 2u);
   EXPECT_EQ(CounterDelta(snapshot, "serve.admitted"), 1u);
   EXPECT_EQ(CounterDelta(snapshot, "serve.rejected.rate"), 1u);
-}
-
-TEST(ServeStageTest, StageNamesAreStable) {
-  EXPECT_STREQ(ServeStageName(ServeStage::kClassifier), "classifier");
-  EXPECT_STREQ(ServeStageName(ServeStage::kValueRetrieval),
-               "value_retrieval");
-  EXPECT_STREQ(ServeStageName(ServeStage::kGeneration), "generation");
 }
 
 // ------------------------------------------------------------ load campaign

@@ -598,8 +598,6 @@ TEST(TokenCoverageEquivalenceTest, RandomTokenListsMatchReference) {
     const auto haystack = random_list();
     EXPECT_EQ(TokenCoverage(needle, StemSet(haystack)),
               ReferenceTokenCoverage(needle, haystack));
-    EXPECT_EQ(TokenCoverage(needle, haystack),
-              ReferenceTokenCoverage(needle, haystack));
   }
 }
 

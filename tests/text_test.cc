@@ -66,11 +66,6 @@ TEST(SimilarityTest, LcsMatchDegreeNormalized) {
   EXPECT_DOUBLE_EQ(LcsMatchDegree("", "x"), 0.0);
 }
 
-TEST(SimilarityTest, LongestCommonSubsequence) {
-  EXPECT_EQ(LongestCommonSubsequenceLength("abcde", "ace"), 3);
-  EXPECT_EQ(LongestCommonSubsequenceLength("abc", ""), 0);
-}
-
 TEST(SimilarityTest, Utf8ValuesMatchByteExact) {
   // Case folding inside the matchers is ASCII-only, so multi-byte UTF-8
   // sequences compare byte-exact regardless of locale — an accented value
@@ -86,21 +81,10 @@ TEST(SimilarityTest, Utf8ValuesMatchByteExact) {
   EXPECT_LT(LcsMatchDegree("caf\xC3\xA9", "caf\xC3\xA8"), 1.0);
 }
 
-TEST(SimilarityTest, EditDistance) {
-  EXPECT_EQ(EditDistance("kitten", "sitting"), 3);
-  EXPECT_EQ(EditDistance("", "abc"), 3);
-  EXPECT_EQ(EditDistance("same", "same"), 0);
-}
-
-TEST(SimilarityTest, Jaccard) {
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({"a", "b"}, {"a", "b"}), 1.0);
-  EXPECT_DOUBLE_EQ(JaccardSimilarity({"a"}, {"b"}), 0.0);
-  EXPECT_NEAR(JaccardSimilarity({"a", "b", "c"}, {"b", "c", "d"}), 0.5, 1e-9);
-}
-
 TEST(SimilarityTest, TokenCoverageUsesStems) {
   // "singers" in the question should match "singer" in the haystack.
-  double cov = TokenCoverage({"singers", "name"}, {"singer", "name", "age"});
+  double cov =
+      TokenCoverage({"singers", "name"}, StemSet({"singer", "name", "age"}));
   EXPECT_DOUBLE_EQ(cov, 1.0);
 }
 
