@@ -785,9 +785,9 @@ void OverheadTrialsSection(const Text2SqlBenchmark& bench,
   fe.limits = guarded.limits;
   fe.admission.queue_capacity = 4096;
   fe.breaker.failure_threshold = 1.1;
-  fe.harden.enabled = false;
+  fe.harden = false;
   serve::ServeFrontEnd unhardened(&pipeline, &bench, fe);
-  fe.harden.enabled = true;
+  fe.harden = true;
   serve::ServeFrontEnd hardened(&pipeline, &bench, fe);
   ServeOptions direct;
   direct.limits = fe.limits;

@@ -75,15 +75,6 @@ class Reader {
     return true;
   }
 
-  bool ReadStringView(std::string_view* s) {
-    uint64_t size;
-    if (!ReadU64(&size)) return false;
-    if (size > data_.size() - pos_) return false;
-    *s = data_.substr(pos_, size);
-    pos_ += size;
-    return true;
-  }
-
   size_t remaining() const { return data_.size() - pos_; }
   size_t pos() const { return pos_; }
   bool Done() const { return pos_ == data_.size(); }

@@ -18,9 +18,6 @@ class Timer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Elapsed time in microseconds.
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

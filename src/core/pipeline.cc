@@ -427,12 +427,6 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
   // of beam candidates).
   CODES_TRACE_SPAN(verify_span, "pipeline.verify");
 
-  // Verification backend: the in-memory database, or the caller-provided
-  // twin (e.g. a disk-backed StorageDb whose kDataLoss reads must land on
-  // a ladder rung, not in the response).
-  const sql::ExecSource& verify_db =
-      options.verify_source != nullptr ? *options.verify_source : db;
-
   // Ladder rung 3: walk a beam in rank order and serve the first
   // candidate that decodes and executes under the guard. Every failed
   // candidate is one bounded repair attempt; with no faults and no budgets
@@ -445,7 +439,7 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
   int attempts = 0;
   auto walk = [&](const auto& candidates) -> int {
     for (size_t i = 0; i < candidates.size(); ++i) {
-      if (attempts >= options.max_repair_attempts) break;
+      if (attempts >= ServeOptions::max_repair_attempts) break;
       const std::string& sql = candidates[i].sql;
       if (sql.empty()) continue;
       if (fallback_rank < 0) {
@@ -459,7 +453,7 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
         // Row/byte budgets are per-candidate; the deadline keeps running
         // across the whole request.
         guard.ResetUsage();
-        exec_status = sql::ExecuteSql(verify_db, sql, &guard).status();
+        exec_status = sql::ExecuteSql(db, sql, &guard).status();
       }
       if (exec_status.ok()) return static_cast<int>(i);
       last_error = exec_status;
@@ -493,7 +487,7 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
   // retry's own generation/verification lands in the verify span.
   if (options.suspect && !options.canonical_question.empty() &&
       options.canonical_question != sample.question &&
-      attempts < options.max_repair_attempts) {
+      attempts < ServeOptions::max_repair_attempts) {
     rep.canonical_retries = 1;
     Text2SqlSample canonical = sample;
     canonical.question = options.canonical_question;

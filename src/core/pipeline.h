@@ -15,7 +15,6 @@
 #include "prompt/prompt_builder.h"
 #include "retrieval/demonstration_retriever.h"
 #include "retrieval/value_retriever.h"
-#include "sqlengine/exec_source.h"
 
 namespace codes {
 
@@ -53,7 +52,7 @@ struct PipelineConfig {
 ///                        the prompt carries no matched values;
 ///   kRepair              a beam candidate failed decode/parse/bind/
 ///                        guarded-execute and a lower-ranked candidate was
-///                        tried (bounded by max_repair_attempts);
+///                        tried (bounded by ServeOptions::max_repair_attempts);
 ///   kEmergencySql        no usable candidate at all — a trivial but
 ///                        syntactically valid query is served.
 enum class ServeRung : int {
@@ -67,7 +66,8 @@ enum class ServeRung : int {
 const char* ServeRungName(ServeRung rung);
 
 /// Per-request serving knobs. The default options guard nothing and
-/// reproduce Predict's historical behaviour byte-for-byte.
+/// reproduce Predict's historical behaviour byte-for-byte. Candidates are
+/// always verified against the benchmark's in-memory database.
 struct ServeOptions {
   /// Execution budgets applied to candidate verification (and, for the
   /// deadline/cancel portion, to value-index construction).
@@ -75,18 +75,9 @@ struct ServeOptions {
   /// Optional cooperative cancellation; must outlive the call.
   const CancelToken* cancel = nullptr;
   /// Max failed beam candidates tried before giving up on verification.
-  /// Must be >= beam width to preserve the paper's first-executable
-  /// selection exactly.
-  int max_repair_attempts = 16;
-
-  /// When set, candidate verification executes against this backend
-  /// instead of the benchmark's in-memory database (prompt construction
-  /// and the emergency query still use the in-memory one). This is how a
-  /// disk-backed twin plugs into serving: a corrupted page surfaces as a
-  /// kDataLoss execution failure, the candidate is treated as broken, and
-  /// the request walks the degradation ladder (repair → unverified
-  /// fallback) instead of returning garbage rows. Must outlive the call.
-  const sql::ExecSource* verify_source = nullptr;
+  /// At least the beam width, so the paper's first-executable selection
+  /// is preserved exactly.
+  static constexpr int max_repair_attempts = 16;
 
   /// When set, value retrieval uses this pre-built retriever instead of
   /// the pipeline's internal per-database cache. This is how the fleet

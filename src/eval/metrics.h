@@ -18,7 +18,6 @@ struct EvalOptions {
   /// Valid efficiency score: execution-time ratio for correct predictions
   /// (BIRD's VES, in its R-VES square-root form).
   bool compute_ves = false;
-  int ves_repeats = 3;
   uint64_t seed = 4242;
   /// Cap the number of dev samples evaluated (<0: all).
   int max_samples = -1;

@@ -16,15 +16,17 @@ namespace codes {
 
 namespace {
 
-/// Median execution seconds over `repeats` runs (parse and bind once).
-double TimedExecution(const sql::Database& db, const std::string& sql_text,
-                      int repeats) {
+/// Timed runs per query for VES; the median is kept.
+constexpr int kVesRepeats = 3;
+
+/// Median execution seconds over kVesRepeats runs (parse and bind once).
+double TimedExecution(const sql::Database& db, const std::string& sql_text) {
   auto stmt = sql::ParseSql(sql_text);
   if (!stmt.ok()) return 0.0;
   const sql::BoundStatement bound = sql::Bind(std::move(*stmt), db.schema());
   std::vector<double> times;
-  times.reserve(static_cast<size_t>(repeats));
-  for (int i = 0; i < repeats; ++i) {
+  times.reserve(kVesRepeats);
+  for (int i = 0; i < kVesRepeats; ++i) {
     Timer timer;
     auto result = sql::Execute(db, bound);
     if (!result.ok()) return 0.0;
@@ -140,9 +142,8 @@ EvalResult ParallelEvaluateDevSet(const Text2SqlBenchmark& bench,
       if (!out.ex) continue;
       const auto& sample = bench.dev[i];
       const sql::Database& db = bench.DbOf(sample);
-      double gold_time = TimedExecution(db, sample.sql, options.ves_repeats);
-      double pred_time =
-          TimedExecution(db, out.predicted, options.ves_repeats);
+      double gold_time = TimedExecution(db, sample.sql);
+      double pred_time = TimedExecution(db, out.predicted);
       if (gold_time > 0 && pred_time > 0) {
         // R-VES: sqrt of the time ratio, clamped to a sane band.
         double ratio = std::sqrt(gold_time / pred_time);

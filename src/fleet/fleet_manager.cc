@@ -201,18 +201,6 @@ size_t FleetManager::PeakResidentBytes() const {
   return peak_resident_bytes_;
 }
 
-std::vector<serve::WeightedFairLimiter::TenantSpec>
-FleetManager::AdmissionSpecs() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<serve::WeightedFairLimiter::TenantSpec> specs;
-  specs.reserve(tenants_.size());
-  for (const TenantDesc& desc : tenants_) {
-    specs.push_back(serve::WeightedFairLimiter::TenantSpec{
-        desc.admission_weight, desc.admission_burst});
-  }
-  return specs;
-}
-
 std::vector<std::string> FleetManager::TenantNames() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;

@@ -10,7 +10,6 @@
 
 #include "common/lease_cache.h"
 #include "retrieval/value_retriever.h"
-#include "serve/admission.h"
 #include "sqlengine/database.h"
 
 namespace codes {
@@ -67,10 +66,6 @@ class FleetManager {
   struct TenantDesc {
     std::string name;                 ///< unique; used in metrics + files
     const sql::Database* db = nullptr;  ///< value-index source (required)
-    /// Relative weight for weighted-fair admission.
-    double admission_weight = 1.0;
-    /// Per-tenant admission burst (tokens).
-    double admission_burst = 8.0;
   };
 
   explicit FleetManager(const Options& options);
@@ -106,9 +101,6 @@ class FleetManager {
   /// High-water mark of ResidentBytes over the fleet's lifetime.
   size_t PeakResidentBytes() const;
 
-  /// Per-tenant weighted-fair admission specs, in tenant-id order —
-  /// plug into AdmissionController::Options::tenants.
-  std::vector<serve::WeightedFairLimiter::TenantSpec> AdmissionSpecs() const;
   /// Tenant names in tenant-id order — plug into
   /// FrontEndOptions::tenant_names.
   std::vector<std::string> TenantNames() const;

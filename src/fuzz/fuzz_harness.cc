@@ -54,6 +54,9 @@ std::vector<sql::Database> BuildFuzzDatabases(int count) {
 
 namespace {
 
+/// Max oracle re-evaluations spent minimizing one failure.
+constexpr int kShrinkBudget = 200;
+
 /// True when `stmt` still trips the same oracle with the same seed.
 bool StillFails(const sql::Database& db, const QueryGenerator& gen,
                 const SelectStatement& stmt, uint64_t oracle_seed,
@@ -184,11 +187,10 @@ FuzzReport RunFuzzCampaign(const FuzzConfig& config, ThreadPool* pool) {
       BuildFuzzDatabases(std::max(config.num_databases, 1));
   std::vector<QueryGenerator> gens;
   gens.reserve(dbs.size());
-  for (const auto& db : dbs) gens.emplace_back(db, config.gen);
-  std::vector<std::unique_ptr<storage::StorageDb>> twins;
-  if (config.storage_diff) twins = BuildStorageTwins(dbs);
+  for (const auto& db : dbs) gens.emplace_back(db);
+  const std::vector<std::unique_ptr<storage::StorageDb>> twins =
+      BuildStorageTwins(dbs);
   auto twin_of = [&twins](int db_index) -> const sql::ExecSource* {
-    if (twins.empty()) return nullptr;
     return twins[static_cast<size_t>(db_index)].get();
   };
 
@@ -236,7 +238,7 @@ FuzzReport RunFuzzCampaign(const FuzzConfig& config, ThreadPool* pool) {
       auto shrunk = ShrinkFailure(dbs[static_cast<size_t>(db_index)],
                                   gens[static_cast<size_t>(db_index)], *stmt,
                                   oracle_seed, slot->oracle,
-                                  config.shrink_budget, twin_of(db_index));
+                                  kShrinkBudget, twin_of(db_index));
       std::string shrunk_sql = shrunk->ToSql();
       if (shrunk_sql != slot->sql) slot->shrunk_sql = std::move(shrunk_sql);
     }

@@ -18,17 +18,14 @@ namespace codes::fuzz {
 /// `base_seed + i` (database choice, query shape, and the TLP partition
 /// predicate all derive from that one seed), so any failure replays from
 /// its reproducer line alone — the thread count never affects results.
+/// Every query also runs against a disk-backed StorageDb copy of its
+/// database and the two executions are diffed (the storagediff oracle);
+/// the copies are built once per campaign, before the parallel phase.
 struct FuzzConfig {
   uint64_t base_seed = 1;
   int num_queries = 1000;
   int num_databases = 8;
   bool shrink = true;        ///< minimize failing queries by AST deletion
-  int shrink_budget = 200;   ///< max oracle re-evaluations per failure
-  /// Run every query against a disk-backed StorageDb copy of its database
-  /// as well and diff the two executions (the storagediff oracle). The
-  /// copies are built once per campaign, before the parallel phase.
-  bool storage_diff = true;
-  GenOptions gen;
 };
 
 /// One oracle violation found by a campaign, with enough context to

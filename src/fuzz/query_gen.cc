@@ -18,6 +18,29 @@ using sql::Value;
 
 namespace {
 
+// Shape of the generated queries. Probabilities are independent
+// per-feature draws; the mix makes every executor code path (joins,
+// grouping, subqueries, set ops, NULL-heavy predicates) appear in a few
+// percent of queries.
+constexpr int kMaxJoins = 2;            // extra tables beyond FROM
+constexpr int kMaxPredicateDepth = 3;   // AND/OR/NOT nesting budget
+constexpr double kJoinProbability = 0.4;
+constexpr double kWhereProbability = 0.75;
+constexpr double kAggregateProbability = 0.3;
+constexpr double kGroupByProbability = 0.6;  // given aggregate mode
+constexpr double kHavingProbability = 0.4;   // given GROUP BY
+constexpr double kOrderByProbability = 0.4;
+constexpr double kLimitProbability = 0.3;
+constexpr double kDistinctProbability = 0.12;
+constexpr double kSetOpProbability = 0.06;
+// IN (SELECT ...) and scalar-subquery leaves.
+constexpr double kSubqueryProbability = 0.12;
+constexpr double kNullLiteralProbability = 0.12;
+constexpr double kStarProbability = 0.12;  // '*' or 'T1.*' select list
+constexpr int kMaxSelectItems = 4;
+constexpr int kMaxInList = 4;
+constexpr size_t kMaxLiteralsPerColumn = 8;  // distinct-value pool size
+
 bool IsNumeric(DataType type) {
   return type == DataType::kInteger || type == DataType::kReal;
 }
@@ -52,15 +75,14 @@ std::string AliasFor(size_t index) { return "T" + std::to_string(index + 1); }
 
 }  // namespace
 
-QueryGenerator::QueryGenerator(const sql::Database& db, GenOptions options)
-    : db_(db), options_(options) {
+QueryGenerator::QueryGenerator(const sql::Database& db) : db_(db) {
   const auto& tables = db_.schema().tables;
   literal_pool_.resize(tables.size());
   for (size_t t = 0; t < tables.size(); ++t) {
     literal_pool_[t].resize(tables[t].columns.size());
     for (size_t c = 0; c < tables[t].columns.size(); ++c) {
       auto values = db_.DistinctValues(tables[t].name, tables[t].columns[c].name,
-                                       options_.max_literals_per_column);
+                                       kMaxLiteralsPerColumn);
       for (auto& v : values) v = Quantize(v);
       literal_pool_[t][c] = std::move(values);
     }
@@ -127,7 +149,7 @@ Value QueryGenerator::PoolValue(const BoundColumn& col, Rng& rng) const {
 
 std::unique_ptr<Expr> QueryGenerator::LiteralFor(const BoundColumn& col,
                                                  Rng& rng) const {
-  if (rng.Bernoulli(options_.null_literal_probability)) {
+  if (rng.Bernoulli(kNullLiteralProbability)) {
     return Expr::MakeLiteral(Value());
   }
   return MakeLiteralExpr(PoolValue(col, rng));
@@ -269,7 +291,7 @@ std::unique_ptr<Expr> QueryGenerator::LeafPredicate(
       e->kind = ExprKind::kInList;
       e->negated = rng.Bernoulli(0.3);
       e->children.push_back(Expr::MakeColumn(col.qualifier, col.def->name));
-      int n = static_cast<int>(rng.UniformInt(1, options_.max_in_list));
+      int n = static_cast<int>(rng.UniformInt(1, kMaxInList));
       for (int i = 0; i < n; ++i) e->in_list.push_back(PoolValue(col, rng));
       if (rng.Bernoulli(0.25)) e->in_list.push_back(Value());
       return e;
@@ -293,7 +315,7 @@ std::unique_ptr<Expr> QueryGenerator::LeafPredicate(
                               Expr::MakeLiteral(Value(std::move(pattern))));
     }
     case 4: {  // [NOT] IN (SELECT ...)
-      if (!rng.Bernoulli(options_.subquery_probability * 2)) break;
+      if (!rng.Bernoulli(kSubqueryProbability * 2)) break;
       auto sub = SubquerySelect(col.def->type, /*scalar=*/false, rng);
       if (sub == nullptr) break;
       auto e = std::make_unique<Expr>();
@@ -304,7 +326,7 @@ std::unique_ptr<Expr> QueryGenerator::LeafPredicate(
       return e;
     }
     case 5: {  // comparison against a scalar subquery
-      if (!rng.Bernoulli(options_.subquery_probability * 2)) break;
+      if (!rng.Bernoulli(kSubqueryProbability * 2)) break;
       const BoundColumn* num = PickTypedColumn(scope, /*numeric=*/true, rng);
       if (num == nullptr) break;
       auto sub = SubquerySelect(num->def->type, /*scalar=*/true, rng);
@@ -402,9 +424,9 @@ std::unique_ptr<SelectStatement> QueryGenerator::Generate(Rng& rng) const {
   std::vector<std::pair<int, std::string>> used;  // (table index, alias)
   used.emplace_back(static_cast<int>(from_index), stmt->from.alias);
 
-  int join_budget = static_cast<int>(rng.UniformInt(0, options_.max_joins));
+  int join_budget = static_cast<int>(rng.UniformInt(0, kMaxJoins));
   for (int j = 0; j < join_budget; ++j) {
-    if (!rng.Bernoulli(options_.join_probability)) break;
+    if (!rng.Bernoulli(kJoinProbability)) break;
     // Candidate FK edges touching a used table on exactly one side.
     struct Edge {
       int new_table;
@@ -440,9 +462,9 @@ std::unique_ptr<SelectStatement> QueryGenerator::Generate(Rng& rng) const {
 
   std::vector<BoundColumn> scope = ScopeOf(*stmt);
 
-  const bool aggregate_mode = rng.Bernoulli(options_.aggregate_probability);
+  const bool aggregate_mode = rng.Bernoulli(kAggregateProbability);
   if (aggregate_mode) {
-    if (rng.Bernoulli(options_.group_by_probability)) {
+    if (rng.Bernoulli(kGroupByProbability)) {
       int keys = rng.Bernoulli(0.25) ? 2 : 1;
       for (int k = 0; k < keys; ++k) {
         const BoundColumn& col = PickColumn(scope, rng);
@@ -461,7 +483,7 @@ std::unique_ptr<SelectStatement> QueryGenerator::Generate(Rng& rng) const {
         item.expr = AggregateExpr(scope, rng);
         stmt->select_list.push_back(std::move(item));
       }
-      if (rng.Bernoulli(options_.having_probability)) {
+      if (rng.Bernoulli(kHavingProbability)) {
         static constexpr BinaryOp kCmp[] = {BinaryOp::kGt, BinaryOp::kGe,
                                             BinaryOp::kLt, BinaryOp::kEq};
         stmt->having = Expr::MakeBinary(
@@ -478,7 +500,7 @@ std::unique_ptr<SelectStatement> QueryGenerator::Generate(Rng& rng) const {
       }
     }
   } else {
-    if (rng.Bernoulli(options_.star_probability)) {
+    if (rng.Bernoulli(kStarProbability)) {
       sql::SelectItem item;
       item.expr = Expr::MakeStar();
       if (!stmt->joins.empty() && rng.Bernoulli(0.5)) {
@@ -488,7 +510,7 @@ std::unique_ptr<SelectStatement> QueryGenerator::Generate(Rng& rng) const {
       stmt->select_list.push_back(std::move(item));
     } else {
       int items = static_cast<int>(
-          rng.UniformInt(1, options_.max_select_items));
+          rng.UniformInt(1, kMaxSelectItems));
       for (int i = 0; i < items; ++i) {
         sql::SelectItem item;
         item.expr = ScalarExpr(scope, 2, rng);
@@ -496,14 +518,14 @@ std::unique_ptr<SelectStatement> QueryGenerator::Generate(Rng& rng) const {
         stmt->select_list.push_back(std::move(item));
       }
     }
-    stmt->distinct = rng.Bernoulli(options_.distinct_probability);
+    stmt->distinct = rng.Bernoulli(kDistinctProbability);
   }
 
-  if (rng.Bernoulli(options_.where_probability)) {
-    stmt->where = Predicate(scope, options_.max_predicate_depth, rng);
+  if (rng.Bernoulli(kWhereProbability)) {
+    stmt->where = Predicate(scope, kMaxPredicateDepth, rng);
   }
 
-  if (rng.Bernoulli(options_.order_by_probability)) {
+  if (rng.Bernoulli(kOrderByProbability)) {
     // Order keys are clones of select items so the sortedness oracle can
     // check them against the output columns; '*' select lists instead
     // order by a random scope column.
@@ -523,12 +545,12 @@ std::unique_ptr<SelectStatement> QueryGenerator::Generate(Rng& rng) const {
     }
   }
 
-  if (rng.Bernoulli(options_.limit_probability)) {
+  if (rng.Bernoulli(kLimitProbability)) {
     stmt->limit = rng.UniformInt(0, 25);
   }
 
   // Set operation: both arms project plain columns so the arities match.
-  if (!aggregate_mode && rng.Bernoulli(options_.set_op_probability)) {
+  if (!aggregate_mode && rng.Bernoulli(kSetOpProbability)) {
     bool simple = true;
     for (const auto& item : stmt->select_list) {
       if (item.expr->kind == ExprKind::kStar) simple = false;

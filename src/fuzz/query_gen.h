@@ -11,30 +11,6 @@
 
 namespace codes::fuzz {
 
-/// Knobs for the random query generator. Probabilities are independent
-/// per-feature draws; the defaults aim for a mix where every executor
-/// code path (joins, grouping, subqueries, set ops, NULL-heavy
-/// predicates) appears in a few percent of queries.
-struct GenOptions {
-  int max_joins = 2;             ///< extra tables beyond FROM
-  int max_predicate_depth = 3;   ///< AND/OR/NOT nesting budget
-  double join_probability = 0.4;
-  double where_probability = 0.75;
-  double aggregate_probability = 0.3;
-  double group_by_probability = 0.6;   ///< given aggregate mode
-  double having_probability = 0.4;     ///< given GROUP BY
-  double order_by_probability = 0.4;
-  double limit_probability = 0.3;
-  double distinct_probability = 0.12;
-  double set_op_probability = 0.06;
-  double subquery_probability = 0.12;  ///< IN (SELECT ...) / scalar leaves
-  double null_literal_probability = 0.12;
-  double star_probability = 0.12;      ///< '*' or 'T1.*' select list
-  int max_select_items = 4;
-  int max_in_list = 4;
-  size_t max_literals_per_column = 8;  ///< distinct-value pool size
-};
-
 /// Catalog-driven random SELECT generator. Every query it produces
 /// parses, round-trips through ToSql(), and executes without error on
 /// the database it was built for; the stream of queries is a pure
@@ -48,8 +24,7 @@ struct GenOptions {
 /// exactly.
 class QueryGenerator {
  public:
-  explicit QueryGenerator(const sql::Database& db,
-                          GenOptions options = GenOptions());
+  explicit QueryGenerator(const sql::Database& db);
 
   QueryGenerator(QueryGenerator&&) = default;
 
@@ -64,7 +39,6 @@ class QueryGenerator {
       const sql::SelectStatement& stmt, Rng& rng) const;
 
   const sql::Database& db() const { return db_; }
-  const GenOptions& options() const { return options_; }
 
  private:
   /// A column visible in a statement scope under a binding qualifier.
@@ -105,7 +79,6 @@ class QueryGenerator {
                                                        Rng& rng) const;
 
   const sql::Database& db_;
-  GenOptions options_;
   /// literal_pool_[t][c] = quantized distinct values of column c of table t.
   std::vector<std::vector<std::vector<sql::Value>>> literal_pool_;
 };

@@ -593,7 +593,7 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
     if (!prompt.ColumnKept(t, c)) return std::nullopt;
     auto values = db.DistinctValues(
         db.schema().tables[t].name, db.schema().tables[t].columns[c].name,
-        static_cast<size_t>(prompt.representative_value_count));
+        kRepresentativeValues);
     if (values.empty()) return std::nullopt;
     return values[0];
   };

@@ -13,6 +13,12 @@ namespace codes {
 
 namespace {
 
+// Logistic-regression training: SGD step size, L2 weight decay, and the
+// random negative columns sampled per gold column.
+constexpr double kLearningRate = 0.15;
+constexpr double kL2 = 1e-4;
+constexpr int kNegativesPerPositive = 4;
+
 double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
 /// Does any cell of (table, column) literally appear in the question?
@@ -128,8 +134,7 @@ void SchemaItemClassifier::Train(const Text2SqlBenchmark& bench,
           {ColumnLinkFeatures(question, encoder_, db, t, c), 1});
     }
     // Random negatives from the same database.
-    int negatives = static_cast<int>(positives.size()) *
-                    options.negatives_per_positive;
+    int negatives = static_cast<int>(positives.size()) * kNegativesPerPositive;
     for (int i = 0; i < negatives; ++i) {
       int t = static_cast<int>(rng.Index(db.schema().tables.size()));
       const auto& table = db.schema().tables[t];
@@ -156,10 +161,10 @@ void SchemaItemClassifier::Train(const Text2SqlBenchmark& bench,
       }
       double grad = Sigmoid(z) - static_cast<double>(ex.label);
       for (size_t i = 0; i < ex.features.size(); ++i) {
-        weights_[i] -= options.learning_rate *
-                       (grad * ex.features[i] + options.l2 * weights_[i]);
+        weights_[i] -=
+            kLearningRate * (grad * ex.features[i] + kL2 * weights_[i]);
       }
-      bias_ -= options.learning_rate * grad;
+      bias_ -= kLearningRate * grad;
     }
   }
 }

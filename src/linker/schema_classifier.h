@@ -53,9 +53,6 @@ class SchemaItemClassifier {
   /// Options for Train().
   struct TrainOptions {
     int epochs = 6;
-    double learning_rate = 0.15;
-    double l2 = 1e-4;
-    int negatives_per_positive = 4;
     uint64_t seed = 11;
   };
 
@@ -77,12 +74,6 @@ class SchemaItemClassifier {
   /// one item at a time.
   SchemaScores ScoreSchema(const std::string& question,
                            const sql::Database& db) const;
-
-  const SentenceEncoder& encoder() const { return encoder_; }
-
-  /// Learned weights (exposed for tests and diagnostics).
-  const LinkerFeatures& weights() const { return weights_; }
-  double bias() const { return bias_; }
 
  private:
   double ScoreColumn(const LinkerQuestion& question, const sql::Database& db,

@@ -131,7 +131,6 @@ DatabasePrompt PromptBuilder::Serialize(
   prompt.representative_values_included =
       options_.include_representative_values;
   prompt.keys_included = options_.include_keys;
-  prompt.representative_value_count = options_.representative_values;
 
   // Retrieve question-matched values first; they are serialized at the end
   // but are part of the token budget. Stage span: "value retrieval" in
@@ -140,7 +139,7 @@ DatabasePrompt PromptBuilder::Serialize(
   if (options_.use_value_retriever && value_retriever != nullptr) {
     CODES_TRACE_SPAN(span, "pipeline.value_retrieval");
     prompt.matched_values = value_retriever->Retrieve(
-        question, options_.value_coarse_k, options_.value_fine_k);
+        question, PromptOptions::value_coarse_k, PromptOptions::value_fine_k);
   }
 
   // Serialize table blocks under the token budget; tables or columns that
@@ -176,9 +175,8 @@ DatabasePrompt PromptBuilder::Serialize(
         attrs.push_back("comment : " + col.comment);
       }
       if (options_.include_representative_values) {
-        auto values = db.DistinctValues(
-            table.name, col.name,
-            static_cast<size_t>(options_.representative_values));
+        auto values =
+            db.DistinctValues(table.name, col.name, kRepresentativeValues);
         if (!values.empty()) {
           std::string value_list = "values : ";
           for (size_t v = 0; v < values.size(); ++v) {

@@ -1,6 +1,7 @@
 #ifndef CODES_PROMPT_PROMPT_BUILDER_H_
 #define CODES_PROMPT_PROMPT_BUILDER_H_
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -10,6 +11,10 @@
 
 namespace codes {
 
+/// Representative values serialized per kept column, and the pool the
+/// generator draws a column's representative value from.
+constexpr size_t kRepresentativeValues = 2;
+
 /// Knobs of the database prompt (Section 6 / Algorithm 1). Each boolean
 /// corresponds to one row of the Table 9 ablation.
 struct PromptOptions {
@@ -17,12 +22,12 @@ struct PromptOptions {
   int top_k1 = 6;   ///< max tables kept
   int top_k2 = 10;  ///< max columns kept per table
   bool use_value_retriever = true;
-  int value_coarse_k = 200;
-  int value_fine_k = 6;
+  /// BM25 candidates and LCS-ranked values the value retriever keeps.
+  static constexpr int value_coarse_k = 200;
+  static constexpr int value_fine_k = 6;
   bool include_column_types = true;
   bool include_comments = true;
   bool include_representative_values = true;
-  int representative_values = 2;
   bool include_keys = true;  ///< primary/foreign keys
   /// Serialized prompts beyond this many tokens are truncated; schema
   /// items that fall past the boundary are unavailable to the generator
@@ -47,7 +52,6 @@ struct DatabasePrompt {
   bool types_included = true;
   bool representative_values_included = true;
   bool keys_included = true;
-  int representative_value_count = 2;
 
   bool TableKept(int table) const;
   bool ColumnKept(int table, int column) const;
@@ -67,8 +71,6 @@ class PromptBuilder {
   /// serializes with metadata.
   DatabasePrompt Build(const sql::Database& db, const std::string& question,
                        const ValueRetriever* value_retriever) const;
-
-  const PromptOptions& options() const { return options_; }
 
  private:
   DatabasePrompt Serialize(const sql::Database& db,

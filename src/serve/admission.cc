@@ -55,46 +55,32 @@ double TokenBucket::tokens_at(uint64_t now_us) const {
   return (next < burst_) ? next : burst_;
 }
 
-WeightedFairLimiter::WeightedFairLimiter(
-    double capacity_qps, const std::vector<TenantSpec>& tenants) {
+FairShareLimiter::FairShareLimiter(double capacity_qps, size_t num_tenants) {
   if (!std::isfinite(capacity_qps) || capacity_qps <= 0.0 ||
-      tenants.empty()) {
+      num_tenants == 0) {
     return;  // limiting disabled: no buckets, TryAcquire always true
   }
-  double total_weight = 0.0;
-  for (const TenantSpec& spec : tenants) {
-    total_weight +=
-        (std::isfinite(spec.weight) && spec.weight > 0.0) ? spec.weight : 0.0;
-  }
-  if (total_weight <= 0.0) return;
-  buckets_.reserve(tenants.size());
-  rates_.reserve(tenants.size());
-  for (const TenantSpec& spec : tenants) {
-    double weight =
-        (std::isfinite(spec.weight) && spec.weight > 0.0) ? spec.weight : 0.0;
-    // A zero-weight tenant still gets an epsilon share: starving a
-    // configured tenant entirely is never the fair-share contract.
-    double rate = capacity_qps * std::max(weight, 1e-6) / total_weight;
-    rates_.push_back(rate);
-    buckets_.emplace_back(rate, spec.burst);
-  }
+  rate_ = capacity_qps / static_cast<double>(num_tenants);
+  buckets_.assign(num_tenants, TokenBucket(rate_, kAdmissionBurst));
 }
 
-bool WeightedFairLimiter::TryAcquire(int tenant, uint64_t now_us) {
+bool FairShareLimiter::TryAcquire(int tenant, uint64_t now_us) {
   if (tenant < 0 || static_cast<size_t>(tenant) >= buckets_.size()) {
     return true;
   }
   return buckets_[static_cast<size_t>(tenant)].TryAcquire(now_us);
 }
 
-double WeightedFairLimiter::RateOf(int tenant) const {
-  if (tenant < 0 || static_cast<size_t>(tenant) >= rates_.size()) return 0.0;
-  return rates_[static_cast<size_t>(tenant)];
+double FairShareLimiter::RateOf(int tenant) const {
+  if (tenant < 0 || static_cast<size_t>(tenant) >= buckets_.size()) {
+    return 0.0;
+  }
+  return rate_;
 }
 
-DeadlineQueue::DeadlineQueue(size_t capacity, size_t lifo_threshold)
+DeadlineQueue::DeadlineQueue(size_t capacity)
     : capacity_(std::max<size_t>(capacity, 1)),
-      lifo_threshold_(lifo_threshold) {}
+      lifo_threshold_(capacity_ / 2) {}
 
 bool DeadlineQueue::Push(const QueuedRequest& request) {
   if (queue_.size() >= capacity_) return false;
@@ -136,18 +122,14 @@ void DeadlineQueue::DrainTo(std::vector<QueuedRequest>* shed) {
 AdmissionController::Options AdmissionController::Options::Resolve() const {
   Options resolved = *this;
   if (resolved.queue_capacity == 0) resolved.queue_capacity = 1;
-  if (resolved.lifo_threshold == 0) {
-    resolved.lifo_threshold = resolved.queue_capacity / 2;
-  }
   return resolved;
 }
 
-AdmissionController::AdmissionController(const Options& options)
-    : bucket_(options.Resolve().rate_per_sec, options.Resolve().burst),
-      tenant_limiter_(options.Resolve().tenant_capacity_qps,
-                      options.Resolve().tenants),
-      queue_(options.Resolve().queue_capacity,
-             options.Resolve().lifo_threshold) {}
+AdmissionController::AdmissionController(const Options& options,
+                                         size_t num_tenants)
+    : bucket_(options.rate_per_sec, kAdmissionBurst),
+      tenant_limiter_(options.tenant_capacity_qps, num_tenants),
+      queue_(options.queue_capacity) {}
 
 Admission AdmissionController::Offer(const QueuedRequest& request,
                                      uint64_t now_us) {

@@ -44,28 +44,28 @@ class TokenBucket {
   bool primed_ = false;  ///< first TryAcquire anchors the clock
 };
 
-/// Weighted-fair per-tenant rate limiting, layered *under* the global
-/// token bucket: tenant `t` gets a private bucket whose refill rate is
-/// its weight share of `capacity_qps` (rate_t = capacity * w_t / Σw).
-/// The per-tenant bucket is consulted before the global one, so a hot
-/// tenant's excess is clipped at its own fair share and never drains the
-/// tokens every other tenant shares — that ordering is the isolation
-/// contract the multi-tenant campaign asserts (each cold tenant keeps
-/// >= 80% of its isolated goodput while one tenant offers 5x its share).
+/// Burst allowance (tokens) of the global bucket and of every tenant's
+/// bucket.
+inline constexpr double kAdmissionBurst = 8.0;
+
+/// Fair-share per-tenant rate limiting, layered *under* the global token
+/// bucket: each of the N tenants gets a private bucket that refills at an
+/// equal share of `capacity_qps` (rate = capacity / N) with burst
+/// kAdmissionBurst. The per-tenant bucket is consulted before the global
+/// one, so a hot tenant's excess is clipped at its own fair share and
+/// never drains the tokens every other tenant shares — that ordering is
+/// the isolation contract the multi-tenant campaign asserts (each cold
+/// tenant keeps >= 80% of its isolated goodput while one tenant offers 5x
+/// its share).
 ///
 /// Tenants are fixed at construction (the fleet configures its tenant set
 /// up front); requests with an out-of-range tenant id are not limited
 /// here and fall through to the global bucket.
-class WeightedFairLimiter {
+class FairShareLimiter {
  public:
-  struct TenantSpec {
-    double weight = 1.0;  ///< relative share; <= 0 clamps to a tiny share
-    double burst = 8.0;   ///< per-tenant burst allowance (tokens)
-  };
-
-  /// `capacity_qps` <= 0 disables per-tenant limiting entirely.
-  WeightedFairLimiter(double capacity_qps,
-                      const std::vector<TenantSpec>& tenants);
+  /// `capacity_qps` <= 0 (or no tenants) disables per-tenant limiting
+  /// entirely.
+  FairShareLimiter(double capacity_qps, size_t num_tenants);
 
   /// Spends one of `tenant`'s tokens if available. Always true when
   /// limiting is disabled or `tenant` is out of range.
@@ -78,7 +78,7 @@ class WeightedFairLimiter {
 
  private:
   std::vector<TokenBucket> buckets_;
-  std::vector<double> rates_;
+  double rate_ = 0.0;
 };
 
 /// One queued admission ticket. The front end keeps request payloads; the
@@ -99,16 +99,14 @@ struct QueuedRequest {
 ///    the caller sheds instead of building an unbounded backlog).
 ///  * Pop first drops every entry whose deadline has already passed
 ///    (shedding work that is guaranteed wasted *before* spending pipeline
-///    time on it), then serves FIFO while the queue is shallow and
-///    LIFO once depth crosses `lifo_threshold` — under saturation the
-///    newest request is the one whose deadline budget is still intact,
-///    so serving it yields goodput where FIFO would serve a doomed
-///    request first.
+///    time on it), then serves FIFO while the queue is at most half
+///    full and LIFO above that — under saturation the newest request is
+///    the one whose deadline budget is still intact, so serving it yields
+///    goodput where FIFO would serve a doomed request first.
 class DeadlineQueue {
  public:
-  /// `lifo_threshold` is a depth (entries); depths strictly above it pop
-  /// newest-first. 0 means always-LIFO.
-  DeadlineQueue(size_t capacity, size_t lifo_threshold);
+  /// A zero `capacity` is clamped to 1.
+  explicit DeadlineQueue(size_t capacity);
 
   bool Push(const QueuedRequest& request);
 
@@ -125,7 +123,7 @@ class DeadlineQueue {
 
  private:
   size_t capacity_;
-  size_t lifo_threshold_;
+  size_t lifo_threshold_;  ///< capacity_ / 2
   std::deque<QueuedRequest> queue_;
 };
 
@@ -144,23 +142,20 @@ class AdmissionController {
  public:
   struct Options {
     double rate_per_sec = 0.0;  ///< <= 0: no rate limit
-    double burst = 8.0;
     size_t queue_capacity = 64;
-    /// Queue depths strictly above this pop LIFO; defaults to half the
-    /// capacity when left 0 (see Resolve()).
-    size_t lifo_threshold = 0;
 
-    /// Per-tenant weighted-fair layer. `tenant_capacity_qps` <= 0 (the
-    /// default) disables it; otherwise each configured tenant gets
-    /// capacity * weight / Σweights as its private refill rate, checked
-    /// before the global bucket.
+    /// Per-tenant fair-share layer. `tenant_capacity_qps` <= 0 (the
+    /// default) disables it; otherwise each of the N tenants gets
+    /// capacity / N as its private refill rate, checked before the global
+    /// bucket.
     double tenant_capacity_qps = 0.0;
-    std::vector<WeightedFairLimiter::TenantSpec> tenants;
 
+    /// Clamps a zero queue capacity to 1.
     Options Resolve() const;
   };
 
-  explicit AdmissionController(const Options& options);
+  /// `num_tenants` sizes the fair-share layer (tenant ids 0..N-1).
+  AdmissionController(const Options& options, size_t num_tenants);
 
   Admission Offer(const QueuedRequest& request, uint64_t now_us);
   bool Dequeue(uint64_t now_us, QueuedRequest* out,
@@ -183,7 +178,7 @@ class AdmissionController {
 
  private:
   TokenBucket bucket_;
-  WeightedFairLimiter tenant_limiter_;
+  FairShareLimiter tenant_limiter_;
   DeadlineQueue queue_;
 };
 

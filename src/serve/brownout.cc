@@ -5,13 +5,20 @@
 namespace codes {
 namespace serve {
 
+namespace {
+
+/// Queue fullness (depth / capacity) at or above which richness steps
+/// down one level.
+constexpr double kHighWatermark = 0.75;
+/// Fullness at or below which richness steps back up one level.
+constexpr double kLowWatermark = 0.25;
+
+}  // namespace
+
 BrownoutController::BrownoutController(const Options& options)
     : options_(options) {
   options_.max_level =
       std::clamp(options_.max_level, 0, kNumBrownoutLevels - 1);
-  options_.high_watermark = std::clamp(options_.high_watermark, 0.0, 1.0);
-  options_.low_watermark =
-      std::clamp(options_.low_watermark, 0.0, options_.high_watermark);
 }
 
 int BrownoutController::Update(double queue_fullness, uint64_t now_us) {
@@ -24,12 +31,11 @@ int BrownoutController::Update(double queue_fullness, uint64_t now_us) {
                           : 0;
   }
   if (now_us - last_change_us_ < options_.dwell_us) return level_;
-  if (queue_fullness >= options_.high_watermark &&
-      level_ < options_.max_level) {
+  if (queue_fullness >= kHighWatermark && level_ < options_.max_level) {
     ++level_;
     ++degrades_;
     last_change_us_ = now_us;
-  } else if (queue_fullness <= options_.low_watermark && level_ > 0) {
+  } else if (queue_fullness <= kLowWatermark && level_ > 0) {
     --level_;
     ++recoveries_;
     last_change_us_ = now_us;

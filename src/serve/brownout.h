@@ -24,19 +24,14 @@ inline constexpr int kNumBrownoutLevels = 5;
 ///   L4  emergency SQL only (the one level that fires a ladder rung)
 ///
 /// Levels move one step at a time on a queue-fullness signal with two
-/// guards against flapping: watermark hysteresis (degrade above `high`,
-/// recover below `low`, hold in between) and a minimum dwell time between
-/// consecutive changes. Explicit-time like the rest of src/serve/; not
-/// thread-safe.
+/// guards against flapping: watermark hysteresis (degrade at 75% fullness
+/// or more, recover at 25% or less, hold in between) and a minimum dwell
+/// time between consecutive changes. Explicit-time like the rest of
+/// src/serve/; not thread-safe.
 class BrownoutController {
  public:
   struct Options {
     int max_level = kNumBrownoutLevels - 1;
-    /// Queue fullness (depth / capacity) at or above which richness steps
-    /// down one level.
-    double high_watermark = 0.75;
-    /// Fullness at or below which richness steps back up one level.
-    double low_watermark = 0.25;
     /// Minimum time between consecutive level changes.
     uint64_t dwell_us = 250'000;
   };

@@ -1,19 +1,12 @@
 #include "serve/circuit_breaker.h"
 
-#include <algorithm>
-
 namespace codes {
 namespace serve {
 
-CircuitBreaker::CircuitBreaker(const Options& options) : options_(options) {
-  options_.window = std::max<size_t>(options_.window, 1);
-  options_.min_samples =
-      std::min(std::max<size_t>(options_.min_samples, 1), options_.window);
-  options_.half_open_probes = std::max(options_.half_open_probes, 1);
-  options_.close_after =
-      std::min(std::max(options_.close_after, 1), options_.half_open_probes);
-  window_.assign(options_.window, false);
-}
+static_assert(CircuitBreaker::kMinSamples <= CircuitBreaker::kWindow);
+static_assert(CircuitBreaker::kCloseAfter <= CircuitBreaker::kHalfOpenProbes);
+
+CircuitBreaker::CircuitBreaker(const Options& options) : options_(options) {}
 
 void CircuitBreaker::MoveTo(BreakerState next, uint64_t now_us) {
   state_ = next;
@@ -24,7 +17,7 @@ void CircuitBreaker::MoveTo(BreakerState next, uint64_t now_us) {
     probes_issued_ = 0;
     probe_successes_ = 0;
   } else {  // kClosed: forget the failing era entirely
-    window_.assign(options_.window, false);
+    window_.fill(false);
     window_next_ = 0;
     window_count_ = 0;
     window_failures_ = 0;
@@ -39,14 +32,14 @@ double CircuitBreaker::FailureRatio() const {
 
 bool CircuitBreaker::ShouldForce(uint64_t now_us) {
   if (state_ == BreakerState::kOpen) {
-    if (now_us - opened_at_us_ >= options_.cooldown_us) {
+    if (now_us - opened_at_us_ >= kCooldownUs) {
       MoveTo(BreakerState::kHalfOpen, now_us);
     } else {
       return true;
     }
   }
   if (state_ == BreakerState::kHalfOpen) {
-    if (probes_issued_ < options_.half_open_probes) {
+    if (probes_issued_ < kHalfOpenProbes) {
       ++probes_issued_;
       return false;  // this request is a probe: let it touch the stage
     }
@@ -63,14 +56,14 @@ void CircuitBreaker::RecordOutcome(bool failed, uint64_t now_us) {
     case BreakerState::kHalfOpen:
       if (failed) {
         MoveTo(BreakerState::kOpen, now_us);
-      } else if (++probe_successes_ >= options_.close_after) {
+      } else if (++probe_successes_ >= kCloseAfter) {
         MoveTo(BreakerState::kClosed, now_us);
       }
       return;
     case BreakerState::kClosed:
       break;
   }
-  if (window_count_ == options_.window) {
+  if (window_count_ == kWindow) {
     // Ring slot being overwritten leaves the window.
     if (window_[window_next_]) --window_failures_;
   } else {
@@ -78,8 +71,8 @@ void CircuitBreaker::RecordOutcome(bool failed, uint64_t now_us) {
   }
   window_[window_next_] = failed;
   if (failed) ++window_failures_;
-  window_next_ = (window_next_ + 1) % options_.window;
-  if (window_count_ >= options_.min_samples &&
+  window_next_ = (window_next_ + 1) % kWindow;
+  if (window_count_ >= kMinSamples &&
       FailureRatio() >= options_.failure_threshold) {
     MoveTo(BreakerState::kOpen, now_us);
   }

@@ -1,9 +1,9 @@
 #ifndef CODES_SERVE_CIRCUIT_BREAKER_H_
 #define CODES_SERVE_CIRCUIT_BREAKER_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 namespace codes {
 namespace serve {
@@ -13,7 +13,7 @@ namespace serve {
 ///   Closed ──(failure ratio over window ≥ threshold)──▶ Open
 ///   Open ──(cooldown elapsed)──▶ HalfOpen
 ///   HalfOpen ──(any probe fails)──▶ Open (cooldown restarts)
-///   HalfOpen ──(close_after probes succeed)──▶ Closed (window cleared)
+///   HalfOpen ──(kCloseAfter probes succeed)──▶ Closed (window cleared)
 ///
 /// While Open (and for non-probe traffic while HalfOpen) the owning front
 /// end forces the mapped degradation-ladder rung instead of touching the
@@ -26,19 +26,20 @@ enum class BreakerState { kClosed = 0, kOpen, kHalfOpen };
 /// thread-safe; the owner serializes access.
 class CircuitBreaker {
  public:
+  /// Sliding outcome window (ring buffer) length.
+  static constexpr size_t kWindow = 32;
+  /// Minimum outcomes in the window before the ratio is meaningful.
+  static constexpr size_t kMinSamples = 8;
+  /// Open → HalfOpen after this long without traffic to the stage.
+  static constexpr uint64_t kCooldownUs = 2'000'000;
+  /// Probes let through per HalfOpen episode.
+  static constexpr int kHalfOpenProbes = 3;
+  /// Probe successes needed to close.
+  static constexpr int kCloseAfter = 2;
+
   struct Options {
-    /// Sliding outcome window (ring buffer) length.
-    size_t window = 32;
-    /// Minimum outcomes in the window before the ratio is meaningful.
-    size_t min_samples = 8;
     /// Trip when failures / outcomes ≥ this.
     double failure_threshold = 0.5;
-    /// Open → HalfOpen after this long without traffic to the stage.
-    uint64_t cooldown_us = 2'000'000;
-    /// Probes let through per HalfOpen episode.
-    int half_open_probes = 3;
-    /// Probe successes needed to close (≤ half_open_probes).
-    int close_after = 2;
   };
 
   explicit CircuitBreaker(const Options& options);
@@ -66,7 +67,7 @@ class CircuitBreaker {
   Options options_;
   BreakerState state_ = BreakerState::kClosed;
   /// Ring buffer of outcomes (true = failed) while Closed.
-  std::vector<bool> window_;
+  std::array<bool, kWindow> window_{};
   size_t window_next_ = 0;
   size_t window_count_ = 0;
   size_t window_failures_ = 0;

@@ -88,7 +88,7 @@ ServeFrontEnd::ServeFrontEnd(const CodesPipeline* pipeline,
     : pipeline_(pipeline),
       bench_(bench),
       options_(options),
-      admission_(options.admission),
+      admission_(options.admission, options.tenant_names.size()),
       breakers_{CircuitBreaker(options.breaker),
                 CircuitBreaker(options.breaker),
                 CircuitBreaker(options.breaker)},
@@ -214,11 +214,6 @@ bool ServeFrontEnd::Dequeue(uint64_t now_us, QueuedRequest* out,
 ServeOptions ServeFrontEnd::OptionsForLocked(uint64_t now_us) {
   ServeOptions options;
   options.limits = options_.limits;
-  if (options_.default_deadline_us > 0 &&
-      options.limits.deadline_seconds <= 0.0) {
-    options.limits.deadline_seconds =
-        static_cast<double>(options_.default_deadline_us) * 1e-6;
-  }
 
   BrownoutController::ApplyLevel(brownout_.level(), &options);
 
@@ -315,16 +310,16 @@ void ServeFrontEnd::ObserveFullnessLocked(double fullness, uint64_t now_us) {
   m.brownout_level.Set(after);
 }
 
+static_assert(kSuspectFloorLevel < kNumBrownoutLevels);
+
 void ServeFrontEnd::MarkSuspect(ServeOptions* options,
                                 std::string canonical_question) const {
   options->suspect = true;
   options->canonical_question = std::move(canonical_question);
-  int floor = std::clamp(options_.harden.suspect_floor_level, 0,
-                         kNumBrownoutLevels - 1);
   // Suspect requests never run richer than the floor, but an overload
   // brownout that is already deeper stays in charge.
-  if (options->brownout_level < floor) {
-    BrownoutController::ApplyLevel(floor, options);
+  if (options->brownout_level < kSuspectFloorLevel) {
+    BrownoutController::ApplyLevel(kSuspectFloorLevel, options);
   }
   Metrics().adv_pre_degraded.Increment();
 }
@@ -345,9 +340,7 @@ Status ServeFrontEnd::Serve(const Text2SqlSample& sample, std::string* sql,
   // Hardening is pure — run it outside the mutex so hostile input never
   // extends the critical section.
   HardenResult hardened;
-  if (options_.harden.enabled) {
-    hardened = HardenQuestion(sample.question, options_.harden);
-  }
+  if (options_.harden) hardened = HardenQuestion(sample.question);
   uint64_t now = WallNowUs();
   ServeOptions options;
   {
@@ -375,7 +368,7 @@ Status ServeFrontEnd::Serve(const Text2SqlSample& sample, std::string* sql,
 
   const Text2SqlSample* request = &sample;
   Text2SqlSample sanitized_sample;
-  if (options_.harden.enabled) {
+  if (options_.harden) {
     if (hardened.sanitized != sample.question) {
       sanitized_sample = sample;
       sanitized_sample.question = hardened.sanitized;

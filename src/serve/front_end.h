@@ -33,6 +33,11 @@ enum class ServeStage : int {
 inline constexpr int kNumServeStages =
     static_cast<int>(ServeStage::kNumStages);
 
+/// Brownout floor for suspect requests: they enter PredictGuarded at least
+/// this degraded (level 2 = no demonstrations, no retrieved values), so
+/// hostile input never burns full prompt richness.
+inline constexpr int kSuspectFloorLevel = 2;
+
 /// Configuration of the overload-protection front end.
 struct FrontEndOptions {
   AdmissionController::Options admission;
@@ -41,16 +46,15 @@ struct FrontEndOptions {
   BrownoutController::Options brownout;
   /// Execution budgets stamped into every request's ServeOptions.
   ExecLimits limits;
-  /// Deadline assigned to requests that arrive without one (0 = none).
-  uint64_t default_deadline_us = 0;
   /// Request-hardening front door (UTF-8 repair, byte cap, control strip,
   /// anomaly scoring). Applied on the wall-clock paths before the
   /// pipeline sees the question; the explicit-time API leaves hardening
   /// to its single owner (codes_load hardens on the DES driver thread)
   /// and only supplies MarkSuspect for the verdict.
-  HardenOptions harden;
-  /// Tenant display names, parallel to admission.tenants. When non-empty,
-  /// every offer/admit/reject/shed is also attributed to a
+  bool harden = true;
+  /// Tenant display names, indexed by tenant id. Their count sizes the
+  /// admission fair-share layer. When non-empty, every
+  /// offer/admit/reject/shed is also attributed to a
   /// serve.tenant.<name>.* counter family so the global sum invariant can
   /// be checked per tenant.
   std::vector<std::string> tenant_names;
@@ -129,8 +133,8 @@ class ServeFrontEnd {
 
   /// Marks a request suspect after its hardening verdict: stamps the
   /// suspect flag and the canonical retry question into `options`, and
-  /// raises its brownout richness floor to HardenOptions::
-  /// suspect_floor_level (never lowers an already deeper brownout).
+  /// raises its brownout richness floor to kSuspectFloorLevel (never
+  /// lowers an already deeper brownout).
   /// Thread-safe and lock-free — it only reads construction-time options
   /// and bumps the serve.adv.pre_degraded counter — so both the DES
   /// driver and the wall-clock paths call it directly.

@@ -147,23 +147,16 @@ double AnomalyScore(std::string_view question) {
                  0.45 * comp_blowup + 0.25 * comp_nonascii);
 }
 
-HardenResult HardenQuestion(std::string_view question,
-                            const HardenOptions& options) {
+HardenResult HardenQuestion(std::string_view question) {
   HardenResult result;
-  if (!options.enabled) {
-    result.sanitized = std::string(question);
-    result.canonical = result.sanitized;
-    return result;
-  }
 
   // --- Tier 1: sanitize (what the pipeline serves) ---------------------
 
   std::string sanitized = RepairUtf8(question);
   if (sanitized != question) result.flags |= kHardenRepairedUtf8;
 
-  if (options.max_question_bytes > 0 &&
-      sanitized.size() > options.max_question_bytes) {
-    size_t cut = options.max_question_bytes;
+  if (sanitized.size() > kMaxQuestionBytes) {
+    size_t cut = kMaxQuestionBytes;
     // Never cut mid-sequence: back up over continuation bytes.
     while (cut > 0 &&
            (static_cast<unsigned char>(sanitized[cut]) & 0xC0) == 0x80) {
@@ -226,7 +219,7 @@ HardenResult HardenQuestion(std::string_view question,
   if (canonical != folded) result.flags |= kHardenCollapsedWhitespace;
 
   result.anomaly = AnomalyScore(sanitized);
-  if (result.anomaly >= options.anomaly_threshold) {
+  if (result.anomaly >= kAnomalyThreshold) {
     result.flags |= kHardenAnomalous;
   }
   // Suspect = any structural repair fired, or the score crossed the

@@ -1,6 +1,7 @@
 #ifndef CODES_SERVE_HARDEN_H_
 #define CODES_SERVE_HARDEN_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -8,26 +9,13 @@
 namespace codes {
 namespace serve {
 
-/// Tuning of the request-hardening front door (DESIGN.md section 17).
-/// Hardening is a pure per-request transform: no locks, no globals, so
-/// the DES load generator can apply it on its driver thread and campaigns
-/// stay byte-identical at any real thread count.
-struct HardenOptions {
-  /// Master switch. Off = questions flow through untouched (the legacy
-  /// serving path, byte-for-byte).
-  bool enabled = true;
-  /// Hard byte cap applied after UTF-8 repair. Longer questions are
-  /// truncated at a code-point boundary — never mid-sequence — and
-  /// flagged suspect.
-  size_t max_question_bytes = 4096;
-  /// Anomaly score at or above which a structurally clean question is
-  /// still treated as suspect (see AnomalyScore).
-  double anomaly_threshold = 0.5;
-  /// Brownout floor for suspect requests: they enter PredictGuarded at
-  /// least this degraded (level 2 = no demonstrations, no retrieved
-  /// values), so hostile input never burns full prompt richness.
-  int suspect_floor_level = 2;
-};
+/// Hard byte cap applied after UTF-8 repair. Longer questions are
+/// truncated at a code-point boundary — never mid-sequence — and flagged
+/// suspect.
+constexpr size_t kMaxQuestionBytes = 4096;
+/// Anomaly score at or above which a structurally clean question is still
+/// treated as suspect (see AnomalyScore).
+constexpr double kAnomalyThreshold = 0.5;
 
 /// What the hardening pass did to one question (bit flags).
 enum HardenFlag : uint32_t {
@@ -61,9 +49,11 @@ struct HardenResult {
   bool suspect = false;
 };
 
-/// Hardens one question. Pure function of (question, options).
-HardenResult HardenQuestion(std::string_view question,
-                            const HardenOptions& options);
+/// Hardens one question: the request-hardening front door of DESIGN.md
+/// section 17. A pure function of the question (no locks, no globals), so
+/// the DES load generator can apply it on its driver thread and campaigns
+/// stay byte-identical at any real thread count.
+HardenResult HardenQuestion(std::string_view question);
 
 /// Cheap anomaly score in [0, 1] over a sanitized question: byte-class
 /// entropy collapse (all-one-class spam), longest-run repetition, token

@@ -292,8 +292,8 @@ LoadReport RunLoadCampaign(const CodesPipeline& pipeline,
         slot.sample_storage = *sample;
         if (is_adv[id] != 0) slot.sample_storage.question = mutated[id];
         if (options.harden) {
-          HardenResult hardened = HardenQuestion(
-              slot.sample_storage.question, options.front_end.harden);
+          HardenResult hardened =
+              HardenQuestion(slot.sample_storage.question);
           if (hardened.sanitized != slot.sample_storage.question) {
             slot.sample_storage.question = hardened.sanitized;
           }

@@ -18,8 +18,8 @@ namespace serve {
 struct TenantTraffic {
   std::string name;
   /// Relative arrival share outside burst windows. A tenant whose share
-  /// exceeds its admission weight is "hot": open-loop traffic above its
-  /// fair rate that the weighted-fair limiter must clip.
+  /// exceeds its equal admission share is "hot": open-loop traffic above
+  /// its fair rate that the fair-share limiter must clip.
   double share = 1.0;
   /// Relative share during burst windows (adversarial tenants spike
   /// here); negative = same as `share`.
@@ -93,7 +93,7 @@ struct LoadReport {
   uint64_t admitted = 0;
   uint64_t rejected_rate = 0;
   uint64_t rejected_queue_full = 0;
-  /// Clipped by the per-tenant weighted-fair limiter before the global
+  /// Clipped by the per-tenant fair-share limiter before the global
   /// bucket was consulted. Always 0 in single-tenant campaigns.
   uint64_t rejected_tenant_rate = 0;
   uint64_t shed_deadline = 0;

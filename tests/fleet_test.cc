@@ -431,16 +431,12 @@ TEST_F(FleetTest, EvictThenReattachPredictsByteIdenticallyAt1And8Threads) {
   }
 }
 
-TEST_F(FleetTest, AdmissionSpecsAndNamesLineUpWithTenantIds) {
+TEST_F(FleetTest, TenantNamesLineUpWithTenantIds) {
   auto fleet = MakeFleet("", 0);
-  auto specs = fleet->AdmissionSpecs();
   auto names = fleet->TenantNames();
-  ASSERT_EQ(specs.size(), 2u);
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], fleet->TenantName(0));
   EXPECT_EQ(names[1], fleet->TenantName(1));
-  EXPECT_DOUBLE_EQ(specs[0].weight, 1.0);
-  EXPECT_DOUBLE_EQ(specs[0].burst, 8.0);
   EXPECT_EQ(fleet->SnapshotPath(0), "") << "persistence disabled";
 }
 

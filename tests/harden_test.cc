@@ -27,37 +27,24 @@ namespace {
 // --------------------------------------------------------- HardenQuestion
 
 TEST(HardenQuestionTest, CleanAsciiPassesThroughByteIdentical) {
-  HardenOptions options;
   const std::string q = "How many singers do we have?";
-  HardenResult r = HardenQuestion(q, options);
+  HardenResult r = HardenQuestion(q);
   EXPECT_EQ(r.sanitized, q);
   EXPECT_EQ(r.canonical, q);
   EXPECT_EQ(r.flags, 0u);
   EXPECT_FALSE(r.suspect);
-  EXPECT_LT(r.anomaly, options.anomaly_threshold);
-}
-
-TEST(HardenQuestionTest, DisabledIsVerbatimEvenOnGarbage) {
-  HardenOptions options;
-  options.enabled = false;
-  const std::string q = "\x01 bad \xC3 bytes \x7F";
-  HardenResult r = HardenQuestion(q, options);
-  EXPECT_EQ(r.sanitized, q);
-  EXPECT_EQ(r.canonical, q);
-  EXPECT_FALSE(r.suspect);
+  EXPECT_LT(r.anomaly, kAnomalyThreshold);
 }
 
 TEST(HardenQuestionTest, RepairsIllFormedUtf8AndFlagsSuspect) {
-  HardenOptions options;
-  HardenResult r = HardenQuestion("list\xC3 all", options);
+  HardenResult r = HardenQuestion("list\xC3 all");
   EXPECT_EQ(r.sanitized, "list\xEF\xBF\xBD all");
   EXPECT_TRUE(r.flags & kHardenRepairedUtf8);
   EXPECT_TRUE(r.suspect);
 }
 
 TEST(HardenQuestionTest, ControlCharactersStripAndWhitespaceNormalizes) {
-  HardenOptions options;
-  HardenResult r = HardenQuestion("\x01list\x07 all\tsingers\n", options);
+  HardenResult r = HardenQuestion("\x01list\x07 all\tsingers\n");
   // C0/DEL dropped; tab and newline become plain spaces.
   EXPECT_EQ(r.sanitized, "list all singers ");
   EXPECT_TRUE(r.flags & kHardenStrippedControl);
@@ -67,29 +54,36 @@ TEST(HardenQuestionTest, ControlCharactersStripAndWhitespaceNormalizes) {
 }
 
 TEST(HardenQuestionTest, ByteCapTruncatesAtCodePointBoundary) {
-  HardenOptions options;
-  options.max_question_bytes = 10;
-  // 9 ASCII bytes then a 2-byte é: the cap at 10 would cut mid-sequence,
-  // so truncation backs up to the last complete code point.
-  HardenResult r = HardenQuestion("abcdefghi\xC3\xA9", options);
-  EXPECT_EQ(r.sanitized, "abcdefghi");
+  // Words of ASCII filler, so only the cap (not the anomaly score) is
+  // under test.
+  auto filler = [](size_t bytes) {
+    std::string text;
+    while (text.size() < bytes) text += "list the singers ";
+    text.resize(bytes);
+    return text;
+  };
+  // 4,095 ASCII bytes then a 2-byte é: the cap at 4,096 would cut
+  // mid-sequence, so truncation backs up to the last complete code point.
+  const std::string head = filler(kMaxQuestionBytes - 1);
+  HardenResult r = HardenQuestion(head + "\xC3\xA9");
+  EXPECT_EQ(r.sanitized, head);
   EXPECT_TRUE(r.flags & kHardenTruncated);
   EXPECT_TRUE(r.suspect);
 
   // At or under the cap nothing happens.
-  HardenResult fits = HardenQuestion("abcdefgh\xC3\xA9", options);
-  EXPECT_EQ(fits.sanitized, "abcdefgh\xC3\xA9");
+  const std::string fits_text = filler(kMaxQuestionBytes - 2) + "\xC3\xA9";
+  HardenResult fits = HardenQuestion(fits_text);
+  EXPECT_EQ(fits.sanitized, fits_text);
   EXPECT_FALSE(fits.flags & kHardenTruncated);
 }
 
 TEST(HardenQuestionTest, ZeroWidthAndConfusablesFoldToAsciiCanonical) {
-  HardenOptions options;
   // NBSP between words, a zero-width space inside one, a fullwidth
   // question mark: sanitized keeps the bytes (served as-is), canonical
   // folds back to the plain ASCII question.
   const std::string q =
       "How many\xC2\xA0singers\xE2\x80\x8B are there\xEF\xBC\x9F";
-  HardenResult r = HardenQuestion(q, options);
+  HardenResult r = HardenQuestion(q);
   EXPECT_EQ(r.sanitized, q);
   EXPECT_EQ(r.canonical, "How many singers are there?");
   EXPECT_TRUE(r.flags & kHardenStrippedZeroWidth);
@@ -98,8 +92,7 @@ TEST(HardenQuestionTest, ZeroWidthAndConfusablesFoldToAsciiCanonical) {
 }
 
 TEST(HardenQuestionTest, CollapsedWhitespaceAloneIsNotSuspicion) {
-  HardenOptions options;
-  HardenResult r = HardenQuestion("how  many   singers", options);
+  HardenResult r = HardenQuestion("how  many   singers");
   EXPECT_EQ(r.sanitized, "how  many   singers");
   EXPECT_EQ(r.canonical, "how many singers");
   EXPECT_EQ(r.flags, kHardenCollapsedWhitespace);
@@ -123,7 +116,6 @@ TEST(HardenQuestionTest, SchemaNoiseMutationRoundTripsToCanonical) {
   // hostile input the canonical tier undoes: harden(mutate(q)).canonical
   // must reconstruct q, which is what makes the canonical retry worth
   // spending repair budget on.
-  HardenOptions options;
   Text2SqlBenchmark bench = BuildTinySpiderLike(42);
   int mutated = 0;
   for (size_t i = 0; i < bench.dev.size(); ++i) {
@@ -132,7 +124,7 @@ TEST(HardenQuestionTest, SchemaNoiseMutationRoundTripsToCanonical) {
         MutateQuestion(q, QuestionMutation::kSchemaNoise, 1000 + i);
     if (noisy == q) continue;
     ++mutated;
-    HardenResult r = HardenQuestion(noisy, options);
+    HardenResult r = HardenQuestion(noisy);
     EXPECT_TRUE(r.suspect) << noisy;
     EXPECT_EQ(r.canonical, q) << noisy;
   }
@@ -145,7 +137,7 @@ TEST(HardenQuestionTest, SchemaNoiseMutationRoundTripsToCanonical) {
                                 QuestionMutation::kParaphrase}) {
     std::string m =
         MutateQuestion(bench.dev.front().question, kind, 7);
-    HardenResult r = HardenQuestion(m, options);
+    HardenResult r = HardenQuestion(m);
     EXPECT_EQ(r.sanitized, m) << QuestionMutationName(kind);
     EXPECT_FALSE(r.suspect) << QuestionMutationName(kind);
   }
@@ -191,7 +183,7 @@ class AdversarialServeTest : public ::testing::Test {
     c.sample = bench_->dev[dev_index];
     std::string noisy = MutateQuestion(
         c.sample.question, QuestionMutation::kSchemaNoise, seed);
-    HardenResult h = HardenQuestion(noisy, HardenOptions());
+    HardenResult h = HardenQuestion(noisy);
     c.sample.question = h.sanitized;
     c.options.suspect = true;
     c.options.canonical_question = h.canonical;
@@ -207,8 +199,8 @@ LmZoo* AdversarialServeTest::zoo_ = nullptr;
 CodesPipeline* AdversarialServeTest::pipeline_ = nullptr;
 
 TEST_F(AdversarialServeTest, MarkSuspectRaisesBrownoutFloorNeverLowers) {
-  FrontEndOptions options;  // harden.suspect_floor_level = 2
-  ServeFrontEnd fe(pipeline_, bench_, options);
+  static_assert(kSuspectFloorLevel == 2);
+  ServeFrontEnd fe(pipeline_, bench_, FrontEndOptions());
 
   ServeOptions fresh;
   fe.MarkSuspect(&fresh, "canonical text");
@@ -227,6 +219,34 @@ TEST_F(AdversarialServeTest, MarkSuspectRaisesBrownoutFloorNeverLowers) {
 
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(CounterDelta(snapshot, "serve.adv.pre_degraded"), 2u);
+}
+
+TEST_F(AdversarialServeTest, DisabledIsVerbatimEvenOnGarbage) {
+  Text2SqlSample garbage = bench_->dev.front();
+  garbage.question = "\x01 bad \xC3 bytes \x7F " + garbage.question;
+  ASSERT_TRUE(HardenQuestion(garbage.question).suspect);
+
+  // With hardening off the front end hands the question to the pipeline
+  // untouched: same SQL as serving it directly, never marked suspect.
+  FrontEndOptions off;
+  off.harden = false;
+  ServeFrontEnd unhardened(pipeline_, bench_, off);
+  std::string sql;
+  ServeReport report;
+  ASSERT_TRUE(unhardened.Serve(garbage, &sql, &report).ok());
+  EXPECT_EQ(sql, pipeline_->PredictGuarded(*bench_, garbage, ServeOptions()));
+  EXPECT_FALSE(report.suspect);
+  EXPECT_EQ(report.brownout_level, 0);
+
+  // The default front end hardens the same question and pre-degrades it.
+  ServeFrontEnd hardened(pipeline_, bench_, FrontEndOptions());
+  ServeReport hardened_report;
+  ASSERT_TRUE(hardened.Serve(garbage, &sql, &hardened_report).ok());
+  EXPECT_TRUE(hardened_report.suspect);
+  EXPECT_EQ(hardened_report.brownout_level, kSuspectFloorLevel);
+
+  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(CounterDelta(snapshot, "serve.adv.pre_degraded"), 1u);
 }
 
 TEST_F(AdversarialServeTest, CleanSuspectPartitionSumsToRequests) {

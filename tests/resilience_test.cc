@@ -870,61 +870,6 @@ TEST_F(LadderTest, StorageFaultsDoNotPerturbServing) {
   EXPECT_EQ(Failpoints::FiredCount(FailpointSite::kStorageSplit), 0u);
 }
 
-TEST_F(LadderTest, VerifySourceTwinVerifiesCleanly) {
-  // A healthy disk-backed twin plugged in via verify_source must behave
-  // exactly like the in-memory backend: the served SQL verifies.
-  const auto& sample = bench_->dev.front();
-  auto twin = storage::StorageDb::CreateInMemoryFrom(bench_->DbOf(sample),
-                                                     /*pool_frames=*/4);
-  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
-  ServeOptions options;
-  options.verify_source = twin->get();
-  ServeReport report;
-  std::string sql = pipeline_->PredictGuarded(*bench_, sample, options,
-                                              &report);
-  EXPECT_FALSE(sql.empty());
-  EXPECT_TRUE(report.execution_verified) << report.ToString();
-}
-
-TEST_F(LadderTest, DataLossReadsLandOnALadderRung) {
-  // Corrupt every non-catalog page of the disk-backed twin. A tiny pool
-  // forces candidate execution to fault pages back in from the corrupted
-  // store, so every scan surfaces a checksum failure as kDataLoss — which
-  // must land on a degradation-ladder rung (failed candidates walk the
-  // repair loop, the answer ships unverified), never in the response as
-  // garbage rows and never as a crash.
-  const auto& sample = bench_->dev.front();
-  auto twin = storage::StorageDb::CreateInMemoryFrom(bench_->DbOf(sample),
-                                                     /*pool_frames=*/4);
-  ASSERT_TRUE(twin.ok()) << twin.status().ToString();
-  storage::StorageDb& twin_db = **twin;
-  // Drop cached frames so reads hit the (about to be corrupted) pages.
-  ASSERT_TRUE(twin_db.Flush().ok());
-  for (storage::PageId p = 1; p < twin_db.disk().page_count(); ++p) {
-    ASSERT_TRUE(twin_db.mutable_disk()
-                    .CorruptPageForTest(p, storage::kPageHeaderBytes + 3)
-                    .ok());
-  }
-  uint64_t failures0 = MetricsRegistry::Global()
-                           .GetCounter("storage.checksum_failures")
-                           .Value();
-  ServeOptions options;
-  options.verify_source = &twin_db;
-  ServeReport report;
-  std::string sql = pipeline_->PredictGuarded(*bench_, sample, options,
-                                              &report);
-  EXPECT_FALSE(sql.empty());
-  EXPECT_FALSE(report.execution_verified);
-  EXPECT_TRUE(report.Fired(ServeRung::kRepair) ||
-              report.Fired(ServeRung::kEmergencySql))
-      << report.ToString();
-  EXPECT_FALSE(report.final_status.ok());
-  EXPECT_GT(MetricsRegistry::Global()
-                .GetCounter("storage.checksum_failures")
-                .Value(),
-            failures0);
-}
-
 TEST_F(LadderTest, ServeReportRendersRungNames) {
   ServeReport report;
   report.AddRung(ServeRung::kClassifierFallback);

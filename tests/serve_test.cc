@@ -101,34 +101,26 @@ TEST(TokenBucketTest, NonFiniteParametersAreSanitized) {
   EXPECT_TRUE(nan_burst.TryAcquire(110'000));
 }
 
-// ------------------------------------------------------ weighted-fair limiter
+// -------------------------------------------------------- fair-share limiter
 
-TEST(WeightedFairLimiterTest, PartitionsCapacityByWeight) {
-  std::vector<WeightedFairLimiter::TenantSpec> tenants(3);
-  tenants[0].weight = 2.0;
-  tenants[1].weight = 1.0;
-  tenants[2].weight = 1.0;
-  WeightedFairLimiter limiter(100.0, tenants);
-  ASSERT_EQ(limiter.NumTenants(), 3u);
-  EXPECT_DOUBLE_EQ(limiter.RateOf(0), 50.0);
-  EXPECT_DOUBLE_EQ(limiter.RateOf(1), 25.0);
-  EXPECT_DOUBLE_EQ(limiter.RateOf(2), 25.0);
-}
+/// Tokens every admission bucket (global and per tenant) starts with.
+constexpr int kBurst = static_cast<int>(kAdmissionBurst);
 
-TEST(WeightedFairLimiterTest, HotTenantCannotDrainAnotherTenantsShare) {
-  std::vector<WeightedFairLimiter::TenantSpec> tenants(2);
-  tenants[0].burst = 2.0;
-  tenants[1].burst = 2.0;
-  WeightedFairLimiter limiter(20.0, tenants);  // 10 qps each
+TEST(FairShareLimiterTest, HotTenantCannotDrainAnotherTenantsShare) {
+  FairShareLimiter limiter(20.0, 2);  // equal shares: 10 qps each
+  ASSERT_EQ(limiter.NumTenants(), 2u);
+  EXPECT_DOUBLE_EQ(limiter.RateOf(0), 10.0);
+  EXPECT_DOUBLE_EQ(limiter.RateOf(1), 10.0);
 
   // Tenant 0 floods at t=0: it gets its burst and nothing more.
   int admitted = 0;
   for (int i = 0; i < 100; ++i) admitted += limiter.TryAcquire(0, 0);
-  EXPECT_EQ(admitted, 2);
+  EXPECT_EQ(admitted, kBurst);
 
   // Tenant 1 is untouched by the flood — its own bucket is full.
-  EXPECT_TRUE(limiter.TryAcquire(1, 0));
-  EXPECT_TRUE(limiter.TryAcquire(1, 0));
+  for (int i = 0; i < kBurst; ++i) {
+    EXPECT_TRUE(limiter.TryAcquire(1, 0)) << i;
+  }
   EXPECT_FALSE(limiter.TryAcquire(1, 0));
 
   // Over one second, each tenant accrues at its own 10 qps rate no
@@ -143,12 +135,14 @@ TEST(WeightedFairLimiterTest, HotTenantCannotDrainAnotherTenantsShare) {
   EXPECT_LE(t0, 12) << "hot tenant exceeded its fair share";
 }
 
-TEST(WeightedFairLimiterTest, DisabledAndOutOfRangeAlwaysAdmit) {
-  std::vector<WeightedFairLimiter::TenantSpec> tenants(2);
-  WeightedFairLimiter disabled(0.0, tenants);
+TEST(FairShareLimiterTest, DisabledAndOutOfRangeAlwaysAdmit) {
+  FairShareLimiter disabled(0.0, 2);
   for (int i = 0; i < 10; ++i) EXPECT_TRUE(disabled.TryAcquire(0, 0));
+  FairShareLimiter no_tenants(10.0, 0);
+  EXPECT_EQ(no_tenants.NumTenants(), 0u);
+  for (int i = 0; i < 10; ++i) EXPECT_TRUE(no_tenants.TryAcquire(0, 0));
 
-  WeightedFairLimiter limiter(10.0, tenants);
+  FairShareLimiter limiter(10.0, 2);
   EXPECT_TRUE(limiter.TryAcquire(-1, 0));  // single-tenant traffic
   EXPECT_TRUE(limiter.TryAcquire(99, 0));  // out of range: not limited here
   EXPECT_DOUBLE_EQ(limiter.RateOf(-1), 0.0);
@@ -165,7 +159,7 @@ QueuedRequest Req(uint64_t id, uint64_t enqueue_us, uint64_t deadline_us) {
 }
 
 TEST(DeadlineQueueTest, PushRefusesWhenFull) {
-  DeadlineQueue queue(2, 10);
+  DeadlineQueue queue(2);
   EXPECT_TRUE(queue.Push(Req(0, 0, 0)));
   EXPECT_TRUE(queue.Push(Req(1, 0, 0)));
   EXPECT_FALSE(queue.Push(Req(2, 0, 0)));
@@ -173,7 +167,7 @@ TEST(DeadlineQueueTest, PushRefusesWhenFull) {
 }
 
 TEST(DeadlineQueueTest, PopShedsExpiredBeforeServing) {
-  DeadlineQueue queue(8, 8);  // threshold above depth: pure FIFO
+  DeadlineQueue queue(8);  // at most half full: pure FIFO
   ASSERT_TRUE(queue.Push(Req(0, 0, 50)));
   ASSERT_TRUE(queue.Push(Req(1, 0, 60)));
   ASSERT_TRUE(queue.Push(Req(2, 0, 500)));
@@ -188,16 +182,17 @@ TEST(DeadlineQueueTest, PopShedsExpiredBeforeServing) {
 }
 
 TEST(DeadlineQueueTest, FifoWhenShallowLifoWhenSaturated) {
-  DeadlineQueue queue(8, 2);
+  DeadlineQueue queue(4);
   for (uint64_t id = 0; id < 4; ++id) ASSERT_TRUE(queue.Push(Req(id, 0, 0)));
   QueuedRequest out;
   std::vector<QueuedRequest> shed;
-  // Depth 4 > threshold 2: newest first (its deadline budget is intact).
+  // Depth 4 > half the capacity: newest first (its deadline budget is
+  // intact).
   ASSERT_TRUE(queue.Pop(0, &out, &shed));
   EXPECT_EQ(out.id, 3u);
   ASSERT_TRUE(queue.Pop(0, &out, &shed));
   EXPECT_EQ(out.id, 2u);
-  // Depth 2 <= threshold: back to FIFO fairness.
+  // Depth 2 <= half the capacity: back to FIFO fairness.
   ASSERT_TRUE(queue.Pop(0, &out, &shed));
   EXPECT_EQ(out.id, 0u);
   ASSERT_TRUE(queue.Pop(0, &out, &shed));
@@ -206,7 +201,7 @@ TEST(DeadlineQueueTest, FifoWhenShallowLifoWhenSaturated) {
 }
 
 TEST(DeadlineQueueTest, DrainRemovesEverything) {
-  DeadlineQueue queue(4, 4);
+  DeadlineQueue queue(4);
   for (uint64_t id = 0; id < 3; ++id) ASSERT_TRUE(queue.Push(Req(id, 0, 0)));
   std::vector<QueuedRequest> shed;
   queue.DrainTo(&shed);
@@ -216,124 +211,153 @@ TEST(DeadlineQueueTest, DrainRemovesEverything) {
 
 TEST(AdmissionControllerTest, ResolveDefaultsLifoThresholdToHalfCapacity) {
   AdmissionController::Options options;
-  options.queue_capacity = 64;
-  EXPECT_EQ(options.Resolve().lifo_threshold, 32u);
-  options.lifo_threshold = 5;
-  EXPECT_EQ(options.Resolve().lifo_threshold, 5u);
+  options.queue_capacity = 0;
+  EXPECT_EQ(options.Resolve().queue_capacity, 1u);
+
+  // The controller's queue pops newest-first while it is more than half
+  // full, then oldest-first.
+  options.queue_capacity = 8;
+  AdmissionController controller(options, 0);
+  for (uint64_t id = 0; id < 8; ++id) {
+    ASSERT_EQ(controller.Offer(Req(id, 0, 0), 0), Admission::kEnqueued);
+  }
+  std::vector<uint64_t> order;
+  QueuedRequest out;
+  std::vector<QueuedRequest> shed;
+  while (controller.Dequeue(0, &out, &shed)) order.push_back(out.id);
+  EXPECT_EQ(order, (std::vector<uint64_t>{7, 6, 5, 4, 0, 1, 2, 3}));
+  EXPECT_TRUE(shed.empty());
 }
 
 TEST(AdmissionControllerTest, RateLimitCheckedBeforeQueueSpace) {
   AdmissionController::Options options;
   options.rate_per_sec = 1.0;
-  options.burst = 1.0;
-  options.queue_capacity = 1;
-  AdmissionController controller(options);
-  EXPECT_EQ(controller.Offer(Req(0, 0, 0), 0), Admission::kEnqueued);
+  options.queue_capacity = kBurst;
+  AdmissionController controller(options, 0);
+  for (uint64_t id = 0; id < options.queue_capacity; ++id) {
+    EXPECT_EQ(controller.Offer(Req(id, 0, 0), 0), Admission::kEnqueued);
+  }
   // Queue is now full AND the bucket is empty; the rate verdict wins.
-  EXPECT_EQ(controller.Offer(Req(1, 0, 0), 0), Admission::kRejectedRate);
+  EXPECT_EQ(controller.Offer(Req(100, 0, 0), 0), Admission::kRejectedRate);
   // A second later there is a token but still no queue space.
-  EXPECT_EQ(controller.Offer(Req(2, 0, 0), 1'000'000),
+  EXPECT_EQ(controller.Offer(Req(101, 0, 0), 1'000'000),
             Admission::kRejectedQueueFull);
 }
 
 TEST(AdmissionControllerTest, TenantLimiterCheckedBeforeGlobalBucket) {
   AdmissionController::Options options;
-  options.rate_per_sec = 100.0;  // generous global bucket
-  options.burst = 100.0;
+  options.rate_per_sec = 1000.0;  // generous global bucket
   options.queue_capacity = 64;
-  options.tenant_capacity_qps = 20.0;
-  options.tenants.resize(2);  // 10 qps each
-  options.tenants[0].burst = 1.0;
-  options.tenants[1].burst = 1.0;
-  AdmissionController controller(options);
+  options.tenant_capacity_qps = 20.0;  // 10 qps each
+  AdmissionController controller(options, 2);
 
-  auto offer = [&](uint64_t id, int tenant, uint64_t now_us) {
-    QueuedRequest request = Req(id, now_us, 0);
+  uint64_t id = 0;
+  auto offer = [&](int tenant, uint64_t now_us) {
+    QueuedRequest request = Req(id++, now_us, 0);
     request.tenant = tenant;
     return controller.Offer(request, now_us);
   };
 
-  // Tenant 0 spends its token; its next request is clipped by the
-  // weighted-fair layer even though the global bucket has 99 tokens
-  // left — the hot tenant's excess never drains the shared pool.
-  EXPECT_EQ(offer(0, 0, 0), Admission::kEnqueued);
-  EXPECT_EQ(offer(1, 0, 0), Admission::kRejectedTenantRate);
-  // Tenant 1 and untagged single-tenant traffic are unaffected.
-  EXPECT_EQ(offer(2, 1, 0), Admission::kEnqueued);
-  EXPECT_EQ(offer(3, -1, 0), Admission::kEnqueued);
+  // Tenant 0 spends its burst at t=0 (the global bucket's too).
+  for (int i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(offer(0, 0), Admission::kEnqueued);
+  }
+  // 10 ms later the global bucket is full again but tenant 0 has a tenth
+  // of a token: the fair-share layer clips its requests before they can
+  // spend any of the shared pool.
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_EQ(offer(0, 10'000), Admission::kRejectedTenantRate);
+  }
+  // So tenant 1 still finds the whole global burst.
+  for (int i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(offer(1, 10'000), Admission::kEnqueued);
+  }
+  // Untagged single-tenant traffic skips the tenant layer.
+  EXPECT_EQ(offer(-1, 10'000), Admission::kRejectedRate);
 }
 
 // ---------------------------------------------------------- circuit breaker
 
-CircuitBreaker::Options SmallBreaker() {
-  CircuitBreaker::Options options;
-  options.window = 8;
-  options.min_samples = 4;
-  options.failure_threshold = 0.5;
-  options.cooldown_us = 1'000;
-  options.half_open_probes = 2;
-  options.close_after = 2;
-  return options;
+// Production tuning: window 32, 8 minimum samples, trip at a 0.5 failure
+// ratio, 2 s cooldown, 3 half-open probes, closes after 2 successes.
+constexpr int kMinSamples = static_cast<int>(CircuitBreaker::kMinSamples);
+constexpr uint64_t kCooldownUs = CircuitBreaker::kCooldownUs;
+
+/// A breaker that `kMinSamples` straight failures at t=0 have tripped.
+CircuitBreaker TrippedBreaker() {
+  CircuitBreaker breaker{CircuitBreaker::Options()};
+  for (int i = 0; i < kMinSamples; ++i) breaker.RecordOutcome(true, 0);
+  return breaker;
 }
 
 TEST(CircuitBreakerTest, StaysClosedBelowMinSamples) {
-  CircuitBreaker breaker(SmallBreaker());
-  for (int i = 0; i < 3; ++i) breaker.RecordOutcome(true, 0);
+  static_assert(CircuitBreaker::kWindow == 32 && kMinSamples == 8 &&
+                kCooldownUs == 2'000'000 &&
+                CircuitBreaker::kHalfOpenProbes == 3 &&
+                CircuitBreaker::kCloseAfter == 2);
+  CircuitBreaker breaker{CircuitBreaker::Options()};
+  for (int i = 0; i < kMinSamples - 1; ++i) breaker.RecordOutcome(true, 0);
   EXPECT_EQ(breaker.state(), BreakerState::kClosed)
-      << "3 outcomes < min_samples=4: ratio not yet meaningful";
+      << "7 outcomes < min samples 8: ratio not yet meaningful";
   EXPECT_FALSE(breaker.ShouldForce(0));
 }
 
 TEST(CircuitBreakerTest, TripsAtFailureRatio) {
-  CircuitBreaker breaker(SmallBreaker());
-  breaker.RecordOutcome(false, 0);
-  breaker.RecordOutcome(true, 0);
-  breaker.RecordOutcome(false, 0);
+  CircuitBreaker breaker{CircuitBreaker::Options()};
+  // Alternating success/failure: 3 failures in 7 outcomes.
+  for (int i = 0; i < kMinSamples - 1; ++i) {
+    breaker.RecordOutcome(i % 2 == 1, 0);
+  }
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  breaker.RecordOutcome(true, 0);  // 2/4 = threshold
+  breaker.RecordOutcome(true, 0);  // 4/8 = threshold
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_TRUE(breaker.ShouldForce(500)) << "cooldown not elapsed";
+  EXPECT_TRUE(breaker.ShouldForce(kCooldownUs - 1)) << "cooldown not elapsed";
   EXPECT_EQ(breaker.transitions(), 1u);
 }
 
 TEST(CircuitBreakerTest, HalfOpenProbesThenCloses) {
-  CircuitBreaker breaker(SmallBreaker());
-  for (int i = 0; i < 4; ++i) breaker.RecordOutcome(true, 0);
+  CircuitBreaker breaker = TrippedBreaker();
   ASSERT_EQ(breaker.state(), BreakerState::kOpen);
 
   // Cooldown elapsed: the next consult transitions to HalfOpen and lets
-  // exactly `half_open_probes` requests through.
-  EXPECT_FALSE(breaker.ShouldForce(1'000)) << "probe 1";
+  // exactly three probes through.
+  EXPECT_FALSE(breaker.ShouldForce(kCooldownUs)) << "probe 1";
   EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  EXPECT_FALSE(breaker.ShouldForce(1'001)) << "probe 2";
-  EXPECT_TRUE(breaker.ShouldForce(1'002)) << "probe quota spent";
+  EXPECT_FALSE(breaker.ShouldForce(kCooldownUs + 1)) << "probe 2";
+  EXPECT_FALSE(breaker.ShouldForce(kCooldownUs + 2)) << "probe 3";
+  EXPECT_TRUE(breaker.ShouldForce(kCooldownUs + 3)) << "probe quota spent";
 
-  breaker.RecordOutcome(false, 1'100);
+  breaker.RecordOutcome(false, kCooldownUs + 100);
   EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
-  breaker.RecordOutcome(false, 1'200);  // close_after = 2 successes
+  breaker.RecordOutcome(false, kCooldownUs + 200);  // second success closes
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
-  EXPECT_FALSE(breaker.ShouldForce(1'300));
+  EXPECT_FALSE(breaker.ShouldForce(kCooldownUs + 300));
 
-  // The failing era's window was cleared on close: it takes min_samples
-  // fresh failures to trip again, not one.
-  breaker.RecordOutcome(true, 1'400);
+  // The failing era's window was cleared on close: it takes the minimum
+  // sample count of fresh failures to trip again, not one.
+  for (int i = 0; i < kMinSamples - 1; ++i) {
+    breaker.RecordOutcome(true, kCooldownUs + 400);
+  }
   EXPECT_EQ(breaker.state(), BreakerState::kClosed);
+  breaker.RecordOutcome(true, kCooldownUs + 500);
+  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
 }
 
 TEST(CircuitBreakerTest, ProbeFailureReopensAndRestartsCooldown) {
-  CircuitBreaker breaker(SmallBreaker());
-  for (int i = 0; i < 4; ++i) breaker.RecordOutcome(true, 0);
+  CircuitBreaker breaker = TrippedBreaker();
   ASSERT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_FALSE(breaker.ShouldForce(1'000));  // probe
-  breaker.RecordOutcome(true, 1'100);        // probe failed
+  EXPECT_FALSE(breaker.ShouldForce(kCooldownUs));  // probe
+  const uint64_t failed_at = kCooldownUs + 100;
+  breaker.RecordOutcome(true, failed_at);  // probe failed
   EXPECT_EQ(breaker.state(), BreakerState::kOpen);
-  EXPECT_TRUE(breaker.ShouldForce(1'500)) << "new cooldown from 1100";
-  EXPECT_FALSE(breaker.ShouldForce(2'100)) << "cooldown elapsed again";
+  EXPECT_TRUE(breaker.ShouldForce(failed_at + kCooldownUs - 1))
+      << "new cooldown from the failed probe";
+  EXPECT_FALSE(breaker.ShouldForce(failed_at + kCooldownUs))
+      << "cooldown elapsed again";
 }
 
 TEST(CircuitBreakerTest, OpenDropsStragglerOutcomes) {
-  CircuitBreaker breaker(SmallBreaker());
-  for (int i = 0; i < 4; ++i) breaker.RecordOutcome(true, 0);
+  CircuitBreaker breaker = TrippedBreaker();
   ASSERT_EQ(breaker.state(), BreakerState::kOpen);
   // In-flight requests admitted before the trip report in while Open;
   // their verdicts describe the pre-trip world and must not count.
@@ -346,8 +370,6 @@ TEST(CircuitBreakerTest, OpenDropsStragglerOutcomes) {
 
 BrownoutController::Options FastBrownout() {
   BrownoutController::Options options;
-  options.high_watermark = 0.75;
-  options.low_watermark = 0.25;
   options.dwell_us = 100;
   return options;
 }
@@ -487,53 +509,66 @@ TEST_F(ServeFrontEndTest, ExplicitTimeAccountingSumsToOffered) {
 TEST_F(ServeFrontEndTest, PerTenantAccountingSumsToOfferedPerTenant) {
   FrontEndOptions options;
   options.tenant_names = {"alpha", "beta"};
-  options.admission.queue_capacity = 2;
+  // Room for alpha's whole burst plus two of beta's requests, so beta's
+  // rejections exercise the queue, not its tenant bucket.
+  options.admission.queue_capacity = kBurst + 2;
   options.admission.tenant_capacity_qps = 20.0;  // 10 qps per tenant
-  options.admission.tenants.resize(2);
-  options.admission.tenants[0].burst = 1.0;
-  // Beta gets headroom so its rejections exercise the queue, not the
-  // tenant bucket.
-  options.admission.tenants[1].burst = 3.0;
   ServeFrontEnd fe(pipeline_, bench_, options);
 
-  // alpha: one admitted, one clipped by its tenant bucket.
-  EXPECT_EQ(fe.Offer(0, 0, 0, /*tenant=*/0), Admission::kEnqueued);
-  EXPECT_EQ(fe.Offer(1, 0, 0, /*tenant=*/0), Admission::kRejectedTenantRate);
-  // beta: one admitted (queue now full), one rejected queue-full, one
-  // with a deadline that will expire before it is dequeued.
-  EXPECT_EQ(fe.Offer(2, 0, 0, /*tenant=*/1), Admission::kEnqueued);
-  EXPECT_EQ(fe.Offer(3, 0, 100'000, /*tenant=*/1),
+  // alpha: its burst is enqueued, the next request is clipped by its
+  // tenant bucket.
+  uint64_t id = 0;
+  for (int i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(fe.Offer(id++, 0, 0, /*tenant=*/0), Admission::kEnqueued);
+  }
+  EXPECT_EQ(fe.Offer(id++, 0, 0, /*tenant=*/0),
+            Admission::kRejectedTenantRate);
+  // beta: two enqueued (queue now full), one rejected queue-full.
+  const uint64_t beta_first = id;
+  EXPECT_EQ(fe.Offer(id++, 0, 0, /*tenant=*/1), Admission::kEnqueued);
+  EXPECT_EQ(fe.Offer(id++, 0, 0, /*tenant=*/1), Admission::kEnqueued);
+  EXPECT_EQ(fe.Offer(id++, 0, 100'000, /*tenant=*/1),
             Admission::kRejectedQueueFull);
 
+  // The queue is more than half full, so it pops newest-first: beta's
+  // second request is admitted, and a new beta request takes its slot
+  // with a deadline that will expire before it is dequeued.
   QueuedRequest out;
   ASSERT_TRUE(fe.Dequeue(200'000, &out));
-  EXPECT_EQ(fe.Offer(4, /*deadline_us=*/250'000, 200'000, /*tenant=*/1),
+  EXPECT_EQ(out.id, beta_first + 1);
+  const uint64_t doomed = id;
+  EXPECT_EQ(fe.Offer(id++, /*deadline_us=*/250'000, 200'000, /*tenant=*/1),
             Admission::kEnqueued);
 
-  // Past request 4's deadline: it sheds at dequeue, attributed to beta;
-  // the remaining live request serves.
+  // Past its deadline: it sheds at dequeue, attributed to beta, and
+  // beta's first request serves.
   std::vector<QueuedRequest> shed;
   ASSERT_TRUE(fe.Dequeue(300'000, &out, &shed));
   ASSERT_EQ(shed.size(), 1u);
-  EXPECT_EQ(shed[0].id, 4u);
+  EXPECT_EQ(shed[0].id, doomed);
   EXPECT_EQ(shed[0].tenant, 1);
-  EXPECT_FALSE(fe.Dequeue(300'000, &out));
+  EXPECT_EQ(out.id, beta_first);
+  // alpha's queued burst is shed by the drain, attributed to alpha.
+  EXPECT_EQ(fe.Drain(300'000), static_cast<size_t>(kBurst));
 
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   // Global family still sums.
-  EXPECT_EQ(CounterDelta(snapshot, "serve.offered"), 5u);
+  EXPECT_EQ(CounterDelta(snapshot, "serve.offered"),
+            static_cast<uint64_t>(kBurst + 5));
   EXPECT_EQ(CounterDelta(snapshot, "serve.rejected.tenant_rate"), 1u);
   EXPECT_EQ(CounterDelta(snapshot, "serve.admitted") +
                 CounterDelta(snapshot, "serve.rejected") +
                 CounterDelta(snapshot, "serve.shed"),
             CounterDelta(snapshot, "serve.offered"));
   // Per-tenant families sum independently, and partition the global one.
-  EXPECT_EQ(CounterDelta(snapshot, "serve.tenant.alpha.offered"), 2u);
-  EXPECT_EQ(CounterDelta(snapshot, "serve.tenant.alpha.admitted"), 1u);
+  EXPECT_EQ(CounterDelta(snapshot, "serve.tenant.alpha.offered"),
+            static_cast<uint64_t>(kBurst + 1));
+  EXPECT_EQ(CounterDelta(snapshot, "serve.tenant.alpha.admitted"), 0u);
   EXPECT_EQ(CounterDelta(snapshot, "serve.tenant.alpha.rejected"), 1u);
-  EXPECT_EQ(CounterDelta(snapshot, "serve.tenant.alpha.shed"), 0u);
-  EXPECT_EQ(CounterDelta(snapshot, "serve.tenant.beta.offered"), 3u);
-  EXPECT_EQ(CounterDelta(snapshot, "serve.tenant.beta.admitted"), 1u);
+  EXPECT_EQ(CounterDelta(snapshot, "serve.tenant.alpha.shed"),
+            static_cast<uint64_t>(kBurst));
+  EXPECT_EQ(CounterDelta(snapshot, "serve.tenant.beta.offered"), 4u);
+  EXPECT_EQ(CounterDelta(snapshot, "serve.tenant.beta.admitted"), 2u);
   EXPECT_EQ(CounterDelta(snapshot, "serve.tenant.beta.rejected"), 1u);
   EXPECT_EQ(CounterDelta(snapshot, "serve.tenant.beta.shed"), 1u);
   for (const char* name : {"alpha", "beta"}) {
@@ -561,9 +596,7 @@ TEST_F(ServeFrontEndTest, DrainShedsLeftoverQueue) {
 }
 
 TEST_F(ServeFrontEndTest, GenerationBreakerTripsForcesRungAndRecovers) {
-  FrontEndOptions options;
-  options.breaker = SmallBreaker();
-  ServeFrontEnd fe(pipeline_, bench_, options);
+  ServeFrontEnd fe(pipeline_, bench_, FrontEndOptions());
   const auto& sample = bench_->dev.front();
 
   // Phase 1: every decode fails -> generation serves unverified fallbacks
@@ -572,7 +605,7 @@ TEST_F(ServeFrontEndTest, GenerationBreakerTripsForcesRungAndRecovers) {
   uint64_t now = 0;
   int until_open = 0;
   while (fe.breaker_state(ServeStage::kGeneration) == BreakerState::kClosed) {
-    ASSERT_LT(until_open, 16) << "breaker never tripped";
+    ASSERT_LT(until_open, 32) << "breaker never tripped";
     ServeOptions serve = fe.OptionsFor(now);
     EXPECT_FALSE(serve.force_emergency_sql);
     ServeReport report;
@@ -584,7 +617,8 @@ TEST_F(ServeFrontEndTest, GenerationBreakerTripsForcesRungAndRecovers) {
     now += 10;
     ++until_open;
   }
-  EXPECT_EQ(until_open, 4) << "min_samples all-failed outcomes trip it";
+  EXPECT_EQ(until_open, kMinSamples)
+      << "the minimum sample count of all-failed outcomes trips it";
 
   // Phase 2: while Open, requests are served as emergency SQL (the rung
   // fires without touching generation) and their outcomes feed nothing.
@@ -601,8 +635,8 @@ TEST_F(ServeFrontEndTest, GenerationBreakerTripsForcesRungAndRecovers) {
   // Phase 3: the fault clears; after the cooldown the breaker half-opens,
   // probes succeed, and the stage comes back.
   Failpoints::Clear();
-  now += options.breaker.cooldown_us;
-  for (int probe = 0; probe < options.breaker.close_after; ++probe) {
+  now += kCooldownUs;
+  for (int probe = 0; probe < CircuitBreaker::kCloseAfter; ++probe) {
     ServeOptions serve = fe.OptionsFor(now);
     ASSERT_FALSE(serve.force_emergency_sql) << "probe " << probe;
     EXPECT_EQ(fe.breaker_state(ServeStage::kGeneration),
@@ -624,9 +658,7 @@ TEST_F(ServeFrontEndTest, GenerationBreakerTripsForcesRungAndRecovers) {
 }
 
 TEST_F(ServeFrontEndTest, ClassifierBreakerForcesFallbackRung) {
-  FrontEndOptions options;
-  options.breaker = SmallBreaker();
-  ServeFrontEnd fe(pipeline_, bench_, options);
+  ServeFrontEnd fe(pipeline_, bench_, FrontEndOptions());
   const auto& sample = bench_->dev.front();
 
   ASSERT_TRUE(Failpoints::Configure("classifier.score=prob:1.0", 7).ok());
@@ -705,21 +737,26 @@ TEST_F(ServeFrontEndTest, BrownoutStrippedValueStageDoesNotFireRung) {
 TEST_F(ServeFrontEndTest, SyncServeServesAndRateLimits) {
   FrontEndOptions options;
   options.admission.rate_per_sec = 1e-6;  // ~one token per 11.5 days
-  options.admission.burst = 1.0;
   ServeFrontEnd fe(pipeline_, bench_, options);
 
-  std::string sql;
-  ServeReport report;
-  Status first = fe.Serve(bench_->dev.front(), &sql, &report);
-  ASSERT_TRUE(first.ok()) << first.ToString();
-  EXPECT_FALSE(sql.empty());
+  // The burst serves; the request after it is rate limited.
+  for (int i = 0; i < kBurst; ++i) {
+    std::string sql;
+    ServeReport report;
+    Status served = fe.Serve(bench_->dev.front(), &sql, &report);
+    ASSERT_TRUE(served.ok()) << i << ": " << served.ToString();
+    EXPECT_FALSE(sql.empty());
+  }
 
-  Status second = fe.Serve(bench_->dev.front(), &sql);
-  EXPECT_EQ(second.code(), StatusCode::kResourceExhausted);
+  std::string sql;
+  Status limited = fe.Serve(bench_->dev.front(), &sql);
+  EXPECT_EQ(limited.code(), StatusCode::kResourceExhausted);
 
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  EXPECT_EQ(CounterDelta(snapshot, "serve.offered"), 2u);
-  EXPECT_EQ(CounterDelta(snapshot, "serve.admitted"), 1u);
+  EXPECT_EQ(CounterDelta(snapshot, "serve.offered"),
+            static_cast<uint64_t>(kBurst + 1));
+  EXPECT_EQ(CounterDelta(snapshot, "serve.admitted"),
+            static_cast<uint64_t>(kBurst));
   EXPECT_EQ(CounterDelta(snapshot, "serve.rejected.rate"), 1u);
 }
 

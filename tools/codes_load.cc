@@ -238,7 +238,6 @@ class Tenancy {
     fleet_ = make_fleet(budget_);
 
     options->front_end.admission.tenant_capacity_qps = capacity_qps_;
-    options->front_end.admission.tenants = fleet_->AdmissionSpecs();
     options->front_end.tenant_names = fleet_->TenantNames();
     options->burst_period_us = 500'000;
     options->burst_duty = 0.2;
@@ -275,7 +274,7 @@ class Tenancy {
   }
 
   /// Isolation: the hot tenant's 5x overload must be clipped by the
-  /// weighted-fair limiter, not paid for by everyone else. Compared on
+  /// fair-share limiter, not paid for by everyone else. Compared on
   /// the served-within-deadline fraction of each tenant's own arrivals —
   /// goodput normalized by offered rate — so the low-rate cold tenants'
   /// arrival-count noise does not masquerade as admission harm. Then the
