@@ -256,11 +256,8 @@ std::shared_ptr<const ValueRetriever> CodesPipeline::RetrieverForGuarded(
 
 std::string CodesPipeline::QuestionWithEk(
     const Text2SqlSample& sample) const {
-  std::string question = sample.question;
-  if (config_.use_external_knowledge && !sample.external_knowledge.empty()) {
-    question += " ; " + sample.external_knowledge;
-  }
-  return question;
+  if (!config_.use_external_knowledge) return sample.question;
+  return QuestionWithEvidence(sample.question, sample.external_knowledge);
 }
 
 DatabasePrompt CodesPipeline::BuildPrompt(const Text2SqlBenchmark& bench,
@@ -285,13 +282,13 @@ DatabasePrompt CodesPipeline::BuildPromptInternal(
         options.max_prompt_tokens - config_.icl_shots * mean_demo_cost_);
   }
 
-  // Brownout richness overrides: tighter schema top-k at higher levels.
-  // No rung fires for these — the stages are healthy, the prompt is just
-  // cheaper (report->brownout_level records the policy).
-  if (serve != nullptr) {
-    if (serve->top_k1_override > 0) options.top_k1 = serve->top_k1_override;
-    if (serve->top_k2_override > 0) options.top_k2 = serve->top_k2_override;
-  }
+  // Brownout policy: tighter schema top-k at higher levels. No rung fires
+  // for it — the stages are healthy, the prompt is just cheaper
+  // (report->brownout_level records the level).
+  const BrownoutPolicy& policy =
+      BrownoutPolicyAt(serve != nullptr ? serve->brownout_level : 0);
+  if (policy.top_k1 > 0) options.top_k1 = policy.top_k1;
+  if (policy.top_k2 > 0) options.top_k2 = policy.top_k2;
 
   // Ladder rung 1: classifier unavailable (never trained/shared), failing
   // (injected fault), or breaker-forced off by the serving front end —
@@ -313,12 +310,12 @@ DatabasePrompt CodesPipeline::BuildPromptInternal(
   // Ladder rung 2 (inside RetrieverForGuarded): value index unavailable —
   // prompt carries no matched values. A breaker-forced skip fires the same
   // rung (the stage is genuinely being avoided as failing); a brownout
-  // skip (disable_value_retriever) does not.
+  // skip does not.
   const ValueRetriever* retriever = nullptr;
   std::shared_ptr<const ValueRetriever> lease;
   if (serve != nullptr && serve->force_value_fallback) {
     if (report != nullptr) report->AddRung(ServeRung::kValueFallback);
-  } else if (serve != nullptr && serve->disable_value_retriever) {
+  } else if (policy.skip_value_retrieval) {
     // Policy skip: no rung, no retriever.
   } else if (serve != nullptr && serve->value_retriever != nullptr) {
     // Fleet-injected artifact: the caller holds the lease; the pipeline's
@@ -390,11 +387,12 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
   // Generation breaker open (or brownout level 4): skip every stage and
   // serve the emergency query directly. This is the cheapest possible
   // response and the only rung that fires on this path.
-  if (options.force_emergency_sql) {
+  const BrownoutPolicy& policy = BrownoutPolicyAt(options.brownout_level);
+  if (options.force_emergency_sql || policy.emergency_sql) {
     rep.AddRung(ServeRung::kEmergencySql);
     rep.candidate_rank = -1;
     rep.final_status =
-        Status::Internal("generation forced off by circuit breaker");
+        Status::Internal("generation skipped by circuit breaker or brownout");
     RecordServeReport(rep);
     return EmergencySql(db);
   }
@@ -413,7 +411,7 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
   if (config_.use_external_knowledge) {
     input.external_knowledge = sample.external_knowledge;
   }
-  input.demonstrations = CollectDemonstrations(sample, options.max_icl_demos);
+  input.demonstrations = CollectDemonstrations(sample, policy.demo_cap);
 
   // Candidate execution happens in the repair loop below, under the
   // guard; skip the model's own unguarded execution probe.

@@ -1,6 +1,7 @@
 #ifndef CODES_CORE_PIPELINE_H_
 #define CODES_CORE_PIPELINE_H_
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -65,6 +66,38 @@ enum class ServeRung : int {
 /// Stable snake_case name ("classifier_fallback") for reports and logs.
 const char* ServeRungName(ServeRung rung);
 
+/// Number of brownout levels (0 = full richness .. 4 = emergency SQL).
+inline constexpr int kNumBrownoutLevels = 5;
+
+/// What one brownout level strips from a request. The stages stay
+/// healthy, so apart from the emergency row no ladder rung fires: the
+/// process is shedding cost, not routing around a failure.
+struct BrownoutPolicy {
+  int demo_cap;               ///< ICL demonstrations kept; -1 = no cap
+  bool skip_value_retrieval;  ///< prompt carries no matched values
+  int top_k1;                 ///< > 0 overrides PromptOptions::top_k1
+  int top_k2;                 ///< > 0 overrides PromptOptions::top_k2
+  bool emergency_sql;         ///< serve EmergencySql, fires kEmergencySql
+};
+
+/// The brownout ladder, one row per level: each level strips the next
+/// cheapest source of quality the paper tunes (ICL demonstrations §8.2,
+/// retrieved values §6.2, schema top-k1/k2 §6.1). PredictGuarded applies
+/// the row of ServeOptions::brownout_level; the serving front end reads
+/// the same row to know which stages a request skips.
+inline constexpr BrownoutPolicy kBrownoutLadder[kNumBrownoutLevels] = {
+    {-1, false, 0, 0, false},  // L0 full richness
+    {1, false, 0, 0, false},   // L1 at most one demonstration
+    {0, true, 0, 0, false},    // L2 no demonstrations, no values
+    {0, true, 2, 4, false},    // L3 + schema top-k1/k2 = 2/4
+    {0, true, 2, 4, true},     // L4 emergency SQL only
+};
+
+/// The ladder row for `level`, clamped into [0, kNumBrownoutLevels).
+constexpr const BrownoutPolicy& BrownoutPolicyAt(int level) {
+  return kBrownoutLadder[std::clamp(level, 0, kNumBrownoutLevels - 1)];
+}
+
 /// Per-request serving knobs. The default options guard nothing and
 /// reproduce Predict's historical behaviour byte-for-byte. Candidates are
 /// always verified against the benchmark's in-memory database.
@@ -83,17 +116,15 @@ struct ServeOptions {
   /// the pipeline's internal per-database cache. This is how the fleet
   /// manager plugs a tenant's leased artifact into a request: the lease
   /// (a shared_ptr held by the caller) must outlive the call. Ignored
-  /// when force_value_fallback or disable_value_retriever is set.
+  /// when force_value_fallback is set or the brownout level skips values.
   const ValueRetriever* value_retriever = nullptr;
 
-  // --- Overload-protection overrides (set by the serving front end;
-  // src/serve/) -------------------------------------------------------
+  // --- Overload protection (set by the serving front end; src/serve/) --
   //
   // The `force_*` flags are circuit-breaker actions: they make the
   // request behave as if the stage had failed, firing the corresponding
-  // ladder rung without ever touching the stage. The richness knobs below
-  // them are brownout policy: they cheapen the prompt but fire no rung —
-  // the stage is healthy, the *process* is shedding cost.
+  // ladder rung without ever touching the stage. A breaker-forced stage
+  // fires its rung even when the brownout level would skip it anyway.
 
   /// Skip the schema classifier (breaker open): full unfiltered schema,
   /// fires kClassifierFallback.
@@ -104,19 +135,9 @@ struct ServeOptions {
   /// Serve the emergency SQL immediately (generation breaker open): no
   /// decoding at all, fires kEmergencySql.
   bool force_emergency_sql = false;
-
-  /// Caps ICL demonstrations; -1 (default) means no cap, 0 means none.
-  int max_icl_demos = -1;
-  /// Skips value retrieval as *policy* (no rung fired, unlike
-  /// force_value_fallback).
-  bool disable_value_retriever = false;
-  /// When > 0, overrides PromptOptions::top_k1 / top_k2 (only ever
-  /// downward in practice; the builder clamps to schema size anyway).
-  int top_k1_override = 0;
-  int top_k2_override = 0;
-  /// Brownout level these knobs were derived from (0 = full richness);
-  /// copied into ServeReport for digests and metrics, not interpreted
-  /// by the pipeline itself.
+  /// Brownout level (0 = full richness): PredictGuarded applies row
+  /// kBrownoutLadder[brownout_level] and echoes the level into
+  /// ServeReport for digests and metrics.
   int brownout_level = 0;
 
   // --- Adversarial-input handling (set by the hardening front door;
@@ -273,7 +294,7 @@ class CodesPipeline {
 
   /// Shared implementation of BuildPrompt/PredictGuarded: applies the
   /// classifier and value rungs of the ladder while constructing options.
-  /// `serve` (optional) carries the breaker/brownout overrides.
+  /// `serve` (optional) carries the breaker actions and brownout level.
   DatabasePrompt BuildPromptInternal(const Text2SqlBenchmark& bench,
                                      const Text2SqlSample& sample,
                                      ExecGuard* guard, ServeReport* report,

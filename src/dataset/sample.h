@@ -28,6 +28,16 @@ struct Text2SqlSample {
   std::vector<UsedSchemaItem> used_items;  ///< schema items in the gold SQL
 };
 
+/// The question with its BIRD-style evidence appended, "question ;
+/// evidence" — the text the schema classifier, the demonstration
+/// retriever and the linker read. The question alone when there is no
+/// evidence.
+inline std::string QuestionWithEvidence(const std::string& question,
+                                        const std::string& evidence) {
+  if (evidence.empty()) return question;
+  return question + " ; " + evidence;
+}
+
 /// A full benchmark: databases plus train/dev splits. Dev samples refer to
 /// databases disjoint from the train databases (cross-domain setting).
 struct Text2SqlBenchmark {

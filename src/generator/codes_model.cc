@@ -363,10 +363,8 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
   query.pattern_sq_norm = SquaredNorm(query.pattern);
   // Linking evidence sees question + external knowledge; template scoring
   // above deliberately sees the bare question only.
-  std::string link_text = input.question;
-  if (!input.external_knowledge.empty()) {
-    link_text += " ; " + input.external_knowledge;
-  }
+  const std::string link_text =
+      QuestionWithEvidence(input.question, input.external_knowledge);
   std::vector<std::string> q_tokens =
       ExpandWithSynonyms(WordTokens(link_text));
   std::vector<std::string> q_stems;

@@ -113,11 +113,9 @@ void SchemaItemClassifier::Train(const Text2SqlBenchmark& bench,
 
   for (const auto& sample : bench.train) {
     const sql::Database& db = bench.DbOf(sample);
-    std::string text = sample.question;
-    if (!sample.external_knowledge.empty()) {
-      text += " ; " + sample.external_knowledge;
-    }
-    const LinkerQuestion question(std::move(text), encoder_);
+    const LinkerQuestion question(
+        QuestionWithEvidence(sample.question, sample.external_knowledge),
+        encoder_);
 
     // Positive columns from used_items.
     std::vector<std::pair<int, int>> positives;
@@ -269,10 +267,10 @@ std::pair<double, double> EvaluateClassifierAuc(
   std::vector<int> table_labels, column_labels;
   for (const auto& sample : bench.dev) {
     const sql::Database& db = bench.DbOf(sample);
-    std::string question = sample.question;
-    if (use_external_knowledge && !sample.external_knowledge.empty()) {
-      question += " ; " + sample.external_knowledge;
-    }
+    const std::string question =
+        use_external_knowledge
+            ? QuestionWithEvidence(sample.question, sample.external_knowledge)
+            : sample.question;
     const SchemaScores scores = classifier.ScoreSchema(question, db);
     for (size_t t = 0; t < db.schema().tables.size(); ++t) {
       const auto& table = db.schema().tables[t];

@@ -119,12 +119,6 @@ void DeadlineQueue::DrainTo(std::vector<QueuedRequest>* shed) {
   }
 }
 
-AdmissionController::Options AdmissionController::Options::Resolve() const {
-  Options resolved = *this;
-  if (resolved.queue_capacity == 0) resolved.queue_capacity = 1;
-  return resolved;
-}
-
 AdmissionController::AdmissionController(const Options& options,
                                          size_t num_tenants)
     : bucket_(options.rate_per_sec, kAdmissionBurst),

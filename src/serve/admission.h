@@ -142,16 +142,13 @@ class AdmissionController {
  public:
   struct Options {
     double rate_per_sec = 0.0;  ///< <= 0: no rate limit
-    size_t queue_capacity = 64;
+    size_t queue_capacity = 64;  ///< 0 is clamped to 1
 
     /// Per-tenant fair-share layer. `tenant_capacity_qps` <= 0 (the
     /// default) disables it; otherwise each of the N tenants gets
     /// capacity / N as its private refill rate, checked before the global
     /// bucket.
     double tenant_capacity_qps = 0.0;
-
-    /// Clamps a zero queue capacity to 1.
-    Options Resolve() const;
   };
 
   /// `num_tenants` sizes the fair-share layer (tenant ids 0..N-1).
@@ -175,6 +172,8 @@ class AdmissionController {
   }
 
   size_t queue_depth() const { return queue_.depth(); }
+  /// The deadline queue's capacity (a configured 0 is clamped to 1).
+  size_t queue_capacity() const { return queue_.capacity(); }
 
  private:
   TokenBucket bucket_;

@@ -30,7 +30,9 @@ int BrownoutController::Update(double queue_fullness, uint64_t now_us) {
                           ? now_us - options_.dwell_us
                           : 0;
   }
-  if (now_us - last_change_us_ < options_.dwell_us) return level_;
+  uint64_t elapsed_us =
+      now_us > last_change_us_ ? now_us - last_change_us_ : 0;
+  if (elapsed_us < options_.dwell_us) return level_;
   if (queue_fullness >= kHighWatermark && level_ < options_.max_level) {
     ++level_;
     ++degrades_;
@@ -41,20 +43,6 @@ int BrownoutController::Update(double queue_fullness, uint64_t now_us) {
     last_change_us_ = now_us;
   }
   return level_;
-}
-
-void BrownoutController::ApplyLevel(int level, ServeOptions* options) {
-  options->brownout_level = level;
-  if (level >= 1) options->max_icl_demos = 1;
-  if (level >= 2) {
-    options->max_icl_demos = 0;
-    options->disable_value_retriever = true;
-  }
-  if (level >= 3) {
-    options->top_k1_override = 2;
-    options->top_k2_override = 4;
-  }
-  if (level >= 4) options->force_emergency_sql = true;
 }
 
 }  // namespace serve

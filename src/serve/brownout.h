@@ -8,26 +8,20 @@
 namespace codes {
 namespace serve {
 
-/// Number of brownout levels (0 = full richness .. 4 = emergency SQL).
-inline constexpr int kNumBrownoutLevels = 5;
-
-/// Adaptive prompt-richness controller. Under load the prompt knobs the
-/// paper tunes for quality (ICL demonstrations, retrieved values, schema
-/// top-k1/k2) become a cost dial: each level strips the next-cheapest
-/// source of quality so admitted requests keep meeting their deadlines
-/// instead of the process rejecting everything.
-///
-///   L0  full richness (byte-identical to an unprotected request)
-///   L1  at most one ICL demonstration
-///   L2  no demonstrations, no retrieved values
-///   L3  + schema filter tightened to top_k1=2 / top_k2=4
-///   L4  emergency SQL only (the one level that fires a ladder rung)
+/// Adaptive prompt-richness controller: it picks the brownout level, and
+/// only the level. Under load the prompt knobs the paper tunes for
+/// quality (ICL demonstrations, retrieved values, schema top-k1/k2)
+/// become a cost dial; what each level strips is the kBrownoutLadder
+/// table in core/pipeline.h, which PredictGuarded applies to the
+/// ServeOptions::brownout_level a request carries (L0 full richness ..
+/// L4 emergency SQL, the one level that fires a ladder rung).
 ///
 /// Levels move one step at a time on a queue-fullness signal with two
 /// guards against flapping: watermark hysteresis (degrade at 75% fullness
 /// or more, recover at 25% or less, hold in between) and a minimum dwell
 /// time between consecutive changes. Explicit-time like the rest of
-/// src/serve/; not thread-safe.
+/// src/serve/; a time earlier than the last change counts as no elapsed
+/// time. Not thread-safe.
 class BrownoutController {
  public:
   struct Options {
@@ -46,10 +40,6 @@ class BrownoutController {
   /// Times richness stepped down (level went up) / back up.
   uint64_t degrades() const { return degrades_; }
   uint64_t recoveries() const { return recoveries_; }
-
-  /// Writes the richness overrides of `level` into `options` (including
-  /// options->brownout_level). Level 0 leaves everything untouched.
-  static void ApplyLevel(int level, ServeOptions* options);
 
  private:
   Options options_;

@@ -32,7 +32,8 @@ double CircuitBreaker::FailureRatio() const {
 
 bool CircuitBreaker::ShouldForce(uint64_t now_us) {
   if (state_ == BreakerState::kOpen) {
-    if (now_us - opened_at_us_ >= kCooldownUs) {
+    // A time before the trip (out-of-order callers) is no elapsed time.
+    if (now_us > opened_at_us_ && now_us - opened_at_us_ >= kCooldownUs) {
       MoveTo(BreakerState::kHalfOpen, now_us);
     } else {
       return true;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "common/metrics.h"
+#include "serve/harden.h"
 
 namespace codes {
 namespace serve {
@@ -20,12 +21,11 @@ struct FrontEndMetrics {
   Counter& offered = MetricsRegistry::Global().GetCounter("serve.offered");
   Counter& admitted = MetricsRegistry::Global().GetCounter("serve.admitted");
   Counter& rejected = MetricsRegistry::Global().GetCounter("serve.rejected");
-  Counter& rejected_rate =
-      MetricsRegistry::Global().GetCounter("serve.rejected.rate");
-  Counter& rejected_queue_full =
-      MetricsRegistry::Global().GetCounter("serve.rejected.queue_full");
-  Counter& rejected_tenant_rate =
-      MetricsRegistry::Global().GetCounter("serve.rejected.tenant_rate");
+  /// Indexed by Admission; kEnqueued is not a rejection.
+  Counter* rejected_by[4] = {
+      nullptr, &MetricsRegistry::Global().GetCounter("serve.rejected.rate"),
+      &MetricsRegistry::Global().GetCounter("serve.rejected.queue_full"),
+      &MetricsRegistry::Global().GetCounter("serve.rejected.tenant_rate")};
   Counter& shed = MetricsRegistry::Global().GetCounter("serve.shed");
   Counter& shed_deadline =
       MetricsRegistry::Global().GetCounter("serve.shed.deadline");
@@ -87,17 +87,17 @@ ServeFrontEnd::ServeFrontEnd(const CodesPipeline* pipeline,
                              const FrontEndOptions& options)
     : pipeline_(pipeline),
       bench_(bench),
-      options_(options),
+      limits_(options.limits),
+      harden_(options.harden),
       admission_(options.admission, options.tenant_names.size()),
       breakers_{CircuitBreaker(options.breaker),
                 CircuitBreaker(options.breaker),
                 CircuitBreaker(options.breaker)},
       brownout_(options.brownout),
       epoch_(std::chrono::steady_clock::now()) {
-  options_.admission = options.admission.Resolve();
   MetricsRegistry& registry = MetricsRegistry::Global();
-  tenant_metrics_.reserve(options_.tenant_names.size());
-  for (const std::string& name : options_.tenant_names) {
+  tenant_metrics_.reserve(options.tenant_names.size());
+  for (const std::string& name : options.tenant_names) {
     std::string prefix = "serve.tenant." + name + ".";
     tenant_metrics_.push_back(
         TenantCounters{&registry.GetCounter(prefix + "offered"),
@@ -112,6 +112,29 @@ ServeFrontEnd::TenantCounters* ServeFrontEnd::TenantOf(int tenant) {
     return nullptr;
   }
   return &tenant_metrics_[static_cast<size_t>(tenant)];
+}
+
+void ServeFrontEnd::CountRejection(Admission admission,
+                                   TenantCounters* tenant) {
+  FrontEndMetrics& m = Metrics();
+  m.rejected.Increment();
+  m.rejected_by[static_cast<int>(admission)]->Increment();
+  if (tenant != nullptr) tenant->rejected->Increment();
+}
+
+void ServeFrontEnd::CountShed(const std::vector<QueuedRequest>& shed,
+                              size_t first, Counter& reason) {
+  size_t n_shed = shed.size() - first;
+  if (n_shed == 0) return;
+  Metrics().shed.Increment(n_shed);
+  reason.Increment(n_shed);
+  // Attribute each entry to the tenant that offered it — the per-tenant
+  // sum invariant only holds when shed work lands on its owner, not on
+  // whichever request's dequeue flushed it.
+  for (size_t i = first; i < shed.size(); ++i) {
+    TenantCounters* t = TenantOf(shed[i].tenant);
+    if (t != nullptr) t->shed->Increment();
+  }
 }
 
 uint64_t ServeFrontEnd::WallNowUs() const {
@@ -152,25 +175,9 @@ Admission ServeFrontEnd::OfferLocked(uint64_t id, uint64_t deadline_us,
   request.deadline_us = deadline_us;
   request.tenant = tenant;
   Admission admission = admission_.Offer(request, now_us);
-  switch (admission) {
-    case Admission::kEnqueued:
-      break;  // counted as admitted or shed when it leaves the queue
-    case Admission::kRejectedRate:
-      m.rejected.Increment();
-      m.rejected_rate.Increment();
-      if (t != nullptr) t->rejected->Increment();
-      break;
-    case Admission::kRejectedQueueFull:
-      m.rejected.Increment();
-      m.rejected_queue_full.Increment();
-      if (t != nullptr) t->rejected->Increment();
-      break;
-    case Admission::kRejectedTenantRate:
-      m.rejected.Increment();
-      m.rejected_tenant_rate.Increment();
-      if (t != nullptr) t->rejected->Increment();
-      break;
-  }
+  // An enqueued request is counted as admitted or shed when it leaves the
+  // queue.
+  if (admission != Admission::kEnqueued) CountRejection(admission, t);
   return admission;
 }
 
@@ -189,18 +196,7 @@ bool ServeFrontEnd::Dequeue(uint64_t now_us, QueuedRequest* out,
       shed != nullptr ? *shed : local_shed;
   size_t before = expired.size();
   bool got = admission_.Dequeue(now_us, out, &expired);
-  size_t n_shed = expired.size() - before;
-  if (n_shed > 0) {
-    m.shed.Increment(n_shed);
-    m.shed_deadline.Increment(n_shed);
-    // Attribute each expired entry to the tenant that offered it — the
-    // per-tenant sum invariant only holds when shed work lands on its
-    // owner, not on whichever request's dequeue flushed it.
-    for (size_t i = before; i < expired.size(); ++i) {
-      TenantCounters* t = TenantOf(expired[i].tenant);
-      if (t != nullptr) t->shed->Increment();
-    }
-  }
+  CountShed(expired, before, m.shed_deadline);
   if (got) {
     m.admitted.Increment();
     TenantCounters* t = TenantOf(out->tenant);
@@ -213,14 +209,14 @@ bool ServeFrontEnd::Dequeue(uint64_t now_us, QueuedRequest* out,
 
 ServeOptions ServeFrontEnd::OptionsForLocked(uint64_t now_us) {
   ServeOptions options;
-  options.limits = options_.limits;
-
-  BrownoutController::ApplyLevel(brownout_.level(), &options);
+  options.limits = limits_;
+  options.brownout_level = brownout_.level();
+  const BrownoutPolicy& policy = BrownoutPolicyAt(options.brownout_level);
 
   // Breaker consults are skipped for stages this request will not touch
-  // anyway (brownout already stripped them) — consulting would burn
+  // anyway (its brownout level strips them) — consulting would burn
   // half-open probe slots on requests that can never report a verdict.
-  if (!options.force_emergency_sql) {
+  if (!policy.emergency_sql) {
     auto consult = [&](ServeStage stage, bool* force) {
       int s = static_cast<int>(stage);
       BreakerState before = breakers_[s].state();
@@ -228,7 +224,7 @@ ServeOptions ServeFrontEnd::OptionsForLocked(uint64_t now_us) {
       NoteBreakerTransition(stage, before);
     };
     consult(ServeStage::kClassifier, &options.force_classifier_fallback);
-    if (!options.disable_value_retriever) {
+    if (!policy.skip_value_retrieval) {
       consult(ServeStage::kValueRetrieval, &options.force_value_fallback);
     }
     consult(ServeStage::kGeneration, &options.force_emergency_sql);
@@ -249,23 +245,23 @@ void ServeFrontEnd::CompleteLocked(const ServeOptions& options_used,
                          kNumBrownoutLevels - 1);
   m.served_level[level]->Increment();
 
-  // Breaker feed. A stage the front end itself forced off (or brownout
-  // stripped) reports a fallback rung, but that is self-inflicted, not
-  // evidence the stage is failing — skip it. force_emergency_sql skips
-  // every stage: nothing ran.
+  // Breaker feed. A stage the front end itself forced off (or the
+  // brownout level stripped) reports a fallback rung, but that is
+  // self-inflicted, not evidence the stage is failing — skip it. Emergency
+  // SQL skips every stage: nothing ran.
   auto feed = [&](ServeStage stage, bool failed) {
     int s = static_cast<int>(stage);
     BreakerState before = breakers_[s].state();
     breakers_[s].RecordOutcome(failed, now_us);
     NoteBreakerTransition(stage, before);
   };
-  if (options_used.force_emergency_sql) return;
+  const BrownoutPolicy& policy = kBrownoutLadder[level];
+  if (options_used.force_emergency_sql || policy.emergency_sql) return;
   if (!options_used.force_classifier_fallback) {
     feed(ServeStage::kClassifier,
          report.Fired(ServeRung::kClassifierFallback));
   }
-  if (!options_used.force_value_fallback &&
-      !options_used.disable_value_retriever) {
+  if (!options_used.force_value_fallback && !policy.skip_value_retrieval) {
     feed(ServeStage::kValueRetrieval,
          report.Fired(ServeRung::kValueFallback));
   }
@@ -288,17 +284,9 @@ size_t ServeFrontEnd::Drain(uint64_t now_us,
       shed != nullptr ? *shed : local_shed;
   size_t before = victims.size();
   admission_.DrainTo(&victims);
-  size_t n_shed = victims.size() - before;
-  if (n_shed > 0) {
-    m.shed.Increment(n_shed);
-    m.shed_drain.Increment(n_shed);
-    for (size_t i = before; i < victims.size(); ++i) {
-      TenantCounters* t = TenantOf(victims[i].tenant);
-      if (t != nullptr) t->shed->Increment();
-    }
-  }
+  CountShed(victims, before, m.shed_drain);
   m.queue_depth.Set(0);
-  return n_shed;
+  return victims.size() - before;
 }
 
 void ServeFrontEnd::ObserveFullnessLocked(double fullness, uint64_t now_us) {
@@ -310,7 +298,20 @@ void ServeFrontEnd::ObserveFullnessLocked(double fullness, uint64_t now_us) {
   m.brownout_level.Set(after);
 }
 
-static_assert(kSuspectFloorLevel < kNumBrownoutLevels);
+const Text2SqlSample& ServeFrontEnd::HardenRequest(
+    const Text2SqlSample& sample, Text2SqlSample* storage,
+    ServeOptions* options) const {
+  if (!harden_) return sample;
+  HardenResult hardened = HardenQuestion(sample.question);
+  const Text2SqlSample* request = &sample;
+  if (hardened.sanitized != sample.question) {
+    if (storage != &sample) *storage = sample;
+    storage->question = std::move(hardened.sanitized);
+    request = storage;
+  }
+  if (hardened.suspect) MarkSuspect(options, std::move(hardened.canonical));
+  return *request;
+}
 
 void ServeFrontEnd::MarkSuspect(ServeOptions* options,
                                 std::string canonical_question) const {
@@ -318,9 +319,8 @@ void ServeFrontEnd::MarkSuspect(ServeOptions* options,
   options->canonical_question = std::move(canonical_question);
   // Suspect requests never run richer than the floor, but an overload
   // brownout that is already deeper stays in charge.
-  if (options->brownout_level < kSuspectFloorLevel) {
-    BrownoutController::ApplyLevel(kSuspectFloorLevel, options);
-  }
+  options->brownout_level =
+      std::max(options->brownout_level, kSuspectFloorLevel);
   Metrics().adv_pre_degraded.Increment();
 }
 
@@ -330,59 +330,48 @@ void ServeFrontEnd::ObserveQueue(uint64_t now_us) {
   size_t depth = admission_.queue_depth();
   m.queue_depth.Set(static_cast<int64_t>(depth));
   double fullness = static_cast<double>(depth) /
-                    static_cast<double>(options_.admission.queue_capacity);
+                    static_cast<double>(admission_.queue_capacity());
   ObserveFullnessLocked(fullness, now_us);
 }
 
 Status ServeFrontEnd::Serve(const Text2SqlSample& sample, std::string* sql,
                             ServeReport* report) {
   FrontEndMetrics& m = Metrics();
-  // Hardening is pure — run it outside the mutex so hostile input never
-  // extends the critical section.
-  HardenResult hardened;
-  if (options_.harden) hardened = HardenQuestion(sample.question);
-  uint64_t now = WallNowUs();
   ServeOptions options;
   {
     std::lock_guard<std::mutex> lock(mu_);
+    // Read the clock under the lock, so the controllers see this front
+    // end's decisions in time order.
+    uint64_t now = WallNowUs();
     m.offered.Increment();
-    if (admission_.AcquireToken(now) != Admission::kEnqueued) {
-      m.rejected.Increment();
-      m.rejected_rate.Increment();
-      return Status::ResourceExhausted("rate limited");
+    size_t capacity = admission_.queue_capacity();
+    Admission admission = admission_.AcquireToken(now);
+    if (admission == Admission::kEnqueued && in_flight_ >= capacity) {
+      admission = Admission::kRejectedQueueFull;
     }
-    if (in_flight_ >= options_.admission.queue_capacity) {
-      m.rejected.Increment();
-      m.rejected_queue_full.Increment();
-      return Status::ResourceExhausted("serving at capacity");
+    if (admission != Admission::kEnqueued) {
+      CountRejection(admission, nullptr);
+      return Status::ResourceExhausted(
+          admission == Admission::kRejectedQueueFull ? "serving at capacity"
+                                                     : "rate limited");
     }
     // The calling thread is the queue slot: fullness = concurrent callers.
     ObserveFullnessLocked(
-        static_cast<double>(in_flight_) /
-            static_cast<double>(options_.admission.queue_capacity),
+        static_cast<double>(in_flight_) / static_cast<double>(capacity),
         now);
     options = OptionsForLocked(now);
     m.admitted.Increment();
     ++in_flight_;
   }
 
-  const Text2SqlSample* request = &sample;
-  Text2SqlSample sanitized_sample;
-  if (options_.harden) {
-    if (hardened.sanitized != sample.question) {
-      sanitized_sample = sample;
-      sanitized_sample.question = hardened.sanitized;
-      request = &sanitized_sample;
-    }
-    if (hardened.suspect) {
-      MarkSuspect(&options, std::move(hardened.canonical));
-    }
-  }
+  // Hardening is pure — it runs outside the mutex so hostile input never
+  // extends the critical section.
+  Text2SqlSample sanitized;
+  const Text2SqlSample& request = HardenRequest(sample, &sanitized, &options);
 
   ServeReport scratch;
   ServeReport& rep = report != nullptr ? *report : scratch;
-  std::string out =
-      pipeline_->PredictGuarded(*bench_, *request, options, &rep);
+  std::string out = pipeline_->PredictGuarded(*bench_, request, options, &rep);
 
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -12,7 +12,6 @@
 #include "serve/admission.h"
 #include "serve/brownout.h"
 #include "serve/circuit_breaker.h"
-#include "serve/harden.h"
 
 namespace codes {
 namespace serve {
@@ -37,6 +36,7 @@ inline constexpr int kNumServeStages =
 /// this degraded (level 2 = no demonstrations, no retrieved values), so
 /// hostile input never burns full prompt richness.
 inline constexpr int kSuspectFloorLevel = 2;
+static_assert(kSuspectFloorLevel < kNumBrownoutLevels);
 
 /// Configuration of the overload-protection front end.
 struct FrontEndOptions {
@@ -46,11 +46,11 @@ struct FrontEndOptions {
   BrownoutController::Options brownout;
   /// Execution budgets stamped into every request's ServeOptions.
   ExecLimits limits;
-  /// Request-hardening front door (UTF-8 repair, byte cap, control strip,
-  /// anomaly scoring). Applied on the wall-clock paths before the
-  /// pipeline sees the question; the explicit-time API leaves hardening
-  /// to its single owner (codes_load hardens on the DES driver thread)
-  /// and only supplies MarkSuspect for the verdict.
+  /// The one switch for the request-hardening front door (UTF-8 repair,
+  /// byte cap, control strip, anomaly scoring; see HardenRequest). It
+  /// gates live Serve calls and the DES dispatch of RunLoadCampaign
+  /// alike. Clean questions pass through byte-identical, so turning it
+  /// on moves no clean digest.
   bool harden = true;
   /// Tenant display names, indexed by tenant id. Their count sizes the
   /// admission fair-share layer. When non-empty, every
@@ -113,12 +113,13 @@ class ServeFrontEnd {
                std::vector<QueuedRequest>* shed = nullptr);
 
   /// ServeOptions for a request dispatched now: base limits + brownout
-  /// richness level + breaker-forced stage skips.
+  /// level + breaker-forced stage skips.
   ServeOptions OptionsFor(uint64_t now_us);
 
   /// Feeds a finished request's report back into the breakers (stages the
-  /// front end itself forced or disabled are skipped — their "failures"
-  /// are self-inflicted) and the per-level served counters.
+  /// front end itself forced, or the request's brownout level skipped,
+  /// are not fed — their "failures" are self-inflicted) and the per-level
+  /// served counters.
   void Complete(const ServeOptions& options_used, const ServeReport& report,
                 uint64_t now_us);
 
@@ -131,13 +132,20 @@ class ServeFrontEnd {
   /// changes (arrivals, dispatches).
   void ObserveQueue(uint64_t now_us);
 
+  /// The front door's hardening step for an admitted request (a no-op
+  /// unless FrontEndOptions::harden): returns `sample`, or `*storage` (a
+  /// copy, which may alias `sample`) when sanitizing changed the question,
+  /// and marks a suspect verdict via MarkSuspect. Lock-free, so the DES
+  /// driver and concurrent Serve calls run it outside the lock.
+  const Text2SqlSample& HardenRequest(const Text2SqlSample& sample,
+                                      Text2SqlSample* storage,
+                                      ServeOptions* options) const;
+
   /// Marks a request suspect after its hardening verdict: stamps the
   /// suspect flag and the canonical retry question into `options`, and
-  /// raises its brownout richness floor to kSuspectFloorLevel (never
-  /// lowers an already deeper brownout).
-  /// Thread-safe and lock-free — it only reads construction-time options
-  /// and bumps the serve.adv.pre_degraded counter — so both the DES
-  /// driver and the wall-clock paths call it directly.
+  /// raises its brownout level to at least kSuspectFloorLevel (never
+  /// lowers an already deeper brownout). Lock-free: it only bumps the
+  /// serve.adv.pre_degraded counter.
   void MarkSuspect(ServeOptions* options,
                    std::string canonical_question) const;
 
@@ -157,7 +165,8 @@ class ServeFrontEnd {
   /// queue on this path — the calling thread is the waiting slot, so
   /// "queue depth" is the number of in-flight Serve calls and admission
   /// rejects once `queue_capacity` callers are already inside. Returns
-  /// kUnavailable on rejection (no SQL produced), OK otherwise.
+  /// kResourceExhausted on rejection (no SQL produced), OK otherwise.
+  /// Admitted questions go through HardenRequest.
   Status Serve(const Text2SqlSample& sample, std::string* sql,
                ServeReport* report = nullptr);
 
@@ -176,6 +185,11 @@ class ServeFrontEnd {
 
   /// The counter slice for `tenant`, or nullptr for untenanted traffic.
   TenantCounters* TenantOf(int tenant);
+  /// Counts one rejection (never kEnqueued), on `tenant` too if non-null.
+  void CountRejection(Admission admission, TenantCounters* tenant);
+  /// Counts `shed[first..]` as shed for `reason`, each on its tenant.
+  void CountShed(const std::vector<QueuedRequest>& shed, size_t first,
+                 Counter& reason);
 
   Admission OfferLocked(uint64_t id, uint64_t deadline_us, uint64_t now_us,
                         int tenant);
@@ -189,7 +203,9 @@ class ServeFrontEnd {
 
   const CodesPipeline* pipeline_;
   const Text2SqlBenchmark* bench_;
-  FrontEndOptions options_;
+  /// Stamped into every request's ServeOptions.
+  const ExecLimits limits_;
+  const bool harden_;
 
   /// Serializes the wall-clock paths; the explicit-time API relies on its
   /// single owner instead (a DES driver never contends).

@@ -16,7 +16,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "dataset/perturb.h"
-#include "serve/harden.h"
 
 namespace codes {
 namespace serve {
@@ -288,22 +287,13 @@ LoadReport RunLoadCampaign(const CodesPipeline& pipeline,
       // makes it cheaper in virtual time exactly as it would be in real
       // serving.
       const Text2SqlSample* sample = &bench.dev[sample_of[id]];
-      if (is_adv[id] != 0 || options.harden) {
+      if (is_adv[id] != 0) {
         slot.sample_storage = *sample;
-        if (is_adv[id] != 0) slot.sample_storage.question = mutated[id];
-        if (options.harden) {
-          HardenResult hardened =
-              HardenQuestion(slot.sample_storage.question);
-          if (hardened.sanitized != slot.sample_storage.question) {
-            slot.sample_storage.question = hardened.sanitized;
-          }
-          if (hardened.suspect) {
-            front_end.MarkSuspect(&slot.options,
-                                  std::move(hardened.canonical));
-          }
-        }
+        slot.sample_storage.question = mutated[id];
         sample = &slot.sample_storage;
       }
+      sample = &front_end.HardenRequest(*sample, &slot.sample_storage,
+                                        &slot.options);
       uint64_t service = VirtualServiceUs(options.seed, id,
                                           slot.options.brownout_level,
                                           options.service_base_us);

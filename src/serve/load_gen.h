@@ -58,13 +58,9 @@ struct LoadGenOptions {
   /// mutation coin, kind, and seed from an rng stream independent of the
   /// arrival clock, so changing the rate changes *which* requests mutate
   /// without moving a single arrival. 0 = legacy clean campaign,
-  /// byte-identical digest.
+  /// byte-identical digest. Whether dispatched questions are hardened is
+  /// front_end.harden, the switch live serving reads too.
   double adv_rate = 0.0;
-  /// Run each dispatched question through the serve-side hardening pass
-  /// (sanitize, suspect verdict, canonical-retry marking, brownout floor)
-  /// on the DES thread, as a live front door would. Off by default so
-  /// campaigns recorded before hardening keep their digests.
-  bool harden = false;
 
   /// Multi-tenant traffic mix; empty = legacy single-tenant campaign
   /// whose report, Summary, and digest are byte-identical to builds that

@@ -15,7 +15,6 @@
 #include "core/pipeline.h"
 #include "dataset/benchmark_builder.h"
 #include "dataset/perturb.h"
-#include "serve/brownout.h"
 #include "serve/front_end.h"
 #include "serve/harden.h"
 #include "serve/load_gen.h"
@@ -207,15 +206,14 @@ TEST_F(AdversarialServeTest, MarkSuspectRaisesBrownoutFloorNeverLowers) {
   EXPECT_TRUE(fresh.suspect);
   EXPECT_EQ(fresh.canonical_question, "canonical text");
   EXPECT_EQ(fresh.brownout_level, 2) << "floor applied to a level-0 request";
-  EXPECT_EQ(fresh.max_icl_demos, 0);
-  EXPECT_TRUE(fresh.disable_value_retriever);
+  EXPECT_EQ(BrownoutPolicyAt(fresh.brownout_level).demo_cap, 0);
+  EXPECT_TRUE(BrownoutPolicyAt(fresh.brownout_level).skip_value_retrieval);
 
   // An already deeper brownout is left alone: the floor only raises.
   ServeOptions deep;
-  BrownoutController::ApplyLevel(3, &deep);
+  deep.brownout_level = 3;
   fe.MarkSuspect(&deep, "c");
   EXPECT_EQ(deep.brownout_level, 3);
-  EXPECT_EQ(deep.top_k1_override, 2);
 
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(CounterDelta(snapshot, "serve.adv.pre_degraded"), 2u);
@@ -346,7 +344,6 @@ TEST_F(AdversarialServeTest, AdvCampaignIsByteIdenticalAcrossThreadCounts) {
   options.threads = 1;
   options.front_end.brownout.dwell_us = 50'000;
   options.adv_rate = 0.3;
-  options.harden = true;
 
   LoadReport serial = RunLoadCampaign(*pipeline_, *bench_, options);
   options.threads = 4;
@@ -374,27 +371,40 @@ TEST_F(AdversarialServeTest, AdvCampaignIsByteIdenticalAcrossThreadCounts) {
 }
 
 TEST_F(AdversarialServeTest, AdvRateZeroKeepsLegacyCampaignByteIdentical) {
-  // adv_rate 0 with hardening off must reproduce the pre-adversarial
-  // campaign exactly: same digest, no adversarial accounting, and a
-  // Summary with no adversarial block.
-  LoadGenOptions legacy;
-  legacy.seed = 99;
-  legacy.num_requests = 160;
-  legacy.offered_qps = 400.0;
-  legacy.threads = 2;
-  legacy.front_end.brownout.dwell_us = 50'000;
+  // Hardening is on in every campaign by default; on clean traffic it
+  // must reproduce the unhardened campaign exactly: same digest, no
+  // adversarial accounting, and a Summary with no adversarial block.
+  LoadGenOptions hardened;
+  hardened.seed = 99;
+  hardened.num_requests = 160;
+  hardened.offered_qps = 400.0;
+  hardened.threads = 2;
+  hardened.front_end.brownout.dwell_us = 50'000;
+  ASSERT_TRUE(hardened.front_end.harden);
+  ASSERT_EQ(hardened.adv_rate, 0.0);
 
-  LoadGenOptions zeroed = legacy;
-  zeroed.adv_rate = 0.0;
-  zeroed.harden = false;
+  LoadGenOptions unhardened = hardened;
+  unhardened.front_end.harden = false;
 
-  LoadReport a = RunLoadCampaign(*pipeline_, *bench_, legacy);
-  LoadReport b = RunLoadCampaign(*pipeline_, *bench_, zeroed);
+  LoadReport a = RunLoadCampaign(*pipeline_, *bench_, hardened);
+  LoadReport b = RunLoadCampaign(*pipeline_, *bench_, unhardened);
   EXPECT_EQ(a.digest, b.digest);
   EXPECT_EQ(a.Summary(), b.Summary());
   EXPECT_EQ(a.adv_offered, 0u);
   EXPECT_EQ(a.suspect, 0u);
   EXPECT_EQ(a.Summary().find("adversarial"), std::string::npos);
+
+  // With the front end's one switch off, mutated traffic reaches the
+  // pipeline unhardened: nothing is flagged suspect.
+  LoadGenOptions adversarial = unhardened;
+  adversarial.adv_rate = 0.3;
+  MetricsRegistry::Global().Reset();
+  LoadReport c = RunLoadCampaign(*pipeline_, *bench_, adversarial);
+  EXPECT_GT(c.adv_offered, 0u);
+  EXPECT_EQ(c.suspect, 0u);
+  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(CounterDelta(snapshot, "serve.adv.suspect"), 0u);
+  EXPECT_EQ(CounterDelta(snapshot, "serve.adv.pre_degraded"), 0u);
 }
 
 }  // namespace

@@ -7,20 +7,25 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/flat_hash.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "core/model_zoo.h"
 #include "core/pipeline.h"
 #include "dataset/benchmark_builder.h"
+#include "dataset/perturb.h"
 #include "serve/admission.h"
 #include "serve/brownout.h"
 #include "serve/circuit_breaker.h"
 #include "serve/front_end.h"
+#include "serve/harden.h"
 #include "serve/load_gen.h"
 
 namespace codes {
@@ -209,13 +214,10 @@ TEST(DeadlineQueueTest, DrainRemovesEverything) {
   EXPECT_EQ(queue.depth(), 0u);
 }
 
-TEST(AdmissionControllerTest, ResolveDefaultsLifoThresholdToHalfCapacity) {
-  AdmissionController::Options options;
-  options.queue_capacity = 0;
-  EXPECT_EQ(options.Resolve().queue_capacity, 1u);
-
+TEST(AdmissionControllerTest, PopsNewestFirstAboveHalfCapacity) {
   // The controller's queue pops newest-first while it is more than half
   // full, then oldest-first.
+  AdmissionController::Options options;
   options.queue_capacity = 8;
   AdmissionController controller(options, 0);
   for (uint64_t id = 0; id < 8; ++id) {
@@ -366,6 +368,20 @@ TEST(CircuitBreakerTest, OpenDropsStragglerOutcomes) {
   EXPECT_EQ(breaker.transitions(), 1u);
 }
 
+TEST(CircuitBreakerTest, EarlierTimestampDoesNotEndCooldown) {
+  // Concurrent callers can hand in timestamps slightly out of order; a
+  // time before the trip is no elapsed time, not a wrapped-around eternity.
+  const uint64_t tripped_at = 1'000'000;
+  CircuitBreaker breaker{CircuitBreaker::Options()};
+  for (int i = 0; i < kMinSamples; ++i) breaker.RecordOutcome(true, tripped_at);
+  ASSERT_EQ(breaker.state(), BreakerState::kOpen);
+  EXPECT_TRUE(breaker.ShouldForce(tripped_at - 1));
+  EXPECT_EQ(breaker.state(), BreakerState::kOpen);
+  EXPECT_TRUE(breaker.ShouldForce(tripped_at + kCooldownUs - 1));
+  EXPECT_FALSE(breaker.ShouldForce(tripped_at + kCooldownUs)) << "probe 1";
+  EXPECT_EQ(breaker.state(), BreakerState::kHalfOpen);
+}
+
 // ----------------------------------------------------------------- brownout
 
 BrownoutController::Options FastBrownout() {
@@ -395,6 +411,17 @@ TEST(BrownoutTest, HysteresisHoldsBetweenWatermarks) {
   EXPECT_EQ(brownout.recoveries(), 1u);
 }
 
+TEST(BrownoutTest, EarlierTimestampCountsAsNoElapsedTime) {
+  // The production dwell: an out-of-order observation must not count as
+  // an eternity since the last change and step the level again at once.
+  BrownoutController brownout{BrownoutController::Options()};
+  EXPECT_EQ(brownout.Update(1.0, 1'000'000), 1);
+  EXPECT_EQ(brownout.Update(1.0, 999'999), 1);
+  EXPECT_EQ(brownout.Update(1.0, 1'249'999), 1) << "dwell not elapsed";
+  EXPECT_EQ(brownout.Update(1.0, 1'250'000), 2);
+  EXPECT_EQ(brownout.degrades(), 2u);
+}
+
 TEST(BrownoutTest, MaxLevelOptionCapsDegradation) {
   BrownoutController::Options options = FastBrownout();
   options.max_level = 2;
@@ -404,35 +431,46 @@ TEST(BrownoutTest, MaxLevelOptionCapsDegradation) {
   EXPECT_EQ(brownout.Update(1.0, 3'000), 2);
 }
 
-TEST(BrownoutTest, ApplyLevelSetsTheDocumentedKnobs) {
-  ServeOptions l0;
-  BrownoutController::ApplyLevel(0, &l0);
-  EXPECT_EQ(l0.max_icl_demos, -1);
-  EXPECT_FALSE(l0.disable_value_retriever);
-  EXPECT_FALSE(l0.force_emergency_sql);
-  EXPECT_EQ(l0.brownout_level, 0);
+TEST(BrownoutTest, LadderTableRowsMatchTheDocumentedLevels) {
+  static_assert(kNumBrownoutLevels == 5);
+  const PromptOptions defaults;
 
-  ServeOptions l1;
-  BrownoutController::ApplyLevel(1, &l1);
-  EXPECT_EQ(l1.max_icl_demos, 1);
-  EXPECT_FALSE(l1.disable_value_retriever);
+  const BrownoutPolicy& l0 = kBrownoutLadder[0];  // full richness
+  EXPECT_EQ(l0.demo_cap, -1);
+  EXPECT_FALSE(l0.skip_value_retrieval);
+  EXPECT_EQ(l0.top_k1, 0);
+  EXPECT_EQ(l0.top_k2, 0);
+  EXPECT_FALSE(l0.emergency_sql);
 
-  ServeOptions l2;
-  BrownoutController::ApplyLevel(2, &l2);
-  EXPECT_EQ(l2.max_icl_demos, 0);
-  EXPECT_TRUE(l2.disable_value_retriever);
-  EXPECT_EQ(l2.top_k1_override, 0);
+  const BrownoutPolicy& l1 = kBrownoutLadder[1];  // at most one demo
+  EXPECT_EQ(l1.demo_cap, 1);
+  EXPECT_FALSE(l1.skip_value_retrieval);
+  EXPECT_EQ(l1.top_k1, 0);
+  EXPECT_FALSE(l1.emergency_sql);
 
-  ServeOptions l3;
-  BrownoutController::ApplyLevel(3, &l3);
-  EXPECT_EQ(l3.top_k1_override, 2);
-  EXPECT_EQ(l3.top_k2_override, 4);
-  EXPECT_FALSE(l3.force_emergency_sql);
+  const BrownoutPolicy& l2 = kBrownoutLadder[2];  // no demos, no values
+  EXPECT_EQ(l2.demo_cap, 0);
+  EXPECT_TRUE(l2.skip_value_retrieval);
+  EXPECT_EQ(l2.top_k1, 0);
+  EXPECT_EQ(l2.top_k2, 0);
+  EXPECT_FALSE(l2.emergency_sql);
 
-  ServeOptions l4;
-  BrownoutController::ApplyLevel(4, &l4);
-  EXPECT_TRUE(l4.force_emergency_sql);
-  EXPECT_EQ(l4.brownout_level, 4);
+  const BrownoutPolicy& l3 = kBrownoutLadder[3];  // + schema top-k 2/4
+  EXPECT_EQ(l3.demo_cap, 0);
+  EXPECT_TRUE(l3.skip_value_retrieval);
+  EXPECT_EQ(l3.top_k1, 2);
+  EXPECT_EQ(l3.top_k2, 4);
+  EXPECT_LT(l3.top_k1, defaults.top_k1) << "L3 only ever tightens";
+  EXPECT_LT(l3.top_k2, defaults.top_k2);
+  EXPECT_FALSE(l3.emergency_sql);
+
+  const BrownoutPolicy& l4 = kBrownoutLadder[4];  // emergency SQL
+  EXPECT_TRUE(l4.emergency_sql);
+
+  // Out-of-range levels clamp onto the end rows.
+  EXPECT_EQ(&BrownoutPolicyAt(-1), &kBrownoutLadder[0]);
+  EXPECT_EQ(&BrownoutPolicyAt(2), &kBrownoutLadder[2]);
+  EXPECT_EQ(&BrownoutPolicyAt(9), &kBrownoutLadder[4]);
 }
 
 // ---------------------------------------------------------- serve front end
@@ -703,8 +741,8 @@ TEST_F(ServeFrontEndTest, QueuePressureDrivesBrownoutUpAndDown) {
 
   ServeOptions degraded = fe.OptionsFor(1'150);
   EXPECT_EQ(degraded.brownout_level, 2);
-  EXPECT_EQ(degraded.max_icl_demos, 0);
-  EXPECT_TRUE(degraded.disable_value_retriever);
+  EXPECT_FALSE(degraded.force_value_fallback)
+      << "a level that skips values does not consult the value breaker";
 
   // Drain the pressure: the controller steps back toward full richness.
   QueuedRequest out;
@@ -721,10 +759,10 @@ TEST_F(ServeFrontEndTest, QueuePressureDrivesBrownoutUpAndDown) {
 }
 
 TEST_F(ServeFrontEndTest, BrownoutStrippedValueStageDoesNotFireRung) {
-  // disable_value_retriever is brownout *policy*: the stage is healthy,
-  // so no ladder rung fires and the value breaker is not consulted.
+  // Level 2 skips values as brownout *policy*: the stage is healthy, so
+  // no ladder rung fires and the value breaker is not consulted.
   ServeOptions serve;
-  BrownoutController::ApplyLevel(2, &serve);
+  serve.brownout_level = 2;
   ServeReport report;
   std::string sql = pipeline_->PredictGuarded(*bench_, bench_->dev.front(),
                                               serve, &report);
@@ -732,6 +770,32 @@ TEST_F(ServeFrontEndTest, BrownoutStrippedValueStageDoesNotFireRung) {
   EXPECT_FALSE(report.Fired(ServeRung::kValueFallback));
   EXPECT_TRUE(report.execution_verified);
   EXPECT_EQ(report.brownout_level, 2);
+}
+
+TEST_F(ServeFrontEndTest, ZeroQueueCapacityMeansOneSlot) {
+  FrontEndOptions options;
+  options.admission.queue_capacity = 0;
+  options.brownout.dwell_us = 100;
+  ServeFrontEnd fe(pipeline_, bench_, options);
+
+  // The wall-clock path admits a caller into the one slot (an unclamped
+  // capacity would reject every Serve as "at capacity").
+  std::string sql;
+  ASSERT_TRUE(fe.Serve(bench_->dev.front(), &sql).ok());
+  EXPECT_FALSE(sql.empty());
+
+  // The queue holds exactly one request.
+  EXPECT_EQ(fe.Offer(0, 0, 1'000), Admission::kEnqueued);
+  EXPECT_EQ(fe.Offer(1, 0, 1'000), Admission::kRejectedQueueFull);
+
+  // Fullness is measured against that one slot: 1/1 degrades, and 0/1
+  // (not 0/0) recovers.
+  fe.ObserveQueue(1'000);
+  EXPECT_EQ(fe.brownout_level(), 1);
+  QueuedRequest out;
+  ASSERT_TRUE(fe.Dequeue(1'050, &out));
+  fe.ObserveQueue(1'100);
+  EXPECT_EQ(fe.brownout_level(), 0);
 }
 
 TEST_F(ServeFrontEndTest, SyncServeServesAndRateLimits) {
@@ -758,6 +822,111 @@ TEST_F(ServeFrontEndTest, SyncServeServesAndRateLimits) {
   EXPECT_EQ(CounterDelta(snapshot, "serve.admitted"),
             static_cast<uint64_t>(kBurst));
   EXPECT_EQ(CounterDelta(snapshot, "serve.rejected.rate"), 1u);
+}
+
+// ------------------------------------------------------- brownout ladder
+
+/// Two few-shot pipelines, chosen so that every rung of the ladder changes
+/// some served SQL: on the tiny Spider-like fixture the demonstration cap
+/// and the value skip move template choice; on a tiny BIRD-like fixture
+/// (wide tables, evidence) the schema top-k and the value skip do.
+class ServeLadderTest : public ::testing::Test {
+ protected:
+  struct Fixture {
+    Text2SqlBenchmark bench;
+    std::unique_ptr<CodesPipeline> pipeline;
+  };
+
+  static Fixture* MakeFixture(Text2SqlBenchmark bench, bool evidence) {
+    auto* fixture = new Fixture{std::move(bench), nullptr};
+    PipelineConfig config;
+    config.size = ModelSize::k7B;
+    config.use_external_knowledge = evidence;
+    config.icl_shots = 3;
+    config.extra_model_noise = 0.6;
+    fixture->pipeline = std::make_unique<CodesPipeline>(
+        config, zoo_->CodesFor(config.size));
+    fixture->pipeline->TrainClassifier(fixture->bench);
+    fixture->pipeline->SetDemonstrationPool(fixture->bench.train);
+    return fixture;
+  }
+
+  static void SetUpTestSuite() {
+    zoo_ = new LmZoo(1, 31);
+    spider_ = MakeFixture(BuildTinySpiderLike(2024), false);
+    BenchmarkConfig bird;
+    bird.name = "tiny_bird_like";
+    bird.profile = DbProfile::Bird();
+    bird.train_domains = 4;
+    bird.dev_domains = 2;
+    bird.train_samples_per_db = 20;
+    bird.dev_samples_per_db = 10;
+    bird.with_external_knowledge = true;
+    bird.seed = 2024;
+    bird_ = MakeFixture(BuildBenchmark(bird), true);
+  }
+  static void TearDownTestSuite() {
+    delete spider_;
+    delete bird_;
+    delete zoo_;
+    spider_ = nullptr;
+    bird_ = nullptr;
+    zoo_ = nullptr;
+  }
+
+  static LmZoo* zoo_;
+  static Fixture* spider_;
+  static Fixture* bird_;
+};
+LmZoo* ServeLadderTest::zoo_ = nullptr;
+ServeLadderTest::Fixture* ServeLadderTest::spider_ = nullptr;
+ServeLadderTest::Fixture* ServeLadderTest::bird_ = nullptr;
+
+TEST_F(ServeLadderTest, EveryLevelServesTheParentsSql) {
+  // Every brownout level x clean/suspect x each breaker action, served
+  // for 8 dev samples of each fixture; the report line and SQL of every
+  // request fold into one digest, recorded when the ladder still lived
+  // in four ServeOptions knobs derived from the level.
+  enum Forced { kNone = 0, kClassifier, kValue, kGeneration };
+  Fnv1aDigest digest;
+  int emergency = 0;
+  for (const Fixture* f : {spider_, bird_}) {
+    ServeFrontEnd fe(f->pipeline.get(), &f->bench, FrontEndOptions());
+    for (int level = 0; level < kNumBrownoutLevels; ++level) {
+      for (bool suspect : {false, true}) {
+        for (int forced = kNone; forced <= kGeneration; ++forced) {
+          for (size_t i = 0; i < 8; ++i) {
+            Text2SqlSample sample = f->bench.dev[i * f->bench.dev.size() / 8];
+            ServeOptions options;
+            options.brownout_level = level;
+            options.force_classifier_fallback = forced == kClassifier;
+            options.force_value_fallback = forced == kValue;
+            if (forced == kGeneration) options.force_emergency_sql = true;
+            if (suspect) {
+              HardenResult h = HardenQuestion(MutateQuestion(
+                  sample.question, QuestionMutation::kSchemaNoise, 4000 + i));
+              ASSERT_TRUE(h.suspect);
+              sample.question = h.sanitized;
+              fe.MarkSuspect(&options, h.canonical);
+            }
+            ServeReport report;
+            std::string sql = f->pipeline->PredictGuarded(f->bench, sample,
+                                                          options, &report);
+            EXPECT_EQ(report.brownout_level,
+                      suspect ? std::max(level, kSuspectFloorLevel) : level);
+            if (report.Fired(ServeRung::kEmergencySql)) ++emergency;
+            digest.Add(std::to_string(level) + (suspect ? " s " : " c ") +
+                       std::to_string(forced) + " " + report.ToString() +
+                       " | " + sql + "\n");
+          }
+        }
+      }
+    }
+  }
+  // Level 4 and the generation breaker serve emergency SQL; nothing else
+  // does on these fault-free fixtures.
+  EXPECT_EQ(emergency, 2 * 2 * 8 * (4 + 4));
+  EXPECT_EQ(digest.value, 0x9209be807cf1d318ull) << std::hex << digest.value;
 }
 
 // ------------------------------------------------------------ load campaign

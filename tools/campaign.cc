@@ -146,10 +146,7 @@ serve::LoadGenOptions LoadOptions(const LoadFlags& flags) {
   options.threads = flags.threads;
   options.front_end.admission.queue_capacity = flags.queue;
   options.front_end.admission.rate_per_sec = flags.rate_limit;
-  if (flags.adv) {
-    options.adv_rate = flags.adv_rate;
-    options.harden = true;
-  }
+  if (flags.adv) options.adv_rate = flags.adv_rate;
   if (!flags.spec.empty()) {
     options.failpoint_spec = flags.spec;
   } else if (flags.rate > 0.0) {

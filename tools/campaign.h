@@ -84,7 +84,7 @@ struct LoadFlags {
   size_t queue = 64;
   double rate_limit = 0.0;  ///< token-bucket qps; <= 0 disables
   std::string metrics_out;  ///< JSON metrics snapshot path (optional)
-  bool adv = false;         ///< adversarial traffic + hardening front door
+  bool adv = false;         ///< mix in adversarial (mutated) traffic
   double adv_rate = 0.3;    ///< fraction of questions mutated when --adv
   bool smoke = false;
   bool mt_smoke = false;

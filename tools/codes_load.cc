@@ -19,9 +19,9 @@
 //                       the hot tenant at fair share as reference)
 // The smoke modes are fixed-seed presets: they fill only the flags the
 // command line did not give, and a flag a mode cannot honour is a usage
-// error. --adv on any campaign mixes mutated questions at --adv-rate,
-// turns the hardening front door on and asserts the serve.adv.*
-// partition and verified goodput >= 80% of the clean twin's.
+// error. --adv on any campaign mixes mutated questions at --adv-rate
+// (every campaign runs the hardening front door) and asserts the
+// serve.adv.* partition and verified goodput >= 80% of the clean twin's.
 //
 // --qps is the offered (arrival) rate; virtual capacity is
 // --workers * 1e6 / --service-us, so --qps=2x capacity is a saturation
