@@ -113,9 +113,17 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle) {
   if (needle.empty()) return true;
   if (needle.size() > haystack.size()) return false;
-  std::string h = ToLower(haystack);
-  std::string n = ToLower(needle);
-  return h.find(n) != std::string::npos;
+  const char first = AsciiLower(needle[0]);
+  for (size_t i = 0; i + needle.size() <= haystack.size(); ++i) {
+    if (AsciiLower(haystack[i]) != first) continue;
+    size_t k = 1;
+    while (k < needle.size() &&
+           AsciiLower(haystack[i + k]) == AsciiLower(needle[k])) {
+      ++k;
+    }
+    if (k == needle.size()) return true;
+  }
+  return false;
 }
 
 std::string FormatDouble(double value, int digits) {

@@ -207,10 +207,14 @@ bool ServeFrontEnd::Dequeue(uint64_t now_us, QueuedRequest* out,
   return got;
 }
 
-ServeOptions ServeFrontEnd::OptionsForLocked(uint64_t now_us) {
+ServeOptions ServeFrontEnd::OptionsForLocked(uint64_t now_us,
+                                             HardenVerdict verdict) {
   ServeOptions options;
   options.limits = limits_;
   options.brownout_level = brownout_.level();
+  if (verdict.suspect) {
+    MarkSuspect(&options, std::move(verdict.canonical_question));
+  }
   const BrownoutPolicy& policy = BrownoutPolicyAt(options.brownout_level);
 
   // Breaker consults are skipped for stages this request will not touch
@@ -232,9 +236,10 @@ ServeOptions ServeFrontEnd::OptionsForLocked(uint64_t now_us) {
   return options;
 }
 
-ServeOptions ServeFrontEnd::OptionsFor(uint64_t now_us) {
+ServeOptions ServeFrontEnd::OptionsFor(uint64_t now_us,
+                                       HardenVerdict verdict) {
   std::lock_guard<std::mutex> lock(mu_);
-  return OptionsForLocked(now_us);
+  return OptionsForLocked(now_us, std::move(verdict));
 }
 
 void ServeFrontEnd::CompleteLocked(const ServeOptions& options_used,
@@ -300,7 +305,7 @@ void ServeFrontEnd::ObserveFullnessLocked(double fullness, uint64_t now_us) {
 
 const Text2SqlSample& ServeFrontEnd::HardenRequest(
     const Text2SqlSample& sample, Text2SqlSample* storage,
-    ServeOptions* options) const {
+    HardenVerdict* verdict) const {
   if (!harden_) return sample;
   HardenResult hardened = HardenQuestion(sample.question);
   const Text2SqlSample* request = &sample;
@@ -309,7 +314,8 @@ const Text2SqlSample& ServeFrontEnd::HardenRequest(
     storage->question = std::move(hardened.sanitized);
     request = storage;
   }
-  if (hardened.suspect) MarkSuspect(options, std::move(hardened.canonical));
+  verdict->suspect = hardened.suspect;
+  verdict->canonical_question = std::move(hardened.canonical);
   return *request;
 }
 
@@ -337,6 +343,12 @@ void ServeFrontEnd::ObserveQueue(uint64_t now_us) {
 Status ServeFrontEnd::Serve(const Text2SqlSample& sample, std::string* sql,
                             ServeReport* report) {
   FrontEndMetrics& m = Metrics();
+  // Hardening is pure — it runs before the lock, so hostile input never
+  // extends the critical section, and its verdict is known when the
+  // breakers are consulted.
+  Text2SqlSample sanitized;
+  HardenVerdict verdict;
+  const Text2SqlSample& request = HardenRequest(sample, &sanitized, &verdict);
   ServeOptions options;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -359,15 +371,10 @@ Status ServeFrontEnd::Serve(const Text2SqlSample& sample, std::string* sql,
     ObserveFullnessLocked(
         static_cast<double>(in_flight_) / static_cast<double>(capacity),
         now);
-    options = OptionsForLocked(now);
+    options = OptionsForLocked(now, std::move(verdict));
     m.admitted.Increment();
     ++in_flight_;
   }
-
-  // Hardening is pure — it runs outside the mutex so hostile input never
-  // extends the critical section.
-  Text2SqlSample sanitized;
-  const Text2SqlSample& request = HardenRequest(sample, &sanitized, &options);
 
   ServeReport scratch;
   ServeReport& rep = report != nullptr ? *report : scratch;

@@ -38,6 +38,13 @@ inline constexpr int kNumServeStages =
 inline constexpr int kSuspectFloorLevel = 2;
 static_assert(kSuspectFloorLevel < kNumBrownoutLevels);
 
+/// The hardening step's verdict on one request: suspect or not, and the
+/// canonical question a suspect request retries with.
+struct HardenVerdict {
+  bool suspect = false;
+  std::string canonical_question;
+};
+
 /// Configuration of the overload-protection front end.
 struct FrontEndOptions {
   AdmissionController::Options admission;
@@ -112,9 +119,13 @@ class ServeFrontEnd {
   bool Dequeue(uint64_t now_us, QueuedRequest* out,
                std::vector<QueuedRequest>* shed = nullptr);
 
-  /// ServeOptions for a request dispatched now: base limits + brownout
-  /// level + breaker-forced stage skips.
-  ServeOptions OptionsFor(uint64_t now_us);
+  /// ServeOptions for a request dispatched now with hardening verdict
+  /// `verdict`: base limits + brownout level (a suspect's is raised by
+  /// MarkSuspect) + breaker-forced stage skips. Only the breakers of the
+  /// stages that level runs are consulted, so the verdict must be known
+  /// first: a consult whose stage never runs reports no outcome and
+  /// would spend a half-open probe slot for good.
+  ServeOptions OptionsFor(uint64_t now_us, HardenVerdict verdict = {});
 
   /// Feeds a finished request's report back into the breakers (stages the
   /// front end itself forced, or the request's brownout level skipped,
@@ -132,14 +143,14 @@ class ServeFrontEnd {
   /// changes (arrivals, dispatches).
   void ObserveQueue(uint64_t now_us);
 
-  /// The front door's hardening step for an admitted request (a no-op
-  /// unless FrontEndOptions::harden): returns `sample`, or `*storage` (a
-  /// copy, which may alias `sample`) when sanitizing changed the question,
-  /// and marks a suspect verdict via MarkSuspect. Lock-free, so the DES
-  /// driver and concurrent Serve calls run it outside the lock.
+  /// The front door's hardening step (a no-op unless
+  /// FrontEndOptions::harden): returns `sample`, or `*storage` (a copy,
+  /// which may alias `sample`) when sanitizing changed the question, and
+  /// writes the verdict to `*verdict` for OptionsFor. Pure and lock-free,
+  /// so the DES driver and concurrent Serve calls run it outside the lock.
   const Text2SqlSample& HardenRequest(const Text2SqlSample& sample,
                                       Text2SqlSample* storage,
-                                      ServeOptions* options) const;
+                                      HardenVerdict* verdict) const;
 
   /// Marks a request suspect after its hardening verdict: stamps the
   /// suspect flag and the canonical retry question into `options`, and
@@ -193,7 +204,7 @@ class ServeFrontEnd {
 
   Admission OfferLocked(uint64_t id, uint64_t deadline_us, uint64_t now_us,
                         int tenant);
-  ServeOptions OptionsForLocked(uint64_t now_us);
+  ServeOptions OptionsForLocked(uint64_t now_us, HardenVerdict verdict);
   void CompleteLocked(const ServeOptions& options_used,
                       const ServeReport& report, uint64_t now_us);
   void ObserveFullnessLocked(double fullness, uint64_t now_us);

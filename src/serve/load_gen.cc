@@ -274,7 +274,20 @@ LoadReport RunLoadCampaign(const CodesPipeline& pipeline,
     while (free_workers > 0 && front_end.Dequeue(now_us, &next, &expired)) {
       uint64_t id = next.id;
       Slot& slot = slots[id];
-      slot.options = front_end.OptionsFor(now_us);
+      // Mutation and hardening happen here, on the DES thread, before
+      // the breakers are consulted and the virtual cost is priced: a
+      // suspect's raised brownout floor decides which stages it runs and
+      // makes it cheaper in virtual time exactly as in real serving.
+      const Text2SqlSample* sample = &bench.dev[sample_of[id]];
+      if (is_adv[id] != 0) {
+        slot.sample_storage = *sample;
+        slot.sample_storage.question = mutated[id];
+        sample = &slot.sample_storage;
+      }
+      HardenVerdict verdict;
+      sample = &front_end.HardenRequest(*sample, &slot.sample_storage,
+                                        &verdict);
+      slot.options = front_end.OptionsFor(now_us, std::move(verdict));
       if (multi_tenant && options.tenant_attach) {
         // Fleet attach happens here, on the DES thread at a virtual
         // timestamp — so the attach/evict sequence is a pure function of
@@ -282,18 +295,6 @@ LoadReport RunLoadCampaign(const CodesPipeline& pipeline,
         slot.lease = options.tenant_attach(tenant_of[id]);
         slot.options.value_retriever = slot.lease.get();
       }
-      // Mutation and hardening happen here, on the DES thread, before
-      // the virtual cost is priced: a suspect's raised brownout floor
-      // makes it cheaper in virtual time exactly as it would be in real
-      // serving.
-      const Text2SqlSample* sample = &bench.dev[sample_of[id]];
-      if (is_adv[id] != 0) {
-        slot.sample_storage = *sample;
-        slot.sample_storage.question = mutated[id];
-        sample = &slot.sample_storage;
-      }
-      sample = &front_end.HardenRequest(*sample, &slot.sample_storage,
-                                        &slot.options);
       uint64_t service = VirtualServiceUs(options.seed, id,
                                           slot.options.brownout_level,
                                           options.service_base_us);

@@ -5,18 +5,20 @@
 namespace codes::sql {
 
 std::optional<int> TableDef::FindColumn(const std::string& column_name) const {
-  std::string needle = ToLower(column_name);
   for (size_t i = 0; i < columns.size(); ++i) {
-    if (ToLower(columns[i].name) == needle) return static_cast<int>(i);
+    if (EqualsIgnoreCase(columns[i].name, column_name)) {
+      return static_cast<int>(i);
+    }
   }
   return std::nullopt;
 }
 
 std::optional<int> DatabaseSchema::FindTable(
     const std::string& table_name) const {
-  std::string needle = ToLower(table_name);
   for (size_t i = 0; i < tables.size(); ++i) {
-    if (ToLower(tables[i].name) == needle) return static_cast<int>(i);
+    if (EqualsIgnoreCase(tables[i].name, table_name)) {
+      return static_cast<int>(i);
+    }
   }
   return std::nullopt;
 }
@@ -36,7 +38,7 @@ std::string DatabaseSchema::ToDdl() const {
       out += "\n";
     }
     for (const auto& fk : foreign_keys) {
-      if (ToLower(fk.table) == ToLower(table.name)) {
+      if (EqualsIgnoreCase(fk.table, table.name)) {
         out += "  , FOREIGN KEY (" + fk.column + ") REFERENCES " +
                fk.ref_table + "(" + fk.ref_column + ")\n";
       }

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <iterator>
 #include <limits>
+#include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -22,7 +26,7 @@ namespace {
 constexpr size_t kMaxIntermediateRows = 4'000'000;
 
 /// The executor.step failpoint is evaluated once per statement and then
-/// once per this many materialized rows, so an injected fault can land
+/// once per this many produced rows, so an injected fault can land
 /// mid-scan without the disabled-registry check costing anything per row.
 constexpr size_t kStepFailpointStride = 1024;
 
@@ -51,13 +55,66 @@ struct RowEq {
   }
 };
 
+/// Indices of the first occurrence of each distinct row of `rows`, in
+/// order (rows are equal when every cell compares equal).
+std::vector<uint32_t> FirstOccurrences(const std::vector<Row>& rows) {
+  struct HashAt {
+    const std::vector<Row>* rows;
+    size_t operator()(uint32_t i) const { return RowHash()((*rows)[i]); }
+  };
+  struct EqAt {
+    const std::vector<Row>* rows;
+    bool operator()(uint32_t a, uint32_t b) const {
+      return RowEq()((*rows)[a], (*rows)[b]);
+    }
+  };
+  std::unordered_set<uint32_t, HashAt, EqAt> seen(rows.size(), HashAt{&rows},
+                                                  EqAt{&rows});
+  std::vector<uint32_t> first;
+  for (uint32_t i = 0; i < rows.size(); ++i) {
+    if (seen.insert(i).second) first.push_back(i);
+  }
+  return first;
+}
+
+/// Multiset-combining for set operations: the first occurrence of each
+/// distinct row, in order.
+std::vector<Row> DedupeRows(std::vector<Row> rows) {
+  std::vector<Row> out;
+  for (uint32_t i : FirstOccurrences(rows)) out.push_back(std::move(rows[i]));
+  return out;
+}
+
 Result<ResultTable> ExecuteLevel(const ExecSource& source,
                                  const BoundStatement& bound,
                                  const SelectStatement& stmt,
                                  ExecGuard* guard);
 
+/// A working row: one pointer per joined table, each to a row the source
+/// stores, and the number of flat columns those tables hold.
+struct RowRef {
+  const Row* const* parts;
+  int width;
+};
+
+/// The working rows of a plan: `stride` row pointers per working row, one
+/// per table joined so far, in the order the joins produced them.
+struct WorkingRows {
+  std::vector<const Row*> parts;
+  size_t stride = 1;
+  int width = 0;
+
+  size_t size() const { return parts.size() / stride; }
+  RowRef at(size_t i) const { return {parts.data() + i * stride, width}; }
+};
+
 /// Runs one SELECT level of a bound statement. Everything a run computes
 /// (aggregate values, subquery results) lives here, never in the AST.
+///
+/// No source row is copied: working rows point into the source's own row
+/// vectors (or, for a backend without them, into rows fetched once per
+/// table), and expressions read literals and cells in place. The only
+/// rows built are output rows and group keys.
 class SelectRunner {
  public:
   SelectRunner(const ExecSource& source, const BoundStatement& bound,
@@ -74,28 +131,33 @@ class SelectRunner {
     }
     if (guard_ != nullptr) CODES_RETURN_IF_ERROR(guard_->Check());
     CODES_RETURN_IF_ERROR(level_.error);
-    CODES_ASSIGN_OR_RETURN(std::vector<Row> rows, ProduceJoinedRows());
-    return Project(std::move(rows));
+    CODES_ASSIGN_OR_RETURN(WorkingRows rows, ProduceJoinedRows());
+    return Project(rows);
   }
 
  private:
   // -------------------------------------------------------- guard charging
-  /// Approximate heap footprint of one materialized row: per-cell Value
-  /// storage plus text payloads (an estimate, not allocator-exact).
-  static size_t ApproxRowBytes(const Row& row) {
-    size_t bytes = row.size() * sizeof(Value);
-    for (const auto& v : row) {
-      if (v.is_text()) bytes += v.AsText().size();
+  /// Approximate heap footprint of one working row made of `count` parts:
+  /// per-cell Value storage plus text payloads (an estimate, not
+  /// allocator-exact). A joined row costs the sum of its parts, exactly
+  /// what the same row would cost as one flat vector.
+  static size_t ApproxRowBytes(const Row* const* parts, size_t count) {
+    size_t bytes = 0;
+    for (size_t p = 0; p < count; ++p) {
+      bytes += parts[p]->size() * sizeof(Value);
+      for (const auto& v : *parts[p]) {
+        if (v.is_text()) bytes += v.AsText().size();
+      }
     }
     return bytes;
   }
 
-  /// Charges one materialized row against the guard and periodically
-  /// evaluates the executor.step failpoint. Text payloads are sampled —
-  /// every kByteSampleStride-th row is inspected exactly and scaled — so
-  /// byte budgeting stays an O(1)-per-row estimate instead of a per-cell
-  /// variant walk.
-  Status ChargeRow(const Row& row) {
+  /// Charges one produced row (scanned, joined or projected) against the
+  /// guard and periodically evaluates the executor.step failpoint. Text
+  /// payloads are sampled — every kByteSampleStride-th row is inspected
+  /// exactly and scaled — so byte budgeting stays an O(1)-per-row estimate
+  /// instead of a per-cell variant walk.
+  Status ChargeRow(const Row* const* parts, size_t count) {
     if (++step_rows_ % kStepFailpointStride == 0 &&
         Failpoints::ShouldFail(FailpointSite::kExecutorStep)) {
       return Failpoints::FailStatus(FailpointSite::kExecutorStep);
@@ -103,9 +165,13 @@ class SelectRunner {
     if (guard_ == nullptr) return Status::Ok();
     size_t bytes = 0;
     if (guard_->tracks_bytes() && step_rows_ % kByteSampleStride == 0) {
-      bytes = ApproxRowBytes(row) * kByteSampleStride;
+      bytes = ApproxRowBytes(parts, count) * kByteSampleStride;
     }
     return guard_->ChargeRow(bytes);
+  }
+  Status ChargeRow(const Row& row) {
+    const Row* part = &row;
+    return ChargeRow(&part, 1);
   }
 
   // ------------------------------------------------ access-path selection
@@ -304,15 +370,24 @@ class SelectRunner {
     return chosen;
   }
 
-  /// Materializes a join's right table when the backend has no direct row
-  /// vector. Right-table rows are not charged here — matching historical
-  /// behavior, where only combined rows are charged during joins.
-  Result<const std::vector<Row>*> MaterializeTable(
-      int table_index, std::vector<Row>* storage) {
+  /// A new vector for rows fetched from a backend without a direct row
+  /// vector. Working rows point into these vectors, so they are never
+  /// moved: at most one is fetched per joined table, and the capacity for
+  /// all of them is reserved up front.
+  std::vector<Row>* NewFetched() {
+    if (fetched_.capacity() == 0) fetched_.reserve(level_.tables.size());
+    CODES_CHECK(fetched_.size() < fetched_.capacity());
+    return &fetched_.emplace_back();
+  }
+
+  /// The rows of a join's right table: the backend's own vector, or one
+  /// fetched by a full scan. Right-table rows are not charged here — only
+  /// the joined rows are charged.
+  Result<const std::vector<Row>*> MaterializeTable(int table_index) {
     if (const std::vector<Row>* direct = source_.DirectRows(table_index)) {
       return direct;
     }
-    storage->clear();
+    std::vector<Row>* storage = NewFetched();
     storage->reserve(source_.SourceRowCount(table_index));
     std::unique_ptr<RowCursor> cursor = source_.Scan(table_index);
     Row row;
@@ -326,43 +401,59 @@ class SelectRunner {
     return storage;
   }
 
+  /// The joined table that flat column `index` belongs to.
+  size_t SlotOf(int index) const {
+    size_t slot = level_.tables.size() - 1;
+    while (index < level_.tables[slot].offset) --slot;
+    return slot;
+  }
+
+  /// The cell at flat column `index` (< row.width) of a working row.
+  const Value& CellAt(RowRef row, int index) const {
+    const size_t slot = SlotOf(index);
+    return (*row.parts[slot])[static_cast<size_t>(
+        index - level_.tables[slot].offset)];
+  }
+
   // ------------------------------------------------------------ join phase
-  /// Computes the joined, WHERE-filtered working rows.
-  Result<std::vector<Row>> ProduceJoinedRows() {
+  /// Computes the joined, WHERE-filtered working rows. Rows are charged as
+  /// they are produced: each seed row, then each joined row. WHERE runs
+  /// after the joins, so the charges do not depend on it.
+  Result<WorkingRows> ProduceJoinedRows() {
     // Seed with the first table through its chosen access path.
     const std::vector<BoundTable>& tables = level_.tables;
     const int first_table = tables[0].table_index;
     const int first_width = static_cast<int>(
         source_.schema().tables[first_table].columns.size());
-    std::vector<Row> current;
-    if (const std::vector<Row>* direct = source_.DirectRows(first_table)) {
-      current.reserve(direct->size());
-      for (const auto& row : *direct) {
-        current.push_back(row);
-        CODES_RETURN_IF_ERROR(ChargeRow(current.back()));
-      }
+    WorkingRows current;
+    current.width = first_width;
+    const std::vector<Row>* seed = source_.DirectRows(first_table);
+    if (seed != nullptr) {
+      for (const Row& row : *seed) CODES_RETURN_IF_ERROR(ChargeRow(row));
     } else {
       std::unique_ptr<RowCursor> cursor =
           ChooseSeedCursor(first_table, first_width);
-      current.reserve(source_.SourceRowCount(first_table));
+      std::vector<Row>* fetched = NewFetched();
+      fetched->reserve(source_.SourceRowCount(first_table));
       Row row;
       while (cursor->Next(&row)) {
-        current.push_back(std::move(row));
-        CODES_RETURN_IF_ERROR(ChargeRow(current.back()));
+        fetched->push_back(std::move(row));
+        CODES_RETURN_IF_ERROR(ChargeRow(fetched->back()));
       }
       CODES_RETURN_IF_ERROR(cursor->status());
+      seed = fetched;
     }
-    int current_width = first_width;
+    current.parts.reserve(seed->size());
+    for (const Row& row : *seed) current.parts.push_back(&row);
 
     for (size_t j = 0; j < stmt_.joins.size(); ++j) {
       const JoinClause& join = stmt_.joins[j];
       const BoundTable& entry = tables[j + 1];
-      std::vector<Row> right_storage;
-      CODES_ASSIGN_OR_RETURN(
-          const std::vector<Row>* right_rows,
-          MaterializeTable(entry.table_index, &right_storage));
-      int right_width = static_cast<int>(
+      CODES_ASSIGN_OR_RETURN(const std::vector<Row>* right_rows,
+                             MaterializeTable(entry.table_index));
+      const int right_width = static_cast<int>(
           source_.schema().tables[entry.table_index].columns.size());
+      const int joined_width = entry.offset + right_width;
 
       // Try hash join: condition of form colA = colB with one side in the
       // accumulated prefix and the other in the new table.
@@ -374,20 +465,37 @@ class SelectRunner {
         const Expr& rhs = *join.condition->children[1];
         if (lhs.kind == ExprKind::kColumnRef &&
             rhs.kind == ExprKind::kColumnRef) {
+          auto in_new = [&](int i) {
+            return i >= entry.offset && i < joined_width;
+          };
           int li = lhs.resolved_index;
           int ri = rhs.resolved_index;
-          int new_offset = entry.offset;
-          if (li < new_offset && ri >= new_offset) {
+          if (li >= 0 && li < entry.offset && in_new(ri)) {
             left_key = li;
-            right_key = ri - new_offset;
-          } else if (ri < new_offset && li >= new_offset) {
+            right_key = ri - entry.offset;
+          } else if (ri >= 0 && ri < entry.offset && in_new(li)) {
             left_key = ri;
-            right_key = li - new_offset;
+            right_key = li - entry.offset;
           }
         }
       }
 
-      std::vector<Row> next;
+      WorkingRows next;
+      next.stride = current.stride + 1;
+      next.width = joined_width;
+      // Appends the current row `lrow` joined with `rrow` and charges it.
+      auto emit = [&](RowRef lrow, const Row& rrow) -> Status {
+        next.parts.insert(next.parts.end(), lrow.parts,
+                          lrow.parts + current.stride);
+        next.parts.push_back(&rrow);
+        CODES_RETURN_IF_ERROR(ChargeRow(
+            next.parts.data() + next.parts.size() - next.stride,
+            next.stride));
+        if (next.size() > kMaxIntermediateRows) {
+          return Status::ExecutionError("join result too large");
+        }
+        return Status::Ok();
+      };
       if (left_key >= 0) {
         // Hash join on equality keys.
         std::unordered_multimap<size_t, const Row*> table;
@@ -396,53 +504,53 @@ class SelectRunner {
           if (rrow[right_key].is_null()) continue;
           table.emplace(rrow[right_key].Hash(), &rrow);
         }
-        for (const auto& lrow : current) {
-          const Value& key = lrow[left_key];
+        for (size_t i = 0; i < current.size(); ++i) {
+          const RowRef lrow = current.at(i);
+          const Value& key = CellAt(lrow, left_key);
           if (key.is_null()) continue;
           auto range = table.equal_range(key.Hash());
           for (auto it = range.first; it != range.second; ++it) {
             const Row& rrow = *it->second;
             if (!key.SqlEquals(rrow[right_key])) continue;
-            Row combined = lrow;
-            combined.insert(combined.end(), rrow.begin(), rrow.end());
-            next.push_back(std::move(combined));
-            CODES_RETURN_IF_ERROR(ChargeRow(next.back()));
-            if (next.size() > kMaxIntermediateRows) {
-              return Status::ExecutionError("join result too large");
-            }
+            CODES_RETURN_IF_ERROR(emit(lrow, rrow));
           }
         }
       } else {
-        // Nested-loop join with optional theta condition.
-        for (const auto& lrow : current) {
+        // Nested-loop join with optional theta condition, tested on a
+        // candidate row that is appended only when it passes.
+        std::vector<const Row*> candidate(next.stride);
+        const RowRef combined{candidate.data(), joined_width};
+        for (size_t i = 0; i < current.size(); ++i) {
+          const RowRef lrow = current.at(i);
+          std::copy(lrow.parts, lrow.parts + current.stride,
+                    candidate.begin());
           for (const auto& rrow : *right_rows) {
-            Row combined = lrow;
-            combined.insert(combined.end(), rrow.begin(), rrow.end());
+            candidate.back() = &rrow;
             if (join.condition) {
-              CODES_ASSIGN_OR_RETURN(Value v, Eval(*join.condition, combined));
-              if (!Truthy(v)) continue;
+              CODES_ASSIGN_OR_RETURN(bool pass,
+                                     Test(*join.condition, combined));
+              if (!pass) continue;
             }
-            next.push_back(std::move(combined));
-            CODES_RETURN_IF_ERROR(ChargeRow(next.back()));
-            if (next.size() > kMaxIntermediateRows) {
-              return Status::ExecutionError("join result too large");
-            }
+            CODES_RETURN_IF_ERROR(emit(lrow, rrow));
           }
         }
       }
       current = std::move(next);
-      current_width += right_width;
-      (void)current_width;
     }
 
     if (stmt_.where) {
-      std::vector<Row> filtered;
-      filtered.reserve(current.size());
-      for (auto& row : current) {
-        CODES_ASSIGN_OR_RETURN(Value v, Eval(*stmt_.where, row));
-        if (Truthy(v)) filtered.push_back(std::move(row));
+      const size_t stride = current.stride;
+      size_t kept = 0;
+      for (size_t i = 0; i < current.size(); ++i) {
+        CODES_ASSIGN_OR_RETURN(bool pass, Test(*stmt_.where, current.at(i)));
+        if (!pass) continue;
+        if (kept != i) {
+          std::copy_n(current.parts.begin() + i * stride, stride,
+                      current.parts.begin() + kept * stride);
+        }
+        ++kept;
       }
-      current = std::move(filtered);
+      current.parts.resize(kept * stride);
     }
     return current;
   }
@@ -451,6 +559,13 @@ class SelectRunner {
   static bool Truthy(const Value& v) {
     if (v.is_null()) return false;
     return v.ToNumeric() != 0.0;
+  }
+
+  /// True when `e` is truthy on `row` (a filter or join condition).
+  Result<bool> Test(const Expr& e, RowRef row) {
+    Value scratch;
+    CODES_ASSIGN_OR_RETURN(const Value* v, EvalRef(e, row, &scratch));
+    return Truthy(*v);
   }
 
   /// Three-valued `x [NOT] IN (...)`: TRUE on a match, otherwise NULL when
@@ -472,22 +587,64 @@ class SelectRunner {
     return Value(static_cast<int64_t>(negated ? 1 : 0));
   }
 
-  /// Evaluates `e` against a working row. In post-aggregation context an
-  /// aggregate node reads the value the grouping phase stored in its slot.
-  Result<Value> Eval(const Expr& e, const Row& row) {
+  /// The text of `v` as string functions and LIKE see it: a text value in
+  /// place, anything else rendered into `*buf`.
+  static std::string_view TextOf(const Value& v, std::string* buf) {
+    if (v.is_text()) return v.AsText();
+    *buf = v.ToString();
+    return *buf;
+  }
+
+  /// Evaluates `e` against `row` without copying what it reads: a
+  /// literal, a column cell, the current group's aggregate value and a
+  /// scalar subquery's value are returned in place; anything else is
+  /// computed into `*scratch`, and the result points there.
+  Result<const Value*> EvalRef(const Expr& e, RowRef row, Value* scratch) {
     switch (e.kind) {
       case ExprKind::kLiteral:
-        return e.literal;
+        return &e.literal;
       case ExprKind::kColumnRef:
-        if (e.resolved_index < 0 ||
-            e.resolved_index >= static_cast<int>(row.size())) {
+        if (e.resolved_index < 0 || e.resolved_index >= row.width) {
           return Status::Internal("unresolved column " + e.column);
         }
-        return row[e.resolved_index];
+        return &CellAt(row, e.resolved_index);
+      case ExprKind::kFunction:
+        // Bind numbers only the aggregates the grouping phase computes.
+        if (e.agg_slot >= 0 &&
+            static_cast<size_t>(e.agg_slot) < agg_values_.size()) {
+          return &agg_values_[static_cast<size_t>(e.agg_slot)];
+        }
+        break;
+      case ExprKind::kScalarSubquery: {
+        static const Value kNull;
+        CODES_ASSIGN_OR_RETURN(const std::vector<Value>* sub,
+                               SubqueryValues(e));
+        return sub->empty() ? &kNull : &(*sub)[0];
+      }
+      default:
+        break;
+    }
+    CODES_ASSIGN_OR_RETURN(*scratch, Eval(e, row));
+    return scratch;
+  }
+
+  /// Evaluates `e` against a working row. In post-aggregation context an
+  /// aggregate node reads the value the grouping phase stored in its slot.
+  Result<Value> Eval(const Expr& e, RowRef row) {
+    Value buf;
+    switch (e.kind) {
+      case ExprKind::kLiteral:
+      case ExprKind::kColumnRef:
+      case ExprKind::kScalarSubquery: {
+        CODES_ASSIGN_OR_RETURN(const Value* v, EvalRef(e, row, &buf));
+        return *v;
+      }
       case ExprKind::kStar:
         return Status::ExecutionError("'*' outside COUNT(*)");
       case ExprKind::kUnary: {
-        CODES_ASSIGN_OR_RETURN(Value inner, Eval(*e.children[0], row));
+        CODES_ASSIGN_OR_RETURN(const Value* v,
+                               EvalRef(*e.children[0], row, &buf));
+        const Value& inner = *v;
         switch (e.unary_op) {
           case UnaryOp::kNot:
             if (inner.is_null()) return Value();
@@ -511,34 +668,36 @@ class SelectRunner {
       case ExprKind::kFunction:
         return EvalFunction(e, row);
       case ExprKind::kBetween: {
-        CODES_ASSIGN_OR_RETURN(Value v, Eval(*e.children[0], row));
-        CODES_ASSIGN_OR_RETURN(Value lo, Eval(*e.children[1], row));
-        CODES_ASSIGN_OR_RETURN(Value hi, Eval(*e.children[2], row));
-        if (v.is_null() || lo.is_null() || hi.is_null()) return Value();
-        bool in_range = v.Compare(lo) >= 0 && v.Compare(hi) <= 0;
+        Value lo_buf, hi_buf;
+        CODES_ASSIGN_OR_RETURN(const Value* v,
+                               EvalRef(*e.children[0], row, &buf));
+        CODES_ASSIGN_OR_RETURN(const Value* lo,
+                               EvalRef(*e.children[1], row, &lo_buf));
+        CODES_ASSIGN_OR_RETURN(const Value* hi,
+                               EvalRef(*e.children[2], row, &hi_buf));
+        if (v->is_null() || lo->is_null() || hi->is_null()) return Value();
+        bool in_range = v->Compare(*lo) >= 0 && v->Compare(*hi) <= 0;
         if (e.negated) in_range = !in_range;
         return Value(static_cast<int64_t>(in_range ? 1 : 0));
       }
       case ExprKind::kInList: {
-        CODES_ASSIGN_OR_RETURN(Value v, Eval(*e.children[0], row));
-        if (v.is_null()) return Value();
-        return InResult(v, e.in_list, e.negated);
+        CODES_ASSIGN_OR_RETURN(const Value* v,
+                               EvalRef(*e.children[0], row, &buf));
+        if (v->is_null()) return Value();
+        return InResult(*v, e.in_list, e.negated);
       }
       case ExprKind::kInSubquery: {
-        CODES_ASSIGN_OR_RETURN(Value v, Eval(*e.children[0], row));
-        if (v.is_null()) return Value();
+        CODES_ASSIGN_OR_RETURN(const Value* v,
+                               EvalRef(*e.children[0], row, &buf));
+        if (v->is_null()) return Value();
         CODES_ASSIGN_OR_RETURN(const std::vector<Value>* sub,
                                SubqueryValues(e));
-        return InResult(v, *sub, e.negated);
-      }
-      case ExprKind::kScalarSubquery: {
-        CODES_ASSIGN_OR_RETURN(const std::vector<Value>* sub,
-                               SubqueryValues(e));
-        if (sub->empty()) return Value();
-        return (*sub)[0];
+        return InResult(*v, *sub, e.negated);
       }
       case ExprKind::kCast: {
-        CODES_ASSIGN_OR_RETURN(Value v, Eval(*e.children[0], row));
+        CODES_ASSIGN_OR_RETURN(const Value* arg,
+                               EvalRef(*e.children[0], row, &buf));
+        const Value& v = *arg;
         if (v.is_null()) return Value();
         switch (e.cast_type) {
           case DataType::kInteger: {
@@ -565,11 +724,18 @@ class SelectRunner {
     return Status::Internal("unhandled expression kind");
   }
 
-  Result<Value> EvalBinary(const Expr& e, const Row& row) {
-    // Short-circuit logic with SQLite-style NULL propagation.
+  Result<Value> EvalBinary(const Expr& e, RowRef row) {
+    Value l_buf, r_buf;
+    CODES_ASSIGN_OR_RETURN(const Value* lp,
+                           EvalRef(*e.children[0], row, &l_buf));
+    CODES_ASSIGN_OR_RETURN(const Value* rp,
+                           EvalRef(*e.children[1], row, &r_buf));
+    const Value& l = *lp;
+    const Value& r = *rp;
+
+    // Logic with SQLite-style NULL propagation. Both operands are always
+    // evaluated, so an error on either side surfaces.
     if (e.binary_op == BinaryOp::kAnd || e.binary_op == BinaryOp::kOr) {
-      CODES_ASSIGN_OR_RETURN(Value l, Eval(*e.children[0], row));
-      CODES_ASSIGN_OR_RETURN(Value r, Eval(*e.children[1], row));
       bool lnull = l.is_null();
       bool rnull = r.is_null();
       bool lt = !lnull && Truthy(l);
@@ -585,9 +751,6 @@ class SelectRunner {
       if (lnull || rnull) return Value();
       return Value(static_cast<int64_t>(0));
     }
-
-    CODES_ASSIGN_OR_RETURN(Value l, Eval(*e.children[0], row));
-    CODES_ASSIGN_OR_RETURN(Value r, Eval(*e.children[1], row));
 
     switch (e.binary_op) {
       case BinaryOp::kEq:
@@ -680,7 +843,8 @@ class SelectRunner {
       case BinaryOp::kLike:
       case BinaryOp::kNotLike: {
         if (l.is_null() || r.is_null()) return Value();
-        bool match = LikeMatch(l.ToString(), r.ToString());
+        std::string l_text, r_text;
+        bool match = LikeMatch(TextOf(l, &l_text), TextOf(r, &r_text));
         if (e.binary_op == BinaryOp::kNotLike) match = !match;
         return Value(static_cast<int64_t>(match ? 1 : 0));
       }
@@ -690,15 +854,14 @@ class SelectRunner {
     return Status::Internal("unhandled binary op");
   }
 
-  /// SQL LIKE with % and _ wildcards, ASCII case-insensitive.
-  static bool LikeMatch(const std::string& text_raw,
-                        const std::string& pattern_raw) {
-    std::string text = ToLower(text_raw);
-    std::string pattern = ToLower(pattern_raw);
+  /// SQL LIKE with % and _ wildcards, ASCII case-insensitive (bytes fold
+  /// one at a time, so neither side is copied).
+  static bool LikeMatch(std::string_view text, std::string_view pattern) {
     size_t ti = 0, pi = 0, star_ti = std::string::npos, star_pi = 0;
     while (ti < text.size()) {
       if (pi < pattern.size() &&
-          (pattern[pi] == '_' || pattern[pi] == text[ti])) {
+          (pattern[pi] == '_' ||
+           AsciiLower(pattern[pi]) == AsciiLower(text[ti]))) {
         ++ti;
         ++pi;
       } else if (pi < pattern.size() && pattern[pi] == '%') {
@@ -715,7 +878,7 @@ class SelectRunner {
     return pi == pattern.size();
   }
 
-  Result<Value> EvalFunction(const Expr& e, const Row& row) {
+  Result<Value> EvalFunction(const Expr& e, RowRef row) {
     if (e.IsAggregate()) {
       if (e.agg_slot < 0 ||
           static_cast<size_t>(e.agg_slot) >= agg_values_.size()) {
@@ -724,15 +887,18 @@ class SelectRunner {
       }
       return agg_values_[static_cast<size_t>(e.agg_slot)];
     }
-    auto arg = [&](size_t i) -> Result<Value> {
+    auto arg = [&](size_t i, Value* scratch) -> Result<const Value*> {
       if (i >= e.children.size()) {
         return Status::ExecutionError(e.function + ": missing argument");
       }
-      return Eval(*e.children[i], row);
+      return EvalRef(*e.children[i], row, scratch);
     };
+    Value buf;
+    std::string text_buf;
     const std::string& f = e.function;
     if (f == "ABS") {
-      CODES_ASSIGN_OR_RETURN(Value v, arg(0));
+      CODES_ASSIGN_OR_RETURN(const Value* arg0, arg(0, &buf));
+      const Value& v = *arg0;
       if (v.is_null()) return Value();
       if (v.is_integer() &&
           v.AsInteger() != std::numeric_limits<int64_t>::min()) {
@@ -741,39 +907,42 @@ class SelectRunner {
       return Value(std::abs(v.ToNumeric()));
     }
     if (f == "ROUND") {
-      CODES_ASSIGN_OR_RETURN(Value v, arg(0));
-      if (v.is_null()) return Value();
+      CODES_ASSIGN_OR_RETURN(const Value* v, arg(0, &buf));
+      if (v->is_null()) return Value();
       int64_t digits = 0;
       if (e.children.size() > 1) {
-        CODES_ASSIGN_OR_RETURN(Value d, arg(1));
-        digits = static_cast<int64_t>(std::clamp(d.ToNumeric(), -30.0, 30.0));
+        Value d_buf;
+        CODES_ASSIGN_OR_RETURN(const Value* d, arg(1, &d_buf));
+        digits = static_cast<int64_t>(std::clamp(d->ToNumeric(), -30.0, 30.0));
       }
       double scale = std::pow(10.0, static_cast<double>(digits));
-      double scaled = std::round(v.ToNumeric() * scale) / scale;
-      if (!std::isfinite(scaled)) return Value(v.ToNumeric());
+      double scaled = std::round(v->ToNumeric() * scale) / scale;
+      if (!std::isfinite(scaled)) return Value(v->ToNumeric());
       return Value(scaled);
     }
     if (f == "LENGTH") {
-      CODES_ASSIGN_OR_RETURN(Value v, arg(0));
-      if (v.is_null()) return Value();
-      return Value(static_cast<int64_t>(v.ToString().size()));
+      CODES_ASSIGN_OR_RETURN(const Value* v, arg(0, &buf));
+      if (v->is_null()) return Value();
+      return Value(static_cast<int64_t>(TextOf(*v, &text_buf).size()));
     }
     if (f == "UPPER" || f == "LOWER") {
-      CODES_ASSIGN_OR_RETURN(Value v, arg(0));
-      if (v.is_null()) return Value();
-      return Value(f == "UPPER" ? ToUpper(v.ToString())
-                                : ToLower(v.ToString()));
+      CODES_ASSIGN_OR_RETURN(const Value* v, arg(0, &buf));
+      if (v->is_null()) return Value();
+      std::string_view text = TextOf(*v, &text_buf);
+      return Value(f == "UPPER" ? ToUpper(text) : ToLower(text));
     }
     if (f == "SUBSTR" || f == "SUBSTRING") {
-      CODES_ASSIGN_OR_RETURN(Value v, arg(0));
-      if (v.is_null()) return Value();
-      CODES_ASSIGN_OR_RETURN(Value start_v, arg(1));
-      std::string s = v.ToString();
-      int64_t start = static_cast<int64_t>(start_v.ToNumeric());
+      CODES_ASSIGN_OR_RETURN(const Value* v, arg(0, &buf));
+      if (v->is_null()) return Value();
+      Value start_buf;
+      CODES_ASSIGN_OR_RETURN(const Value* start_v, arg(1, &start_buf));
+      std::string_view s = TextOf(*v, &text_buf);
+      int64_t start = static_cast<int64_t>(start_v->ToNumeric());
       int64_t len = static_cast<int64_t>(s.size());
       if (e.children.size() > 2) {
-        CODES_ASSIGN_OR_RETURN(Value len_v, arg(2));
-        len = static_cast<int64_t>(len_v.ToNumeric());
+        Value len_buf;
+        CODES_ASSIGN_OR_RETURN(const Value* len_v, arg(2, &len_buf));
+        len = static_cast<int64_t>(len_v->ToNumeric());
       }
       // 1-based indexing per SQL; negative start counts from the end.
       int64_t begin = start > 0 ? start - 1
@@ -781,13 +950,13 @@ class SelectRunner {
       if (begin >= static_cast<int64_t>(s.size()) || len <= 0) {
         return Value(std::string());
       }
-      return Value(s.substr(static_cast<size_t>(begin),
-                            static_cast<size_t>(len)));
+      return Value(std::string(s.substr(static_cast<size_t>(begin),
+                                        static_cast<size_t>(len))));
     }
     if (f == "COALESCE") {
       for (size_t i = 0; i < e.children.size(); ++i) {
-        CODES_ASSIGN_OR_RETURN(Value v, arg(i));
-        if (!v.is_null()) return v;
+        CODES_ASSIGN_OR_RETURN(const Value* v, arg(i, &buf));
+        if (!v->is_null()) return *v;
       }
       return Value();
     }
@@ -809,14 +978,66 @@ class SelectRunner {
       }
       std::vector<Value> values;
       values.reserve(result->rows.size());
-      for (const auto& r : result->rows) values.push_back(r[0]);
+      for (auto& r : result->rows) values.push_back(std::move(r[0]));
       it = subquery_cache_.emplace(&e, std::move(values)).first;
     }
     return &it->second;
   }
 
   // ------------------------------------------------------ projection phase
-  Result<ResultTable> Project(std::vector<Row> rows) {
+  /// A working row whose every cell is NULL: the representative of the
+  /// one group a global aggregation over zero rows yields.
+  RowRef NullRow() {
+    size_t widest = 0;
+    for (const BoundTable& t : level_.tables) {
+      widest = std::max(
+          widest, source_.schema().tables[t.table_index].columns.size());
+    }
+    null_row_.assign(widest, Value());
+    null_parts_.assign(level_.tables.size(), &null_row_);
+    return {null_parts_.data(), level_.width};
+  }
+
+  /// Groups the working rows by the GROUP BY keys: `*group_begin` gets
+  /// each group's start in `*members` (plus one past the end), and
+  /// `*members` the working-row indices of every group, groups in
+  /// first-seen order and rows in order within a group. Without GROUP BY
+  /// every row is in the one group, even when there are none.
+  Status GroupRows(const WorkingRows& rows, std::vector<uint32_t>* group_begin,
+                   std::vector<uint32_t>* members) {
+    const size_t n = rows.size();
+    std::vector<uint32_t> group_of(n, 0);
+    size_t num_groups = 1;
+    if (!stmt_.group_by.empty()) {
+      std::unordered_map<Row, uint32_t, RowHash, RowEq> ids;
+      Row key(stmt_.group_by.size());  // reused: only new keys are copied
+      for (size_t i = 0; i < n; ++i) {
+        for (size_t g = 0; g < stmt_.group_by.size(); ++g) {
+          CODES_ASSIGN_OR_RETURN(const Value* v,
+                                 EvalRef(*stmt_.group_by[g], rows.at(i),
+                                         &key[g]));
+          if (v != &key[g]) key[g] = *v;
+        }
+        auto it = ids.try_emplace(key, static_cast<uint32_t>(ids.size()))
+                      .first;
+        group_of[i] = it->second;
+      }
+      num_groups = ids.size();
+    }
+    group_begin->assign(num_groups + 1, 0);
+    for (uint32_t g : group_of) ++(*group_begin)[g + 1];
+    for (size_t g = 0; g < num_groups; ++g) {
+      (*group_begin)[g + 1] += (*group_begin)[g];
+    }
+    members->resize(n);
+    std::vector<uint32_t> fill(group_begin->begin(), group_begin->end() - 1);
+    for (size_t i = 0; i < n; ++i) {
+      (*members)[fill[group_of[i]]++] = static_cast<uint32_t>(i);
+    }
+    return Status::Ok();
+  }
+
+  Result<ResultTable> Project(const WorkingRows& rows) {
     const bool has_agg = !stmt_.group_by.empty() || !level_.aggregates.empty();
 
     ResultTable result;
@@ -825,100 +1046,78 @@ class SelectRunner {
           item.alias.empty() ? item.expr->ToSql() : item.alias);
     }
 
-    // Each output row remembers its ORDER BY keys.
-    struct Keyed {
+    // Output rows, and for each its ORDER BY keys (`num_keys` per row).
+    const size_t num_keys = stmt_.order_by.size();
+    std::vector<Row> out_rows;
+    std::vector<Value> keys;
+    auto emit = [&](RowRef row) -> Status {
       Row out;
-      std::vector<Value> keys;
+      out.reserve(stmt_.select_list.size());
+      for (const auto& item : stmt_.select_list) {
+        CODES_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, row));
+        out.push_back(std::move(v));
+      }
+      for (const auto& o : stmt_.order_by) {
+        CODES_ASSIGN_OR_RETURN(Value v, Eval(*o.expr, row));
+        keys.push_back(std::move(v));
+      }
+      CODES_RETURN_IF_ERROR(ChargeRow(out));
+      out_rows.push_back(std::move(out));
+      return Status::Ok();
     };
-    std::vector<Keyed> keyed_rows;
 
     if (!has_agg) {
-      for (const auto& row : rows) {
-        Keyed k;
-        for (const auto& item : stmt_.select_list) {
-          CODES_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, row));
-          k.out.push_back(std::move(v));
-        }
-        for (const auto& o : stmt_.order_by) {
-          CODES_ASSIGN_OR_RETURN(Value v, Eval(*o.expr, row));
-          k.keys.push_back(std::move(v));
-        }
-        CODES_RETURN_IF_ERROR(ChargeRow(k.out));
-        keyed_rows.push_back(std::move(k));
+      out_rows.reserve(rows.size());
+      for (size_t i = 0; i < rows.size(); ++i) {
+        CODES_RETURN_IF_ERROR(emit(rows.at(i)));
       }
     } else {
-      // Group rows.
-      std::unordered_map<Row, std::vector<const Row*>, RowHash, RowEq> groups;
-      std::vector<Row> group_order;  // deterministic iteration
-      for (const auto& row : rows) {
-        Row key;
-        for (const auto& g : stmt_.group_by) {
-          CODES_ASSIGN_OR_RETURN(Value v, Eval(*g, row));
-          key.push_back(std::move(v));
-        }
-        auto [it, inserted] = groups.try_emplace(key);
-        if (inserted) group_order.push_back(key);
-        it->second.push_back(&row);
-      }
-      // Global aggregation over zero rows still yields one group.
-      if (stmt_.group_by.empty() && groups.empty()) {
-        groups.try_emplace(Row{});
-        group_order.push_back(Row{});
-      }
-
+      std::vector<uint32_t> group_begin;
+      std::vector<uint32_t> members;
+      CODES_RETURN_IF_ERROR(GroupRows(rows, &group_begin, &members));
       // Compute the aggregate calls Bind numbered, per group, into the
       // slots their Expr::agg_slot names.
       const std::vector<const Expr*>& aggregates = level_.aggregates;
       agg_values_.resize(aggregates.size());
-      for (const auto& key : group_order) {
-        const auto& members = groups[key];
+      for (size_t g = 0; g + 1 < group_begin.size(); ++g) {
+        const uint32_t* first = members.data() + group_begin[g];
+        const size_t count = group_begin[g + 1] - group_begin[g];
         for (size_t slot = 0; slot < aggregates.size(); ++slot) {
-          CODES_ASSIGN_OR_RETURN(agg_values_[slot],
-                                 ComputeAggregate(*aggregates[slot], members));
+          CODES_ASSIGN_OR_RETURN(
+              agg_values_[slot],
+              ComputeAggregate(*aggregates[slot], rows, first, count));
         }
         // Representative row for evaluating group keys inside exprs.
-        Row representative;
-        if (!members.empty()) {
-          representative = *members[0];
-        } else {
-          representative.assign(static_cast<size_t>(level_.width), Value());
-        }
+        const RowRef representative =
+            count > 0 ? rows.at(first[0]) : NullRow();
         if (stmt_.having) {
-          CODES_ASSIGN_OR_RETURN(Value hv, Eval(*stmt_.having, representative));
-          if (!Truthy(hv)) continue;
+          CODES_ASSIGN_OR_RETURN(bool pass, Test(*stmt_.having, representative));
+          if (!pass) continue;
         }
-        Keyed k;
-        for (const auto& item : stmt_.select_list) {
-          CODES_ASSIGN_OR_RETURN(Value v, Eval(*item.expr, representative));
-          k.out.push_back(std::move(v));
-        }
-        for (const auto& o : stmt_.order_by) {
-          CODES_ASSIGN_OR_RETURN(Value v, Eval(*o.expr, representative));
-          k.keys.push_back(std::move(v));
-        }
-        CODES_RETURN_IF_ERROR(ChargeRow(k.out));
-        keyed_rows.push_back(std::move(k));
+        CODES_RETURN_IF_ERROR(emit(representative));
       }
     }
 
-    // DISTINCT.
+    // DISTINCT keeps each row's first occurrence; ORDER BY is a stable
+    // sort (ties keep their order); LIMIT cuts what is left. `order` holds
+    // the surviving output rows' indices unless it is the identity.
+    std::vector<uint32_t> order;
+    bool identity = true;
     if (stmt_.distinct) {
-      std::unordered_map<Row, bool, RowHash, RowEq> seen;
-      std::vector<Keyed> unique;
-      for (auto& k : keyed_rows) {
-        if (seen.try_emplace(k.out, true).second) {
-          unique.push_back(std::move(k));
-        }
-      }
-      keyed_rows = std::move(unique);
+      order = FirstOccurrences(out_rows);
+      identity = false;
     }
-
-    // ORDER BY (stable sort keeps input order for ties).
-    if (!stmt_.order_by.empty()) {
-      std::stable_sort(keyed_rows.begin(), keyed_rows.end(),
-                       [this](const Keyed& a, const Keyed& b) {
-                         for (size_t i = 0; i < stmt_.order_by.size(); ++i) {
-                           int cmp = a.keys[i].Compare(b.keys[i]);
+    if (num_keys > 0) {
+      if (identity) {
+        order.resize(out_rows.size());
+        for (uint32_t i = 0; i < order.size(); ++i) order[i] = i;
+        identity = false;
+      }
+      std::stable_sort(order.begin(), order.end(),
+                       [&](uint32_t a, uint32_t b) {
+                         for (size_t i = 0; i < num_keys; ++i) {
+                           int cmp = keys[a * num_keys + i].Compare(
+                               keys[b * num_keys + i]);
                            if (cmp != 0) {
                              return stmt_.order_by[i].ascending ? cmp < 0
                                                                 : cmp > 0;
@@ -927,76 +1126,85 @@ class SelectRunner {
                          return false;
                        });
     }
-
-    // LIMIT.
+    size_t count = identity ? out_rows.size() : order.size();
     if (stmt_.limit.has_value() &&
-        keyed_rows.size() > static_cast<size_t>(*stmt_.limit)) {
-      keyed_rows.resize(static_cast<size_t>(std::max<int64_t>(0, *stmt_.limit)));
+        count > static_cast<size_t>(*stmt_.limit)) {
+      count = static_cast<size_t>(std::max<int64_t>(0, *stmt_.limit));
     }
-
-    result.rows.reserve(keyed_rows.size());
-    for (auto& k : keyed_rows) result.rows.push_back(std::move(k.out));
+    if (identity) {
+      out_rows.resize(count);
+      result.rows = std::move(out_rows);
+    } else {
+      result.rows.reserve(count);
+      for (size_t i = 0; i < count; ++i) {
+        result.rows.push_back(std::move(out_rows[order[i]]));
+      }
+    }
     return result;
   }
 
-  Result<Value> ComputeAggregate(const Expr& agg,
-                                 const std::vector<const Row*>& members) {
+  /// One aggregate over the working rows `members[0, count)` of a group,
+  /// folded as the rows are read: NULLs are skipped, DISTINCT keeps each
+  /// value's first occurrence, and SUM/AVG add in row order.
+  Result<Value> ComputeAggregate(const Expr& agg, const WorkingRows& rows,
+                                 const uint32_t* members, size_t count) {
     const std::string& f = agg.function;
     bool star = !agg.children.empty() &&
                 agg.children[0]->kind == ExprKind::kStar;
     if (f == "COUNT" && (agg.children.empty() || star)) {
-      return Value(static_cast<int64_t>(members.size()));
+      return Value(static_cast<int64_t>(count));
     }
     if (agg.children.empty()) {
       return Status::ExecutionError(f + " requires an argument");
     }
-    std::vector<Value> values;
-    values.reserve(members.size());
-    for (const Row* row : members) {
-      CODES_ASSIGN_OR_RETURN(Value v, Eval(*agg.children[0], *row));
-      if (!v.is_null()) values.push_back(std::move(v));
-    }
-    if (agg.distinct_arg) {
-      std::vector<Value> unique;
-      for (auto& v : values) {
+    const bool sum = f == "SUM" || f == "AVG";
+    const bool min = f == "MIN";
+    const bool max = f == "MAX";
+    size_t counted = 0;
+    bool all_int = true;
+    double total = 0;
+    int64_t itotal = 0;
+    Value best;
+    std::vector<Value> distinct;  // DISTINCT: the values kept so far
+    Value scratch;
+    for (size_t k = 0; k < count; ++k) {
+      CODES_ASSIGN_OR_RETURN(
+          const Value* v,
+          EvalRef(*agg.children[0], rows.at(members[k]), &scratch));
+      if (v->is_null()) continue;
+      if (agg.distinct_arg) {
         bool seen = false;
-        for (const auto& u : unique) {
-          if (u.Compare(v) == 0) {
+        for (const auto& u : distinct) {
+          if (u.Compare(*v) == 0) {
             seen = true;
             break;
           }
         }
-        if (!seen) unique.push_back(std::move(v));
+        if (seen) continue;
+        distinct.push_back(*v);
       }
-      values = std::move(unique);
-    }
-    if (f == "COUNT") return Value(static_cast<int64_t>(values.size()));
-    if (values.empty()) return Value();  // SUM/AVG/MIN/MAX of nothing: NULL
-    if (f == "SUM" || f == "AVG") {
-      bool all_int = true;
-      double total = 0;
-      int64_t itotal = 0;
-      for (const auto& v : values) {
-        total += v.ToNumeric();
-        if (!v.is_integer() ||
-            __builtin_add_overflow(itotal, v.AsInteger(), &itotal)) {
+      if (sum) {
+        total += v->ToNumeric();
+        if (!v->is_integer() ||
+            __builtin_add_overflow(itotal, v->AsInteger(), &itotal)) {
           all_int = false;  // overflow: report the REAL running sum
         }
+      } else if (min || max) {
+        int cmp = counted == 0 ? 0 : v->Compare(best);
+        if (counted == 0 || (min && cmp < 0) || (max && cmp > 0)) best = *v;
       }
+      ++counted;
+    }
+    if (f == "COUNT") return Value(static_cast<int64_t>(counted));
+    if (counted == 0) return Value();  // SUM/AVG/MIN/MAX of nothing: NULL
+    if (sum) {
       if (f == "SUM") {
         if (all_int) return Value(itotal);
         return Value(total);
       }
-      return Value(total / static_cast<double>(values.size()));
+      return Value(total / static_cast<double>(counted));
     }
-    if (f == "MIN" || f == "MAX") {
-      const Value* best = &values[0];
-      for (const auto& v : values) {
-        int cmp = v.Compare(*best);
-        if ((f == "MIN" && cmp < 0) || (f == "MAX" && cmp > 0)) best = &v;
-      }
-      return *best;
-    }
+    if (min || max) return best;
     return Status::ExecutionError("unknown aggregate: " + f);
   }
 
@@ -1008,19 +1216,15 @@ class SelectRunner {
   size_t step_rows_ = 0;        ///< rows since start, for the step failpoint
   std::vector<Value> agg_values_;  ///< current group's value per agg_slot
   std::unordered_map<const Expr*, std::vector<Value>> subquery_cache_;
+  /// Rows fetched from a backend without direct row vectors; working rows
+  /// point into them.
+  std::vector<std::vector<Row>> fetched_;
+  Row null_row_;                        ///< see NullRow
+  std::vector<const Row*> null_parts_;  ///< see NullRow
 };
 
-/// Multiset-combining for set operations.
-std::vector<Row> DedupeRows(const std::vector<Row>& rows) {
-  std::unordered_map<Row, bool, RowHash, RowEq> seen;
-  std::vector<Row> out;
-  for (const auto& r : rows) {
-    if (seen.try_emplace(r, true).second) out.push_back(r);
-  }
-  return out;
-}
-
 /// Executes `stmt`, one level of `bound`, and its chain of set-op arms.
+/// Set operations consume both arms' rows.
 Result<ResultTable> ExecuteLevel(const ExecSource& source,
                                  const BoundStatement& bound,
                                  const SelectStatement& stmt,
@@ -1039,32 +1243,31 @@ Result<ResultTable> ExecuteLevel(const ExecSource& source,
     return Status::ExecutionError("set operands have different column counts");
   }
   ResultTable out;
-  out.column_names = left->column_names;
+  out.column_names = std::move(left->column_names);
+  std::vector<Row>& left_rows = left->rows;
+  std::vector<Row>& right_rows = right->rows;
   switch (stmt.set_op) {
-    case SetOp::kUnionAll: {
-      out.rows = left->rows;
-      out.rows.insert(out.rows.end(), right->rows.begin(), right->rows.end());
-      break;
-    }
+    case SetOp::kUnionAll:
     case SetOp::kUnion: {
-      auto all = left->rows;
-      all.insert(all.end(), right->rows.begin(), right->rows.end());
-      out.rows = DedupeRows(all);
-      break;
-    }
-    case SetOp::kIntersect: {
-      std::unordered_map<Row, bool, RowHash, RowEq> in_right;
-      for (const auto& r : right->rows) in_right.try_emplace(r, true);
-      for (const auto& r : DedupeRows(left->rows)) {
-        if (in_right.count(r)) out.rows.push_back(r);
+      out.rows = std::move(left_rows);
+      out.rows.insert(out.rows.end(),
+                      std::make_move_iterator(right_rows.begin()),
+                      std::make_move_iterator(right_rows.end()));
+      if (stmt.set_op == SetOp::kUnion) {
+        out.rows = DedupeRows(std::move(out.rows));
       }
       break;
     }
+    case SetOp::kIntersect:
     case SetOp::kExcept: {
-      std::unordered_map<Row, bool, RowHash, RowEq> in_right;
-      for (const auto& r : right->rows) in_right.try_emplace(r, true);
-      for (const auto& r : DedupeRows(left->rows)) {
-        if (!in_right.count(r)) out.rows.push_back(r);
+      const bool keep_if_in_right = stmt.set_op == SetOp::kIntersect;
+      std::unordered_set<Row, RowHash, RowEq> in_right(
+          std::make_move_iterator(right_rows.begin()),
+          std::make_move_iterator(right_rows.end()));
+      for (Row& r : DedupeRows(std::move(left_rows))) {
+        if ((in_right.count(r) > 0) == keep_if_in_right) {
+          out.rows.push_back(std::move(r));
+        }
       }
       break;
     }

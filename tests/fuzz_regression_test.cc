@@ -115,6 +115,20 @@ TEST(FuzzCampaignTest, SmallCampaignIsClean) {
   }
 }
 
+TEST(FuzzCampaignTest, FixedCampaignReportMatchesPin) {
+  // The full report of a fixed small campaign, recorded before the
+  // executor stopped copying source rows: every oracle (TLP, NoREC,
+  // round trip, rerun, storagediff) over 400 generated queries.
+  FuzzConfig config;
+  config.base_seed = 7;
+  config.num_queries = 400;
+  FuzzReport report = RunFuzzCampaign(config, nullptr);
+  EXPECT_EQ(report.Summary(), "fuzz campaign: 400 queries, 0 violation(s)\n");
+  for (const auto& f : report.failures) {
+    ADD_FAILURE() << f.ReproLine() << "\n  detail: " << f.detail;
+  }
+}
+
 TEST(FuzzCampaignTest, ReportIdenticalAcrossThreadCounts) {
   FuzzConfig config;
   config.base_seed = 99;

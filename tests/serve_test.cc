@@ -695,6 +695,65 @@ TEST_F(ServeFrontEndTest, GenerationBreakerTripsForcesRungAndRecovers) {
   EXPECT_EQ(CounterDelta(snapshot, "serve.breaker.generation.to_closed"), 1u);
 }
 
+TEST_F(ServeFrontEndTest, SuspectRequestsLeaveValueProbesToCleanOnes) {
+  // Suspect requests run at the suspect floor, which skips value
+  // retrieval, so they never report a value outcome. The front end once
+  // consulted the breakers before the hardening verdict raised the level:
+  // three suspects after the cooldown spent every half-open probe, the
+  // value breaker stayed HalfOpen for good, and every later request was
+  // forced onto the value fallback.
+  ServeFrontEnd fe(pipeline_, bench_, FrontEndOptions());
+  const Text2SqlSample& clean = bench_->dev.front();
+
+  ASSERT_TRUE(
+      Failpoints::Configure("value_retriever.build_index=prob:1.0", 7).ok());
+  uint64_t now = 0;
+  while (fe.breaker_state(ServeStage::kValueRetrieval) ==
+         BreakerState::kClosed) {
+    ASSERT_LT(now, 400u) << "value breaker never tripped";
+    ServeOptions serve = fe.OptionsFor(now);
+    ServeReport report;
+    pipeline_->PredictGuarded(*bench_, clean, serve, &report);
+    EXPECT_TRUE(report.Fired(ServeRung::kValueFallback));
+    fe.Complete(serve, report, now);
+    now += 10;
+  }
+  Failpoints::Clear();
+  now += kCooldownUs;
+
+  for (int i = 0; i < CircuitBreaker::kHalfOpenProbes; ++i) {
+    Text2SqlSample mutated = clean;
+    mutated.question = MutateQuestion(
+        clean.question, QuestionMutation::kSchemaNoise, 4000 + i);
+    Text2SqlSample storage;
+    HardenVerdict verdict;
+    const Text2SqlSample& request =
+        fe.HardenRequest(mutated, &storage, &verdict);
+    ASSERT_TRUE(verdict.suspect) << mutated.question;
+    ServeOptions serve = fe.OptionsFor(now, std::move(verdict));
+    EXPECT_EQ(serve.brownout_level, kSuspectFloorLevel);
+    EXPECT_TRUE(serve.suspect);
+    ServeReport report;
+    pipeline_->PredictGuarded(*bench_, request, serve, &report);
+    fe.Complete(serve, report, now);
+    now += 10;
+  }
+
+  // Clean requests get the probes, succeed and close the breaker.
+  for (int probe = 0; probe < CircuitBreaker::kCloseAfter; ++probe) {
+    ServeOptions serve = fe.OptionsFor(now);
+    ASSERT_FALSE(serve.force_value_fallback) << "probe " << probe;
+    ServeReport report;
+    pipeline_->PredictGuarded(*bench_, clean, serve, &report);
+    EXPECT_FALSE(report.Fired(ServeRung::kValueFallback));
+    fe.Complete(serve, report, now);
+    now += 10;
+  }
+  EXPECT_EQ(fe.breaker_state(ServeStage::kValueRetrieval),
+            BreakerState::kClosed);
+  EXPECT_FALSE(fe.OptionsFor(now).force_value_fallback);
+}
+
 TEST_F(ServeFrontEndTest, ClassifierBreakerForcesFallbackRung) {
   ServeFrontEnd fe(pipeline_, bench_, FrontEndOptions());
   const auto& sample = bench_->dev.front();

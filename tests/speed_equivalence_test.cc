@@ -2,11 +2,12 @@
 // component (bit-parallel LCS, interned-term BM25, flat-hash n-gram LM,
 // the per-request column profile, norm-cached cosines, the sparse
 // anchor-row cosine, the streamed bigram hash, prebuilt stem sets and
-// one-pass schema scoring) must be *behaviorally invisible* —
-// byte-identical outputs, including the exact double values, against the
-// pinned reference implementations it replaced. These tests are the
-// contract that lets the benchmarks' before/after numbers claim a pure
-// speed win.
+// one-pass schema scoring, the reference-based SQL executor) must be
+// *behaviorally invisible* — byte-identical outputs, including the exact
+// double values, against the pinned reference implementations it replaced
+// or, where the original is gone, against a digest recorded before the
+// rewrite. These tests are the contract that lets the benchmarks'
+// before/after numbers claim a pure speed win.
 
 #include <gtest/gtest.h>
 
@@ -22,18 +23,25 @@
 #include <thread>
 #include <vector>
 
+#include "common/exec_guard.h"
 #include "common/flat_hash.h"
+#include "common/rng.h"
 #include "common/string_util.h"
+#include "common/thread_pool.h"
 #include "dataset/benchmark_builder.h"
 #include "dataset/column_profile.h"
 #include "dataset/db_generator.h"
 #include "dataset/domains.h"
 #include "embed/sentence_encoder.h"
+#include "fuzz/fuzz_harness.h"
+#include "fuzz/query_gen.h"
 #include "index/bm25_index.h"
 #include "index/bm25_reference.h"
 #include "linker/schema_classifier.h"
 #include "lm/ngram_lm.h"
 #include "lm/ngram_reference.h"
+#include "sqlengine/executor.h"
+#include "storage/storage_db.h"
 #include "text/similarity.h"
 #include "text/tokenize.h"
 
@@ -468,6 +476,207 @@ TEST(AnalyzerEquivalenceTest, PresetCellsAndQuestionsMatchReference) {
     }
     EXPECT_GT(checked, 1000u) << bench.name;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Case-blind string matching: byte-at-a-time folds vs the lowercase-copy
+// compositions they replaced.
+// ---------------------------------------------------------------------------
+
+bool ReferenceContainsIgnoreCase(std::string_view haystack,
+                                 std::string_view needle) {
+  return ToLower(haystack).find(ToLower(needle)) != std::string::npos;
+}
+
+std::optional<int> ReferenceFindColumn(const sql::TableDef& table,
+                                       const std::string& name) {
+  for (size_t i = 0; i < table.columns.size(); ++i) {
+    if (ToLower(table.columns[i].name) == ToLower(name)) {
+      return static_cast<int>(i);
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<int> ReferenceFindTable(const sql::DatabaseSchema& schema,
+                                      const std::string& name) {
+  for (size_t i = 0; i < schema.tables.size(); ++i) {
+    if (ToLower(schema.tables[i].name) == ToLower(name)) {
+      return static_cast<int>(i);
+    }
+  }
+  return std::nullopt;
+}
+
+/// The executor's LIKE before it folded bytes in place: both sides
+/// lowercased into copies, then matched.
+bool ReferenceLikeMatch(const std::string& text_raw,
+                        const std::string& pattern_raw) {
+  std::string text = ToLower(text_raw);
+  std::string pattern = ToLower(pattern_raw);
+  size_t ti = 0, pi = 0, star_ti = std::string::npos, star_pi = 0;
+  while (ti < text.size()) {
+    if (pi < pattern.size() &&
+        (pattern[pi] == '_' || pattern[pi] == text[ti])) {
+      ++ti;
+      ++pi;
+    } else if (pi < pattern.size() && pattern[pi] == '%') {
+      star_pi = pi++;
+      star_ti = ti;
+    } else if (star_ti != std::string::npos) {
+      pi = star_pi + 1;
+      ti = ++star_ti;
+    } else {
+      return false;
+    }
+  }
+  while (pi < pattern.size() && pattern[pi] == '%') ++pi;
+  return pi == pattern.size();
+}
+
+/// Names and questions of both presets, the edge inputs, and random
+/// strings over an alphabet dense in case pairs, wildcards and high bytes.
+std::vector<std::string> CaseFoldInputs() {
+  std::vector<std::string> inputs = {
+      "", "a", "A", "_", "%", "%%", "a%", "%a", "a_c", "_A_", "\x80",
+      "\xC3\xA9", "\xC3\x89", "caf\xC3\xA9", "CAF\xC3\xA9", "\xFF\xFE",
+      "Singer_ID", "singer_id", "SINGER_ID", "singer id", "[", "@", "`",
+      "{", "Z", "z", std::string(70, 'q'), std::string(70, 'Q') + "x",
+  };
+  for (const Text2SqlBenchmark& bench : {BuildSpiderLike(), BuildBirdLike()}) {
+    for (const sql::Database& db : bench.databases) {
+      for (const sql::TableDef& table : db.schema().tables) {
+        inputs.push_back(table.name);
+        for (const sql::ColumnDef& col : table.columns) {
+          inputs.push_back(col.name);
+        }
+      }
+    }
+    for (const Text2SqlSample& sample : bench.dev) {
+      inputs.push_back(sample.question);
+    }
+  }
+  static const char kAlphabet[] = "aAbBzZ_%@[`{ \xC3\xA9\x80\xFF";
+  std::mt19937 rng(30);
+  std::uniform_int_distribution<size_t> pick(0, sizeof(kAlphabet) - 2);
+  std::uniform_int_distribution<int> length(0, 12);
+  for (int i = 0; i < 600; ++i) {
+    std::string text;
+    for (int n = length(rng); n > 0; --n) text += kAlphabet[pick(rng)];
+    inputs.push_back(std::move(text));
+  }
+  return inputs;
+}
+
+TEST(CaseFoldEquivalenceTest, ContainsAndEqualsMatchLowercaseCopies) {
+  const std::vector<std::string> inputs = CaseFoldInputs();
+  // Every input against a window of its neighbours (names against names,
+  // questions against names, random against random), in both roles and
+  // against case-flipped copies of itself.
+  size_t checked = 0;
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const std::string& a = inputs[i];
+    std::vector<std::string> others = {a, ToUpper(a), ToLower(a),
+                                       a.substr(a.size() / 3)};
+    for (size_t d = 1; d <= 24 && i + d < inputs.size(); ++d) {
+      others.push_back(inputs[i + d]);
+    }
+    for (const std::string& b : others) {
+      EXPECT_EQ(ContainsIgnoreCase(a, b), ReferenceContainsIgnoreCase(a, b))
+          << "[" << a << "] [" << b << "]";
+      EXPECT_EQ(ContainsIgnoreCase(b, a), ReferenceContainsIgnoreCase(b, a))
+          << "[" << b << "] [" << a << "]";
+      EXPECT_EQ(EqualsIgnoreCase(a, b), ToLower(a) == ToLower(b))
+          << "[" << a << "] [" << b << "]";
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 20000u);
+}
+
+TEST(CaseFoldEquivalenceTest, FindTableAndFindColumnMatchLowercaseCopies) {
+  const std::vector<std::string> probes = CaseFoldInputs();
+  for (const Text2SqlBenchmark& bench : {BuildSpiderLike(), BuildBirdLike()}) {
+    for (const sql::Database& db : bench.databases) {
+      const sql::DatabaseSchema& schema = db.schema();
+      std::vector<std::string> names;
+      for (const sql::TableDef& table : schema.tables) {
+        names.push_back(table.name);
+        for (const sql::ColumnDef& col : table.columns) {
+          names.push_back(col.name);
+        }
+      }
+      for (const std::string& name : names) {
+        for (const std::string& probe :
+             {name, ToUpper(name), ToLower(name), name + "_", name.substr(1)}) {
+          EXPECT_EQ(schema.FindTable(probe), ReferenceFindTable(schema, probe))
+              << probe;
+          for (const sql::TableDef& table : schema.tables) {
+            EXPECT_EQ(table.FindColumn(probe),
+                      ReferenceFindColumn(table, probe))
+                << table.name << "." << probe;
+          }
+        }
+      }
+      for (size_t i = 0; i < probes.size(); i += 97) {
+        EXPECT_EQ(schema.FindTable(probes[i]),
+                  ReferenceFindTable(schema, probes[i]));
+        EXPECT_EQ(schema.tables[0].FindColumn(probes[i]),
+                  ReferenceFindColumn(schema.tables[0], probes[i]));
+      }
+    }
+  }
+}
+
+TEST(CaseFoldEquivalenceTest, SqlLikeMatchesLowercaseCopies) {
+  // LIKE lives inside the executor, so it is pinned through SQL: one row
+  // per (subject, pattern) pair, `SELECT subject LIKE pattern` against
+  // the reference matcher.
+  const std::vector<std::string> inputs = CaseFoldInputs();
+  std::vector<std::pair<std::string, std::string>> pairs;
+  std::mt19937 rng(31);
+  for (size_t i = 0; i < inputs.size(); ++i) {
+    const std::string& text = inputs[i];
+    std::string mid = text.substr(text.size() / 4, text.size() / 2);
+    std::string blanked = ToUpper(text);
+    for (size_t k = 0; k < blanked.size(); k += 3) blanked[k] = '_';
+    for (const std::string& pattern :
+         {text, ToUpper(text), "%" + mid + "%", mid + "%", "%" + ToUpper(mid),
+          blanked, "%" + blanked.substr(blanked.size() / 2),
+          inputs[(i + 1 + rng() % 40) % inputs.size()]}) {
+      pairs.emplace_back(text, pattern);
+    }
+  }
+  sql::DatabaseSchema schema;
+  schema.name = "like_pairs";
+  sql::TableDef table;
+  table.name = "pairs";
+  table.columns = {{"id", sql::DataType::kInteger, "", true},
+                   {"subject", sql::DataType::kText, "", false},
+                   {"pattern", sql::DataType::kText, "", false}};
+  schema.tables.push_back(table);
+  sql::Database db(schema);
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    ASSERT_TRUE(db.Insert("pairs", {sql::Value(static_cast<int64_t>(i)),
+                                    sql::Value(pairs[i].first),
+                                    sql::Value(pairs[i].second)})
+                    .ok());
+  }
+  auto result = sql::ExecuteSql(
+      db,
+      "SELECT id, subject LIKE pattern, subject NOT LIKE pattern FROM pairs");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  ASSERT_EQ(result->rows.size(), pairs.size());
+  size_t matches = 0;
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const bool expected = ReferenceLikeMatch(pairs[i].first, pairs[i].second);
+    EXPECT_EQ(result->rows[i][1].AsInteger(), expected ? 1 : 0)
+        << "[" << pairs[i].first << "] LIKE [" << pairs[i].second << "]";
+    EXPECT_EQ(result->rows[i][2].AsInteger(), expected ? 0 : 1);
+    matches += expected ? 1 : 0;
+  }
+  EXPECT_GT(matches, pairs.size() / 4);
+  EXPECT_LT(matches, pairs.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -1199,6 +1408,192 @@ TEST(ScoreSchemaEquivalenceTest, MatchesItemAtATimeScoring) {
   trained.Train(bird, SchemaItemClassifier::TrainOptions{});
   ExpectScoreSchemaMatches(trained, bird);
   ExpectScoreSchemaMatches(trained, spider);
+}
+
+// ---------------------------------------------------------------------------
+// SQL executor: every result, error and guard charge of a fixed query set,
+// over both backends, pinned by a digest recorded before the executor
+// stopped copying source rows.
+// ---------------------------------------------------------------------------
+
+/// One query of the pinned set: SQL text and the database it runs on.
+struct ExecCase {
+  size_t db = 0;
+  std::string sql;
+};
+
+/// The databases a query set runs on, each with its disk-backed twin (the
+/// cursor seed path).
+struct ExecFixture {
+  std::vector<sql::Database> dbs;
+  std::vector<std::unique_ptr<storage::StorageDb>> twins;
+  std::vector<ExecCase> cases;
+
+  void AddTwins() {
+    for (const sql::Database& db : dbs) {
+      auto twin = storage::StorageDb::CreateInMemoryFrom(db);
+      ASSERT_TRUE(twin.ok()) << twin.status().ToString();
+      twins.push_back(std::move(*twin));
+    }
+  }
+};
+
+class Fnv64 {
+ public:
+  void Bytes(const void* data, size_t n) {
+    const auto* p = static_cast<const unsigned char*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      h_ ^= p[i];
+      h_ *= 1099511628211ULL;
+    }
+  }
+  void U64(uint64_t v) { Bytes(&v, sizeof(v)); }
+  void Str(std::string_view s) {
+    U64(s.size());
+    Bytes(s.data(), s.size());
+  }
+  uint64_t value() const { return h_; }
+
+ private:
+  uint64_t h_ = 1469598103934665603ULL;
+};
+
+/// Hashes one guarded execution: status code and message, column names,
+/// every cell (kind plus exact bits or bytes), and the rows and bytes the
+/// guard was charged. Returns the guard's row count.
+size_t HashExecution(const sql::ExecSource& source, const std::string& sql,
+                   const ExecLimits& limits, Fnv64* h) {
+  ExecGuard guard(limits);
+  Result<sql::ResultTable> result = sql::ExecuteSql(source, sql, &guard);
+  h->U64(static_cast<uint64_t>(result.status().code()));
+  h->Str(result.status().message());
+  if (result.ok()) {
+    h->U64(result->column_names.size());
+    for (const std::string& name : result->column_names) h->Str(name);
+    h->U64(result->rows.size());
+    for (const sql::Row& row : result->rows) {
+      h->U64(row.size());
+      for (const sql::Value& v : row) {
+        if (v.is_null()) {
+          h->U64(0);
+        } else if (v.is_integer()) {
+          h->U64(1);
+          h->U64(static_cast<uint64_t>(v.AsInteger()));
+        } else if (v.is_real()) {
+          h->U64(2);
+          double d = v.AsReal();
+          uint64_t bits;
+          std::memcpy(&bits, &d, sizeof(bits));
+          h->U64(bits);
+        } else {
+          h->U64(3);
+          h->Str(v.AsText());
+        }
+      }
+    }
+  }
+  h->U64(guard.rows_charged());
+  h->U64(guard.bytes_charged());
+  return guard.rows_charged();
+}
+
+/// Digest of every case on both backends under two guards: one that
+/// tracks bytes and never trips, and one whose row budget is three
+/// quarters of the rows the first run charged, so it trips part-way
+/// through whichever phase (scan, join, projection) charges those rows.
+/// Cases are hashed into per-case slots, so the digest is the same for
+/// any thread count. `*tripped` counts the cases the row budget stopped.
+uint64_t ExecDigest(const ExecFixture& fx, int threads, size_t* tripped) {
+  ExecLimits bytes_only;
+  bytes_only.max_bytes = size_t{1} << 40;
+  std::vector<uint64_t> slots(fx.cases.size());
+  std::vector<char> trips(fx.cases.size(), 0);
+  auto run = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const ExecCase& c = fx.cases[i];
+      Fnv64 h;
+      for (const sql::ExecSource* source :
+           {static_cast<const sql::ExecSource*>(&fx.dbs[c.db]),
+            static_cast<const sql::ExecSource*>(fx.twins[c.db].get())}) {
+        const size_t rows = HashExecution(*source, c.sql, bytes_only, &h);
+        if (rows < 2) continue;
+        ExecLimits tight_rows = bytes_only;
+        tight_rows.max_rows = rows - rows / 4;
+        if (HashExecution(*source, c.sql, tight_rows, &h) >
+            tight_rows.max_rows) {
+          trips[i] = 1;
+        }
+      }
+      slots[i] = h.value();
+    }
+  };
+  if (threads <= 1) {
+    run(0, slots.size());
+  } else {
+    ThreadPool pool(threads);
+    pool.ParallelFor(slots.size(), run);
+  }
+  *tripped = static_cast<size_t>(std::count(trips.begin(), trips.end(), 1));
+  Fnv64 total;
+  for (uint64_t s : slots) total.U64(s);
+  return total.value();
+}
+
+void ExpectExecDigestAtOneAndEightThreads(const ExecFixture& fx,
+                                          uint64_t golden) {
+  size_t tripped = 0;
+  const uint64_t serial = ExecDigest(fx, 1, &tripped);
+  EXPECT_EQ(serial, golden) << "digest 0x" << std::hex << serial;
+  EXPECT_GT(tripped, 0u);
+  size_t tripped_threaded = 0;
+  EXPECT_EQ(ExecDigest(fx, 8, &tripped_threaded), serial);
+  EXPECT_EQ(tripped_threaded, tripped);
+}
+
+void ExpectGoldSqlDigest(const Text2SqlBenchmark& bench, uint64_t golden) {
+  SCOPED_TRACE(bench.name);
+  ExecFixture fx;
+  fx.dbs = bench.databases;
+  fx.AddTwins();
+  for (const auto* split : {&bench.train, &bench.dev}) {
+    for (const Text2SqlSample& sample : *split) {
+      fx.cases.push_back({static_cast<size_t>(sample.db_index), sample.sql});
+    }
+  }
+  ASSERT_FALSE(fx.cases.empty());
+  ExpectExecDigestAtOneAndEightThreads(fx, golden);
+}
+
+TEST(ExecutorEquivalenceTest, PresetGoldSqlMatchesPinnedDigest) {
+  ExpectGoldSqlDigest(BuildTinySpiderLike(), 0x2c03117e9d0b8d03ULL);
+  ExpectGoldSqlDigest(BuildSpiderLike(), 0xc51b8d318c77c565ULL);
+  ExpectGoldSqlDigest(BuildBirdLike(), 0x1f5608d524637ea7ULL);
+}
+
+TEST(ExecutorEquivalenceTest, FuzzStreamAndEngineBugCorpusMatchPinnedDigest) {
+  constexpr uint64_t kGolden = 0x378a578eb62585e3ULL;
+  constexpr int kDatabases = 8;
+  constexpr uint64_t kBaseSeed = 30030;
+  constexpr size_t kQueries = 600;
+  ExecFixture fx;
+  fx.dbs = fuzz::BuildFuzzDatabases(kDatabases);
+  fx.AddTwins();
+  std::vector<fuzz::QueryGenerator> gens;
+  for (const sql::Database& db : fx.dbs) gens.emplace_back(db);
+  for (size_t i = 0; i < kQueries; ++i) {
+    Rng rng(kBaseSeed + i);
+    size_t db = rng.Index(fx.dbs.size());
+    fx.cases.push_back({db, gens[db].Generate(rng)->ToSql()});
+  }
+  auto corpus = fuzz::LoadCorpusFile(std::string(CODES_FUZZ_CORPUS_DIR) +
+                                     "/engine_bugs.corpus");
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  ASSERT_FALSE(corpus->empty());
+  for (const fuzz::CorpusEntry& entry : *corpus) {
+    ASSERT_LT(entry.db_index, kDatabases) << "line " << entry.line;
+    fx.cases.push_back({static_cast<size_t>(entry.db_index), entry.sql});
+  }
+  ExpectExecDigestAtOneAndEightThreads(fx, kGolden);
 }
 
 }  // namespace

@@ -248,6 +248,24 @@ TEST(ExecutorTest, ThetaJoinFallsBackToNestedLoop) {
   EXPECT_GT(r.NumRows(), 0u);
 }
 
+TEST(ExecutorTest, JoinConditionOnALaterTableIsAnErrorNotARead) {
+  // T3 binds (ON resolves against the whole FROM clause) but is not
+  // joined yet when T2's condition runs. The equality once took the hash
+  // join path and indexed T2's rows with T3's column offset, reading past
+  // the end of each row.
+  Database db = MakeMusicDb();
+  for (const char* sql :
+       {"SELECT T1.name FROM singer AS T1 JOIN song AS T2 ON T1.singer_id = "
+        "T3.sales JOIN song AS T3 ON T2.song_id = T3.song_id",
+        "SELECT T1.name FROM singer AS T1 JOIN song AS T2 ON T3.sales = "
+        "T1.singer_id JOIN song AS T3 ON T2.song_id = T3.song_id"}) {
+    auto r = ExecuteSql(db, sql);
+    ASSERT_FALSE(r.ok()) << sql;
+    EXPECT_EQ(r.status().code(), StatusCode::kInternal) << sql;
+    EXPECT_EQ(r.status().message(), "unresolved column sales") << sql;
+  }
+}
+
 TEST(ExecutorTest, GroupByCountHaving) {
   Database db = MakeMusicDb();
   auto r = MustExecute(
