@@ -44,15 +44,12 @@ std::string BuildExternalKnowledge(const sql::Database& db,
                                    const HiddenColumnSet& hidden) {
   std::string ek;
   int hints = 0;
-  for (const auto& item : inst.used_items) {
-    if (item.column.empty()) continue;
-    auto t = db.schema().FindTable(item.table);
-    if (!t) continue;
-    auto c = db.schema().tables[*t].FindColumn(item.column);
-    if (!c) continue;
-    const auto& col = db.schema().tables[*t].columns[*c];
+  for (const auto& [t, c] : inst.used_items) {
+    if (c < 0) continue;
+    const auto& table = db.schema().tables[t];
+    const auto& col = table.columns[c];
     if (col.comment.empty()) continue;
-    bool is_hidden = hidden.count({*t, *c}) > 0;
+    bool is_hidden = hidden.count({t, c}) > 0;
     // Non-hidden columns only need evidence when their name is ambiguous
     // (the question never spells it out) and we still have hint budget.
     if (!is_hidden) {
@@ -60,7 +57,7 @@ std::string BuildExternalKnowledge(const sql::Database& db,
       if (ContainsIgnoreCase(inst.question, col.name)) continue;
     }
     if (!ek.empty()) ek += " ; ";
-    ek += col.comment + " refers to " + item.table + "." + col.name;
+    ek += col.comment + " refers to " + table.name + "." + col.name;
     ++hints;
   }
   return ek;

@@ -8,6 +8,16 @@
 
 namespace codes {
 
+namespace {
+
+/// Whether `name` ends in "_id", case-blind.
+bool EndsInId(std::string_view name) {
+  return name.size() >= 3 &&
+         EqualsIgnoreCase(name.substr(name.size() - 3), "_id");
+}
+
+}  // namespace
+
 ColumnProfile::ColumnProfile(const sql::Database& db) {
   const auto& schema = db.schema();
   const size_t table_count = schema.tables.size();
@@ -18,51 +28,23 @@ ColumnProfile::ColumnProfile(const sql::Database& db) {
         column_offset_[t] + static_cast<int>(schema.tables[t].columns.size());
   }
 
-  // Key marks. Every FK endpoint is matched case-blind against every
-  // (table, column) name, so duplicate spellings all get marked.
-  std::vector<std::string> table_lower(table_count);
-  std::vector<std::string> column_lower(static_cast<size_t>(column_count()));
-  for (size_t t = 0; t < table_count; ++t) {
-    table_lower[t] = ToLower(schema.tables[t].name);
-    const auto& columns = schema.tables[t].columns;
-    for (size_t c = 0; c < columns.size(); ++c) {
-      column_lower[Slot(static_cast<int>(t), static_cast<int>(c))] =
-          ToLower(columns[c].name);
-    }
-  }
-  std::vector<char> fk_child(column_lower.size(), 0);
-  key_.assign(column_lower.size(), 0);
-  auto mark = [&](const std::string& table, const std::string& column,
-                  std::vector<char>& marks) {
-    const std::string lt = ToLower(table);
-    const std::string lc = ToLower(column);
-    for (size_t t = 0; t < table_count; ++t) {
-      if (table_lower[t] != lt) continue;
-      for (int s = column_offset_[t]; s < column_offset_[t + 1]; ++s) {
-        if (column_lower[s] == lc) marks[s] = 1;
-      }
-    }
-  };
-  for (const auto& fk : schema.foreign_keys) {
-    mark(fk.table, fk.column, fk_child);
-    mark(fk.ref_table, fk.ref_column, key_);
-  }
-
+  key_.assign(static_cast<size_t>(column_count()), 0);
   for (size_t t = 0; t < table_count; ++t) {
     const auto& columns = schema.tables[t].columns;
     TableColumns& out = tables_[t];
-    for (size_t c = 0; c < columns.size(); ++c) {
-      const int s = Slot(static_cast<int>(t), static_cast<int>(c));
-      if (columns[c].is_primary_key || fk_child[s]) key_[s] = 1;
+    const int ti = static_cast<int>(t);
+    for (int c = 0; c < static_cast<int>(columns.size()); ++c) {
+      key_[Slot(ti, c)] = schema.IsKeyColumn(ti, c);
       const bool id_like = columns[c].is_primary_key ||
-                           EndsWith(column_lower[s], "_id") || fk_child[s];
+                           EndsInId(columns[c].name) ||
+                           schema.IsForeignKeyChild(ti, c);
       if (id_like) continue;
       const sql::DataType type = columns[c].type;
       if (type == sql::DataType::kText) {
-        out.text.push_back(static_cast<int>(c));
+        out.text.push_back(c);
       } else if (type == sql::DataType::kInteger ||
                  type == sql::DataType::kReal) {
-        out.numeric.push_back(static_cast<int>(c));
+        out.numeric.push_back(c);
       }
     }
 

@@ -39,7 +39,7 @@ class ColumnProfile {
   /// Text columns whose first non-NULL value looks like YYYY-MM-DD.
   const std::vector<int>& date(int t) const { return tables_[t].date; }
 
-  /// Primary key, or either side of an FK (names compared case-blind).
+  /// DatabaseSchema::IsKeyColumn: a primary key, or either side of an FK.
   bool is_key(int t, int c) const { return key_[Slot(t, c)] != 0; }
 
   const std::vector<JoinEdge>& join_edges() const { return join_edges_; }

@@ -489,7 +489,8 @@ std::string RewriteSql(const std::string& sql_text, const Database& old_db,
 }
 
 /// Builds a DB-perturbed test set: renames every dev database and rewrites
-/// every dev sample's gold SQL + used_items.
+/// every dev sample's gold SQL. Renaming keeps every schema index, so
+/// used_items carry over as they are.
 PerturbedTestSet MakeDbPerturbation(const Text2SqlBenchmark& spider,
                                     const std::string& name, RenameFn rename) {
   PerturbedTestSet set;
@@ -514,13 +515,6 @@ PerturbedTestSet MakeDbPerturbation(const Text2SqlBenchmark& spider,
     Text2SqlSample out = sample;
     out.db_index = new_index;
     out.sql = RewriteSql(sample.sql, old_db, renamed);
-    for (auto& item : out.used_items) {
-      std::string old_table = ToLower(item.table);
-      if (!item.column.empty()) {
-        item.column = renamed.column_maps.at(old_table).at(ToLower(item.column));
-      }
-      item.table = renamed.table_map.at(old_table);
-    }
     set.bench.dev.push_back(std::move(out));
   }
   return set;
@@ -624,13 +618,9 @@ std::vector<std::string> UsedColumnPhrases(const Text2SqlBenchmark& bench,
                                            const Text2SqlSample& sample) {
   std::vector<std::string> phrases;
   const Database& db = bench.DbOf(sample);
-  for (const auto& item : sample.used_items) {
-    if (item.column.empty()) continue;
-    auto t = db.schema().FindTable(item.table);
-    if (!t) continue;
-    auto c = db.schema().tables[*t].FindColumn(item.column);
-    if (!c) continue;
-    phrases.push_back(ColumnPhrase(db.schema().tables[*t].columns[*c]));
+  for (const auto& [t, c] : sample.used_items) {
+    if (c < 0) continue;
+    phrases.push_back(ColumnPhrase(db.schema().tables[t].columns[c]));
   }
   std::sort(phrases.begin(), phrases.end(),
             [](const std::string& a, const std::string& b) {

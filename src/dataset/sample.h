@@ -11,10 +11,11 @@
 namespace codes {
 
 /// Identifies one schema item used by a sample's gold SQL — the label the
-/// schema item classifier trains on.
+/// schema item classifier trains on — as indices into the sample's
+/// database (DESIGN §6): names are rendered only where text is produced.
 struct UsedSchemaItem {
-  std::string table;
-  std::string column;  ///< empty when the whole table is referenced
+  int table = 0;
+  int column = -1;  ///< -1 when the whole table is referenced
 };
 
 /// One text-to-SQL example: the triplet (database, question, SQL) of

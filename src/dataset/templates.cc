@@ -49,7 +49,7 @@ TemplateLibrary::TemplateLibrary() {
                                        "Show the {C} of all {T}.",
                                        "What are the {C} of the {T}?"}),
                       {{"C", PhraseC(db, *t, *c)}, {"T", PhraseT(db, *t)}}));
-             AddUsed(inst, db, *t, {*c});
+             AddUsed(inst, *t, {*c});
              return inst;
            });
 
@@ -87,7 +87,7 @@ TemplateLibrary::TemplateLibrary() {
                       {{"C1", PhraseC(db, *t, *c1)},
                        {"C2", PhraseC(db, *t, *c2)},
                        {"T", PhraseT(db, *t)}}));
-             AddUsed(inst, db, *t, {*c1, *c2});
+             AddUsed(inst, *t, {*c1, *c2});
              return inst;
            });
 
@@ -122,7 +122,7 @@ TemplateLibrary::TemplateLibrary() {
                        {"C2", PhraseC(db, *t, chosen[1])},
                        {"C3", PhraseC(db, *t, chosen[2])},
                        {"T", PhraseT(db, *t)}}));
-             AddUsed(inst, db, *t, {chosen[0], chosen[1], chosen[2]});
+             AddUsed(inst, *t, {chosen[0], chosen[1], chosen[2]});
              return inst;
            });
 
@@ -147,7 +147,7 @@ TemplateLibrary::TemplateLibrary() {
                                   "List the distinct {C} among all {T}.",
                                   "Show all unique {C} for the {T}."}),
                       {{"C", PhraseC(db, *t, *c)}, {"T", PhraseT(db, *t)}}));
-             AddUsed(inst, db, *t, {*c});
+             AddUsed(inst, *t, {*c});
              return inst;
            });
 
@@ -180,7 +180,7 @@ TemplateLibrary::TemplateLibrary() {
                       {{"T", PhraseT(db, *t)},
                        {"C", PhraseC(db, *t, *c)},
                        {"V", QuoteVal(*v)}}));
-             AddUsed(inst, db, *t, {*c});
+             AddUsed(inst, *t, {*c});
              inst.value_strings.push_back(v->ToString());
              return inst;
            });
@@ -230,7 +230,7 @@ TemplateLibrary::TemplateLibrary() {
                     {"T", PhraseT(db, *t)},
                     {"C2", PhraseC(db, *t, *filt)},
                     {"V", QuoteVal(*v)}}));
-          AddUsed(inst, db, *t, {*sel, *filt});
+          AddUsed(inst, *t, {*sel, *filt});
           inst.value_strings.push_back(v->ToString());
           return inst;
         });
@@ -278,7 +278,7 @@ TemplateLibrary::TemplateLibrary() {
                     {"T", PhraseT(db, *t)},
                     {"C2", PhraseC(db, *t, *filt)},
                     {"V", v->ToString()}}));
-          AddUsed(inst, db, *t, {*sel, *filt});
+          AddUsed(inst, *t, {*sel, *filt});
           inst.value_strings.push_back(v->ToString());
           return inst;
         });
@@ -330,7 +330,7 @@ TemplateLibrary::TemplateLibrary() {
                   {"V1", QuoteVal(*v1)},
                   {"C3", PhraseC(db, *t, *num)},
                   {"V2", v2->ToString()}}));
-        AddUsed(inst, db, *t, {*sel, *cat, *num});
+        AddUsed(inst, *t, {*sel, *cat, *num});
         inst.value_strings.push_back(v1->ToString());
         inst.value_strings.push_back(v2->ToString());
         return inst;
@@ -381,7 +381,7 @@ TemplateLibrary::TemplateLibrary() {
                   {"C2", PhraseC(db, *t, *cat)},
                   {"V1", QuoteVal(*v1)},
                   {"V2", QuoteVal(*v2)}}));
-        AddUsed(inst, db, *t, {*sel, *cat});
+        AddUsed(inst, *t, {*sel, *cat});
         inst.value_strings.push_back(v1->ToString());
         inst.value_strings.push_back(v2->ToString());
         return inst;
@@ -447,7 +447,7 @@ TemplateLibrary::TemplateLibrary() {
                   {"C2", PhraseC(db, *t, *num)},
                   {"V1", lo.ToString()},
                   {"V2", hi.ToString()}}));
-        AddUsed(inst, db, *t, {*sel, *num});
+        AddUsed(inst, *t, {*sel, *num});
         inst.value_strings.push_back(lo.ToString());
         inst.value_strings.push_back(hi.ToString());
         return inst;
@@ -501,7 +501,7 @@ TemplateLibrary::TemplateLibrary() {
                    {{"C", PhraseC(db, *t, *c)},
                     {"T", PhraseT(db, *t)},
                     {"V", fragment}}));
-          AddUsed(inst, db, *t, {*c});
+          AddUsed(inst, *t, {*c});
           inst.value_strings.push_back(fragment);
           return inst;
         });
@@ -546,7 +546,7 @@ TemplateLibrary::TemplateLibrary() {
                    {{"C1", PhraseC(db, *t, *sel)},
                     {"T", PhraseT(db, *t)},
                     {"C2", PhraseC(db, *t, *filt)}}));
-          AddUsed(inst, db, *t, {*sel, *filt});
+          AddUsed(inst, *t, {*sel, *filt});
           return inst;
         });
   };
@@ -598,7 +598,7 @@ TemplateLibrary::TemplateLibrary() {
                   {"T", PhraseT(db, *t)},
                   {"C2", PhraseC(db, *t, *cat)},
                   {"V", value_list}}));
-        AddUsed(inst, db, *t, {*sel, *cat});
+        AddUsed(inst, *t, {*sel, *cat});
         for (const auto& v : values) inst.value_strings.push_back(v.ToString());
         return inst;
       });
@@ -635,7 +635,7 @@ TemplateLibrary::TemplateLibrary() {
                   {"T", PhraseT(db, *t)},
                   {"C2", PhraseC(db, *t, *n1)},
                   {"C3", PhraseC(db, *t, *n2)}}));
-        AddUsed(inst, db, *t, {*sel, *n1, *n2});
+        AddUsed(inst, *t, {*sel, *n1, *n2});
         return inst;
       });
 
@@ -681,7 +681,7 @@ TemplateLibrary::TemplateLibrary() {
                   {"T", PhraseT(db, *t)},
                   {"C2", PhraseC(db, *t, *date)},
                   {"V", year}}));
-        AddUsed(inst, db, *t, {*sel, *date});
+        AddUsed(inst, *t, {*sel, *date});
         inst.value_strings.push_back(year);
         return inst;
       });
@@ -728,7 +728,7 @@ TemplateLibrary::TemplateLibrary() {
                   {"T", PhraseT(db, *t)},
                   {"C3", PhraseC(db, *t, *cat)},
                   {"V", QuoteVal(*v)}}));
-        AddUsed(inst, db, *t, {*c1, *c2, *cat});
+        AddUsed(inst, *t, {*c1, *c2, *cat});
         inst.value_strings.push_back(v->ToString());
         return inst;
       });
@@ -749,7 +749,7 @@ TemplateLibrary::TemplateLibrary() {
                                        "Count the number of {T}.",
                                        "What is the total number of {T}?"}),
                       {{"T", PhraseT(db, *t)}}));
-             AddUsed(inst, db, *t, {});
+             AddUsed(inst, *t, {});
              return inst;
            });
 
@@ -781,7 +781,7 @@ TemplateLibrary::TemplateLibrary() {
                  {{"T", PhraseT(db, *t)},
                   {"C", PhraseC(db, *t, *cat)},
                   {"V", QuoteVal(*v)}}));
-        AddUsed(inst, db, *t, {*cat});
+        AddUsed(inst, *t, {*cat});
         inst.value_strings.push_back(v->ToString());
         return inst;
       });
@@ -812,7 +812,7 @@ TemplateLibrary::TemplateLibrary() {
                  {{"T", PhraseT(db, *t)},
                   {"C", PhraseC(db, *t, *num)},
                   {"V", v->ToString()}}));
-        AddUsed(inst, db, *t, {*num});
+        AddUsed(inst, *t, {*num});
         inst.value_strings.push_back(v->ToString());
         return inst;
       });
@@ -838,7 +838,7 @@ TemplateLibrary::TemplateLibrary() {
                                 "{T}?",
                                 "Count the distinct {C} of the {T}."}),
                       {{"C", PhraseC(db, *t, *c)}, {"T", PhraseT(db, *t)}}));
-             AddUsed(inst, db, *t, {*c});
+             AddUsed(inst, *t, {*c});
              return inst;
            });
 
@@ -876,7 +876,7 @@ TemplateLibrary::TemplateLibrary() {
                   {"V1", QuoteVal(*v1)},
                   {"C2", PhraseC(db, *t, *num)},
                   {"V2", v2->ToString()}}));
-        AddUsed(inst, db, *t, {*cat, *num});
+        AddUsed(inst, *t, {*cat, *num});
         inst.value_strings.push_back(v1->ToString());
         inst.value_strings.push_back(v2->ToString());
         return inst;
@@ -922,7 +922,7 @@ TemplateLibrary::TemplateLibrary() {
                       {"T", PhraseT(db, *t)},
                       {"C2", PhraseC(db, *t, *cat)},
                       {"V", QuoteVal(*v)}}));
-            AddUsed(inst, db, *t, {*num, *cat});
+            AddUsed(inst, *t, {*num, *cat});
             inst.value_strings.push_back(v->ToString());
           } else {
             inst = Finish(
@@ -936,7 +936,7 @@ TemplateLibrary::TemplateLibrary() {
                           std::string("Give the ") + agg.phrase +
                               " {C} of the {T}."}),
                      {{"C", PhraseC(db, *t, *num)}, {"T", PhraseT(db, *t)}}));
-            AddUsed(inst, db, *t, {*num});
+            AddUsed(inst, *t, {*num});
           }
           return inst;
         });
@@ -969,7 +969,7 @@ TemplateLibrary::TemplateLibrary() {
                  std::move(stmt),
                  Fill("What are the minimum and maximum {C} of the {T}?",
                       {{"C", PhraseC(db, *t, *num)}, {"T", PhraseT(db, *t)}}));
-             AddUsed(inst, db, *t, {*num});
+             AddUsed(inst, *t, {*num});
              return inst;
            });
 
@@ -995,7 +995,7 @@ TemplateLibrary::TemplateLibrary() {
                  Fill("What is the difference between the highest and lowest "
                       "{C} of the {T}?",
                       {{"C", PhraseC(db, *t, *num)}, {"T", PhraseT(db, *t)}}));
-             AddUsed(inst, db, *t, {*num});
+             AddUsed(inst, *t, {*num});
              return inst;
            });
 
@@ -1021,7 +1021,7 @@ TemplateLibrary::TemplateLibrary() {
                  Fill("What is the average {C} of the {T}, rounded to two "
                       "decimal places?",
                       {{"C", PhraseC(db, *t, *num)}, {"T", PhraseT(db, *t)}}));
-             AddUsed(inst, db, *t, {*num});
+             AddUsed(inst, *t, {*num});
              return inst;
            });
 
@@ -1111,7 +1111,7 @@ TemplateLibrary::TemplateLibrary() {
                  {"K", std::to_string(k)}});
           }
           auto inst = Finish(std::move(stmt), std::move(question));
-          AddUsed(inst, db, *t, {*sel, *key});
+          AddUsed(inst, *t, {*sel, *key});
           if (limit_kind == 2) inst.value_strings.push_back(std::to_string(k));
           return inst;
         });
@@ -1152,7 +1152,7 @@ TemplateLibrary::TemplateLibrary() {
                  {{"C1", PhraseC(db, *t, *sel)},
                   {"C2", PhraseC(db, *t, *key)},
                   {"T", PhraseT(db, *t)}}));
-        AddUsed(inst, db, *t, {*sel, *key});
+        AddUsed(inst, *t, {*sel, *key});
         return inst;
       });
 
@@ -1181,7 +1181,7 @@ TemplateLibrary::TemplateLibrary() {
                            "Show each {C} and the number of {T} with it.",
                            "Count the {T} in each {C}."}),
                       {{"C", PhraseC(db, *t, *cat)}, {"T", PhraseT(db, *t)}}));
-             AddUsed(inst, db, *t, {*cat});
+             AddUsed(inst, *t, {*cat});
              return inst;
            });
 
@@ -1215,7 +1215,7 @@ TemplateLibrary::TemplateLibrary() {
                         : std::string("What is the least common {C} among "
                                       "the {T}?"),
                    {{"C", PhraseC(db, *t, *cat)}, {"T", PhraseT(db, *t)}}));
-          AddUsed(inst, db, *t, {*cat});
+          AddUsed(inst, *t, {*cat});
           return inst;
         });
   };
@@ -1250,7 +1250,7 @@ TemplateLibrary::TemplateLibrary() {
                    {{"C1", PhraseC(db, *t, *cat)},
                     {"C2", PhraseC(db, *t, *num)},
                     {"T", PhraseT(db, *t)}}));
-          AddUsed(inst, db, *t, {*cat, *num});
+          AddUsed(inst, *t, {*cat, *num});
           return inst;
         });
   };
@@ -1285,7 +1285,7 @@ TemplateLibrary::TemplateLibrary() {
                  {{"C", PhraseC(db, *t, *cat)},
                   {"T", PhraseT(db, *t)},
                   {"K", std::to_string(k)}}));
-        AddUsed(inst, db, *t, {*cat});
+        AddUsed(inst, *t, {*cat});
         inst.value_strings.push_back(std::to_string(k));
         return inst;
       });
@@ -1320,7 +1320,7 @@ TemplateLibrary::TemplateLibrary() {
                   {"C2", PhraseC(db, *t, *num)},
                   {"V", v->ToString()},
                   {"T", PhraseT(db, *t)}}));
-        AddUsed(inst, db, *t, {*cat, *num});
+        AddUsed(inst, *t, {*cat, *num});
         inst.value_strings.push_back(v->ToString());
         return inst;
       });
@@ -1358,7 +1358,7 @@ TemplateLibrary::TemplateLibrary() {
                   {"C2", PhraseC(db, *t, *num)},
                   {"V", v->ToString()},
                   {"C1", PhraseC(db, *t, *cat)}}));
-        AddUsed(inst, db, *t, {*cat, *num});
+        AddUsed(inst, *t, {*cat, *num});
         inst.value_strings.push_back(v->ToString());
         return inst;
       });

@@ -20,6 +20,8 @@ struct TemplateInstance {
   std::string sql_text;
   std::string question;
   int template_id = -1;
+  /// Tables and columns the SQL uses, as schema indexes of the database
+  /// the template was instantiated against.
   std::vector<UsedSchemaItem> used_items;
   /// Literal predicate values appearing in the SQL (and usually in the
   /// question); used to build EK hints and to evaluate value retrieval.

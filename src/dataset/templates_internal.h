@@ -273,23 +273,17 @@ inline std::string PickPhrase(Ctx& ctx, std::vector<std::string> variants) {
 
 // --------------------------------------------------------- instance build
 
-inline void AddUsed(TemplateInstance& inst, const Database& db, int t,
+/// Records table `t` and its columns `cols` as used, each once.
+inline void AddUsed(TemplateInstance& inst, int t,
                     std::initializer_list<int> cols) {
-  bool table_seen = false;
-  for (const auto& item : inst.used_items) {
-    if (item.column.empty() && item.table == TName(db, t)) table_seen = true;
-  }
-  if (!table_seen) {
-    inst.used_items.push_back(UsedSchemaItem{TName(db, t), ""});
-  }
-  for (int c : cols) {
-    std::string col = ColName(db, t, c);
-    bool seen = false;
+  auto add = [&inst](UsedSchemaItem used) {
     for (const auto& item : inst.used_items) {
-      if (item.table == TName(db, t) && item.column == col) seen = true;
+      if (item.table == used.table && item.column == used.column) return;
     }
-    if (!seen) inst.used_items.push_back(UsedSchemaItem{TName(db, t), col});
-  }
+    inst.used_items.push_back(used);
+  };
+  add({t, -1});
+  for (int c : cols) add({t, c});
 }
 
 inline TemplateInstance Finish(std::unique_ptr<SelectStatement> stmt,

@@ -20,10 +20,9 @@ void AddJoin(SelectStatement& stmt, const Database& db, const JoinEdge& edge,
   stmt.joins.push_back(std::move(join));
 }
 
-void AddJoinKeysUsed(TemplateInstance& inst, const Database& db,
-                     const JoinEdge& edge) {
-  AddUsed(inst, db, edge.child_t, {edge.child_c});
-  AddUsed(inst, db, edge.parent_t, {edge.parent_c});
+void AddJoinKeysUsed(TemplateInstance& inst, const JoinEdge& edge) {
+  AddUsed(inst, edge.child_t, {edge.child_c});
+  AddUsed(inst, edge.parent_t, {edge.parent_c});
 }
 
 }  // namespace
@@ -64,9 +63,9 @@ void TemplateLibrary::RegisterJoinTemplates() {
                   {"T2", PhraseT(db, edge->parent_t)},
                   {"C2", PhraseC(db, edge->parent_t, *filt)},
                   {"V", QuoteVal(*v)}}));
-        AddUsed(inst, db, edge->child_t, {*sel});
-        AddUsed(inst, db, edge->parent_t, {*filt});
-        AddJoinKeysUsed(inst, db, *edge);
+        AddUsed(inst, edge->child_t, {*sel});
+        AddUsed(inst, edge->parent_t, {*filt});
+        AddJoinKeysUsed(inst, *edge);
         inst.value_strings.push_back(v->ToString());
         return inst;
       });
@@ -103,9 +102,9 @@ void TemplateLibrary::RegisterJoinTemplates() {
                   {"T2", PhraseT(db, edge->child_t)},
                   {"C2", PhraseC(db, edge->child_t, *filt)},
                   {"V", v->ToString()}}));
-        AddUsed(inst, db, edge->parent_t, {*sel});
-        AddUsed(inst, db, edge->child_t, {*filt});
-        AddJoinKeysUsed(inst, db, *edge);
+        AddUsed(inst, edge->parent_t, {*sel});
+        AddUsed(inst, edge->child_t, {*filt});
+        AddJoinKeysUsed(inst, *edge);
         inst.value_strings.push_back(v->ToString());
         return inst;
       });
@@ -136,9 +135,9 @@ void TemplateLibrary::RegisterJoinTemplates() {
                   {"C1", PhraseC(db, edge->child_t, *c1)},
                   {"C2", PhraseC(db, edge->parent_t, *c2)},
                   {"T2", PhraseT(db, edge->parent_t)}}));
-        AddUsed(inst, db, edge->child_t, {*c1});
-        AddUsed(inst, db, edge->parent_t, {*c2});
-        AddJoinKeysUsed(inst, db, *edge);
+        AddUsed(inst, edge->child_t, {*c1});
+        AddUsed(inst, edge->parent_t, {*c2});
+        AddJoinKeysUsed(inst, *edge);
         return inst;
       });
 
@@ -172,8 +171,8 @@ void TemplateLibrary::RegisterJoinTemplates() {
                   {"T2", PhraseT(db, edge->parent_t)},
                   {"C", PhraseC(db, edge->parent_t, *filt)},
                   {"V", QuoteVal(*v)}}));
-        AddUsed(inst, db, edge->parent_t, {*filt});
-        AddJoinKeysUsed(inst, db, *edge);
+        AddUsed(inst, edge->parent_t, {*filt});
+        AddJoinKeysUsed(inst, *edge);
         inst.value_strings.push_back(v->ToString());
         return inst;
       });
@@ -201,8 +200,8 @@ void TemplateLibrary::RegisterJoinTemplates() {
                  {{"T2", PhraseT(db, edge->parent_t)},
                   {"C", PhraseC(db, edge->parent_t, *label)},
                   {"T1", PhraseT(db, edge->child_t)}}));
-        AddUsed(inst, db, edge->parent_t, {*label});
-        AddJoinKeysUsed(inst, db, *edge);
+        AddUsed(inst, edge->parent_t, {*label});
+        AddJoinKeysUsed(inst, *edge);
         return inst;
       });
 
@@ -236,8 +235,8 @@ void TemplateLibrary::RegisterJoinTemplates() {
                  {{"T2", PhraseT(db, edge->parent_t)},
                   {"T1", PhraseT(db, edge->child_t)},
                   {"C", PhraseC(db, edge->parent_t, *label)}}));
-        AddUsed(inst, db, edge->parent_t, {*label});
-        AddJoinKeysUsed(inst, db, *edge);
+        AddUsed(inst, edge->parent_t, {*label});
+        AddJoinKeysUsed(inst, *edge);
         return inst;
       });
 
@@ -275,9 +274,9 @@ void TemplateLibrary::RegisterJoinTemplates() {
                     {"T2", PhraseT(db, edge->parent_t)},
                     {"C2", PhraseC(db, edge->parent_t, *filt)},
                     {"V", QuoteVal(*v)}}));
-          AddUsed(inst, db, edge->child_t, {*num});
-          AddUsed(inst, db, edge->parent_t, {*filt});
-          AddJoinKeysUsed(inst, db, *edge);
+          AddUsed(inst, edge->child_t, {*num});
+          AddUsed(inst, edge->parent_t, {*filt});
+          AddJoinKeysUsed(inst, *edge);
           inst.value_strings.push_back(v->ToString());
           return inst;
         });
@@ -311,8 +310,8 @@ void TemplateLibrary::RegisterJoinTemplates() {
                   {"T2", PhraseT(db, edge->parent_t)},
                   {"K", std::to_string(k)},
                   {"T1", PhraseT(db, edge->child_t)}}));
-        AddUsed(inst, db, edge->parent_t, {*label});
-        AddJoinKeysUsed(inst, db, *edge);
+        AddUsed(inst, edge->parent_t, {*label});
+        AddJoinKeysUsed(inst, *edge);
         inst.value_strings.push_back(std::to_string(k));
         return inst;
       });
@@ -348,9 +347,9 @@ void TemplateLibrary::RegisterJoinTemplates() {
                   {"T2", PhraseT(db, edge->parent_t)},
                   {"T1", PhraseT(db, edge->child_t)},
                   {"C2", PhraseC(db, edge->child_t, *num)}}));
-        AddUsed(inst, db, edge->parent_t, {*label});
-        AddUsed(inst, db, edge->child_t, {*num});
-        AddJoinKeysUsed(inst, db, *edge);
+        AddUsed(inst, edge->parent_t, {*label});
+        AddUsed(inst, edge->child_t, {*num});
+        AddJoinKeysUsed(inst, *edge);
         return inst;
       });
 
@@ -396,9 +395,9 @@ void TemplateLibrary::RegisterJoinTemplates() {
                   {"V1", QuoteVal(*v1)},
                   {"C3", PhraseC(db, edge->child_t, *num)},
                   {"V2", v2->ToString()}}));
-        AddUsed(inst, db, edge->child_t, {*sel, *num});
-        AddUsed(inst, db, edge->parent_t, {*cat});
-        AddJoinKeysUsed(inst, db, *edge);
+        AddUsed(inst, edge->child_t, {*sel, *num});
+        AddUsed(inst, edge->parent_t, {*cat});
+        AddJoinKeysUsed(inst, *edge);
         inst.value_strings.push_back(v1->ToString());
         inst.value_strings.push_back(v2->ToString());
         return inst;
@@ -438,9 +437,9 @@ void TemplateLibrary::RegisterJoinTemplates() {
                   {"T2", PhraseT(db, edge->parent_t)},
                   {"C2", PhraseC(db, edge->parent_t, *filt)},
                   {"V", QuoteVal(*v)}}));
-        AddUsed(inst, db, edge->child_t, {*cat});
-        AddUsed(inst, db, edge->parent_t, {*filt});
-        AddJoinKeysUsed(inst, db, *edge);
+        AddUsed(inst, edge->child_t, {*cat});
+        AddUsed(inst, edge->parent_t, {*filt});
+        AddJoinKeysUsed(inst, *edge);
         inst.value_strings.push_back(v->ToString());
         return inst;
       });

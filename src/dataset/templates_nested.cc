@@ -42,8 +42,8 @@ void TemplateLibrary::RegisterSubqueryAndSetTemplates() {
                    {{"T2", PhraseT(db, edge->parent_t)},
                     {"T1", PhraseT(db, edge->child_t)},
                     {"C", PhraseC(db, edge->parent_t, *label)}}));
-          AddUsed(inst, db, edge->parent_t, {*label, edge->parent_c});
-          AddUsed(inst, db, edge->child_t, {edge->child_c});
+          AddUsed(inst, edge->parent_t, {*label, edge->parent_c});
+          AddUsed(inst, edge->child_t, {edge->child_c});
           return inst;
         });
   };
@@ -89,7 +89,7 @@ void TemplateLibrary::RegisterSubqueryAndSetTemplates() {
                    {{"T", PhraseT(db, *t)},
                     {"C2", PhraseC(db, *t, *num)},
                     {"C1", PhraseC(db, *t, *sel)}}));
-          AddUsed(inst, db, *t, {*sel, *num});
+          AddUsed(inst, *t, {*sel, *num});
           return inst;
         });
   };
@@ -159,7 +159,7 @@ void TemplateLibrary::RegisterSubqueryAndSetTemplates() {
                              {"V1", QuoteVal(*v1)},
                              {"C3", PhraseC(db, *t, *c2)},
                              {"V2", QuoteVal(*v2)}}));
-          AddUsed(inst, db, *t, {*sel, *c1, *c2});
+          AddUsed(inst, *t, {*sel, *c1, *c2});
           inst.value_strings.push_back(v1->ToString());
           inst.value_strings.push_back(v2->ToString());
           return inst;
@@ -203,7 +203,7 @@ void TemplateLibrary::RegisterSubqueryAndSetTemplates() {
                   {"T", PhraseT(db, *t)},
                   {"C2", PhraseC(db, *t, *filt)},
                   {"V", QuoteVal(*v)}}));
-        AddUsed(inst, db, *t, {*sel, *filt});
+        AddUsed(inst, *t, {*sel, *filt});
         inst.value_strings.push_back(v->ToString());
         return inst;
       });
@@ -231,7 +231,7 @@ void TemplateLibrary::RegisterSubqueryAndSetTemplates() {
             std::move(stmt),
             Fill("How many {T} are missing a {C}?",
                  {{"T", PhraseT(db, *t)}, {"C", PhraseC(db, *t, *c)}}));
-        AddUsed(inst, db, *t, {*c});
+        AddUsed(inst, *t, {*c});
         return inst;
       });
 }

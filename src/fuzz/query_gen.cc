@@ -81,7 +81,8 @@ QueryGenerator::QueryGenerator(const sql::Database& db) : db_(db) {
   for (size_t t = 0; t < tables.size(); ++t) {
     literal_pool_[t].resize(tables[t].columns.size());
     for (size_t c = 0; c < tables[t].columns.size(); ++c) {
-      auto values = db_.DistinctValues(tables[t].name, tables[t].columns[c].name,
+      auto values = db_.DistinctValues(static_cast<int>(t),
+                                       static_cast<int>(c),
                                        kMaxLiteralsPerColumn);
       for (auto& v : values) v = Quantize(v);
       literal_pool_[t][c] = std::move(values);

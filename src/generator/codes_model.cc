@@ -585,15 +585,8 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
     if (cursor >= candidates.size()) return std::nullopt;
     return candidates[cursor++];
   };
-  guidance.representative_value = [&](int t,
-                                      int c) -> std::optional<sql::Value> {
-    if (!prompt.representative_values_included) return std::nullopt;
-    if (!prompt.ColumnKept(t, c)) return std::nullopt;
-    auto values = db.DistinctValues(
-        db.schema().tables[t].name, db.schema().tables[t].columns[c].name,
-        kRepresentativeValues);
-    if (values.empty()) return std::nullopt;
-    return values[0];
+  guidance.representative_value = [&prompt](int t, int c) {
+    return prompt.RepresentativeValue(t, c);
   };
   guidance.join_visible = [&](int child_t, int parent_t) {
     return prompt.keys_included && prompt.TableKept(child_t) &&
@@ -618,18 +611,14 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
     // unrelated table loses to a simpler one. Key columns are structural
     // and excluded.
     double link = 0.0;
-    for (const auto& item : inst->used_items) {
-      auto t = db.schema().FindTable(item.table);
-      if (!t) continue;
-      if (item.column.empty()) {
+    for (const auto& [t, c] : inst->used_items) {
+      if (c < 0) {
         // Table-level evidence.
-        link += std::min(table_coverage(*t), 1.0) * 0.7 - 0.3;
+        link += std::min(table_coverage(t), 1.0) * 0.7 - 0.3;
         continue;
       }
-      auto c = db.schema().tables[*t].FindColumn(item.column);
-      if (!c) continue;
-      if (columns.is_key(*t, *c)) continue;
-      double cs = column_base_score(*t, *c) + value_hit(*t, *c);
+      if (columns.is_key(t, c)) continue;
+      double cs = column_base_score(t, c) + value_hit(t, c);
       if (cs > -1e8) {
         link += std::min(std::max(cs, 0.0), 1.8) - 0.5;
       }

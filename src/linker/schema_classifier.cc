@@ -120,12 +120,7 @@ void SchemaItemClassifier::Train(const Text2SqlBenchmark& bench,
     // Positive columns from used_items.
     std::vector<std::pair<int, int>> positives;
     for (const auto& item : sample.used_items) {
-      if (item.column.empty()) continue;
-      auto t = db.schema().FindTable(item.table);
-      if (!t) continue;
-      auto c = db.schema().tables[*t].FindColumn(item.column);
-      if (!c) continue;
-      positives.emplace_back(*t, *c);
+      if (item.column >= 0) positives.emplace_back(item.table, item.column);
     }
     for (const auto& [t, c] : positives) {
       examples.push_back(
@@ -273,18 +268,17 @@ std::pair<double, double> EvaluateClassifierAuc(
             : sample.question;
     const SchemaScores scores = classifier.ScoreSchema(question, db);
     for (size_t t = 0; t < db.schema().tables.size(); ++t) {
-      const auto& table = db.schema().tables[t];
+      const int table = static_cast<int>(t);
       bool table_used = false;
       for (const auto& item : sample.used_items) {
-        if (ToLower(item.table) == ToLower(table.name)) table_used = true;
+        if (item.table == table) table_used = true;
       }
       table_scores.push_back(scores.tables[t]);
       table_labels.push_back(table_used ? 1 : 0);
-      for (size_t c = 0; c < table.columns.size(); ++c) {
+      for (size_t c = 0; c < db.schema().tables[t].columns.size(); ++c) {
         bool col_used = false;
         for (const auto& item : sample.used_items) {
-          if (ToLower(item.table) == ToLower(table.name) &&
-              ToLower(item.column) == ToLower(table.columns[c].name)) {
+          if (item.table == table && item.column == static_cast<int>(c)) {
             col_used = true;
           }
         }

@@ -26,25 +26,24 @@ bool DatabasePrompt::ColumnKept(int table, int column) const {
   return false;
 }
 
+std::optional<sql::Value> DatabasePrompt::RepresentativeValue(
+    int table, int column) const {
+  for (size_t i = 0; i < kept_tables.size(); ++i) {
+    if (kept_tables[i] != table) continue;
+    const std::vector<int>& columns = kept_columns[i];
+    auto it = std::find(columns.begin(), columns.end(), column);
+    if (it == columns.end()) break;
+    const sql::Value& value = first_values[i][it - columns.begin()];
+    if (value.is_null()) break;
+    return value;
+  }
+  return std::nullopt;
+}
+
 namespace {
 
-/// True for columns that must ride along for join correctness (PK/FK).
-bool IsKeyColumn(const sql::Database& db, int table, int column) {
-  const auto& col = db.schema().tables[table].columns[column];
-  if (col.is_primary_key) return true;
-  const std::string& table_name = db.schema().tables[table].name;
-  for (const auto& fk : db.schema().foreign_keys) {
-    if (ToLower(fk.table) == ToLower(table_name) &&
-        ToLower(fk.column) == ToLower(col.name)) {
-      return true;
-    }
-    if (ToLower(fk.ref_table) == ToLower(table_name) &&
-        ToLower(fk.ref_column) == ToLower(col.name)) {
-      return true;
-    }
-  }
-  return false;
-}
+/// Representative values serialized per kept column (Section 6.3).
+constexpr size_t kRepresentativeValues = 2;
 
 }  // namespace
 
@@ -86,7 +85,7 @@ DatabasePrompt PromptBuilder::Build(
       std::vector<int> cols;
       std::vector<std::pair<double, int>> scored;
       for (size_t c = 0; c < table.columns.size(); ++c) {
-        if (IsKeyColumn(db, t, static_cast<int>(c))) {
+        if (schema.IsKeyColumn(t, static_cast<int>(c))) {
           cols.push_back(static_cast<int>(c));
         } else {
           scored.emplace_back(scores.columns[t][c], static_cast<int>(c));
@@ -128,8 +127,6 @@ DatabasePrompt PromptBuilder::Serialize(
   DatabasePrompt prompt;
   prompt.comments_included = options_.include_comments;
   prompt.types_included = options_.include_column_types;
-  prompt.representative_values_included =
-      options_.include_representative_values;
   prompt.keys_included = options_.include_keys;
 
   // Retrieve question-matched values first; they are serialized at the end
@@ -152,6 +149,7 @@ DatabasePrompt PromptBuilder::Serialize(
 
   std::vector<int> final_tables;
   std::vector<std::vector<int>> final_columns;
+  std::vector<std::vector<sql::Value>> first_values;
   for (size_t i = 0; i < kept_tables.size(); ++i) {
     int t = kept_tables[i];
     const auto& table = schema.tables[t];
@@ -161,6 +159,7 @@ DatabasePrompt PromptBuilder::Serialize(
     }
     block += " , columns = [\n";
     std::vector<int> cols_that_fit;
+    std::vector<sql::Value> firsts;
     for (int c : kept_columns[i]) {
       const auto& col = table.columns[c];
       std::string line = "  " + table.name + "." + col.name;
@@ -174,9 +173,9 @@ DatabasePrompt PromptBuilder::Serialize(
       if (options_.include_comments && !col.comment.empty()) {
         attrs.push_back("comment : " + col.comment);
       }
+      std::vector<sql::Value> values;
       if (options_.include_representative_values) {
-        auto values =
-            db.DistinctValues(table.name, col.name, kRepresentativeValues);
+        values = db.DistinctValues(t, c, kRepresentativeValues);
         if (!values.empty()) {
           std::string value_list = "values : ";
           for (size_t v = 0; v < values.size(); ++v) {
@@ -195,6 +194,7 @@ DatabasePrompt PromptBuilder::Serialize(
       budget -= line_tokens;
       block += line;
       cols_that_fit.push_back(c);
+      firsts.push_back(values.empty() ? sql::Value() : std::move(values[0]));
     }
     block += "]\n";
     int overhead = CountPromptTokens("table , columns = [ ]") + 2;
@@ -203,6 +203,7 @@ DatabasePrompt PromptBuilder::Serialize(
     text += block;
     final_tables.push_back(t);
     final_columns.push_back(std::move(cols_that_fit));
+    first_values.push_back(std::move(firsts));
   }
 
   // Foreign keys between kept tables.
@@ -246,6 +247,7 @@ DatabasePrompt PromptBuilder::Serialize(
   prompt.text = std::move(text);
   prompt.kept_tables = std::move(final_tables);
   prompt.kept_columns = std::move(final_columns);
+  prompt.first_values = std::move(first_values);
   prompt.token_count = CountPromptTokens(prompt.text);
   return prompt;
 }

@@ -1,7 +1,7 @@
 #ifndef CODES_PROMPT_PROMPT_BUILDER_H_
 #define CODES_PROMPT_PROMPT_BUILDER_H_
 
-#include <cstddef>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -10,10 +10,6 @@
 #include "sqlengine/database.h"
 
 namespace codes {
-
-/// Representative values serialized per kept column, and the pool the
-/// generator draws a column's representative value from.
-constexpr size_t kRepresentativeValues = 2;
 
 /// Knobs of the database prompt (Section 6 / Algorithm 1). Each boolean
 /// corresponds to one row of the Table 9 ablation.
@@ -44,17 +40,22 @@ struct DatabasePrompt {
   /// Tables kept (schema indexes) and, per kept table, kept column indexes.
   std::vector<int> kept_tables;
   std::vector<std::vector<int>> kept_columns;  // parallel to kept_tables
+  /// The first representative value shown for each kept column (parallel
+  /// to kept_columns); NULL where the prompt shows none.
+  std::vector<std::vector<sql::Value>> first_values;
   std::vector<RetrievedValue> matched_values;
   int token_count = 0;
   /// Which metadata sections were serialized; the generator may only use
   /// information whose section is present.
   bool comments_included = true;
   bool types_included = true;
-  bool representative_values_included = true;
   bool keys_included = true;
 
   bool TableKept(int table) const;
   bool ColumnKept(int table, int column) const;
+  /// The first representative value the prompt shows for (table, column);
+  /// nullopt when the column was not kept or shows no values.
+  std::optional<sql::Value> RepresentativeValue(int table, int column) const;
 };
 
 /// Builds database prompts. A classifier is required only when

@@ -1,6 +1,7 @@
 #include "retrieval/value_retriever.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "common/failpoint.h"
 #include "common/flat_hash.h"
@@ -14,11 +15,12 @@ namespace codes {
 namespace {
 
 /// Very short values ('F', 'no', 'AB') match almost any question by
-/// substring; they only count when the question contains them as a whole
-/// word.
-bool ShortValueMatches(const std::string& value, const std::string& question) {
+/// substring; they only count when the question, given as its WordTokens,
+/// contains them as a whole word.
+bool ShortValueMatches(const std::string& value,
+                       const std::vector<std::string>& question_words) {
   std::string needle = ToLower(Trim(value));
-  for (const auto& token : WordTokens(question)) {
+  for (const auto& token : question_words) {
     if (token == needle) return true;
   }
   return false;
@@ -163,11 +165,13 @@ std::vector<RetrievedValue> ValueRetriever::FineRank(
   CODES_TRACE_SPAN(span, "value_retriever.fine_rank");
   std::vector<RetrievedValue> ranked;
   ranked.reserve(candidates.size());
+  std::optional<std::vector<std::string>> question_words;  // on first use
   for (int idx : candidates) {
     const Entry& entry = entries_[static_cast<size_t>(idx)];
     double degree;
     if (Trim(entry.text).size() < 6) {
-      degree = ShortValueMatches(entry.text, question) ? 1.0 : 0.0;
+      if (!question_words) question_words = WordTokens(question);
+      degree = ShortValueMatches(entry.text, *question_words) ? 1.0 : 0.0;
     } else {
       degree = LcsMatchDegree(entry.text, question);
     }

@@ -23,6 +23,40 @@ std::optional<int> DatabaseSchema::FindTable(
   return std::nullopt;
 }
 
+namespace {
+
+bool NamesColumn(const TableDef& table, const ColumnDef& column,
+                 const std::string& table_name,
+                 const std::string& column_name) {
+  return EqualsIgnoreCase(table.name, table_name) &&
+         EqualsIgnoreCase(column.name, column_name);
+}
+
+}  // namespace
+
+bool DatabaseSchema::IsForeignKeyChild(int table, int column) const {
+  const TableDef& def = tables[table];
+  for (const auto& fk : foreign_keys) {
+    if (NamesColumn(def, def.columns[column], fk.table, fk.column)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+bool DatabaseSchema::IsKeyColumn(int table, int column) const {
+  const TableDef& def = tables[table];
+  const ColumnDef& col = def.columns[column];
+  if (col.is_primary_key) return true;
+  for (const auto& fk : foreign_keys) {
+    if (NamesColumn(def, col, fk.table, fk.column) ||
+        NamesColumn(def, col, fk.ref_table, fk.ref_column)) {
+      return true;
+    }
+  }
+  return false;
+}
+
 std::string DatabaseSchema::ToDdl() const {
   std::string out;
   for (const auto& table : tables) {

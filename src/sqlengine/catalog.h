@@ -46,6 +46,13 @@ struct DatabaseSchema {
   /// Index of `table_name` (case-insensitive) or nullopt.
   std::optional<int> FindTable(const std::string& table_name) const;
 
+  /// Whether column `column` of table `table` is the referencing side of a
+  /// foreign key, names compared case-blind.
+  bool IsForeignKeyChild(int table, int column) const;
+  /// Whether the column is a key: a primary key, or either side of a
+  /// foreign key, names compared case-blind.
+  bool IsKeyColumn(int table, int column) const;
+
   /// Serializes the schema as CREATE TABLE DDL text (used by examples and
   /// the NL-to-code corpus generator).
   std::string ToDdl() const;

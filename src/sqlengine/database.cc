@@ -52,16 +52,11 @@ size_t Database::TotalRows() const {
   return n;
 }
 
-std::vector<Value> Database::DistinctValues(const std::string& table_name,
-                                            const std::string& column_name,
+std::vector<Value> Database::DistinctValues(int table, int column,
                                             size_t limit) const {
   std::vector<Value> out;
-  auto t_idx = schema_.FindTable(table_name);
-  if (!t_idx.has_value()) return out;
-  auto c_idx = schema_.tables[*t_idx].FindColumn(column_name);
-  if (!c_idx.has_value()) return out;
-  for (const auto& row : tables_[*t_idx].rows) {
-    const Value& v = row[*c_idx];
+  for (const auto& row : tables_[table].rows) {
+    const Value& v = row[column];
     if (v.is_null()) continue;
     bool seen = false;
     for (const auto& existing : out) {

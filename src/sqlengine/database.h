@@ -50,12 +50,11 @@ class Database : public ExecSource {
   /// Total rows across all tables.
   size_t TotalRows() const;
 
-  /// Up to `limit` distinct non-null values of a column, in first-seen
-  /// order. Implements the paper's representative-value probe
+  /// Up to `limit` distinct non-null values of column `column` of table
+  /// `table` (schema indexes), in first-seen order. Implements the paper's
+  /// representative-value probe
   /// "SELECT DISTINCT {COL} FROM {TAB} WHERE {COL} IS NOT NULL LIMIT k".
-  std::vector<Value> DistinctValues(const std::string& table_name,
-                                    const std::string& column_name,
-                                    size_t limit) const;
+  std::vector<Value> DistinctValues(int table, int column, size_t limit) const;
 
   /// Visits every non-null TEXT cell as (table_idx, column_idx, row_idx,
   /// text). Used to build the value retriever's BM25 index.

@@ -315,13 +315,12 @@ TEST(BenchmarkBuilderTest, UsedItemsResolveAgainstSchema) {
   auto bench = BuildTinySpiderLike(19);
   for (const auto& s : bench.dev) {
     const auto& db = bench.DbOf(s);
-    for (const auto& item : s.used_items) {
-      auto t = db.schema().FindTable(item.table);
-      ASSERT_TRUE(t.has_value()) << item.table;
-      if (!item.column.empty()) {
-        EXPECT_TRUE(db.schema().tables[*t].FindColumn(item.column))
-            << item.table << "." << item.column;
-      }
+    for (const auto& [t, c] : s.used_items) {
+      ASSERT_GE(t, 0);
+      ASSERT_LT(t, static_cast<int>(db.schema().tables.size()));
+      EXPECT_GE(c, -1) << t;
+      EXPECT_LT(c, static_cast<int>(db.schema().tables[t].columns.size()))
+          << t;
     }
   }
 }

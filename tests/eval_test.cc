@@ -47,8 +47,8 @@ TEST_F(EvalTest, SemanticallyEquivalentSqlPasses) {
   for (size_t t = 0; t < schema.tables.size(); ++t) {
     for (size_t c = 0; c < schema.tables[t].columns.size(); ++c) {
       if (schema.tables[t].columns[c].type != sql::DataType::kText) continue;
-      auto values = db.DistinctValues(schema.tables[t].name,
-                                      schema.tables[t].columns[c].name, 2);
+      auto values =
+          db.DistinctValues(static_cast<int>(t), static_cast<int>(c), 2);
       if (values.size() < 2) continue;
       std::string col = schema.tables[t].columns[c].name;
       std::string tab = schema.tables[t].name;

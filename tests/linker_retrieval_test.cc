@@ -85,9 +85,8 @@ TEST_F(ClassifierTest, MentionedColumnOutscoresRandom) {
       for (size_t c = 0; c < db.schema().tables[t].columns.size(); ++c) {
         bool is_gold = false;
         for (const auto& item : s.used_items) {
-          if (codes::ToLower(item.table) == codes::ToLower(db.schema().tables[t].name) &&
-              codes::ToLower(item.column) ==
-                  codes::ToLower(db.schema().tables[t].columns[c].name)) {
+          if (item.table == static_cast<int>(t) &&
+              item.column == static_cast<int>(c)) {
             is_gold = true;
           }
         }

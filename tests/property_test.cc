@@ -65,14 +65,13 @@ TEST_P(TemplateProperty, InstancesExecuteAndReidentify) {
             << "question '" << inst->question << "' misses value '" << value
             << "'";
       }
-      // 4. used items resolve
-      for (const auto& item : inst->used_items) {
-        auto t = db.schema().FindTable(item.table);
-        ASSERT_TRUE(t.has_value()) << item.table;
-        if (!item.column.empty()) {
-          EXPECT_TRUE(db.schema().tables[*t].FindColumn(item.column))
-              << item.table << "." << item.column;
-        }
+      // 4. used items index into the schema
+      for (const auto& [t, c] : inst->used_items) {
+        ASSERT_GE(t, 0);
+        ASSERT_LT(t, static_cast<int>(db.schema().tables.size()));
+        EXPECT_GE(c, -1) << t;
+        EXPECT_LT(c, static_cast<int>(db.schema().tables[t].columns.size()))
+            << t;
       }
     }
   }

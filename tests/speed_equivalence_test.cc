@@ -2,12 +2,13 @@
 // component (bit-parallel LCS, interned-term BM25, flat-hash n-gram LM,
 // the per-request column profile, norm-cached cosines, the sparse
 // anchor-row cosine, the streamed bigram hash, prebuilt stem sets and
-// one-pass schema scoring, the reference-based SQL executor) must be
-// *behaviorally invisible* — byte-identical outputs, including the exact
-// double values, against the pinned reference implementations it replaced
-// or, where the original is gone, against a digest recorded before the
-// rewrite. These tests are the contract that lets the benchmarks'
-// before/after numbers claim a pure speed win.
+// one-pass schema scoring, the reference-based SQL executor, schema items
+// as (table, column) indices) must be *behaviorally invisible* —
+// byte-identical outputs, including the exact double values, against the
+// pinned reference implementations it replaced or, where the original is
+// gone, against a digest recorded before the rewrite. These tests are the
+// contract that lets the benchmarks' before/after numbers claim a pure
+// speed win.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <random>
 #include <string>
@@ -32,6 +34,7 @@
 #include "dataset/column_profile.h"
 #include "dataset/db_generator.h"
 #include "dataset/domains.h"
+#include "dataset/perturb.h"
 #include "embed/sentence_encoder.h"
 #include "fuzz/fuzz_harness.h"
 #include "fuzz/query_gen.h"
@@ -626,6 +629,67 @@ TEST(CaseFoldEquivalenceTest, FindTableAndFindColumnMatchLowercaseCopies) {
       }
     }
   }
+}
+
+/// The prompt builder's key-column rule before it moved into the catalog:
+/// a primary key, or an FK endpoint on the side(s) asked for, every name
+/// compared through lowercase copies.
+bool ReferenceIsKeyColumn(const sql::DatabaseSchema& schema, int table,
+                          int column, bool child_side_only) {
+  const sql::ColumnDef& col = schema.tables[table].columns[column];
+  if (!child_side_only && col.is_primary_key) return true;
+  const std::string& table_name = schema.tables[table].name;
+  for (const sql::ForeignKey& fk : schema.foreign_keys) {
+    if (ToLower(fk.table) == ToLower(table_name) &&
+        ToLower(fk.column) == ToLower(col.name)) {
+      return true;
+    }
+    if (!child_side_only && ToLower(fk.ref_table) == ToLower(table_name) &&
+        ToLower(fk.ref_column) == ToLower(col.name)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(CaseFoldEquivalenceTest, KeyColumnRuleMatchesLowercaseCopies) {
+  // Every (table, column) of every preset database, as generated and with
+  // its foreign keys respelled in upper case, through the catalog rule and
+  // through the column profile that marks keys with it.
+  size_t keys = 0, children = 0, columns = 0;
+  for (const Text2SqlBenchmark& bench :
+       {BuildTinySpiderLike(), BuildSpiderLike(), BuildBirdLike()}) {
+    for (const sql::Database& generated : bench.databases) {
+      sql::DatabaseSchema respelled = generated.schema();
+      for (sql::ForeignKey& fk : respelled.foreign_keys) {
+        fk.table = ToUpper(fk.table);
+        fk.column = ToUpper(fk.column);
+        fk.ref_table = ToUpper(fk.ref_table);
+        fk.ref_column = ToUpper(fk.ref_column);
+      }
+      for (const sql::Database& db :
+           {generated, sql::Database(std::move(respelled))}) {
+        const sql::DatabaseSchema& schema = db.schema();
+        const ColumnProfile profile(db);
+        for (int t = 0; t < static_cast<int>(schema.tables.size()); ++t) {
+          const int width = static_cast<int>(schema.tables[t].columns.size());
+          for (int c = 0; c < width; ++c) {
+            const bool key = ReferenceIsKeyColumn(schema, t, c, false);
+            const bool child = ReferenceIsKeyColumn(schema, t, c, true);
+            EXPECT_EQ(schema.IsKeyColumn(t, c), key) << t << "." << c;
+            EXPECT_EQ(profile.is_key(t, c), key) << t << "." << c;
+            EXPECT_EQ(schema.IsForeignKeyChild(t, c), child) << t << "." << c;
+            keys += key;
+            children += child;
+            ++columns;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(children, 0u);
+  EXPECT_GT(keys, children);
+  EXPECT_LT(keys, columns);
 }
 
 TEST(CaseFoldEquivalenceTest, SqlLikeMatchesLowercaseCopies) {
@@ -1594,6 +1658,186 @@ TEST(ExecutorEquivalenceTest, FuzzStreamAndEngineBugCorpusMatchPinnedDigest) {
     fx.cases.push_back({static_cast<size_t>(entry.db_index), entry.sql});
   }
   ExpectExecDigestAtOneAndEightThreads(fx, kGolden);
+}
+
+
+// ---------------------------------------------------------------------------
+// Schema items as (table, column) indices: the samples every dataset builder
+// and perturbation produces, the classifier AUC over their labels, and the
+// precondition the index form rests on (every schema name looks up to its
+// own index), pinned against digests recorded while items carried names.
+// ---------------------------------------------------------------------------
+
+/// `table` or `table.column`, spelled as the sample's database spells it.
+std::string RenderUsedItem(const sql::Database& db,
+                           const UsedSchemaItem& item) {
+  const sql::TableDef& table = db.schema().tables[item.table];
+  if (item.column < 0) return table.name;
+  return table.name + "." + table.columns[item.column].name;
+}
+
+void HashSamples(const Text2SqlBenchmark& bench, Fnv64* h) {
+  h->Str(bench.name);
+  for (const auto* split : {&bench.train, &bench.dev}) {
+    h->U64(split->size());
+    for (const Text2SqlSample& s : *split) {
+      h->U64(static_cast<uint64_t>(s.db_index));
+      h->Str(s.question);
+      h->Str(s.sql);
+      h->U64(static_cast<uint64_t>(s.template_id));
+      h->Str(s.external_knowledge);
+      h->U64(s.used_items.size());
+      for (const UsedSchemaItem& item : s.used_items) {
+        h->Str(RenderUsedItem(bench.DbOf(s), item));
+      }
+    }
+  }
+}
+
+/// Schema names that do not look up to their own index, across every
+/// table and column of `bench`'s databases.
+size_t NameIndexMismatches(const Text2SqlBenchmark& bench) {
+  size_t mismatches = 0;
+  for (const sql::Database& db : bench.databases) {
+    const sql::DatabaseSchema& schema = db.schema();
+    for (size_t t = 0; t < schema.tables.size(); ++t) {
+      const sql::TableDef& table = schema.tables[t];
+      if (schema.FindTable(table.name) != static_cast<int>(t)) ++mismatches;
+      for (size_t c = 0; c < table.columns.size(); ++c) {
+        if (table.FindColumn(table.columns[c].name) != static_cast<int>(c)) {
+          ++mismatches;
+        }
+      }
+    }
+  }
+  return mismatches;
+}
+
+/// Dev-only builds shaped like the benchmark harness's served databases:
+/// every domain once per build, Spider-like, BIRD-like with evidence, and
+/// Spider-like tenants at 300 rows per table.
+std::vector<BenchmarkConfig> ServedShapedConfigs() {
+  DbProfile tenants = DbProfile::Spider();
+  tenants.min_rows = 300;
+  tenants.max_rows = 300;
+  struct Shape {
+    DbProfile profile;
+    bool evidence;
+    int samples_per_db;
+    int builds;
+  };
+  const Shape shapes[] = {{DbProfile::Spider(), false, 20, 2},
+                          {DbProfile::Bird(), true, 20, 3},
+                          {tenants, false, 30, 2}};
+  std::vector<BenchmarkConfig> configs;
+  for (uint64_t seed : {301, 302}) {
+    for (const Shape& shape : shapes) {
+      for (int b = 0; b < shape.builds; ++b) {
+        BenchmarkConfig config;
+        config.name = "served";
+        config.profile = shape.profile;
+        config.train_domains = 0;
+        config.dev_domains = 20;
+        config.dev_samples_per_db = shape.samples_per_db;
+        config.with_external_knowledge = shape.evidence;
+        config.seed = seed * 1000003ULL + static_cast<uint64_t>(b);
+        configs.push_back(config);
+      }
+    }
+  }
+  return configs;
+}
+
+/// One job per source of samples; each builds its benchmarks and hands
+/// every one of them to `visit`. Jobs are independent, so they may run on
+/// any thread.
+using BenchmarkVisitor = std::function<void(const Text2SqlBenchmark&)>;
+std::vector<std::function<void(const BenchmarkVisitor&)>> SchemaItemJobs() {
+  std::vector<std::function<void(const BenchmarkVisitor&)>> jobs;
+  for (uint64_t seed : {7, 19, 23, 101, 2024}) {
+    jobs.push_back([seed](const BenchmarkVisitor& visit) {
+      visit(BuildTinySpiderLike(seed));
+    });
+  }
+  jobs.push_back([](const BenchmarkVisitor& visit) {
+    const Text2SqlBenchmark spider = BuildSpiderLike();
+    visit(spider);
+    visit(BuildSpiderSyn(spider, 11));
+    visit(BuildSpiderRealistic(spider, 11));
+    visit(BuildSpiderDk(spider, 11));
+    for (const PerturbedTestSet& set : BuildDrSpiderSuite(spider, 21)) {
+      visit(set.bench);
+    }
+  });
+  jobs.push_back(
+      [](const BenchmarkVisitor& visit) { visit(BuildBirdLike()); });
+  for (const BenchmarkConfig& config : ServedShapedConfigs()) {
+    jobs.push_back([config](const BenchmarkVisitor& visit) {
+      visit(BuildBenchmark(config));
+    });
+  }
+  return jobs;
+}
+
+/// Runs every job on `threads` workers; `per_job(i, bench)` sees each of
+/// job i's benchmarks in order.
+void RunSchemaItemJobs(
+    int threads,
+    const std::function<void(size_t, const Text2SqlBenchmark&)>& per_job) {
+  const auto jobs = SchemaItemJobs();
+  auto run = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      jobs[i]([&](const Text2SqlBenchmark& bench) { per_job(i, bench); });
+    }
+  };
+  if (threads <= 1) {
+    run(0, jobs.size());
+  } else {
+    ThreadPool pool(threads);
+    pool.ParallelFor(jobs.size(), run);
+  }
+}
+
+uint64_t SchemaItemDigest(int threads) {
+  std::vector<Fnv64> slots(SchemaItemJobs().size());
+  RunSchemaItemJobs(threads, [&](size_t job, const Text2SqlBenchmark& bench) {
+    HashSamples(bench, &slots[job]);
+  });
+  Fnv64 total;
+  for (const Fnv64& slot : slots) total.U64(slot.value());
+  return total.value();
+}
+
+TEST(SchemaItemEquivalenceTest, SamplesMatchPinnedDigestAtOneAndEightThreads) {
+  constexpr uint64_t kGolden = 0x187a59f6a8a04f6eULL;
+  const uint64_t serial = SchemaItemDigest(1);
+  EXPECT_EQ(serial, kGolden) << "digest 0x" << std::hex << serial;
+  EXPECT_EQ(SchemaItemDigest(8), serial);
+}
+
+TEST(SchemaItemEquivalenceTest, EveryNameLooksUpToItsOwnIndex) {
+  std::vector<size_t> mismatches(SchemaItemJobs().size(), 0);
+  std::vector<size_t> databases(mismatches.size(), 0);
+  RunSchemaItemJobs(8, [&](size_t job, const Text2SqlBenchmark& bench) {
+    mismatches[job] += NameIndexMismatches(bench);
+    databases[job] += bench.databases.size();
+  });
+  for (size_t job = 0; job < mismatches.size(); ++job) {
+    EXPECT_EQ(mismatches[job], 0u) << "job " << job;
+    EXPECT_GT(databases[job], 0u) << "job " << job;
+  }
+}
+
+TEST(SchemaItemEquivalenceTest, TinyPresetClassifierAucMatchesPinnedBits) {
+  const Text2SqlBenchmark bench = BuildTinySpiderLike();
+  SchemaItemClassifier classifier;
+  classifier.Train(bench, SchemaItemClassifier::TrainOptions());
+  for (bool evidence : {false, true}) {
+    const auto [table_auc, column_auc] =
+        EvaluateClassifierAuc(classifier, bench, evidence);
+    EXPECT_EQ(DoubleBits(table_auc), 0x3ff0000000000000ULL) << evidence;
+    EXPECT_EQ(DoubleBits(column_auc), 0x3fef9b6ce2a7d898ULL) << evidence;
+  }
 }
 
 }  // namespace

@@ -708,7 +708,11 @@ TEST(CatalogTest, DdlMentionsKeysAndComments) {
 
 TEST(DatabaseTest, DistinctValuesProbe) {
   Database db = MakeMusicDb();
-  auto values = db.DistinctValues("singer", "country", 2);
+  auto singer = db.schema().FindTable("singer");
+  ASSERT_TRUE(singer.has_value());
+  auto country = db.schema().tables[*singer].FindColumn("country");
+  ASSERT_TRUE(country.has_value());
+  auto values = db.DistinctValues(*singer, *country, 2);
   ASSERT_EQ(values.size(), 2u);
   EXPECT_EQ(values[0].AsText(), "USA");
   EXPECT_EQ(values[1].AsText(), "Canada");
