@@ -13,8 +13,8 @@ namespace codes {
 
 /// A bounded, thread-safe LRU of immutable values handed out as
 /// shared_ptr leases. It is the one eviction policy for per-database
-/// serving state: the pipeline's value-index cache and the fleet's tenant
-/// bundles both keep their entries here.
+/// serving state: the pipeline's per-database bundles and the fleet's
+/// tenant bundles both keep their entries here.
 ///
 /// - Every entry is priced in bytes by whoever inserts it.
 /// - Recency is a logical-clock stamp; every hit stores the next tick.
@@ -29,9 +29,9 @@ namespace codes {
 /// - Eviction and Clear drop the cache's reference only. An outstanding
 ///   lease keeps its value alive until the holder releases it.
 ///
-/// Thread-safety: every method may be called concurrently. Lookup takes
-/// the shared lock and does not allocate: a hit costs one clock tick and
-/// one relaxed store. Insert and Clear take the exclusive lock.
+/// Thread-safety: every method may be called concurrently. Lookup and Peek
+/// take the shared lock and do not allocate: a Lookup hit costs one clock
+/// tick and one relaxed store, a Peek none. Insert and Clear take the exclusive lock.
 template <typename Key, typename Value>
 class LeaseCache {
  public:
@@ -59,6 +59,14 @@ class LeaseCache {
     if (it == entries_.end()) return nullptr;
     Touch(*it->second);
     return it->second->value;
+  }
+
+  /// The cached value for `key` without marking it used, so a probe never
+  /// changes which entry is evicted next; null on miss.
+  Lease Peek(const Key& key) const {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    auto it = entries_.find(key);
+    return it == entries_.end() ? nullptr : it->second->value;
   }
 
   /// Caches `value` (priced at `bytes`) under `key` unless another insert

@@ -57,10 +57,11 @@ ServeMetrics& Metrics() {
   return *metrics;
 }
 
-/// Bounded retriever-cache counters. Accounting is thread-count
-/// invariant: a miss is a *winning* LeaseCache insert, so when two
-/// requests race to build the same database's index, exactly one miss is
-/// recorded and the loser counts as a hit.
+/// Bounded bundle-cache counters. They keep their retriever_cache names
+/// because perfbench and the campaign snapshots read them. Accounting is
+/// thread-count invariant: a miss is a *winning* LeaseCache insert, so
+/// when two requests race to build the same database's bundle, exactly
+/// one miss is recorded and the loser counts as a hit.
 struct RetrieverCacheMetrics {
   Counter& hits =
       MetricsRegistry::Global().GetCounter("pipeline.retriever_cache.hits");
@@ -163,6 +164,14 @@ std::string ServeReport::ToString() const {
   return out;
 }
 
+DatabaseBundle::DatabaseBundle(ValueRetriever built, const sql::Database& db)
+    : retriever(std::move(built)), columns(db), schema_stems(db) {}
+
+size_t DatabaseBundle::ApproxBytes() const {
+  return retriever.ApproxBytes() + columns.ApproxBytes() +
+         schema_stems.ApproxBytes();
+}
+
 CodesPipeline::CodesPipeline(const PipelineConfig& config, const NgramLm* lm)
     : config_(config),
       model_(config.size, lm),
@@ -204,9 +213,17 @@ void CodesPipeline::SetDemonstrationPool(
   demo_retriever_ = std::make_unique<DemonstrationRetriever>(pool, options);
 }
 
+std::shared_ptr<const DatabaseBundle> CodesPipeline::BundleFor(
+    const sql::Database& db) const {
+  return BundleForGuarded(db, nullptr, nullptr);
+}
+
 std::shared_ptr<const ValueRetriever> CodesPipeline::RetrieverFor(
     const sql::Database& db) const {
-  return RetrieverForGuarded(db, nullptr, nullptr);
+  std::shared_ptr<const DatabaseBundle> bundle = BundleFor(db);
+  if (bundle == nullptr) return nullptr;
+  const ValueRetriever* retriever = &bundle->retriever;
+  return std::shared_ptr<const ValueRetriever>(std::move(bundle), retriever);
 }
 
 CodesPipeline::RetrieverCacheStats CodesPipeline::retriever_cache_stats()
@@ -217,7 +234,7 @@ CodesPipeline::RetrieverCacheStats CodesPipeline::retriever_cache_stats()
 
 void CodesPipeline::ClearRetrieverCache() const { retriever_cache_.Clear(); }
 
-std::shared_ptr<const ValueRetriever> CodesPipeline::RetrieverForGuarded(
+std::shared_ptr<const DatabaseBundle> CodesPipeline::BundleForGuarded(
     const sql::Database& db, ExecGuard* guard, ServeReport* report) const {
   if (!config_.prompt.use_value_retriever) return nullptr;
   // The failpoint is evaluated exactly once per call, before the cache is
@@ -228,16 +245,16 @@ std::shared_ptr<const ValueRetriever> CodesPipeline::RetrieverForGuarded(
     return nullptr;
   }
   RetrieverCacheMetrics& m = CacheMetrics();
-  if (auto lease = retriever_cache_.Lookup(&db)) {
+  const uint64_t key = db.identity();
+  if (auto lease = retriever_cache_.Lookup(key)) {
     m.hits.Increment();
     return lease;
   }
   // Build outside the cache lock so concurrent misses on different
-  // databases index in parallel; on a same-database race the first insert
+  // databases build in parallel; on a same-database race the first insert
   // wins and the loser's copy is discarded.
-  auto retriever = std::make_shared<ValueRetriever>();
-  Status built =
-      retriever->TryBuildIndex(db, guard, /*check_failpoint=*/false);
+  ValueRetriever retriever;
+  Status built = retriever.TryBuildIndex(db, guard, /*check_failpoint=*/false);
   if (!built.ok()) {
     // Over-budget or cancelled mid-build: degrade this request to a prompt
     // without values and leave the cache empty so a healthy request can
@@ -245,8 +262,9 @@ std::shared_ptr<const ValueRetriever> CodesPipeline::RetrieverForGuarded(
     if (report != nullptr) report->AddRung(ServeRung::kValueFallback);
     return nullptr;
   }
-  size_t bytes = retriever->ApproxBytes();
-  auto result = retriever_cache_.Insert(&db, std::move(retriever), bytes);
+  auto bundle = std::make_shared<const DatabaseBundle>(std::move(retriever), db);
+  const size_t bytes = bundle->ApproxBytes();
+  auto result = retriever_cache_.Insert(key, std::move(bundle), bytes);
   // A lost build race counts as a hit, so totals match a single-threaded
   // run.
   (result.inserted ? m.misses : m.hits).Increment();
@@ -262,12 +280,14 @@ std::string CodesPipeline::QuestionWithEk(
 
 DatabasePrompt CodesPipeline::BuildPrompt(const Text2SqlBenchmark& bench,
                                           const Text2SqlSample& sample) const {
-  return BuildPromptInternal(bench, sample, nullptr, nullptr, nullptr);
+  return BuildPromptInternal(bench, sample, nullptr, nullptr, nullptr,
+                             nullptr);
 }
 
 DatabasePrompt CodesPipeline::BuildPromptInternal(
     const Text2SqlBenchmark& bench, const Text2SqlSample& sample,
-    ExecGuard* guard, ServeReport* report, const ServeOptions* serve) const {
+    ExecGuard* guard, ServeReport* report, const ServeOptions* serve,
+    std::shared_ptr<const DatabaseBundle>* bundle) const {
   const sql::Database& db = bench.DbOf(sample);
   std::string question = QuestionWithEk(sample);
 
@@ -307,12 +327,12 @@ DatabasePrompt CodesPipeline::BuildPromptInternal(
     }
   }
 
-  // Ladder rung 2 (inside RetrieverForGuarded): value index unavailable —
+  // Ladder rung 2 (inside BundleForGuarded): value index unavailable —
   // prompt carries no matched values. A breaker-forced skip fires the same
   // rung (the stage is genuinely being avoided as failing); a brownout
   // skip does not.
   const ValueRetriever* retriever = nullptr;
-  std::shared_ptr<const ValueRetriever> lease;
+  std::shared_ptr<const DatabaseBundle> lease;
   if (serve != nullptr && serve->force_value_fallback) {
     if (report != nullptr) report->AddRung(ServeRung::kValueFallback);
   } else if (policy.skip_value_retrieval) {
@@ -322,8 +342,14 @@ DatabasePrompt CodesPipeline::BuildPromptInternal(
     // own cache is bypassed entirely.
     retriever = serve->value_retriever;
   } else {
-    lease = RetrieverForGuarded(db, guard, report);
-    retriever = lease.get();
+    lease = BundleForGuarded(db, guard, report);
+    if (lease != nullptr) retriever = &lease->retriever;
+  }
+  if (bundle != nullptr) {
+    // Generation reads the profile and stems whichever value path ran.
+    // The paths that skipped the lookup peek: no build, failpoint,
+    // counter or recency change, so they serve exactly as before.
+    *bundle = lease != nullptr ? lease : retriever_cache_.Peek(db.identity());
   }
 
   PromptBuilder builder(classifier_.get(), options);
@@ -397,16 +423,26 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
     return EmergencySql(db);
   }
 
+  std::shared_ptr<const DatabaseBundle> bundle;
   DatabasePrompt prompt = [&] {
     // Stage span: end-to-end prompt construction (classifier, value
     // retrieval, and serialization nest inside).
     CODES_TRACE_SPAN(prompt_span, "pipeline.prompt_build");
-    return BuildPromptInternal(bench, sample, &guard, &rep, &options);
+    return BuildPromptInternal(bench, sample, &guard, &rep, &options,
+                               &bundle);
   }();
 
+  // Generation reads the per-database state of the prompt's bundle; when
+  // the database has none cached, GenerateBeam builds its own.
+  auto use_bundle = [](const std::shared_ptr<const DatabaseBundle>& b,
+                       GenerationInput* in) {
+    in->columns = b != nullptr ? &b->columns : nullptr;
+    in->schema_stems = b != nullptr ? &b->schema_stems : nullptr;
+  };
   GenerationInput input;
   input.db = &db;
   input.prompt = &prompt;
+  use_bundle(bundle, &input);
   input.question = sample.question;
   if (config_.use_external_knowledge) {
     input.external_knowledge = sample.external_knowledge;
@@ -489,10 +525,12 @@ std::string CodesPipeline::PredictGuarded(const Text2SqlBenchmark& bench,
     rep.canonical_retries = 1;
     Text2SqlSample canonical = sample;
     canonical.question = options.canonical_question;
-    DatabasePrompt retry_prompt =
-        BuildPromptInternal(bench, canonical, &guard, &rep, &options);
+    std::shared_ptr<const DatabaseBundle> retry_bundle;
+    DatabasePrompt retry_prompt = BuildPromptInternal(
+        bench, canonical, &guard, &rep, &options, &retry_bundle);
     GenerationInput retry_input = input;
     retry_input.prompt = &retry_prompt;
+    use_bundle(retry_bundle, &retry_input);
     retry_input.question = canonical.question;
     auto retry_beam = model_.GenerateBeam(
         retry_input, config_.seed ^ Fnv1a64(canonical.question),

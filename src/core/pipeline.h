@@ -2,12 +2,14 @@
 #define CODES_CORE_PIPELINE_H_
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/exec_guard.h"
 #include "common/lease_cache.h"
+#include "dataset/column_profile.h"
 #include "dataset/sample.h"
 #include "eval/metrics.h"
 #include "generator/codes_model.h"
@@ -34,12 +36,12 @@ struct PipelineConfig {
   double extra_model_noise = 0.0;
   uint64_t seed = 99;
 
-  /// Bounds on the lazily built per-database value-retriever cache
-  /// (0 = no cap). Sustained traffic over many databases used to grow the
-  /// cache without bound; it now evicts its least-recently-used entry once
-  /// either cap is exceeded (LeaseCache). Entries are leased out as
-  /// shared_ptrs, so an evicted retriever stays alive until the last
-  /// in-flight request using it finishes.
+  /// Bounds on the lazily built per-database bundle cache (0 = no cap).
+  /// Sustained traffic over many databases used to grow the cache without
+  /// bound; it now evicts its least-recently-used entry once either cap is
+  /// exceeded (LeaseCache). Entries are leased out as shared_ptrs, so an
+  /// evicted bundle stays alive until the last in-flight request using it
+  /// finishes.
   size_t retriever_cache_max_entries = 64;
   size_t retriever_cache_max_bytes = 512ull << 20;  // 512 MiB
 };
@@ -187,9 +189,28 @@ struct ServeReport {
   std::string ToString() const;
 };
 
+/// Everything a request derives from its database alone, built once per
+/// database identity (sql::Database::identity) and shared, immutable, by
+/// every request on that database: the value index of §6.2, the column
+/// profile template instantiation reads, and the stems generation masks
+/// out of questions. CodesPipeline caches one per database; the fleet's
+/// TenantArtifacts still carry the value index alone.
+struct DatabaseBundle {
+  /// Takes the built `retriever`; derives the rest from `db`, which must
+  /// be the database it was built over.
+  DatabaseBundle(ValueRetriever built, const sql::Database& db);
+
+  /// Resident cost of all three parts: what the cache's byte cap charges.
+  size_t ApproxBytes() const;
+
+  ValueRetriever retriever;
+  ColumnProfile columns;
+  SchemaStems schema_stems;
+};
+
 /// The public entry point of the library: owns the model, the schema item
-/// classifier, per-database value-retriever indexes, and the demonstration
-/// pool, and turns (database, question) into SQL.
+/// classifier, the per-database bundles, and the demonstration pool, and
+/// turns (database, question) into SQL.
 ///
 /// Typical SFT usage:
 ///   CodesPipeline pipeline(config, &lm);
@@ -207,8 +228,8 @@ struct ServeReport {
 /// TrainClassifier, FineTune, SetDemonstrationPool) has
 /// finished, every `const` method — Predict, BuildPrompt, PredictorFor —
 /// is safe to call concurrently from any number of threads. The only
-/// mutable state on that path, the lazily built per-database value
-/// retriever cache, is a thread-safe LeaseCache; everything
+/// mutable state on that path, the lazily built per-database bundle
+/// cache, is a thread-safe LeaseCache; everything
 /// else (model, classifier, demonstration retriever) is read-only at
 /// inference time. Setup methods themselves are NOT thread-safe and must
 /// happen-before any concurrent use. This is what lets
@@ -261,25 +282,32 @@ class CodesPipeline {
   const SchemaItemClassifier* classifier() const { return classifier_.get(); }
   const PipelineConfig& config() const { return config_; }
 
-  /// Point-in-time occupancy of the bounded value-retriever cache
-  /// (exposed for the flat-memory regression test and diagnostics).
+  /// Point-in-time occupancy of the bounded bundle cache (exposed for
+  /// the flat-memory regression test and diagnostics); `bytes` sums each
+  /// entry's DatabaseBundle::ApproxBytes.
   struct RetrieverCacheStats {
     size_t entries = 0;
     size_t bytes = 0;
   };
   RetrieverCacheStats retriever_cache_stats() const;
 
-  /// Drops every cached retriever without counting evictions — campaign
+  /// Drops every cached bundle without counting evictions — campaign
   /// hygiene (determinism selfchecks replay from a cold cache), not a
   /// budget event. Outstanding leases stay valid.
   void ClearRetrieverCache() const;
 
-  /// Returns the cached (or lazily built) value retriever for `db`.
+  /// Returns the cached (or lazily built) bundle for `db`, keyed by
+  /// db.identity(), or nullptr when the config disables value retrieval.
   /// Thread-safe: shared-lock lookup on the fast path, exclusive insert on
-  /// miss. The returned lease keeps the retriever alive even if the cache
-  /// evicts it while the request is still using it. Public so the cache
-  /// bound/flat-memory regression tests can drive lookups without paying
-  /// for full predictions.
+  /// miss. The returned lease keeps the bundle alive even if the cache
+  /// evicts it while the request is still using it.
+  std::shared_ptr<const DatabaseBundle> BundleFor(
+      const sql::Database& db) const;
+
+  /// The value index of BundleFor(db): a lease that aliases, and keeps
+  /// alive, the whole bundle. Public so the cache bound/flat-memory
+  /// regression tests and benchmarks can drive lookups without paying for
+  /// full predictions.
   std::shared_ptr<const ValueRetriever> RetrieverFor(
       const sql::Database& db) const;
 
@@ -288,17 +316,22 @@ class CodesPipeline {
   /// once per call (cache hit or miss — fault decisions must not depend on
   /// which request built the cache first), polls `guard` during a miss
   /// build, and returns nullptr with a kValueFallback rung on failure. A
-  /// failed build is never cached, so a later healthy request rebuilds.
-  std::shared_ptr<const ValueRetriever> RetrieverForGuarded(
+  /// failed build is never cached, so a later healthy request rebuilds,
+  /// and the profile and stems are built only after the index succeeds.
+  std::shared_ptr<const DatabaseBundle> BundleForGuarded(
       const sql::Database& db, ExecGuard* guard, ServeReport* report) const;
 
   /// Shared implementation of BuildPrompt/PredictGuarded: applies the
   /// classifier and value rungs of the ladder while constructing options.
   /// `serve` (optional) carries the breaker actions and brownout level.
-  DatabasePrompt BuildPromptInternal(const Text2SqlBenchmark& bench,
-                                     const Text2SqlSample& sample,
-                                     ExecGuard* guard, ServeReport* report,
-                                     const ServeOptions* serve) const;
+  /// `bundle` (optional) receives the database's cached bundle: the one
+  /// this prompt leased, or, when the request used a fleet-injected
+  /// retriever, skipped values or fell back, whatever the cache already
+  /// holds (a Peek; null when it holds none).
+  DatabasePrompt BuildPromptInternal(
+      const Text2SqlBenchmark& bench, const Text2SqlSample& sample,
+      ExecGuard* guard, ServeReport* report, const ServeOptions* serve,
+      std::shared_ptr<const DatabaseBundle>* bundle) const;
 
   /// ICL demonstrations for `sample` (empty unless icl_shots > 0).
   /// `max_demos` < 0 means uncapped.
@@ -316,9 +349,12 @@ class CodesPipeline {
   /// SetDemonstrationPool time (budgeting per-call on demo_pool_[0] alone
   /// let one unusually short first demo blow the token budget).
   int mean_demo_cost_ = 0;
-  /// Per-database value indexes, priced by ApproxBytes and bounded by the
-  /// config's retriever_cache_max_{entries,bytes}.
-  mutable LeaseCache<const sql::Database*, ValueRetriever> retriever_cache_;
+  /// Per-database bundles keyed by sql::Database::identity, never by
+  /// address: a freed database's key is never reissued, so no later
+  /// database can be served its stale index or profile. Priced by
+  /// DatabaseBundle::ApproxBytes and bounded by the config's
+  /// retriever_cache_max_{entries,bytes}.
+  mutable LeaseCache<uint64_t, DatabaseBundle> retriever_cache_;
 };
 
 }  // namespace codes

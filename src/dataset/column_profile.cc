@@ -87,4 +87,16 @@ ColumnProfile::ColumnProfile(const sql::Database& db) {
   }
 }
 
+size_t ColumnProfile::ApproxBytes() const {
+  size_t bytes = sizeof(*this) + tables_.capacity() * sizeof(TableColumns) +
+                 column_offset_.capacity() * sizeof(int) + key_.capacity() +
+                 join_edges_.capacity() * sizeof(JoinEdge);
+  for (const TableColumns& table : tables_) {
+    bytes += (table.text.capacity() + table.numeric.capacity() +
+              table.category.capacity() + table.date.capacity()) *
+             sizeof(int);
+  }
+  return bytes;
+}
+
 }  // namespace codes

@@ -20,8 +20,10 @@ struct JoinEdge {
 /// A pure function of the database's schema and rows, built with one pass
 /// over each table's rows. It holds indexes only, never pointers into the
 /// database, but it describes the database as it was when built: rebuild
-/// it after mutating the database. The generator builds one per request;
-/// the data-generation paths build one per database.
+/// it after mutating the database. The pipeline builds one per database
+/// identity and keeps it in its per-database bundle; the generator builds
+/// its own only when the caller passes none, and the data-generation
+/// paths build one per database.
 class ColumnProfile {
  public:
   explicit ColumnProfile(const sql::Database& db);
@@ -48,6 +50,9 @@ class ColumnProfile {
   /// arrays.
   int Slot(int t, int c) const { return column_offset_[t] + c; }
   int column_count() const { return column_offset_.back(); }
+
+  /// Resident cost in bytes, for pricing cache entries.
+  size_t ApproxBytes() const;
 
  private:
   struct TableColumns {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <unordered_map>
 
 #include "common/string_util.h"
@@ -66,34 +67,11 @@ std::vector<double> QuestionNumbers(const std::string& question) {
 /// many gym are there" collapse to the same signature; anchors trained on
 /// one domain then transfer to any other — the cross-domain mechanism.
 std::string MaskSchemaWords(const std::string& question,
-                            const sql::Database& db) {
-  std::unordered_map<std::string, bool> schema_stems;
-  auto add_phrase = [&schema_stems](const std::string& phrase) {
-    for (auto& w : WordTokens(phrase)) {
-      if (!IsStopWord(w)) schema_stems[StemToken(w)] = true;
-    }
-  };
-  for (const auto& table : db.schema().tables) {
-    add_phrase(table.name);
-    add_phrase(table.comment);
-    for (const auto& col : table.columns) {
-      add_phrase(col.name);
-      add_phrase(col.comment);
-    }
-  }
-  // A pre-trained model also recognizes common synonyms of schema words
-  // ("vocalist" for singer); they are masked too.
-  {
-    std::vector<std::string> stems;
-    for (const auto& [stem, unused] : schema_stems) stems.push_back(stem);
-    for (const auto& extra : ExpandWithSynonyms(stems)) {
-      schema_stems[StemToken(extra)] = true;
-    }
-  }
+                            const SchemaStems& schema_stems) {
   std::vector<std::string> out;
   bool prev_masked = false;
   for (auto& token : WordTokens(question)) {
-    if (schema_stems.count(StemToken(token))) {
+    if (schema_stems.Contains(StemToken(token))) {
       if (!prev_masked) out.emplace_back("_");
       prev_masked = true;
     } else {
@@ -155,6 +133,37 @@ double FirstMentionPosition(const std::string& phrase,
 }
 
 }  // namespace
+
+SchemaStems::SchemaStems(const sql::Database& db) {
+  auto add_phrase = [this](const std::string& phrase) {
+    for (auto& w : WordTokens(phrase)) {
+      if (!IsStopWord(w)) stems_.insert(StemToken(w));
+    }
+  };
+  for (const auto& table : db.schema().tables) {
+    add_phrase(table.name);
+    add_phrase(table.comment);
+    for (const auto& col : table.columns) {
+      add_phrase(col.name);
+      add_phrase(col.comment);
+    }
+  }
+  // A pre-trained model also recognizes common synonyms of schema words
+  // ("vocalist" for singer); they are masked too.
+  const std::vector<std::string> stems(stems_.begin(), stems_.end());
+  for (const auto& extra : ExpandWithSynonyms(stems)) {
+    stems_.insert(StemToken(extra));
+  }
+}
+
+size_t SchemaStems::ApproxBytes() const {
+  // Each node holds a string and a next pointer next to its bucket slot.
+  size_t bytes = sizeof(*this) + stems_.bucket_count() * sizeof(void*);
+  for (const auto& stem : stems_) {
+    bytes += sizeof(std::string) + 2 * sizeof(void*) + stem.capacity();
+  }
+  return bytes;
+}
 
 CodesModel::CodesModel(ModelSize size, const NgramLm* lm)
     : profile_(ProfileFor(size)), lm_(lm), encoder_(profile_.embedding_dim) {
@@ -229,7 +238,7 @@ void CodesModel::RebuildSkeletonAnchors() {
       const auto& db = reference_dbs[d];
       auto inst = lib.Instantiate(tid, db, reference_columns[d], rng);
       if (!inst.has_value()) continue;
-      std::string masked = MaskSchemaWords(inst->question, db);
+      std::string masked = MaskSchemaWords(inst->question, SchemaStems(db));
       anchors_.Append(tid, encoder_.Encode(masked),
                       encoder_.Encode(ExtractQuestionPattern(masked)), 0.55);
       // Paraphrase knowledge: a pre-trained LM also recognizes common
@@ -292,7 +301,7 @@ void CodesModel::FineTune(const std::vector<Text2SqlSample>& train,
     if (tid < 0) continue;
     std::string question = sample.question;
     if (bench != nullptr) {
-      question = MaskSchemaWords(question, bench->DbOf(sample));
+      question = MaskSchemaWords(question, SchemaStems(bench->DbOf(sample)));
     }
     std::vector<float> q = encoder_.Encode(question);
     std::vector<float> p = encoder_.Encode(ExtractQuestionPattern(question));
@@ -355,7 +364,16 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
   const DatabasePrompt& prompt = *input.prompt;
   Rng rng(seed ^ 0x5EEDC0DE5ULL);
 
-  std::string masked = MaskSchemaWords(input.question, db);
+  // Per-database state: the caller's, or built for this call.
+  std::optional<SchemaStems> own_stems;
+  const SchemaStems& schema_stems = input.schema_stems != nullptr
+                                        ? *input.schema_stems
+                                        : own_stems.emplace(db);
+  std::optional<ColumnProfile> own_columns;
+  const ColumnProfile& columns =
+      input.columns != nullptr ? *input.columns : own_columns.emplace(db);
+
+  std::string masked = MaskSchemaWords(input.question, schema_stems);
   QueryEmbedding query;
   query.question = encoder_.Encode(masked);
   query.pattern = encoder_.Encode(ExtractQuestionPattern(masked));
@@ -441,7 +459,7 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
   // indexed by the profile's dense column slot (or by table). Filling on
   // first use skips items no template asks about; no score draws from the
   // RNG, so the random stream is unchanged.
-  const ColumnProfile columns(db);
+  const LcsPattern question_lcs(input.question);
   const size_t slots = static_cast<size_t>(columns.column_count());
   const size_t tables = static_cast<size_t>(columns.table_count());
   ScoreMemo base_memo(slots), value_hit_memo(slots), mention_memo(slots);
@@ -457,7 +475,7 @@ std::vector<ScoredCandidate> CodesModel::GenerateBeam(
       }
       // Abbreviation guessing: "npgr" links to "net profit growth rate".
       if (InitialsMatch(col.name, q_tokens)) score = std::max(score, 0.9);
-      score += 0.15 * LcsMatchDegree(ColumnPhrase(col), input.question);
+      score += 0.15 * question_lcs.MatchDegree(ColumnPhrase(col));
       return score;
     });
   };

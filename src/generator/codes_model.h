@@ -4,8 +4,10 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
+#include "dataset/column_profile.h"
 #include "dataset/sample.h"
 #include "dataset/templates.h"
 #include "embed/sentence_encoder.h"
@@ -15,6 +17,25 @@
 #include "sqlengine/database.h"
 
 namespace codes {
+
+/// The stems the generator masks out of questions over one database
+/// before template scoring: the stem of every content word of its table
+/// and column names and comments, plus the stems of their synonyms. A pure
+/// function of the schema.
+class SchemaStems {
+ public:
+  explicit SchemaStems(const sql::Database& db);
+
+  bool Contains(const std::string& stem) const {
+    return stems_.count(stem) > 0;
+  }
+
+  /// Resident cost in bytes, for pricing cache entries.
+  size_t ApproxBytes() const;
+
+ private:
+  std::unordered_set<std::string> stems_;
+};
 
 /// Everything the model sees for one query: the structured database
 /// prompt, the question (with EK appended when available), and optional
@@ -27,6 +48,11 @@ struct GenerationInput {
   /// the question would distort the template signature.
   std::string external_knowledge;
   std::vector<const Text2SqlSample*> demonstrations;
+  /// Per-database state built once by the caller (the pipeline's
+  /// per-database bundle). Each must describe `db` as it is now; when one
+  /// is null, GenerateBeam builds it for this call.
+  const ColumnProfile* columns = nullptr;
+  const SchemaStems* schema_stems = nullptr;
 };
 
 /// One beam candidate.

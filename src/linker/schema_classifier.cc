@@ -23,7 +23,7 @@ double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
 /// Does any cell of (table, column) literally appear in the question?
 /// Scans at most `kMaxRowsScanned` rows to bound latency.
-bool ValueAppearsInQuestion(const std::string& question,
+bool ValueAppearsInQuestion(const LinkerQuestion& question,
                             const sql::Database& db, int table, int column) {
   constexpr size_t kMaxRowsScanned = 64;
   const auto& rows = db.TableAt(table).rows;
@@ -32,9 +32,20 @@ bool ValueAppearsInQuestion(const std::string& question,
     const sql::Value& v = rows[r][column];
     if (!v.is_text()) continue;
     const std::string& text = v.AsText();
-    if (text.size() >= 3 && ContainsIgnoreCase(question, text)) return true;
+    if (text.size() >= 3 && question.Mentions(text)) return true;
   }
   return false;
+}
+
+/// The trigram bitmap's bit for the folded trigram starting at `p`.
+size_t TrigramBit(const char* p) {
+  const uint32_t key =
+      (static_cast<uint32_t>(static_cast<unsigned char>(AsciiLower(p[0])))
+       << 16) |
+      (static_cast<uint32_t>(static_cast<unsigned char>(AsciiLower(p[1])))
+       << 8) |
+      static_cast<uint32_t>(static_cast<unsigned char>(AsciiLower(p[2])));
+  return (key * 0x9E3779B1u) >> (32 - 14);
 }
 
 }  // namespace
@@ -44,7 +55,25 @@ LinkerQuestion::LinkerQuestion(std::string question,
     : text(std::move(question)),
       embedding(encoder.Encode(text)),
       tokens(ExpandWithSynonyms(WordTokens(text))),
-      stems(tokens) {}
+      stems(tokens),
+      lcs(text) {
+  for (size_t i = 0; i + 3 <= text.size(); ++i) {
+    const size_t bit = TrigramBit(&text[i]);
+    trigrams[bit / 64] |= 1ULL << (bit % 64);
+  }
+}
+
+bool LinkerQuestion::Mentions(std::string_view needle) const {
+  if (needle.size() >= 3) {
+    // A case-blind occurrence puts every folded trigram of the needle
+    // among the question's, so a missing first or last one rules it out.
+    for (const char* p : {needle.data(), needle.data() + needle.size() - 3}) {
+      const size_t bit = TrigramBit(p);
+      if ((trigrams[bit / 64] >> (bit % 64) & 1) == 0) return false;
+    }
+  }
+  return ContainsIgnoreCase(text, needle);
+}
 
 // Feature indices:
 //   0: question-token coverage of the column-name words
@@ -73,17 +102,15 @@ LinkerFeatures ColumnLinkFeatures(const LinkerQuestion& question,
   f[0] = TokenCoverage(name_tokens, question.stems);
   f[1] = comment_tokens.empty() ? 0.0
                                 : TokenCoverage(comment_tokens, question.stems);
-  f[2] = LcsMatchDegree(col.name, question.text);
-  f[3] = LcsMatchDegree(ColumnPhrase(col), question.text);
+  f[2] = question.lcs.MatchDegree(col.name);
+  f[3] = question.lcs.MatchDegree(ColumnPhrase(col));
   std::string item_text =
       table_def.name + " " + col.name + " " + col.comment;
   f[4] = CosineSimilarity(question.embedding, encoder.Encode(item_text));
-  f[5] = ValueAppearsInQuestion(question.text, db, table, column) ? 1.0 : 0.0;
+  f[5] = ValueAppearsInQuestion(question, db, table, column) ? 1.0 : 0.0;
   f[6] = col.is_primary_key ? 1.0 : 0.0;
   f[7] = TokenCoverage(table_tokens, question.stems);
-  f[8] = ContainsIgnoreCase(question.text, col.name) && col.name.size() >= 2
-             ? 1.0
-             : 0.0;
+  f[8] = col.name.size() >= 2 && question.Mentions(col.name) ? 1.0 : 0.0;
   f[9] = InitialsMatch(col.name, question.tokens) ? 1.0 : 0.0;
   return f;
 }

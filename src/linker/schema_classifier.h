@@ -2,7 +2,9 @@
 #define CODES_LINKER_SCHEMA_CLASSIFIER_H_
 
 #include <array>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
@@ -23,10 +25,21 @@ using LinkerFeatures = std::array<double, 10>;
 struct LinkerQuestion {
   LinkerQuestion(std::string question, const SentenceEncoder& encoder);
 
+  /// ContainsIgnoreCase(text, needle), with needles of 3 or more bytes
+  /// first checked against the trigram bitmap: a needle whose first or
+  /// last folded trigram never occurs in the question cannot occur in it,
+  /// so only the others run the search.
+  bool Mentions(std::string_view needle) const;
+
   std::string text;
   std::vector<float> embedding;     ///< encoder.Encode(text)
   std::vector<std::string> tokens;  ///< ExpandWithSynonyms(WordTokens(text))
   StemSet stems;                    ///< StemSet(tokens)
+  LcsPattern lcs;                   ///< LcsPattern(text)
+  /// One bit per AsciiLower-folded byte trigram of `text`, hashed into
+  /// 2^14 bits. A collision only lets a needle through to the search, so
+  /// the filter never changes an answer.
+  std::array<uint64_t, 256> trigrams{};
 };
 
 /// Computes features for a column; `encoder` must be the one `question`

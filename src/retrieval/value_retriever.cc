@@ -165,7 +165,9 @@ std::vector<RetrievedValue> ValueRetriever::FineRank(
   CODES_TRACE_SPAN(span, "value_retriever.fine_rank");
   std::vector<RetrievedValue> ranked;
   ranked.reserve(candidates.size());
-  std::optional<std::vector<std::string>> question_words;  // on first use
+  // The question side of both matchers is built on first use.
+  std::optional<std::vector<std::string>> question_words;
+  std::optional<LcsPattern> question_lcs;
   for (int idx : candidates) {
     const Entry& entry = entries_[static_cast<size_t>(idx)];
     double degree;
@@ -173,7 +175,8 @@ std::vector<RetrievedValue> ValueRetriever::FineRank(
       if (!question_words) question_words = WordTokens(question);
       degree = ShortValueMatches(entry.text, *question_words) ? 1.0 : 0.0;
     } else {
-      degree = LcsMatchDegree(entry.text, question);
+      if (!question_lcs) question_lcs.emplace(question);
+      degree = question_lcs->MatchDegree(entry.text);
     }
     if (degree <= 0.0) continue;
     ranked.push_back(RetrievedValue{entry.text, entry.table, entry.column,

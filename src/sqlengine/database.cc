@@ -1,5 +1,7 @@
 #include "sqlengine/database.h"
 
+#include <atomic>
+
 namespace codes::sql {
 namespace {
 
@@ -25,6 +27,36 @@ Database::Database(DatabaseSchema schema) : schema_(std::move(schema)) {
   tables_.resize(schema_.tables.size());
 }
 
+// Copies and moves take a fresh stamp (the member initializer); a
+// moved-from database is emptied, so it gets one too.
+Database::Database(const Database& other)
+    : schema_(other.schema_), tables_(other.tables_) {}
+
+Database::Database(Database&& other) noexcept
+    : schema_(std::move(other.schema_)), tables_(std::move(other.tables_)) {
+  other.identity_ = NextIdentity();
+}
+
+Database& Database::operator=(const Database& other) {
+  schema_ = other.schema_;
+  tables_ = other.tables_;
+  identity_ = NextIdentity();
+  return *this;
+}
+
+Database& Database::operator=(Database&& other) noexcept {
+  schema_ = std::move(other.schema_);
+  tables_ = std::move(other.tables_);
+  identity_ = NextIdentity();
+  other.identity_ = NextIdentity();
+  return *this;
+}
+
+uint64_t Database::NextIdentity() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
 std::unique_ptr<RowCursor> Database::Scan(int table_index) const {
   return std::make_unique<VectorCursor>(&tables_[table_index].rows);
 }
@@ -43,6 +75,7 @@ Status Database::Insert(const std::string& table_name,
         " columns");
   }
   tables_[*idx].rows.push_back(std::move(row));
+  identity_ = NextIdentity();
   return Status::Ok();
 }
 

@@ -1,6 +1,7 @@
 #ifndef CODES_SQLENGINE_DATABASE_H_
 #define CODES_SQLENGINE_DATABASE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,9 +26,28 @@ class Database : public ExecSource {
  public:
   Database() = default;
   explicit Database(DatabaseSchema schema);
+  Database(const Database& other);
+  Database(Database&& other) noexcept;
+  Database& operator=(const Database& other);
+  Database& operator=(Database&& other) noexcept;
+  ~Database() override = default;
+
+  /// Process-unique stamp of this database's current contents, drawn from
+  /// one global counter. A database gets a fresh stamp when it is
+  /// constructed, copied or moved (both sides of a move), and again on
+  /// every mutating entry point (Insert, mutable_schema, MutableTableAt),
+  /// so a stamp is never shared by two databases or by two states of one
+  /// database. Per-database caches key by it: a key that outlives its
+  /// database, or a database whose address is reused, never matches a
+  /// stale entry. A reference taken from mutable_schema or MutableTableAt
+  /// must not be written through after the database has been looked up.
+  uint64_t identity() const { return identity_; }
 
   const DatabaseSchema& schema() const override { return schema_; }
-  DatabaseSchema& mutable_schema() { return schema_; }
+  DatabaseSchema& mutable_schema() {
+    identity_ = NextIdentity();
+    return schema_;
+  }
 
   // ExecSource access paths: everything is already materialized, so the
   // direct row vector doubles as the scan and no indexes exist.
@@ -45,7 +65,10 @@ class Database : public ExecSource {
 
   /// Table contents by schema index.
   const Table& TableAt(int index) const { return tables_[index]; }
-  Table& MutableTableAt(int index) { return tables_[index]; }
+  Table& MutableTableAt(int index) {
+    identity_ = NextIdentity();
+    return tables_[index];
+  }
 
   /// Total rows across all tables.
   size_t TotalRows() const;
@@ -75,8 +98,11 @@ class Database : public ExecSource {
   }
 
  private:
+  static uint64_t NextIdentity();
+
   DatabaseSchema schema_;
   std::vector<Table> tables_;  // parallel to schema_.tables
+  uint64_t identity_ = NextIdentity();
 };
 
 }  // namespace codes::sql

@@ -28,22 +28,14 @@ inline uint64_t CharClassSignature(std::string_view s) {
   return sig;
 }
 
-/// Reusable per-thread buffers for the bit-parallel sweep: 256 lazily
-/// generation-stamped match masks plus the packed row set. Thread-local so
-/// concurrent re-ranks (the 8-thread eval driver) never share state.
+/// Reusable per-thread buffers for the bit-parallel sweep: the packed row
+/// set and its active rows. Thread-local so concurrent re-ranks (the
+/// 8-thread eval driver) never share state.
 struct LcsScratch {
-  std::vector<uint64_t> masks;       // 256 * words
-  std::array<uint32_t, 256> stamp{}; // generation per character
-  uint32_t generation = 0;
-  std::vector<uint64_t> rows;        // |short| * words
+  std::vector<uint64_t> rows;        // |a| * words
   std::vector<int> active;           // surviving row indices, descending
   std::vector<int> next_active;
 };
-
-LcsScratch& GetLcsScratch() {
-  thread_local LcsScratch scratch;
-  return scratch;
-}
 
 /// True when CODES_PERF_INJECT contains "lcs2x": the CI perf gate's
 /// negative test, which must make the LCS stage measurably (>2x) slower
@@ -57,44 +49,27 @@ bool LcsSlowdownInjected() {
   return injected;
 }
 
-/// Word-packed level sweep. Rows follow the shorter string `a`; the longer
-/// string `b` is packed into ceil(|b|/64) words. Level t keeps, per row i,
-/// the bitset B_t(i) = { j : a[i-t+1..i] == b[j-t+1..j] } via
+/// Word-packed level sweep. Rows follow `a`; the other string is packed
+/// into `words` words, and `slot`/`masks` hold the match mask of each
+/// folded byte in it (slot 0: the byte never occurs there). Level t keeps,
+/// per row i, the bitset B_t(i) = { j : a[i-t+1..i] == b[j-t+1..j] } via
 /// B_{t+1}(i) = B_t(i) & (B_t(i-1) << 1); the answer is the last level
 /// with any surviving row. Rows die monotonically (a zero row stays zero),
 /// so each sweep only touches the shrinking active set — total work is
 /// proportional to the sum of per-row match-run lengths, not |a|*|b|.
-int LcsBitParallel(std::string_view a, std::string_view b) {
+int LevelSweep(std::string_view a, size_t words,
+               const std::array<uint8_t, 256>& slot,
+               const std::vector<uint64_t>& masks) {
+  thread_local LcsScratch scratch;
   const size_t n = a.size();
-  const size_t words = (b.size() + 63) / 64;
-  LcsScratch& scratch = GetLcsScratch();
-
-  // Match masks for every distinct character of b, built in one pass with
-  // generation stamps (no 256-entry clear per call).
-  scratch.masks.resize(256 * words);
-  ++scratch.generation;
-  if (scratch.generation == 0) {  // stamp wrap: invalidate everything
-    scratch.stamp.fill(0);
-    scratch.generation = 1;
-  }
-  for (size_t j = 0; j < b.size(); ++j) {
-    unsigned char c = FoldByte(static_cast<unsigned char>(b[j]));
-    uint64_t* mask = &scratch.masks[static_cast<size_t>(c) * words];
-    if (scratch.stamp[c] != scratch.generation) {
-      scratch.stamp[c] = scratch.generation;
-      std::fill(mask, mask + words, 0);
-    }
-    mask[j / 64] |= 1ULL << (j % 64);
-  }
-
   // Level 1: every row starts as its character's match mask; rows whose
   // character never occurs in b are dead on arrival.
   scratch.rows.assign(n * words, 0);
   scratch.active.clear();
   for (size_t i = n; i-- > 0;) {  // descending, the sweep order
-    unsigned char c = FoldByte(static_cast<unsigned char>(a[i]));
-    if (scratch.stamp[c] != scratch.generation) continue;
-    const uint64_t* mask = &scratch.masks[static_cast<size_t>(c) * words];
+    const size_t c = slot[FoldByte(static_cast<unsigned char>(a[i]))];
+    if (c == 0) continue;
+    const uint64_t* mask = &masks[(c - 1) * words];
     std::copy(mask, mask + words, &scratch.rows[i * words]);
     scratch.active.push_back(static_cast<int>(i));
   }
@@ -135,6 +110,17 @@ int LcsBitParallel(std::string_view a, std::string_view b) {
   return best;
 }
 
+/// Inputs past this size take the reference DP rather than sizing packed
+/// masks for a megabyte string (not reachable from the hot paths).
+constexpr size_t kMaxBitParallelSize = 4096;
+
+/// The injected "regression": answer via the reference DP, twice, so the
+/// stage slows by far more than the 15% gate without changing results.
+int InjectedSlowLcs(std::string_view a, std::string_view b) {
+  (void)LongestCommonSubstringLengthReferenceDp(a, b);
+  return LongestCommonSubstringLengthReferenceDp(a, b);
+}
+
 }  // namespace
 
 int LongestCommonSubstringLengthReferenceDp(std::string_view a_raw,
@@ -160,32 +146,48 @@ int LongestCommonSubstringLengthReferenceDp(std::string_view a_raw,
   return best;
 }
 
-int LongestCommonSubstringLength(std::string_view a_raw, std::string_view b_raw) {
-  if (a_raw.empty() || b_raw.empty()) return 0;
-  if (LcsSlowdownInjected()) {
-    // The injected "regression": answer via the reference DP, twice, so the
-    // stage slows by far more than the 15% gate without changing results.
-    (void)LongestCommonSubstringLengthReferenceDp(a_raw, b_raw);
-    return LongestCommonSubstringLengthReferenceDp(a_raw, b_raw);
-  }
-  // Prefilter: disjoint character classes -> no common byte -> LCS 0.
-  if ((CharClassSignature(a_raw) & CharClassSignature(b_raw)) == 0) return 0;
-  // Degenerate sizes (not reachable from the value re-rank) fall back to
-  // the DP rather than sizing 256 packed masks for a megabyte string.
-  if (a_raw.size() > 4096 || b_raw.size() > 4096) {
-    return LongestCommonSubstringLengthReferenceDp(a_raw, b_raw);
-  }
-  // Rows follow the shorter string: the level count is bounded by the
-  // answer (<= |short|) and the longer string packs 64 positions per word.
-  if (a_raw.size() <= b_raw.size()) return LcsBitParallel(a_raw, b_raw);
-  return LcsBitParallel(b_raw, a_raw);
+int LongestCommonSubstringLength(std::string_view a, std::string_view b) {
+  // Compile the longer string so the rows follow the shorter: the level
+  // count is bounded by the answer (<= |short|) and the longer string
+  // packs 64 positions per word.
+  if (a.size() < b.size()) std::swap(a, b);
+  return LcsPattern(a).Length(b);
 }
 
-double LcsMatchDegree(std::string_view a, std::string_view b) {
-  if (a.empty() || b.empty()) return 0.0;
-  int lcs = LongestCommonSubstringLength(a, b);
-  size_t shorter = std::min(a.size(), b.size());
-  return static_cast<double>(lcs) / static_cast<double>(shorter);
+LcsPattern::LcsPattern(std::string_view text)
+    : text_(text), signature_(CharClassSignature(text)) {
+  if (text_.size() > kMaxBitParallelSize) return;  // Length takes the DP
+  words_ = (text_.size() + 63) / 64;
+  size_t present = 0;
+  for (unsigned char c : text_) {
+    uint8_t& slot = slot_[FoldByte(c)];
+    if (slot == 0) slot = static_cast<uint8_t>(++present);
+  }
+  masks_.assign(present * words_, 0);
+  for (size_t j = 0; j < text_.size(); ++j) {
+    const size_t mask =
+        slot_[FoldByte(static_cast<unsigned char>(text_[j]))] - 1u;
+    masks_[mask * words_ + j / 64] |= 1ULL << (j % 64);
+  }
+}
+
+int LcsPattern::Length(std::string_view other) const {
+  if (text_.empty() || other.empty()) return 0;
+  if (LcsSlowdownInjected()) return InjectedSlowLcs(text_, other);
+  if ((signature_ & CharClassSignature(other)) == 0) return 0;
+  if (text_.size() > kMaxBitParallelSize ||
+      other.size() > kMaxBitParallelSize) {
+    return LongestCommonSubstringLengthReferenceDp(text_, other);
+  }
+  // Rows follow `other`; the answer does not depend on which string the
+  // rows follow, so the pattern's masks serve every candidate.
+  return LevelSweep(other, words_, slot_, masks_);
+}
+
+double LcsPattern::MatchDegree(std::string_view other) const {
+  if (text_.empty() || other.empty()) return 0.0;
+  const size_t shorter = std::min(text_.size(), other.size());
+  return static_cast<double>(Length(other)) / static_cast<double>(shorter);
 }
 
 bool InitialsMatch(const std::string& identifier,

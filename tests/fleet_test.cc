@@ -13,6 +13,7 @@
 #include <fstream>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -186,6 +187,89 @@ TEST_F(FleetTest, RetrieverCacheByteBudgetEvictsDownToOne) {
   MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(CounterDelta(snapshot, "pipeline.retriever_cache.evictions"),
             1u);
+}
+
+// The cache keys by database identity, never by address. The probe that
+// once served a stale index: a pipeline looks up the first database of
+// one benchmark, the benchmark is freed, and a later database must get
+// its own index wherever it lands, including at the freed address.
+TEST_F(FleetTest, RetrieverCacheNeverServesAFreedDatabasesIndex) {
+  PipelineConfig config;
+  config.size = ModelSize::k7B;
+  CodesPipeline pipeline(config, zoo_->CodesFor(config.size));
+
+  auto seven = std::make_unique<Text2SqlBenchmark>(BuildTinySpiderLike(7));
+  EXPECT_EQ(pipeline.RetrieverFor(seven->databases[0])->NumIndexedValues(),
+            230u);
+  seven.reset();
+  const Text2SqlBenchmark hundred = BuildTinySpiderLike(100);
+  EXPECT_EQ(pipeline.RetrieverFor(hundred.databases[0])->NumIndexedValues(),
+            264u);
+
+  // The same replay with the address reuse forced: the second database is
+  // built in the storage the first one was freed from.
+  std::optional<sql::Database> slot(hundred.databases[1]);
+  const sql::Database* address = &*slot;
+  const size_t first = pipeline.RetrieverFor(*slot)->NumIndexedValues();
+  slot.reset();
+  slot.emplace(hundred.databases[0]);
+  ASSERT_EQ(&*slot, address);
+  EXPECT_NE(first, 264u);
+  EXPECT_EQ(pipeline.RetrieverFor(*slot)->NumIndexedValues(), 264u);
+}
+
+// A copy, and a database after any mutating entry point, get a fresh
+// identity and so miss the cache; an untouched database keeps hitting.
+TEST_F(FleetTest, RetrieverCacheMissesCopiesAndMutatedDatabases) {
+  PipelineConfig config;
+  config.size = ModelSize::k7B;
+  CodesPipeline pipeline(config, zoo_->CodesFor(config.size));
+  auto misses = [] {
+    return CounterDelta(MetricsRegistry::Global().Snapshot(),
+                        "pipeline.retriever_cache.misses");
+  };
+
+  sql::Database db = bench_->databases[0];
+  const auto original = pipeline.RetrieverFor(db);
+  EXPECT_EQ(misses(), 1u);
+  EXPECT_EQ(pipeline.RetrieverFor(db), original);
+  EXPECT_EQ(misses(), 1u);
+
+  const sql::Database copy = db;
+  EXPECT_NE(copy.identity(), db.identity());
+  EXPECT_NE(pipeline.RetrieverFor(copy), original);
+  EXPECT_EQ(misses(), 2u);
+
+  // Insert a row with a text value no cell holds: the rebuilt index has
+  // one value more.
+  const sql::TableDef& table = db.schema().tables[0];
+  std::vector<sql::Value> row;
+  for (const auto& col : table.columns) {
+    if (col.type == sql::DataType::kText) {
+      row.emplace_back(std::string("zz-unseen-value"));
+    } else {
+      row.push_back(sql::Value::Null());
+    }
+  }
+  const uint64_t before_insert = db.identity();
+  ASSERT_TRUE(db.Insert(table.name, std::move(row)).ok());
+  EXPECT_NE(db.identity(), before_insert);
+  const auto inserted = pipeline.RetrieverFor(db);
+  EXPECT_EQ(misses(), 3u);
+  EXPECT_GT(inserted->NumIndexedValues(), original->NumIndexedValues());
+
+  // The mutable accessors restamp too, and a moved-to database is new.
+  const uint64_t before_accessors = db.identity();
+  (void)db.mutable_schema();
+  const uint64_t after_schema = db.identity();
+  (void)db.MutableTableAt(0);
+  EXPECT_NE(after_schema, before_accessors);
+  EXPECT_NE(db.identity(), after_schema);
+  const uint64_t before_move = db.identity();
+  sql::Database moved = std::move(db);
+  EXPECT_NE(moved.identity(), before_move);
+  EXPECT_NE(pipeline.RetrieverFor(moved), inserted);
+  EXPECT_EQ(misses(), 4u);
 }
 
 // ------------------------------------------------------------ fleet manager

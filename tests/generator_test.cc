@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
+#include <memory>
 
+#include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "core/model_zoo.h"
 #include "corpus/pretrain_corpus.h"
@@ -239,8 +243,10 @@ struct GoldenRequest {
 };
 
 // Generates every request's beam on `threads` threads and digests them.
+// With `bundle_state`, generation reads the column profile and schema
+// stems of the pipeline's cached bundle instead of building its own.
 uint64_t GoldenBeamDigest(const std::vector<GoldenRequest>& requests,
-                          int threads) {
+                          int threads, bool bundle_state = false) {
   std::vector<std::vector<ScoredCandidate>> beams(requests.size());
   ThreadPool pool(threads);
   pool.ParallelFor(requests.size(), [&](size_t begin, size_t end) {
@@ -256,6 +262,12 @@ uint64_t GoldenBeamDigest(const std::vector<GoldenRequest>& requests,
         for (size_t d = 0; d < 3; ++d) {
           input.demonstrations.push_back(&r.bench->train[d * 7]);
         }
+      }
+      std::shared_ptr<const DatabaseBundle> bundle;
+      if (bundle_state) {
+        bundle = r.pipeline->BundleFor(*input.db);
+        input.columns = &bundle->columns;
+        input.schema_stems = &bundle->schema_stems;
       }
       beams[i] = r.pipeline->model().GenerateBeam(input, r.seed + i);
     }
@@ -273,75 +285,98 @@ void ExpectGoldenAtOneAndEightThreads(
   EXPECT_EQ(GoldenBeamDigest(requests, 8), serial);
 }
 
+// A golden request set, its recorded digest, and the pipelines (and
+// BIRD-like benchmark) its requests point into.
+struct GoldenSet {
+  std::unique_ptr<Text2SqlBenchmark> bird;
+  std::vector<std::unique_ptr<CodesPipeline>> pipelines;
+  std::vector<GoldenRequest> requests;
+  uint64_t digest = 0;
+
+  // A pipeline of `config` trained and fine-tuned on `train`.
+  const CodesPipeline* AddPipeline(const PipelineConfig& config,
+                                   const Text2SqlBenchmark& train,
+                                   const LmZoo& zoo) {
+    pipelines.push_back(
+        std::make_unique<CodesPipeline>(config, zoo.CodesFor(config.size)));
+    pipelines.back()->TrainClassifier(train);
+    pipelines.back()->FineTune(train);
+    return pipelines.back().get();
+  }
+};
+
 // Golden beams: a fixed request set — a Spider-like dev set with and
 // without demonstrations, and a BIRD-like dev set (abbreviated names,
 // comments, dirty values, EK) — generated at 1 and 8 threads must hash to
 // the digest recorded before generation memoized its per-request scores.
 // Any change to a score's value, the RNG stream or the candidate order
 // shows up here.
-TEST_F(GeneratorTest, GoldenBeamDigestMatchesAtOneAndEightThreads) {
-  constexpr uint64_t kGoldenDigest = 0x805301e2a580d7e8ULL;
-  const Text2SqlBenchmark bird = TinyBirdLike();
-
+GoldenSet Golden7B(const Text2SqlBenchmark& spider, const LmZoo& zoo) {
+  GoldenSet set;
+  set.digest = 0x805301e2a580d7e8ULL;
+  set.bird = std::make_unique<Text2SqlBenchmark>(TinyBirdLike());
   PipelineConfig config;
   config.size = ModelSize::k7B;
-  CodesPipeline spider_pipeline(config, zoo_->CodesFor(config.size));
-  spider_pipeline.TrainClassifier(*bench_);
-  spider_pipeline.FineTune(*bench_);
+  const CodesPipeline* spider_pipeline = set.AddPipeline(config, spider, zoo);
   config.use_external_knowledge = true;
-  CodesPipeline bird_pipeline(config, zoo_->CodesFor(config.size));
-  bird_pipeline.TrainClassifier(bird);
-  bird_pipeline.FineTune(bird);
-
-  std::vector<GoldenRequest> requests;
-  for (const auto& s : bench_->dev) {
-    requests.push_back({&spider_pipeline, bench_, &s, false, 7});
-    requests.push_back({&spider_pipeline, bench_, &s, true, 11});
+  const CodesPipeline* bird_pipeline = set.AddPipeline(config, *set.bird, zoo);
+  for (const auto& s : spider.dev) {
+    set.requests.push_back({spider_pipeline, &spider, &s, false, 7});
+    set.requests.push_back({spider_pipeline, &spider, &s, true, 11});
   }
-  for (const auto& s : bird.dev) {
-    requests.push_back({&bird_pipeline, &bird, &s, false, 13});
+  for (const auto& s : set.bird->dev) {
+    set.requests.push_back({bird_pipeline, set.bird.get(), &s, false, 13});
   }
-  ExpectGoldenAtOneAndEightThreads(requests, kGoldenDigest);
+  return set;
 }
 
 // The same pin for the narrowest (1B, 64-wide) anchor pool on the
 // Spider-like set, with and without demonstrations. Recorded before
 // template scoring moved to the sparse anchor pool.
-TEST_F(GeneratorTest, GoldenBeamDigest1BMatchesAtOneAndEightThreads) {
-  constexpr uint64_t kGoldenDigest = 0x7195870bb301bbceULL;
+GoldenSet Golden1B(const Text2SqlBenchmark& spider, const LmZoo& zoo) {
+  GoldenSet set;
+  set.digest = 0x7195870bb301bbceULL;
   PipelineConfig config;
   config.size = ModelSize::k1B;
-  CodesPipeline pipeline(config, zoo_->CodesFor(config.size));
-  pipeline.TrainClassifier(*bench_);
-  pipeline.FineTune(*bench_);
-
-  std::vector<GoldenRequest> requests;
-  for (const auto& s : bench_->dev) {
-    requests.push_back({&pipeline, bench_, &s, false, 17});
-    requests.push_back({&pipeline, bench_, &s, true, 19});
+  const CodesPipeline* pipeline = set.AddPipeline(config, spider, zoo);
+  for (const auto& s : spider.dev) {
+    set.requests.push_back({pipeline, &spider, &s, false, 17});
+    set.requests.push_back({pipeline, &spider, &s, true, 19});
   }
-  ExpectGoldenAtOneAndEightThreads(requests, kGoldenDigest);
+  return set;
 }
 
 // The same pin for the widest (15B, 384-wide) anchor pool on the BIRD-like
 // set with EK, with and without demonstrations. Recorded before template
 // scoring moved to the sparse anchor pool.
-TEST_F(GeneratorTest, GoldenBeamDigest15BBirdMatchesAtOneAndEightThreads) {
-  constexpr uint64_t kGoldenDigest = 0x610e3f1cc55b8c0dULL;
-  const Text2SqlBenchmark bird = TinyBirdLike();
+GoldenSet Golden15BBird(const LmZoo& zoo) {
+  GoldenSet set;
+  set.digest = 0x610e3f1cc55b8c0dULL;
+  set.bird = std::make_unique<Text2SqlBenchmark>(TinyBirdLike());
   PipelineConfig config;
   config.size = ModelSize::k15B;
   config.use_external_knowledge = true;
-  CodesPipeline pipeline(config, zoo_->CodesFor(config.size));
-  pipeline.TrainClassifier(bird);
-  pipeline.FineTune(bird);
-
-  std::vector<GoldenRequest> requests;
-  for (const auto& s : bird.dev) {
-    requests.push_back({&pipeline, &bird, &s, false, 23});
-    requests.push_back({&pipeline, &bird, &s, true, 29});
+  const CodesPipeline* pipeline = set.AddPipeline(config, *set.bird, zoo);
+  for (const auto& s : set.bird->dev) {
+    set.requests.push_back({pipeline, set.bird.get(), &s, false, 23});
+    set.requests.push_back({pipeline, set.bird.get(), &s, true, 29});
   }
-  ExpectGoldenAtOneAndEightThreads(requests, kGoldenDigest);
+  return set;
+}
+
+TEST_F(GeneratorTest, GoldenBeamDigestMatchesAtOneAndEightThreads) {
+  const GoldenSet set = Golden7B(*bench_, *zoo_);
+  ExpectGoldenAtOneAndEightThreads(set.requests, set.digest);
+}
+
+TEST_F(GeneratorTest, GoldenBeamDigest1BMatchesAtOneAndEightThreads) {
+  const GoldenSet set = Golden1B(*bench_, *zoo_);
+  ExpectGoldenAtOneAndEightThreads(set.requests, set.digest);
+}
+
+TEST_F(GeneratorTest, GoldenBeamDigest15BBirdMatchesAtOneAndEightThreads) {
+  const GoldenSet set = Golden15BBird(*zoo_);
+  ExpectGoldenAtOneAndEightThreads(set.requests, set.digest);
 }
 
 TEST_F(GeneratorTest, BaselineTableCoversSixteenModels) {
@@ -361,6 +396,148 @@ TEST_F(GeneratorTest, LmZooPerplexityOrdering) {
               zoo_->Base(order).Perplexity(sql_eval))
         << "order " << order;
   }
+}
+
+// ------------------------------------------------- per-database bundle
+
+// The pipeline's cached per-database state must be invisible in every
+// output: generation from the bundle's profile and stems, and serving
+// from a warm cache, equal what per-request state gives.
+class BundleEquivalenceTest : public GeneratorTest {};
+
+TEST_F(BundleEquivalenceTest, GoldenBeamsFromBundleStateMatchAtOneAndEightThreads) {
+  for (const GoldenSet& set : {Golden7B(*bench_, *zoo_),
+                               Golden1B(*bench_, *zoo_), Golden15BBird(*zoo_)}) {
+    EXPECT_EQ(GoldenBeamDigest(set.requests, 1, /*bundle_state=*/true),
+              set.digest);
+    EXPECT_EQ(GoldenBeamDigest(set.requests, 8, /*bundle_state=*/true),
+              set.digest);
+  }
+}
+
+// How request i is served: brownout levels 0 and 1 lease the bundle; level
+// 2 (no values) and a breaker-forced value fallback skip the lookup and
+// peek the cache for generation's profile and stems.
+struct ServeVariant {
+  int brownout_level;
+  bool force_value_fallback;
+};
+constexpr ServeVariant kServeVariants[] = {
+    {0, false}, {1, false}, {2, false}, {0, true}};
+
+ServeVariant VariantOf(size_t i) {
+  return kServeVariants[i % std::size(kServeVariants)];
+}
+
+// One served request: the SQL and the rendered report.
+std::string Served(const CodesPipeline& pipeline,
+                   const Text2SqlBenchmark& bench, const Text2SqlSample& sample,
+                   ServeVariant variant) {
+  ServeOptions options;
+  options.brownout_level = variant.brownout_level;
+  options.force_value_fallback = variant.force_value_fallback;
+  ServeReport report;
+  std::string sql = pipeline.PredictGuarded(bench, sample, options, &report);
+  return sql + " | " + report.ToString();
+}
+
+// Every request of `samples` served on `threads` threads, request i as
+// VariantOf(i).
+std::vector<std::string> ServeAll(
+    const CodesPipeline& pipeline, const Text2SqlBenchmark& bench,
+    const std::vector<const Text2SqlSample*>& samples, int threads) {
+  std::vector<std::string> out(samples.size());
+  ThreadPool pool(threads);
+  pool.ParallelFor(samples.size(), [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      out[i] = Served(pipeline, bench, *samples[i], VariantOf(i));
+    }
+  });
+  return out;
+}
+
+// The reference: every request served from a cache cleared before it.
+std::vector<std::string> ServeAllCold(
+    const CodesPipeline& pipeline, const Text2SqlBenchmark& bench,
+    const std::vector<const Text2SqlSample*>& samples) {
+  std::vector<std::string> out;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    pipeline.ClearRetrieverCache();
+    out.push_back(Served(pipeline, bench, *samples[i], VariantOf(i)));
+  }
+  return out;
+}
+
+std::vector<const Text2SqlSample*> DevSamples(const Text2SqlBenchmark& bench) {
+  std::vector<const Text2SqlSample*> samples;
+  for (const auto& s : bench.dev) samples.push_back(&s);
+  return samples;
+}
+
+TEST_F(BundleEquivalenceTest, WarmCacheServesWhatAColdCacheServes) {
+  const GoldenSet set = Golden7B(*bench_, *zoo_);
+  const std::vector<std::pair<const CodesPipeline*, const Text2SqlBenchmark*>>
+      deployments = {{set.pipelines[0].get(), bench_},
+                     {set.pipelines[1].get(), set.bird.get()}};
+  for (const auto& [pipeline, bench] : deployments) {
+    const auto samples = DevSamples(*bench);
+    const std::vector<std::string> cold =
+        ServeAllCold(*pipeline, *bench, samples);
+    for (const auto& db : bench->databases) {
+      ASSERT_NE(pipeline->BundleFor(db), nullptr);  // warm every database
+    }
+    EXPECT_EQ(ServeAll(*pipeline, *bench, samples, 1), cold) << bench->name;
+    EXPECT_EQ(ServeAll(*pipeline, *bench, samples, 8), cold) << bench->name;
+  }
+}
+
+// Eight threads serve requests over more databases than the cache holds:
+// concurrent misses, evictions and bundle builds must leave every answer
+// as a cold cache gives it, and the hit/miss accounting whole.
+TEST_F(BundleEquivalenceTest, EightThreadPredictOverMoreDatabasesThanCacheHolds) {
+  PipelineConfig config;
+  config.size = ModelSize::k7B;
+  config.retriever_cache_max_entries = 2;
+  CodesPipeline pipeline(config, zoo_->CodesFor(config.size));
+  pipeline.TrainClassifier(*bench_);
+  pipeline.FineTune(*bench_);
+
+  // Train and dev samples interleaved, so consecutive requests hit
+  // different databases.
+  std::vector<const Text2SqlSample*> samples = DevSamples(*bench_);
+  std::vector<int> databases;
+  for (size_t i = 0; i < bench_->train.size(); i += 3) {
+    samples.push_back(&bench_->train[i]);
+  }
+  for (const auto* s : samples) {
+    if (std::find(databases.begin(), databases.end(), s->db_index) ==
+        databases.end()) {
+      databases.push_back(s->db_index);
+    }
+  }
+  ASSERT_GT(databases.size(), 2 * config.retriever_cache_max_entries);
+
+  const std::vector<std::string> cold = ServeAllCold(pipeline, *bench_, samples);
+  pipeline.ClearRetrieverCache();
+  const MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(ServeAll(pipeline, *bench_, samples, 8), cold);
+  const MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
+  auto delta = [&](const char* name) {
+    return after.counters.at(name) - before.counters.at(name);
+  };
+  // Brownout levels 0 and 1 look the bundle up once each; a peek (level
+  // 2, forced fallback) counts nothing.
+  size_t lookups = 0;
+  for (size_t i = 0; i < samples.size(); ++i) {
+    lookups += VariantOf(i).brownout_level < 2 &&
+               !VariantOf(i).force_value_fallback;
+  }
+  EXPECT_EQ(delta("pipeline.retriever_cache.hits") +
+                delta("pipeline.retriever_cache.misses"),
+            lookups);
+  EXPECT_GT(delta("pipeline.retriever_cache.evictions"), 0u);
+  EXPECT_LE(pipeline.retriever_cache_stats().entries,
+            config.retriever_cache_max_entries);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
-// LeaseCache: the one LRU behind the pipeline's per-database value-index
-// cache and the fleet's tenant bundles. Covers the victim order, both caps
-// on their own, the keep-the-newest rule, lease lifetime across eviction,
-// Clear's count, and thread-count-invariant miss accounting.
+// LeaseCache: the one LRU behind the pipeline's per-database bundle cache
+// and the fleet's tenant bundles. Covers the victim order, a Peek that
+// leaves it alone, both caps on their own, the keep-the-newest rule, lease
+// lifetime across eviction, Clear's count, and thread-count-invariant miss
+// accounting.
 
 #include "common/lease_cache.h"
 
@@ -51,6 +52,20 @@ TEST(LeaseCacheTest, EvictsTheLeastRecentlyUsedEntryFirst) {
   EXPECT_NE(cache.Lookup(4), nullptr);
   EXPECT_NE(cache.Lookup(5), nullptr);
   EXPECT_EQ(cache.size(), 3u);
+}
+
+TEST(LeaseCacheTest, PeekReturnsTheValueWithoutMarkingItUsed) {
+  Cache cache({3, 0});
+  EXPECT_EQ(cache.Peek(1), nullptr);
+  auto first = cache.Insert(1, Value("a"), 1);
+  cache.Insert(2, Value("b"), 1);
+  cache.Insert(3, Value("c"), 1);
+  EXPECT_EQ(cache.Peek(1).get(), first.lease.get());
+
+  // The peek left 1 the oldest entry, so it is the victim.
+  EXPECT_EQ(cache.Insert(4, Value("d"), 1).evicted, 1u);
+  EXPECT_EQ(cache.Peek(1), nullptr);
+  EXPECT_NE(cache.Peek(2), nullptr);
 }
 
 TEST(LeaseCacheTest, InsertedEntrySurvivesAOneByteBudget) {

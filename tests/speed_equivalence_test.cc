@@ -30,6 +30,7 @@
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "common/thread_pool.h"
+#include "core/pipeline.h"
 #include "dataset/benchmark_builder.h"
 #include "dataset/column_profile.h"
 #include "dataset/db_generator.h"
@@ -43,6 +44,7 @@
 #include "linker/schema_classifier.h"
 #include "lm/ngram_lm.h"
 #include "lm/ngram_reference.h"
+#include "retrieval/value_retriever.h"
 #include "sqlengine/executor.h"
 #include "storage/storage_db.h"
 #include "text/similarity.h"
@@ -50,6 +52,20 @@
 
 namespace codes {
 namespace {
+
+// The presets, built once per process and shared by the suites below.
+const Text2SqlBenchmark& TinySpiderPreset() {
+  static const auto* bench = new Text2SqlBenchmark(BuildTinySpiderLike());
+  return *bench;
+}
+const Text2SqlBenchmark& SpiderPreset() {
+  static const auto* bench = new Text2SqlBenchmark(BuildSpiderLike());
+  return *bench;
+}
+const Text2SqlBenchmark& BirdPreset() {
+  static const auto* bench = new Text2SqlBenchmark(BuildBirdLike());
+  return *bench;
+}
 
 // ---------------------------------------------------------------------------
 // Longest common substring: bit-parallel vs reference DP.
@@ -66,8 +82,10 @@ std::string RandomString(std::mt19937& rng, size_t max_len,
   return s;
 }
 
-TEST(LcsEquivalenceTest, HandPickedPairs) {
-  const std::vector<std::pair<std::string, std::string>> pairs = {
+using StringPairs = std::vector<std::pair<std::string, std::string>>;
+
+StringPairs HandPickedLcsPairs() {
+  return {
       {"", ""},
       {"", "abc"},
       {"abc", ""},
@@ -86,17 +104,12 @@ TEST(LcsEquivalenceTest, HandPickedPairs) {
       {std::string(200, 'q') + "needle" + std::string(200, 'w'),
        std::string(150, 'e') + "needle" + std::string(10, 'r')},
   };
-  for (const auto& [a, b] : pairs) {
-    EXPECT_EQ(LongestCommonSubstringLength(a, b),
-              LongestCommonSubstringLengthReferenceDp(a, b))
-        << "a=" << a << " b=" << b;
-  }
 }
 
-TEST(LcsEquivalenceTest, Utf8AndNonAsciiBytes) {
-  // The PR-4 tolower corpus: folding is ASCII-only, so multi-byte UTF-8
-  // sequences must match byte-for-byte in both implementations.
-  const std::vector<std::pair<std::string, std::string>> pairs = {
+// The tolower corpus: folding is ASCII-only, so multi-byte UTF-8
+// sequences must match byte-for-byte in both implementations.
+StringPairs Utf8LcsPairs() {
+  return {
       {"Caf\xC3\xA9 Mayor", "caf\xC3\xA9 mayor"},
       {"Caf\xC3\xA9", "Caf\xC3\xA8"},  // é vs è share the lead byte 0xC3
       {"\xE5\x8C\x97\xE4\xBA\xAC restaurants",
@@ -105,18 +118,55 @@ TEST(LcsEquivalenceTest, Utf8AndNonAsciiBytes) {
       {"stra\xC3\x9F" "e", "STRA\xC3\x9F" "E"},                  // straße
       {"\xFF\xFE\x00\x01", "\x00\x01\xFF"},  // arbitrary non-UTF-8 bytes
   };
-  for (const auto& [a, b] : pairs) {
+}
+
+StringPairs RandomLcsPairs(uint32_t seed, int count, size_t max_len,
+                           std::string_view alphabet) {
+  std::mt19937 rng(seed);
+  StringPairs pairs;
+  for (int i = 0; i < count; ++i) {
+    std::string a = RandomString(rng, max_len, alphabet);
+    pairs.emplace_back(std::move(a), RandomString(rng, max_len, alphabet));
+  }
+  return pairs;
+}
+
+// A small alphabet forces long common runs and dense match masks.
+StringPairs SmallAlphabetLcsPairs() {
+  return RandomLcsPairs(20260808, 400, 150, "abcAB ");
+}
+
+StringPairs WideAlphabetLcsPairs() {
+  return RandomLcsPairs(
+      7, 300, 300,
+      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 _-'.");
+}
+
+// Inputs past the bit-parallel size cap take the reference-DP fallback;
+// the seam must be invisible.
+StringPairs LongLcsPairs() {
+  std::mt19937 rng(99);
+  std::string a = RandomString(rng, 5000, "abcd");
+  return {{std::move(a), RandomString(rng, 120, "abcd")}};
+}
+
+TEST(LcsEquivalenceTest, HandPickedPairs) {
+  for (const auto& [a, b] : HandPickedLcsPairs()) {
+    EXPECT_EQ(LongestCommonSubstringLength(a, b),
+              LongestCommonSubstringLengthReferenceDp(a, b))
+        << "a=" << a << " b=" << b;
+  }
+}
+
+TEST(LcsEquivalenceTest, Utf8AndNonAsciiBytes) {
+  for (const auto& [a, b] : Utf8LcsPairs()) {
     EXPECT_EQ(LongestCommonSubstringLength(a, b),
               LongestCommonSubstringLengthReferenceDp(a, b));
   }
 }
 
 TEST(LcsEquivalenceTest, RandomizedSmallAlphabet) {
-  // A small alphabet forces long common runs and dense match masks.
-  std::mt19937 rng(20260808);
-  for (int iter = 0; iter < 400; ++iter) {
-    const std::string a = RandomString(rng, 150, "abcAB ");
-    const std::string b = RandomString(rng, 150, "abcAB ");
+  for (const auto& [a, b] : SmallAlphabetLcsPairs()) {
     ASSERT_EQ(LongestCommonSubstringLength(a, b),
               LongestCommonSubstringLengthReferenceDp(a, b))
         << "a=" << a << " b=" << b;
@@ -124,25 +174,129 @@ TEST(LcsEquivalenceTest, RandomizedSmallAlphabet) {
 }
 
 TEST(LcsEquivalenceTest, RandomizedWideAlphabet) {
-  std::mt19937 rng(7);
-  const std::string alphabet =
-      "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789 _-'.";
-  for (int iter = 0; iter < 300; ++iter) {
-    const std::string a = RandomString(rng, 300, alphabet);
-    const std::string b = RandomString(rng, 300, alphabet);
+  for (const auto& [a, b] : WideAlphabetLcsPairs()) {
     ASSERT_EQ(LongestCommonSubstringLength(a, b),
               LongestCommonSubstringLengthReferenceDp(a, b));
   }
 }
 
 TEST(LcsEquivalenceTest, LongInputsUseFallbackConsistently) {
-  // Inputs past the bit-parallel size cap take the reference-DP fallback;
-  // the seam must be invisible.
-  std::mt19937 rng(99);
-  const std::string a = RandomString(rng, 5000, "abcd");
-  const std::string b = RandomString(rng, 120, "abcd");
-  EXPECT_EQ(LongestCommonSubstringLength(a, b),
-            LongestCommonSubstringLengthReferenceDp(a, b));
+  for (const auto& [a, b] : LongLcsPairs()) {
+    EXPECT_EQ(LongestCommonSubstringLength(a, b),
+              LongestCommonSubstringLengthReferenceDp(a, b));
+  }
+}
+
+// An LcsPattern compiled from either string must give the reference DP's
+// answer, and MatchDegree the DP's length over the shorter one.
+void ExpectPatternMatchesDp(const std::string& a, const std::string& b) {
+  const int expected = LongestCommonSubstringLengthReferenceDp(a, b);
+  ASSERT_EQ(LcsPattern(a).Length(b), expected) << "a=" << a << " b=" << b;
+  ASSERT_EQ(LcsPattern(b).Length(a), expected) << "a=" << a << " b=" << b;
+  const double degree =
+      a.empty() || b.empty()
+          ? 0.0
+          : static_cast<double>(expected) /
+                static_cast<double>(std::min(a.size(), b.size()));
+  ASSERT_EQ(LcsPattern(a).MatchDegree(b), degree);
+  ASSERT_EQ(LcsPattern(b).MatchDegree(a), degree);
+}
+
+TEST(LcsEquivalenceTest, PatternMatchesReferenceDpInBothOrders) {
+  for (const StringPairs& pairs :
+       {HandPickedLcsPairs(), Utf8LcsPairs(), SmallAlphabetLcsPairs(),
+        WideAlphabetLcsPairs(), LongLcsPairs()}) {
+    for (const auto& [a, b] : pairs) ExpectPatternMatchesDp(a, b);
+  }
+}
+
+// The strings the hot paths compile an LcsPattern over, for one question
+// of a preset: the question is the pattern text, the candidates are every
+// column name and ColumnPhrase of its database (the linker's f2/f3 and the
+// generator's column score) and every FineRank candidate of the value
+// retriever's coarse search.
+struct LcsWork {
+  std::string question;
+  std::vector<std::string> candidates;
+};
+
+// FineRank's candidates for each dev question of `bench`, bare and with
+// its evidence: the BM25 top-`value_coarse_k` over the value retriever's
+// documents, rebuilt here with the same documents in the same order
+// ((table, column, case-folded text) deduplicated, first spelling wins).
+std::vector<LcsWork> PresetLcsWork(const Text2SqlBenchmark& bench) {
+  std::vector<Bm25Index> indexes(bench.databases.size());
+  for (size_t d = 0; d < bench.databases.size(); ++d) {
+    std::unordered_set<std::string> seen;
+    bench.databases[d].ForEachTextValue(
+        [&](int t, int c, int /*row*/, const std::string& text) {
+          if (text.empty()) return;
+          const std::string key = std::to_string(t) + "/" +
+                                  std::to_string(c) + "/" + ToLower(text);
+          if (seen.insert(key).second) indexes[d].AddDocument(text);
+        });
+    indexes[d].Finalize();
+  }
+  const int coarse_k = PromptOptions().value_coarse_k;
+  std::vector<LcsWork> work;
+  for (const auto& sample : bench.dev) {
+    const sql::Database& db = bench.DbOf(sample);
+    std::vector<std::string> questions = {sample.question};
+    const std::string with_ek =
+        QuestionWithEvidence(sample.question, sample.external_knowledge);
+    if (with_ek != sample.question) questions.push_back(with_ek);
+    for (const std::string& question : questions) {
+      LcsWork item{question, {}};
+      for (const auto& table : db.schema().tables) {
+        for (const auto& col : table.columns) {
+          item.candidates.push_back(col.name);
+          item.candidates.push_back(ColumnPhrase(col));
+        }
+      }
+      const Bm25Index& index = indexes[static_cast<size_t>(sample.db_index)];
+      for (const auto& hit : index.Query(question, coarse_k)) {
+        item.candidates.push_back(index.DocumentText(hit.doc_id));
+      }
+      work.push_back(std::move(item));
+    }
+  }
+  return work;
+}
+
+TEST(LcsEquivalenceTest, PatternMatchesDpOnPresetsAtOneAndEightThreads) {
+  std::vector<LcsWork> work = PresetLcsWork(SpiderPreset());
+  for (auto& item : PresetLcsWork(BirdPreset())) work.push_back(std::move(item));
+  std::vector<std::vector<int>> expected(work.size());
+  size_t pairs = 0;
+  for (size_t i = 0; i < work.size(); ++i) {
+    for (const auto& candidate : work[i].candidates) {
+      expected[i].push_back(LongestCommonSubstringLengthReferenceDp(
+          work[i].question, candidate));
+      ++pairs;
+    }
+  }
+  ASSERT_GT(pairs, 10000u);
+  for (int threads : {1, 8}) {
+    std::vector<int> mismatches(work.size(), 0);
+    ThreadPool pool(threads);
+    pool.ParallelFor(work.size(), [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        const LcsPattern question(work[i].question);
+        for (size_t k = 0; k < work[i].candidates.size(); ++k) {
+          const std::string& candidate = work[i].candidates[k];
+          if (question.Length(candidate) != expected[i][k] ||
+              LcsPattern(candidate).Length(work[i].question) !=
+                  expected[i][k]) {
+            ++mismatches[i];
+          }
+        }
+      }
+    });
+    for (size_t i = 0; i < work.size(); ++i) {
+      EXPECT_EQ(mismatches[i], 0)
+          << work[i].question << " at " << threads << " threads";
+    }
+  }
 }
 
 TEST(LcsEquivalenceTest, EightThreadsMatchSerial) {
@@ -159,8 +313,8 @@ TEST(LcsEquivalenceTest, EightThreadsMatchSerial) {
   std::vector<int> failures(8, 0);
   for (int t = 0; t < 8; ++t) {
     threads.emplace_back([&, t] {
-      // Every thread scores every pair: the thread_local scratch (masks,
-      // generation stamps) must never leak state across calls or threads.
+      // Every thread scores every pair: the sweep's thread_local rows
+      // must never leak state across calls or threads.
       for (size_t i = 0; i < pairs.size(); ++i) {
         if (LongestCommonSubstringLength(pairs[i].first, pairs[i].second) !=
             expected[i]) {
@@ -1247,10 +1401,11 @@ bool ReferenceIsKey(const sql::Database& db, int t, int c) {
   return is_key;
 }
 
-void ExpectProfileMatchesReference(const sql::Database& db,
+// Checks `profile` (which must describe `db`) against the references.
+void ExpectProfileMatchesReference(const ColumnProfile& profile,
+                                   const sql::Database& db,
                                    const std::string& label) {
   SCOPED_TRACE(label + " / " + db.schema().name);
-  const ColumnProfile profile(db);
   const int tables = static_cast<int>(db.schema().tables.size());
   ASSERT_EQ(profile.table_count(), tables);
   int slots = 0;
@@ -1279,6 +1434,11 @@ void ExpectProfileMatchesReference(const sql::Database& db,
     EXPECT_EQ(a.parent_t, b.parent_t);
     EXPECT_EQ(a.parent_c, b.parent_c);
   }
+}
+
+void ExpectProfileMatchesReference(const sql::Database& db,
+                                   const std::string& label) {
+  ExpectProfileMatchesReference(ColumnProfile(db), db, label);
 }
 
 // NULLs most cells (every column of the first table entirely), so columns
@@ -1423,6 +1583,41 @@ TEST(ColumnProfileEquivalenceTest, ThreeHundredRowSpiderProfileMatches) {
   }
 }
 
+// Every preset database's cached bundle, leased from 1 and from 8 pool
+// workers at once, carries a profile equal to a fresh one and the same
+// value index a fresh build gives.
+TEST(BundleProfileEquivalenceTest, BundleProfilesMatchReferenceAtOneAndEightThreads) {
+  for (const Text2SqlBenchmark* bench :
+       {&TinySpiderPreset(), &SpiderPreset(), &BirdPreset()}) {
+    for (int threads : {1, 8}) {
+      PipelineConfig config;
+      config.retriever_cache_max_entries = 0;  // hold every database
+      const CodesPipeline pipeline(config, nullptr);
+      const size_t n = bench->databases.size();
+      std::vector<std::shared_ptr<const DatabaseBundle>> bundles(n);
+      ThreadPool pool(threads);
+      pool.ParallelFor(n, [&](size_t begin, size_t end) {
+        for (size_t d = begin; d < end; ++d) {
+          bundles[d] = pipeline.BundleFor(bench->databases[d]);
+        }
+      });
+      for (size_t d = 0; d < n; ++d) {
+        const sql::Database& db = bench->databases[d];
+        ASSERT_NE(bundles[d], nullptr);
+        // A second lookup is a hit on the same bundle.
+        EXPECT_EQ(pipeline.BundleFor(db), bundles[d]);
+        ExpectProfileMatchesReference(
+            bundles[d]->columns, db,
+            bench->name + " bundle at " + std::to_string(threads));
+        ValueRetriever fresh;
+        fresh.BuildIndex(db);
+        EXPECT_EQ(bundles[d]->retriever.NumIndexedValues(),
+                  fresh.NumIndexedValues());
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // One-pass schema scoring vs item-at-a-time scoring.
 // ---------------------------------------------------------------------------
@@ -1472,6 +1667,87 @@ TEST(ScoreSchemaEquivalenceTest, MatchesItemAtATimeScoring) {
   trained.Train(bird, SchemaItemClassifier::TrainOptions{});
   ExpectScoreSchemaMatches(trained, bird);
   ExpectScoreSchemaMatches(trained, spider);
+}
+
+// Features 5 and 8 as they were composed before the question's trigram
+// filter: a plain case-blind search over the first 64 rows, and over the
+// column name.
+bool ReferenceValueAppears(const std::string& question,
+                           const sql::Database& db, int t, int c) {
+  const auto& rows = db.TableAt(t).rows;
+  for (size_t r = 0; r < std::min<size_t>(rows.size(), 64); ++r) {
+    const sql::Value& v = rows[r][c];
+    if (v.is_text() && v.AsText().size() >= 3 &&
+        ContainsIgnoreCase(question, v.AsText())) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Every substring of each question (case-flipped, so the fold is
+// exercised), including the ones that start or end at its edges, and
+// near-miss needles: Mentions must agree with ContainsIgnoreCase.
+TEST(LinkerEquivalenceTest, MentionsMatchesContainsIgnoreCaseOnEveryNeedle) {
+  const SentenceEncoder encoder(64);
+  const std::vector<std::string> questions = {
+      "", "ab", "abc", "Show the NAME of every Singer from 'Caf\xC3\xA9 Mayor'",
+      "aaaaaaaaab", "How many clients of the Jesenik branch?",
+      "xyz ; evidence: npgr = net profit growth rate"};
+  std::mt19937 rng(3301);
+  for (const std::string& text : questions) {
+    const LinkerQuestion question(text, encoder);
+    std::vector<std::string> needles = {"", "a", "zz", "zzz", "abd", "BAA"};
+    for (size_t i = 0; i < text.size(); ++i) {
+      for (size_t n = 1; i + n <= text.size(); ++n) {
+        std::string needle = text.substr(i, n);
+        for (char& c : needle) {
+          if (rng() % 2 != 0) c = static_cast<char>(std::toupper(c));
+        }
+        needles.push_back(needle);
+        needle.back() = needle.back() == 'q' ? 'r' : 'q';  // a near miss
+        needles.push_back(std::move(needle));
+      }
+    }
+    for (const std::string& needle : needles) {
+      ASSERT_EQ(question.Mentions(needle), ContainsIgnoreCase(text, needle))
+          << "question=" << text << " needle=" << needle;
+    }
+  }
+}
+
+TEST(LinkerEquivalenceTest, TrigramFilterKeepsValueAndNameFeaturesBitExact) {
+  const SentenceEncoder encoder(192);
+  size_t value_hits = 0, name_hits = 0;
+  for (const Text2SqlBenchmark* bench : {&SpiderPreset(), &BirdPreset()}) {
+    for (const auto& sample : bench->dev) {
+      const sql::Database& db = bench->DbOf(sample);
+      for (const std::string& text :
+           {sample.question, QuestionWithEvidence(sample.question,
+                                                  sample.external_knowledge)}) {
+        const LinkerQuestion question(text, encoder);
+        const auto& tables = db.schema().tables;
+        for (int t = 0; t < static_cast<int>(tables.size()); ++t) {
+          const auto& columns = tables[static_cast<size_t>(t)].columns;
+          for (int c = 0; c < static_cast<int>(columns.size()); ++c) {
+            const LinkerFeatures f =
+                ColumnLinkFeatures(question, encoder, db, t, c);
+            const std::string& name = columns[static_cast<size_t>(c)].name;
+            const double f5 = ReferenceValueAppears(text, db, t, c) ? 1.0 : 0.0;
+            const double f8 =
+                ContainsIgnoreCase(text, name) && name.size() >= 2 ? 1.0 : 0.0;
+            ASSERT_EQ(f[5], f5) << text << " / " << name;
+            ASSERT_EQ(f[8], f8) << text << " / " << name;
+            value_hits += f5 > 0;
+            name_hits += f8 > 0;
+          }
+        }
+      }
+    }
+  }
+  // The presets must exercise both outcomes of both features.
+  EXPECT_GT(value_hits, 0u);
+  EXPECT_GT(name_hits, 0u);
 }
 
 // ---------------------------------------------------------------------------

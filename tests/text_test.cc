@@ -59,26 +59,31 @@ TEST(SimilarityTest, LongestCommonSubstring) {
   EXPECT_EQ(LongestCommonSubstringLength("SARAH", "sarah martinez"), 5);
 }
 
+// The re-rank's match degree of `a` against `b`.
+double MatchDegree(std::string_view a, std::string_view b) {
+  return LcsPattern(a).MatchDegree(b);
+}
+
 TEST(SimilarityTest, LcsMatchDegreeNormalized) {
-  EXPECT_DOUBLE_EQ(LcsMatchDegree("abc", "abc"), 1.0);
-  EXPECT_DOUBLE_EQ(LcsMatchDegree("ab", "abcd"), 1.0);
-  EXPECT_NEAR(LcsMatchDegree("abcd", "abxy"), 0.5, 1e-9);
-  EXPECT_DOUBLE_EQ(LcsMatchDegree("", "x"), 0.0);
+  EXPECT_DOUBLE_EQ(MatchDegree("abc", "abc"), 1.0);
+  EXPECT_DOUBLE_EQ(MatchDegree("ab", "abcd"), 1.0);
+  EXPECT_NEAR(MatchDegree("abcd", "abxy"), 0.5, 1e-9);
+  EXPECT_DOUBLE_EQ(MatchDegree("", "x"), 0.0);
 }
 
 TEST(SimilarityTest, Utf8ValuesMatchByteExact) {
   // Case folding inside the matchers is ASCII-only, so multi-byte UTF-8
   // sequences compare byte-exact regardless of locale — an accented value
   // in a question must fully match the same indexed value.
-  EXPECT_DOUBLE_EQ(LcsMatchDegree("Caf\xC3\xA9 Mayor", "caf\xC3\xA9 mayor"),
+  EXPECT_DOUBLE_EQ(MatchDegree("Caf\xC3\xA9 Mayor", "caf\xC3\xA9 mayor"),
                    1.0);
   const std::string cjk = "\xE5\x8C\x97\xE4\xBA\xAC";  // 北京
-  EXPECT_DOUBLE_EQ(LcsMatchDegree(cjk, "the city of " + cjk), 1.0);
+  EXPECT_DOUBLE_EQ(MatchDegree(cjk, "the city of " + cjk), 1.0);
   EXPECT_EQ(LongestCommonSubstringLength(cjk, "near " + cjk + " station"),
             static_cast<int>(cjk.size()));
   // Different accented characters share the lead byte 0xC3 but must not
   // fully match: é (0xC3 0xA9) vs è (0xC3 0xA8).
-  EXPECT_LT(LcsMatchDegree("caf\xC3\xA9", "caf\xC3\xA8"), 1.0);
+  EXPECT_LT(MatchDegree("caf\xC3\xA9", "caf\xC3\xA8"), 1.0);
 }
 
 TEST(SimilarityTest, TokenCoverageUsesStems) {
